@@ -292,6 +292,10 @@ def build_operators(grid):
     B_flux = ((P_gamma @ A).multiply(1.0 / grid.surface_weights[:, None])).tocsr()
 
     coupled = (L_int_rows + P_gamma.T @ (L_surf @ P_gamma + B_flux)).tocsr()
+    # canonical (sorted, duplicate-free) CSR: scipy would otherwise sort the
+    # indices in place on first use, which changes matvec roundoff mid-run
+    coupled.sum_duplicates()
+    L_bulk.sum_duplicates()
 
     return OperatorSet(
         L_bulk=L_bulk,

@@ -108,6 +108,21 @@ def test_surface_laplacian_symmetric_in_weights(grid4, ops4):
     assert np.abs(dense - dense.T).max() == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_coupled_symmetric_in_slot_weights(n):
+    """W coupled is exactly symmetric: the step solvers store only its upper band."""
+    grid = build_grid(n)
+    w = grid.bulk_weights.copy()
+    w[grid.boundary_cycle] = grid.surface_weights
+    dense = w[:, None] * build_operators(grid).coupled.toarray()
+    assert np.abs(dense - dense.T).max() == 0.0
+
+
+def test_operators_canonical_csr(grid4, ops4):
+    for name in ("L_bulk", "L_surf", "B_flux", "dirichlet_bulk", "dirichlet_surf", "coupled"):
+        assert getattr(ops4, name).has_canonical_format, name
+
+
 def test_inner_products_basic(grid4):
     ones = np.ones(grid4.num_nodes)
     assert inner_product_bulk(ones, ones, grid4) == pytest.approx(1.0, abs=1e-15)

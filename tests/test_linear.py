@@ -10,6 +10,8 @@ from acopt import (
     SolverFailureError,
     SteppedOperator,
     TimeAxis,
+    build_grid,
+    build_operators,
     linearized_operator,
     solve_adjoint,
     solve_linear,
@@ -124,6 +126,34 @@ def test_singular_step_matrix_raises(grid4, ops4):
             ControlPair.zeros(grid4, time),
             np.zeros(N),
         )
+
+
+@pytest.mark.parametrize(
+    "dt, c_range, cholesky",
+    [(0.1, (-3.0, 5.0), True), (0.5, (-30.0, 1.0), False)],
+    ids=["spd-cholesky", "indefinite-lu"],
+)
+def test_step_solves_match_dense(dt, c_range, cholesky):
+    """Forward and transposed band solves equal dense solves with M and M^T."""
+    rng = np.random.default_rng(7)
+    grid = build_grid(6)
+    ops = build_operators(grid)
+    time = TimeAxis(dt, 1)
+    N = grid.num_nodes
+    coeffs = CoefficientFields(
+        rng.uniform(*c_range, size=(2, N)), rng.uniform(*c_range, size=(2, grid.num_boundary))
+    )
+    op = SteppedOperator(grid, ops, time, coeffs)
+    c = slot_fields(grid, coeffs.c1[1], coeffs.c2[1])
+    M = np.eye(N) / dt + ops.coupled.toarray() + np.diag(c)
+    pivots = op._factor(1)[1]
+    assert (pivots is None) == cholesky
+    for rhs in (rng.normal(size=N), rng.normal(size=(N, 3))):
+        x = op.solve(1, rhs)
+        xt = op.solve_transposed(1, rhs)
+        assert x.shape == rhs.shape and xt.shape == rhs.shape
+        np.testing.assert_allclose(x, np.linalg.solve(M, rhs), rtol=0, atol=1e-12 * np.abs(x).max())
+        np.testing.assert_allclose(xt, np.linalg.solve(M.T, rhs), rtol=0, atol=1e-12 * np.abs(xt).max())
 
 
 # -- linearized system --------------------------------------------------------

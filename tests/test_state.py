@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from acopt import (
@@ -9,6 +10,8 @@ from acopt import (
     Potential,
     SolverFailureError,
     TimeAxis,
+    build_grid,
+    build_operators,
     energy,
     invariant_interval,
     solve_state,
@@ -197,6 +200,37 @@ def test_newton_failure_is_reported(grid4, ops4):
         solve_state(grid4, ops4, time, pf, pg, u, init, max_newton=1)
     assert info.value.step == 1
     assert info.value.residual is not None
+
+
+def test_singular_newton_jacobian_raises(grid4):
+    """dt = 1 and f'' = g'' = -1 with no coupling: every Jacobian row vanishes."""
+    N = grid4.num_nodes
+    pf = pg = Potential(alpha=0.0, smooth_c=0.5)
+    time = TimeAxis(1.0, 1)
+
+    class NoCoupling:
+        coupled = sp.csr_matrix((N, N))
+
+    init = FieldPair(np.full(N, 0.3), grid4)
+    with pytest.raises(SolverFailureError) as info:
+        solve_state(grid4, NoCoupling(), time, pf, pg, ControlPair.zeros(grid4, time), init)
+    assert info.value.step == 1
+    assert info.value.residual == pytest.approx(0.2)
+
+
+def test_state_solve_unaffected_by_scipy_reads_of_coupled():
+    """abs(coupled) must not reorder the operator in place (bit-identical states)."""
+    grid = build_grid(8)
+    ops = build_operators(grid)
+    pf, pg = default_potentials()
+    time = TimeAxis(0.2, 5)
+    u = random_control(grid, time, np.random.default_rng(3))
+    init = FieldPair(np.full(grid.num_nodes, 0.4), grid)
+    before = solve_state(grid, ops, time, pf, pg, u, init)
+    abs(ops.coupled)
+    after = solve_state(grid, ops, time, pf, pg, u, init)
+    assert np.array_equal(before.values, after.values)
+    assert before.info == after.info
 
 
 def test_clamp_warning_for_near_endpoint_data(grid4, ops4):
