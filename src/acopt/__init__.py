@@ -31,6 +31,7 @@ from .objective import (
     ControlProblem,
     OptimalityReport,
     adjoint_as_control,
+    clip_to_box,
     curvature,
     evaluate_cost,
     hinner,
@@ -45,7 +46,6 @@ from .optimizer import (
     MinimizeResult,
     OptimizerConfig,
     minimize,
-    project_box,
 )
 from .pde_linear import (
     CoefficientFields,

@@ -27,12 +27,14 @@ from .errors import ConfigError, OptimizerStalledError, SolverFailureError
 from .geometry import TimeAxis, build_grid, build_operators
 from .objective import (
     ControlProblem,
+    clip_to_box,
+    curvature,
     evaluate_cost,
     hinner,
     optimality_report,
     reduced_gradient,
 )
-from .optimizer import OptimizerConfig, minimize, project_box
+from .optimizer import OptimizerConfig, minimize
 from .pde_linear import linearized_operator, solve_adjoint, solve_linearized
 from .pde_state import ControlPair, FieldPair, energy, trajectory_space_time_norm
 from .potentials import Potential
@@ -309,41 +311,31 @@ def _fmt(value):
     return _FLOAT_FMT % value
 
 
+def _write_node_table(path, nodes, data):
+    """One row per node (with coordinates), one column per time level of data."""
+    levels = range(data.shape[0])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["x", "y"] + [f"t{k}" for k in levels]) + "\n")
+        for j in range(nodes.shape[0]):
+            row = [_fmt(nodes[j, 0]), _fmt(nodes[j, 1])] + [_fmt(data[k, j]) for k in levels]
+            fh.write(",".join(row) + "\n")
+
+
 def write_trajectory_csv(path, traj, surface=False):
     """One row per node (with coordinates), one column per time level."""
-    grid, time = traj.grid, traj.time
+    grid = traj.grid
     if surface:
-        nodes = grid.bulk_nodes[grid.boundary_cycle]
-        data = traj.surface
+        _write_node_table(path, grid.bulk_nodes[grid.boundary_cycle], traj.surface)
     else:
-        nodes = grid.bulk_nodes
-        data = traj.values
-    header = ["x", "y"] + [f"t{k}" for k in range(time.m + 1)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for j in range(nodes.shape[0]):
-            row = [_fmt(nodes[j, 0]), _fmt(nodes[j, 1])]
-            row += [_fmt(data[k, j]) for k in range(time.m + 1)]
-            fh.write(",".join(row) + "\n")
+        _write_node_table(path, grid.bulk_nodes, traj.values)
 
 
 def write_control_csv(prefix, control, grid, time):
-    bulk_path = f"{prefix}_bulk.csv"
-    surf_path = f"{prefix}_surface.csv"
-    header = ["x", "y"] + [f"t{k}" for k in range(time.m + 1)]
-    with open(bulk_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for j in range(grid.num_nodes):
-            row = [_fmt(grid.bulk_nodes[j, 0]), _fmt(grid.bulk_nodes[j, 1])]
-            row += [_fmt(control.bulk[k, j]) for k in range(time.m + 1)]
-            fh.write(",".join(row) + "\n")
-    bnodes = grid.bulk_nodes[grid.boundary_cycle]
-    with open(surf_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for j in range(grid.num_boundary):
-            row = [_fmt(bnodes[j, 0]), _fmt(bnodes[j, 1])]
-            row += [_fmt(control.surface[k, j]) for k in range(time.m + 1)]
-            fh.write(",".join(row) + "\n")
+    """Bulk and surface control tables at <prefix>_bulk.csv and <prefix>_surface.csv."""
+    _write_node_table(f"{prefix}_bulk.csv", grid.bulk_nodes, control.bulk[: time.m + 1])
+    _write_node_table(
+        f"{prefix}_surface.csv", grid.bulk_nodes[grid.boundary_cycle], control.surface[: time.m + 1]
+    )
 
 
 def write_energy_csv(path, traj, ops, pf, pg):
@@ -485,8 +477,6 @@ def verify_taylor(problem, seed=0):
 
 def verify_curvature(problem, seed=0, n_dir=3):
     """Second-difference check of the curvature form."""
-    from .objective import curvature as curvature_form
-
     rng = np.random.default_rng(seed)
     u = _random_direction(problem, rng, scale=0.3)
     state = problem.solve(u)
@@ -496,7 +486,7 @@ def verify_curvature(problem, seed=0, n_dir=3):
     rows = []
     for d in range(n_dir):
         h = _random_direction(problem, rng)
-        exact = curvature_form(problem, state, adjoint, h, operator=operator)
+        exact = curvature(problem, state, adjoint, h, operator=operator)
         best = np.inf
         for eps in (1e-2, 3e-3, 1e-3):
             up = ControlPair(u.bulk + eps * h.bulk, u.surface + eps * h.surface)
@@ -538,8 +528,8 @@ def run(cfg):
             return 0
 
         if cfg.mode == "optimize":
-            start = project_box(
-                build_control(cfg, problem.grid, problem.time, problem.pf, problem.pg), problem
+            start = clip_to_box(
+                problem, build_control(cfg, problem.grid, problem.time, problem.pf, problem.pg)
             )
             opt_cfg = OptimizerConfig(
                 max_iters=cfg.opt_max_iters,
@@ -580,7 +570,7 @@ def run(cfg):
 
         if cfg.mode == "report":
             control = build_control(cfg, problem.grid, problem.time, problem.pf, problem.pg)
-            report = optimality_report(problem, project_box(control, problem), seed=cfg.seed)
+            report = optimality_report(problem, clip_to_box(problem, control), seed=cfg.seed)
             write_report(outdir, report)
             return 0
 

@@ -11,8 +11,6 @@ first- and second-order identities below hold to direct-solver roundoff
 because the adjoint is the exact transpose of the forward stepping.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,7 +210,7 @@ def curvature(problem, state, adjoint, direction, second_direction=None, operato
     # adjoint-weighted third-derivative terms, over the slots the dynamics read
     pf, pg = problem.pf, problem.pg
     interior = grid.interior_nodes
-    f3 = np.asarray(pf._eval(3, pf._prepare(state.values[1:, interior])))
+    f3 = pf.d3(state.values[1:, interior])
     prod = phi.values[1:, interior] * psi.values[1:, interior]
     total -= float(
         np.einsum(
@@ -222,7 +220,7 @@ def curvature(problem, state, adjoint, direction, second_direction=None, operato
             f3 * prod,
         )
     )
-    g3 = np.asarray(pg._eval(3, pg._prepare(state.surface[1:])))
+    g3 = pg.d3(state.surface[1:])
     total -= float(
         np.einsum(
             "k,kj,kj->",
@@ -238,6 +236,7 @@ def curvature(problem, state, adjoint, direction, second_direction=None, operato
 
 
 def clip_to_box(problem, control):
+    """Nodewise clip of both control slots into their boxes (idempotent)."""
     return ControlPair(
         np.clip(control.bulk, problem.u_lo, problem.u_hi),
         np.clip(control.surface, problem.u_lo_surf, problem.u_hi_surf),
@@ -327,15 +326,6 @@ def _cone_directions(problem, control, grad, tau, n_dir, rng):
     return dirs
 
 
-def _worker_count(n_tasks):
-    raw = os.environ.get("ACOPT_THREADS", "1")
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        cap = 1
-    return min(cap, n_tasks) if n_tasks else 1
-
-
 def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
     """Assemble the optimality diagnostics for a control.
 
@@ -350,11 +340,7 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
         state = problem.solve(control)
     operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
     adjoint = solve_adjoint(state, problem.pf, problem.pg, problem, operator=operator)
-    rep = adjoint_as_control(problem, adjoint)
-    grad = ControlPair(
-        problem.beta5 * control.bulk + rep.bulk,
-        problem.beta6 * control.surface + rep.surface,
-    )
+    grad = reduced_gradient(problem, state, adjoint, control)
     cost = evaluate_cost(problem, state, control)
     grad_norm = hnorm(problem, grad)
     stationarity = stationarity_norm(problem, control, grad)
@@ -372,31 +358,17 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
     fraction = measure / (problem.time.T * 5.0)  # |Q| + |Sigma| = T * (1 + 4)
 
     try:
-        proj_res = projection_residual(problem, control, rep)
+        proj_res = projection_residual(problem, control, adjoint_as_control(problem, adjoint))
         supported = True
     except UnsupportedConfigurationError:
         proj_res, supported = float("nan"), False
 
     rng = np.random.default_rng(seed)
-    dirs = _cone_directions(problem, control, grad, tau, n_dir, rng)
-
-    def sample(idx_dir):
-        idx, direction = idx_dir
-        local_op = (
-            operator
-            if workers == 1
-            else linearized_operator(state, problem.pf, problem.pg, problem.ops)
-        )
-        value = curvature(problem, state, adjoint, direction, operator=local_op)
+    samples = []
+    for idx, direction in enumerate(_cone_directions(problem, control, grad, tau, n_dir, rng)):
+        value = curvature(problem, state, adjoint, direction, operator=operator)
         norm_sq = hinner(problem, direction, direction)
-        return (idx, value, norm_sq, value / norm_sq)
-
-    workers = _worker_count(len(dirs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(sample, enumerate(dirs)))
-    else:
-        samples = [sample(item) for item in enumerate(dirs)]
+        samples.append((idx, value, norm_sq, value / norm_sq))
 
     return OptimalityReport(
         cost=cost,

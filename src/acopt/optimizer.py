@@ -62,11 +62,6 @@ class MinimizeResult:
     reason: str = "max_iters"
 
 
-def project_box(control, problem):
-    """Nodewise clip of both control slots into their boxes (idempotent)."""
-    return clip_to_box(problem, control)
-
-
 def _cost_at(problem, control):
     state = problem.solve(control)
     return evaluate_cost(problem, state, control), state
@@ -91,7 +86,7 @@ def minimize(problem, config, start, callback=None, final_report=True):
         OptimizerStalledError: the line search exhausted max_backtracks;
             the error carries the current control and history.
     """
-    u = project_box(start, problem)
+    u = clip_to_box(problem, start)
     history = []
     step = config.initial_step
     clamp_tally = 0
@@ -117,9 +112,8 @@ def minimize(problem, config, start, callback=None, final_report=True):
         at_float_floor = False
         trial = step
         for _ in range(config.max_backtracks):
-            cand = project_box(
-                ControlPair(u.bulk - trial * grad.bulk, u.surface - trial * grad.surface),
-                problem,
+            cand = clip_to_box(
+                problem, ControlPair(u.bulk - trial * grad.bulk, u.surface - trial * grad.surface)
             )
             move = ControlPair(cand.bulk - u.bulk, cand.surface - u.surface)
             move_sq = hnorm(problem, move) ** 2

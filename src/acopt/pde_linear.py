@@ -110,15 +110,22 @@ def solve_linear(grid, ops, time, coeffs, source, init, operator=None):
 
 def linearized_coefficients(state, pf, pg):
     """Second-derivative coefficients of the potentials along a state."""
-    c1 = np.asarray(pf._eval(2, pf._prepare(state.values)))
-    c2 = np.asarray(pg._eval(2, pg._prepare(state.surface)))
-    return CoefficientFields(c1, c2)
+    return CoefficientFields(pf.d2(state.values), pg.d2(state.surface))
 
 
 def linearized_operator(state, pf, pg, ops):
     """Factorization cache for repeated solves around one state."""
     coeffs = linearized_coefficients(state, pf, pg)
     return SteppedOperator(state.grid, ops, state.time, coeffs)
+
+
+def _operator_for(state, pf, pg, ops, operator):
+    """The given operator, or a new one built from ops around the state."""
+    if operator is not None:
+        return operator
+    if ops is None:
+        raise ValueError("either ops or a prebuilt operator is required")
+    return linearized_operator(state, pf, pg, ops)
 
 
 def solve_linearized(state, pf, pg, direction, ops=None, operator=None):
@@ -128,19 +135,9 @@ def solve_linearized(state, pf, pg, direction, ops=None, operator=None):
     derivatives along the state as coefficients, the direction as source,
     and zero initial data.
     """
-    ops = _require_ops(ops, operator)
-    op = operator if operator is not None else linearized_operator(state, pf, pg, ops)
-    coeffs = op._coeffs
+    op = _operator_for(state, pf, pg, ops, operator)
     zero = np.zeros(state.grid.num_nodes)
-    return solve_linear(state.grid, ops, state.time, coeffs, direction, zero, operator=op)
-
-
-def _require_ops(ops, operator):
-    if ops is not None:
-        return ops
-    if operator is not None:
-        return None  # operator already holds the assembled matrices
-    raise ValueError("either ops or a prebuilt operator is required")
+    return solve_linear(state.grid, ops, state.time, op._coeffs, direction, zero, operator=op)
 
 
 def tracking_sources(problem, state):
@@ -196,8 +193,7 @@ def solve_adjoint(state, pf, pg, problem, ops=None, operator=None):
     docstring), marched backward from the level that carries the terminal
     mismatch. The trace of the returned trajectory is the surface adjoint.
     """
-    ops = _require_ops(ops, operator)
-    op = operator if operator is not None else linearized_operator(state, pf, pg, ops)
+    op = _operator_for(state, pf, pg, ops, operator)
     seeds = tracking_sources(problem, state)
     return adjoint_from_seeds(state, seeds, op)
 
@@ -209,12 +205,10 @@ def solve_second_derivative(state, pf, pg, phi, psi, ops=None, operator=None):
     the negative third derivative of the potentials along the state times
     their product, with zero initial data.
     """
-    ops = _require_ops(ops, operator)
-    op = operator if operator is not None else linearized_operator(state, pf, pg, ops)
-    src_bulk = -np.asarray(pf._eval(3, pf._prepare(state.values))) * phi.values * psi.values
-    src_surf = (
-        -np.asarray(pg._eval(3, pg._prepare(state.surface))) * phi.surface * psi.surface
+    op = _operator_for(state, pf, pg, ops, operator)
+    source = ControlPair(
+        -pf.d3(state.values) * phi.values * psi.values,
+        -pg.d3(state.surface) * phi.surface * psi.surface,
     )
-    source = ControlPair(src_bulk, src_surf)
     zero = np.zeros(state.grid.num_nodes)
     return solve_linear(state.grid, ops, state.time, op._coeffs, source, zero, operator=op)

@@ -31,6 +31,7 @@ from .errors import (
     SolverFailureError,
 )
 from .geometry import inner_product_bulk, inner_product_surf
+from .potentials import eval_with_clamps
 
 NEWTON_TOL = 1e-11
 MAX_NEWTON = 50
@@ -231,11 +232,11 @@ class StepMatrix:
 
 
 def _nonlinearity(grid, pf, pg, z, order):
-    """f-derivative at interior slots, g-derivative at boundary slots."""
+    """f-derivative at interior slots, g-derivative at boundary slots, and the clamp count."""
     out = np.zeros(grid.num_nodes)
-    out[grid.interior_nodes] = np.asarray(pf._eval(order, pf._prepare(z[grid.interior_nodes])))
-    out[grid.boundary_cycle] = np.asarray(pg._eval(order, pg._prepare(z[grid.boundary_cycle])))
-    return out
+    out[grid.interior_nodes], bulk_clamps = eval_with_clamps(pf, order, z[grid.interior_nodes])
+    out[grid.boundary_cycle], surf_clamps = eval_with_clamps(pg, order, z[grid.boundary_cycle])
+    return out, bulk_clamps + surf_clamps
 
 
 def _interval(pf, pg):
@@ -256,7 +257,7 @@ def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL,
 
     Returns:
         Trajectory with info dict holding newton iteration counts and the
-        clamp tally accumulated during the solve.
+        number of potential arguments clamped during the solve.
 
     Raises:
         SolverFailureError: Newton did not converge within max_newton
@@ -277,13 +278,10 @@ def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL,
     step_matrix = StepMatrix(grid, ops, dt)
     lo, hi = _interval(pf, pg)
 
-    # reset the tallies so the reported count is attributable to this solve
-    pf.pop_clamp_events()
-    pg.pop_clamp_events()
-
     values = np.empty((time.m + 1, grid.num_nodes))
     values[0] = y0
     newton_iters = []
+    clamp_events = 0
 
     for k in range(time.m):
         rhs = slot_fields(grid, control.bulk[k + 1], control.surface[k + 1])
@@ -291,16 +289,19 @@ def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL,
         z = prev.copy()
 
         def residual(v):
-            return (v - prev) / dt + ops.coupled @ v + _nonlinearity(grid, pf, pg, v, 1) - rhs
+            nonlin, clamped = _nonlinearity(grid, pf, pg, v, 1)
+            return (v - prev) / dt + ops.coupled @ v + nonlin - rhs, clamped
 
-        res = residual(z)
+        res, clamped = residual(z)
+        clamp_events += clamped
         res_norm = np.max(np.abs(res))
         converged = res_norm <= newton_tol
         iters = 0
         while not converged and iters < max_newton:
+            d2, clamped = _nonlinearity(grid, pf, pg, z, 2)
+            clamp_events += clamped
             delta = step_matrix.solve(
-                step_matrix.factor(_nonlinearity(grid, pf, pg, z, 2), level=k + 1, residual=res_norm),
-                -res,
+                step_matrix.factor(d2, level=k + 1, residual=res_norm), -res
             )
             step = 1.0
             accepted = None
@@ -308,7 +309,8 @@ def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL,
             for _ in range(max_damping):
                 cand = z + step * delta
                 if np.min(cand) >= lo and np.max(cand) <= hi:
-                    cand_res = residual(cand)
+                    cand_res, clamped = residual(cand)
+                    clamp_events += clamped
                     cand_norm = np.max(np.abs(cand_res))
                     if cand_norm < res_norm:
                         accepted = (cand, cand_res, cand_norm)
@@ -336,7 +338,6 @@ def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL,
         values[k + 1] = z
         newton_iters.append(iters)
 
-    clamp_events = pf.pop_clamp_events() + pg.pop_clamp_events()
     if clamp_events > 0:
         warnings.warn(
             f"state solve clamped {clamp_events} potential evaluations",
@@ -367,8 +368,8 @@ def energy(grid, ops, pf, pg, state):
     grad_bulk = 0.5 * float(z @ (ops.dirichlet_bulk @ z))
     grad_surf = 0.5 * float(trace @ (ops.dirichlet_surf @ trace))
     w_int = grid.bulk_weights[grid.interior_nodes]
-    pot_bulk = float(np.dot(w_int, np.asarray(pf._eval(0, pf._prepare(z[grid.interior_nodes])))))
-    pot_surf = float(np.dot(grid.surface_weights, np.asarray(pg._eval(0, pg._prepare(trace)))))
+    pot_bulk = float(np.dot(w_int, pf.value(z[grid.interior_nodes])))
+    pot_surf = float(np.dot(grid.surface_weights, pg.value(trace)))
     return grad_bulk + grad_surf + pot_bulk + pot_surf
 
 

@@ -9,21 +9,22 @@ cross checks; in that case there is no singularity and no argument
 safeguarding.
 
 Evaluation clamps arguments of a singular potential to
-[eps_guard, 1 - eps_guard] and tallies every clamping event. Solvers keep
-their iterates inside the guarded interval, so a nonzero tally after a
+[eps_guard, 1 - eps_guard] and reports how many it clamped. Solvers keep
+their iterates inside the guarded interval, so a nonzero count after a
 solve flags a discretization problem rather than normal operation.
+Potentials hold only their coefficients: they are immutable, hashable and
+safe to share, pickle and copy.
 """
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, InvalidParameterError
 
 
-@dataclass
+@dataclass(frozen=True)
 class Potential:
     """Coefficients and derivative evaluators for one potential.
 
@@ -36,8 +37,6 @@ class Potential:
     alpha: float = 1.0
     smooth_c: float = 3.0
     eps_guard: float = 1e-9
-    _clamp_events: int = field(default=0, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -49,34 +48,18 @@ class Potential:
     def is_singular(self):
         return self.alpha > 0
 
-    # -- clamp tally ----------------------------------------------------
-
-    def pop_clamp_events(self):
-        """Return and reset the number of clamped evaluations."""
-        with self._lock:
-            count = self._clamp_events
-            self._clamp_events = 0
-        return count
-
-    def _record_clamps(self, count):
-        if count:
-            with self._lock:
-                self._clamp_events += int(count)
-
-    # -- evaluation ------------------------------------------------------
-
     def _prepare(self, y):
+        """Checked argument, clamped into the guarded interval, and the clamp count."""
         y = np.asarray(y, dtype=float)
         if np.isnan(y).any():
             raise InvalidArgumentError("potential argument contains NaN")
         if not self.is_singular:
-            return y
+            return y, 0
         if (y < 0.0).any() or (y > 1.0).any():
             raise DomainError("argument of a singular potential outside [0, 1]")
         lo, hi = self.eps_guard, 1.0 - self.eps_guard
-        outside = np.count_nonzero((y < lo) | (y > hi))
-        self._record_clamps(outside)
-        return np.clip(y, lo, hi) if outside else y
+        outside = int(np.count_nonzero((y < lo) | (y > hi)))
+        return (np.clip(y, lo, hi) if outside else y), outside
 
     def _eval(self, order, y):
         a, c = self.alpha, self.smooth_c
@@ -112,22 +95,31 @@ class Potential:
 
     def singular_d1(self, y):
         """Derivative of the logarithmic part alone (used by (2.4)-style growth checks)."""
-        y = self._prepare(y)
+        y, _ = self._prepare(y)
         if self.alpha == 0.0:
             return np.zeros_like(y)
         return self.alpha * np.log(y / (1.0 - y))
 
 
-def eval_derivative(p, order, y):
-    """Evaluate the potential or one of its first three derivatives.
+def eval_with_clamps(p, order, y):
+    """Derivative values at an array argument and the number of clamped entries.
 
     Arguments of singular potentials are clamped to
     [eps_guard, 1 - eps_guard]; values outside [0, 1] raise DomainError
-    rather than being clamped silently. Scalar input gives scalar output.
+    rather than being clamped silently.
+    """
+    yv, clamped = p._prepare(y)
+    return p._eval(order, yv), clamped
+
+
+def eval_derivative(p, order, y):
+    """Evaluate the potential or one of its first three derivatives.
+
+    Clamps like eval_with_clamps, without the count. Scalar input gives
+    scalar output.
     """
     scalar = np.isscalar(y) or getattr(y, "ndim", 1) == 0
-    yv = p._prepare(y)
-    out = p._eval(order, yv)
+    out, _ = eval_with_clamps(p, order, y)
     return float(out) if scalar else out
 
 

@@ -327,24 +327,6 @@ def test_stationarity_projection_equivalence(grid4, ops4, rng):
     assert projection_residual(prob, u1, adjoint_as_control(prob, adj1)) > 0.0
 
 
-def test_report_thread_cap_matches_sequential(grid4, ops4, rng, monkeypatch):
-    """Worker-pooled direction sampling reproduces the sequential samples."""
-    pf, pg = default_potentials()
-    time = TimeAxis(0.3, 5)
-    prob = make_problem(grid4, ops4, time, pf, pg, seed=2)
-    u = random_control(grid4, time, rng, scale=0.3)
-    monkeypatch.delenv("ACOPT_THREADS", raising=False)
-    seq = optimality_report(prob, u, tau=1e9, n_dir=4, seed=3)
-    monkeypatch.setenv("ACOPT_THREADS", "3")
-    par = optimality_report(prob, u, tau=1e9, n_dir=4, seed=3)
-    assert [s[0] for s in par.curvature_samples] == [s[0] for s in seq.curvature_samples]
-    np.testing.assert_allclose(
-        [s[1] for s in par.curvature_samples],
-        [s[1] for s in seq.curvature_samples],
-        rtol=1e-12,
-    )
-
-
 def test_problem_validation(grid4, ops4):
     pf, pg = default_potentials()
     time = TimeAxis(0.3, 5)

@@ -9,9 +9,9 @@ from acopt import (
     OptimizerConfig,
     OptimizerStalledError,
     TimeAxis,
+    clip_to_box,
     hinner,
     minimize,
-    project_box,
     reduced_gradient,
     solve_adjoint,
     stationarity_norm,
@@ -31,13 +31,13 @@ def test_project_box_clips_and_is_idempotent(control_prob, rng):
     time = control_prob.time
     grid = control_prob.grid
     u = random_control(grid, time, rng, scale=3.0)
-    proj = project_box(u, control_prob)
+    proj = clip_to_box(control_prob, u)
     assert proj.bulk.max() <= 1.0 and proj.bulk.min() >= -1.0
-    again = project_box(proj, control_prob)
+    again = clip_to_box(control_prob, proj)
     np.testing.assert_array_equal(again.bulk, proj.bulk)
     np.testing.assert_array_equal(again.surface, proj.surface)
     inside = ControlPair(np.full_like(u.bulk, 0.25), np.full_like(u.surface, -0.25))
-    kept = project_box(inside, control_prob)
+    kept = clip_to_box(control_prob, inside)
     np.testing.assert_array_equal(kept.bulk, inside.bulk)
 
 
@@ -87,8 +87,8 @@ def test_fixed_point_characterization_at_convergence(control_prob):
     grad = reduced_gradient(control_prob, state, adj, u)
     stat = stationarity_norm(control_prob, u, grad)
     assert stat <= max(cfg.stop_tol, 1e-10)
-    proj = project_box(
-        ControlPair(u.bulk - grad.bulk, u.surface - grad.surface), control_prob
+    proj = clip_to_box(
+        control_prob, ControlPair(u.bulk - grad.bulk, u.surface - grad.surface)
     )
     assert np.abs(proj.bulk - u.bulk).max() <= 1e-9
 
@@ -99,15 +99,15 @@ def test_descent_direction_validity(grid4, ops4, rng):
     time = TimeAxis(0.3, 6)
     prob = make_problem(grid4, ops4, time, pf, pg, seed=7)
     for _ in range(3):
-        u = project_box(random_control(grid4, time, rng, scale=0.8), prob)
+        u = clip_to_box(prob, random_control(grid4, time, rng, scale=0.8))
         state = prob.solve(u)
         adj = solve_adjoint(state, pf, pg, prob, ops=ops4)
         grad = reduced_gradient(prob, state, adj, u)
         if stationarity_norm(prob, u, grad) == 0:
             continue
         s = 1e-3
-        cand = project_box(
-            ControlPair(u.bulk - s * grad.bulk, u.surface - s * grad.surface), prob
+        cand = clip_to_box(
+            prob, ControlPair(u.bulk - s * grad.bulk, u.surface - s * grad.surface)
         )
         move = ControlPair(cand.bulk - u.bulk, cand.surface - u.surface)
         assert hinner(prob, grad, move) < 0.0

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from acopt import (
     check_assumptions,
     eval_derivative,
 )
+from acopt.cli_io import RunConfig, build_problem
+from acopt.potentials import eval_with_clamps
 
 
 def test_log_part_values_at_half():
@@ -114,8 +119,11 @@ def test_clamping_counts_and_bounds():
     p = Potential(1.0, 0.0, eps_guard=1e-6)
     val = eval_derivative(p, 1, 1e-9)  # inside [0,1], below the guard
     assert val == eval_derivative(p, 1, 1e-6)
-    assert p.pop_clamp_events() == 1
-    assert p.pop_clamp_events() == 0
+    y = np.array([1e-9, 0.5, 1.0 - 1e-9, 1e-6])  # two below/above the guard, one on it
+    values, clamped = eval_with_clamps(p, 1, y)
+    assert clamped == 2
+    np.testing.assert_array_equal(values, eval_derivative(p, 1, np.clip(y, 1e-6, 1.0 - 1e-6)))
+    assert eval_with_clamps(p, 1, np.array([0.25, 0.5]))[1] == 0
 
 
 def test_blowup_direction_near_endpoints():
@@ -142,7 +150,7 @@ def test_quadratic_variant_unguarded():
     assert eval_derivative(p, 1, 1.7) == pytest.approx(-0.5 * (1 - 2 * 1.7))
     assert eval_derivative(p, 2, -3.0) == pytest.approx(1.0)
     assert eval_derivative(p, 3, 0.4) == 0.0
-    assert p.pop_clamp_events() == 0
+    assert eval_with_clamps(p, 1, np.array([-3.0, 0.0, 1.7]))[1] == 0
 
 
 def test_invalid_construction():
@@ -172,3 +180,14 @@ def test_check_assumptions_vanishing_surface_part_fails():
     report = check_assumptions(Potential(1.0, 0.0), Potential(0.0, 1.0))
     assert not report.growth_bound_holds
     assert not report.all_ok
+
+
+def test_potentials_are_immutable_and_problems_picklable():
+    problem = build_problem(RunConfig())
+    restored = pickle.loads(pickle.dumps(problem))
+    copied = copy.deepcopy(problem)
+    for other in (restored, copied):
+        assert other.pf == problem.pf and other.pg == problem.pg
+        np.testing.assert_array_equal(other.z_q, problem.z_q)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.pf.alpha = 2.0

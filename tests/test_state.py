@@ -234,18 +234,23 @@ def test_state_solve_unaffected_by_scipy_reads_of_coupled():
 
 
 def test_clamp_warning_for_near_endpoint_data(grid4, ops4):
-    """Initial data inside (0,1) but within the guard distance gets clamped."""
+    """Initial data inside (0,1) but within the guard distance gets clamped.
+
+    The one clamped node is counted by the first residual and the first
+    Jacobian evaluation, whether or not pf and pg are one object.
+    """
     from acopt import BoundsViolationWarning
 
-    pf, pg = Potential(1.0, 3.0, eps_guard=1e-6), Potential(1.0, 3.0, eps_guard=1e-6)
     time = TimeAxis(0.01, 2)
     init = np.full(grid4.num_nodes, 0.5)
     init[0] = 1e-8  # legal initial datum, closer to 0 than the guard
-    with pytest.warns(BoundsViolationWarning):
-        traj = solve_state(
-            grid4, ops4, time, pf, pg, ControlPair.zeros(grid4, time), FieldPair(init, grid4)
-        )
-    assert traj.info["clamp_events"] > 0
+    pf = Potential(1.0, 3.0, eps_guard=1e-6)
+    for pg in (Potential(1.0, 3.0, eps_guard=1e-6), pf):
+        with pytest.warns(BoundsViolationWarning, match="clamped 2 potential evaluations"):
+            traj = solve_state(
+                grid4, ops4, time, pf, pg, ControlPair.zeros(grid4, time), FieldPair(init, grid4)
+            )
+        assert traj.info["clamp_events"] == 2
 
 
 def test_initial_data_validation(grid4, ops4):
