@@ -48,9 +48,7 @@ from .optimizer import (
     minimize,
 )
 from .pde_linear import (
-    CoefficientFields,
     SteppedOperator,
-    linearized_coefficients,
     linearized_operator,
     solve_adjoint,
     solve_linear,

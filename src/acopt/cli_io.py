@@ -300,6 +300,8 @@ def build_problem(cfg):
         u_hi=cfg.box_u2,
         u_lo_surf=cfg.box_u1_gamma,
         u_hi_surf=cfg.box_u2_gamma,
+        newton_tol=cfg.newton_tol,
+        max_newton=cfg.newton_max_iters,
     )
     return problem
 
@@ -422,7 +424,7 @@ def verify_gradient(problem, seed=0, n_dir=3):
     u = _random_direction(problem, rng, scale=0.3)
     state = problem.solve(u)
     operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
-    adjoint = solve_adjoint(state, problem.pf, problem.pg, problem, operator=operator)
+    adjoint = solve_adjoint(state, problem, operator)
     grad = reduced_gradient(problem, state, adjoint, u)
     rows = []
     eps_list = np.array([1e-2, 3e-3, 1e-3, 3e-4, 1e-4])
@@ -462,7 +464,7 @@ def verify_taylor(problem, seed=0):
     state = problem.solve(u)
     operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
     h = _random_direction(problem, rng)
-    xi = solve_linearized(state, problem.pf, problem.pg, h, operator=operator)
+    xi = solve_linearized(operator, h)
     eps_list = np.array([1e-1, 3e-2, 1e-2, 3e-3, 1e-3])
     rem = []
     for eps in eps_list:
@@ -481,12 +483,12 @@ def verify_curvature(problem, seed=0, n_dir=3):
     u = _random_direction(problem, rng, scale=0.3)
     state = problem.solve(u)
     operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
-    adjoint = solve_adjoint(state, problem.pf, problem.pg, problem, operator=operator)
+    adjoint = solve_adjoint(state, problem, operator)
     j0 = evaluate_cost(problem, state, u)
     rows = []
     for d in range(n_dir):
         h = _random_direction(problem, rng)
-        exact = curvature(problem, state, adjoint, h, operator=operator)
+        exact = curvature(problem, state, adjoint, operator, h)
         best = np.inf
         for eps in (1e-2, 3e-3, 1e-3):
             up = ControlPair(u.bulk + eps * h.bulk, u.surface + eps * h.surface)
@@ -518,7 +520,7 @@ def run(cfg):
     try:
         if cfg.mode == "solve":
             control = build_control(cfg, problem.grid, problem.time, problem.pf, problem.pg)
-            traj = problem.solve(control, newton_tol=cfg.newton_tol, max_newton=cfg.newton_max_iters)
+            traj = problem.solve(control)
             if "csv" in formats:
                 write_trajectory_csv(outdir / "state_bulk.csv", traj)
                 write_trajectory_csv(outdir / "state_surface.csv", traj, surface=True)

@@ -36,9 +36,6 @@ class Grid:
         boundary_cycle: (4n,) global indices of boundary nodes, ordered
             counterclockwise starting at (0, 0).
         interior_nodes: ((n-1)^2,) global indices of interior nodes.
-        interior_index: (N,) global index -> interior rank, -1 elsewhere.
-        boundary_index: (N,) global index -> position in the cycle, -1
-            elsewhere.
         interior_mask: (N,) boolean, True at interior nodes.
         bulk_weights: (N,) area quadrature weights, sum exactly 1.
         surface_weights: (4n,) arclength weights along the cycle, sum
@@ -50,8 +47,6 @@ class Grid:
     bulk_nodes: np.ndarray
     boundary_cycle: np.ndarray
     interior_nodes: np.ndarray
-    interior_index: np.ndarray
-    boundary_index: np.ndarray
     interior_mask: np.ndarray
     bulk_weights: np.ndarray
     surface_weights: np.ndarray
@@ -103,9 +98,6 @@ class OperatorSet:
     """Sparse operators attached to a grid.
 
     Attributes:
-        L_bulk: (N, N) negative Laplacian; 5-point stencil at interior
-            rows, one-sided second differences at boundary rows. Row sums
-            vanish, so constants are annihilated exactly.
         L_surf: (4n, 4n) negative surface Laplacian on the cycle, the
             periodic second difference in arclength scaled by 1/h^2.
         B_flux: (4n, N) discrete outward normal derivative at boundary
@@ -115,10 +107,11 @@ class OperatorSet:
         dirichlet_surf: (4n, 4n) same for the tangential gradient on the
             cycle.
         coupled: (N, N) evolution operator used by the solvers: interior
-            rows are L_bulk rows, boundary rows are L_surf + B_flux rows.
+            rows are the 5-point negative Laplacian, boundary rows are
+            L_surf + B_flux rows. Row sums vanish, so constants are
+            annihilated exactly.
     """
 
-    L_bulk: sp.csr_matrix
     L_surf: sp.csr_matrix
     B_flux: sp.csr_matrix
     dirichlet_bulk: sp.csr_matrix
@@ -164,12 +157,9 @@ def build_grid(n):
         ]
     )
 
-    boundary_index = np.full(num, -1, dtype=int)
-    boundary_index[cycle] = np.arange(cycle.size)
-    interior_mask = boundary_index < 0
+    interior_mask = np.ones(num, dtype=bool)
+    interior_mask[cycle] = False
     interior = np.flatnonzero(interior_mask)
-    interior_index = np.full(num, -1, dtype=int)
-    interior_index[interior] = np.arange(interior.size)
 
     # tensor trapezoid: 1-D weight h, halved at the two ends
     w1 = np.full(side, h)
@@ -185,8 +175,6 @@ def build_grid(n):
         bulk_nodes=_freeze(nodes),
         boundary_cycle=_freeze(cycle),
         interior_nodes=_freeze(interior),
-        interior_index=_freeze(interior_index),
-        boundary_index=_freeze(boundary_index),
         interior_mask=_freeze(interior_mask),
         bulk_weights=_freeze(bulk_w),
         surface_weights=_freeze(surf_w),
@@ -234,32 +222,6 @@ def _surface_stiffness(grid):
     return sp.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
 
 
-def _one_sided_laplacian_rows(grid):
-    """Boundary rows of -Delta via shifted 3-point second differences.
-
-    Used only to complete L_bulk as a standalone operator (the coupled
-    solver never reads these rows); keeps row sums exactly zero.
-    """
-    n, side, h = grid.n, grid.n + 1, grid.h
-    rows, cols, vals = [], [], []
-    s = 1.0 / h / h
-    for b in grid.boundary_cycle:
-        i, j = b % side, b // side
-        for axis in (0, 1):
-            pos = i if axis == 0 else j
-            step = 1 if axis == 0 else side
-            if 0 < pos < n:
-                trio = [(b, 2 * s), (b - step, -s), (b + step, -s)]
-            else:
-                inward = step if pos == 0 else -step
-                trio = [(b, -s), (b + inward, 2 * s), (b + 2 * inward, -s)]
-            for c, v in trio:
-                rows.append(b)
-                cols.append(c)
-                vals.append(v)
-    return rows, cols, vals
-
-
 def build_operators(grid):
     """Assemble the sparse operator set for a grid.
 
@@ -278,10 +240,6 @@ def build_operators(grid):
     R_int = sp.diags(grid.interior_mask.astype(float))
     L_int_rows = (R_int @ A) / h2
 
-    br, bc, bv = _one_sided_laplacian_rows(grid)
-    L_bdry_rows = sp.coo_matrix((bv, (br, bc)), shape=(N, N)).tocsr()
-    L_bulk = (L_int_rows + L_bdry_rows).tocsr()
-
     L_surf = (A_surf / grid.h).tocsr()  # divide by arclength weight h
 
     # summation-by-parts flux: boundary rows of A over arclength weights
@@ -295,10 +253,8 @@ def build_operators(grid):
     # canonical (sorted, duplicate-free) CSR: scipy would otherwise sort the
     # indices in place on first use, which changes matvec roundoff mid-run
     coupled.sum_duplicates()
-    L_bulk.sum_duplicates()
 
     return OperatorSet(
-        L_bulk=L_bulk,
         L_surf=L_surf,
         B_flux=B_flux,
         dirichlet_bulk=A,

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .pde_linear import linearized_operator, solve_adjoint, solve_linearized
-from .pde_state import ControlPair, FieldPair, solve_state
+from .pde_state import MAX_NEWTON, NEWTON_TOL, ControlPair, FieldPair, solve_state
 
 
 @dataclass
@@ -31,6 +31,8 @@ class ControlProblem:
     The terminal surface weight equals the terminal bulk weight and the
     terminal surface target is the trace of the terminal bulk target;
     both are enforced here rather than being independent inputs.
+    newton_tol and max_newton are the state solver's defaults for every
+    `solve` on this problem.
     """
 
     grid: object
@@ -52,6 +54,8 @@ class ControlProblem:
     u_lo_surf: np.ndarray
     u_hi_surf: np.ndarray
     z_gamma_t: np.ndarray = None
+    newton_tol: float = NEWTON_TOL
+    max_newton: int = MAX_NEWTON
 
     @property
     def beta4(self):
@@ -81,9 +85,12 @@ class ControlProblem:
         if (self.u_lo > self.u_hi).any() or (self.u_lo_surf > self.u_hi_surf).any():
             raise InvalidParameterError("(A1): lower control bounds must not exceed upper bounds")
 
-    def solve(self, control, **kwargs):
+    def solve(self, control, newton_tol=None, max_newton=None):
+        """State solve at a control; the arguments override the problem's Newton settings."""
         return solve_state(
-            self.grid, self.ops, self.time, self.pf, self.pg, control, self.init, **kwargs
+            self.grid, self.ops, self.time, self.pf, self.pg, control, self.init,
+            newton_tol=self.newton_tol if newton_tol is None else newton_tol,
+            max_newton=self.max_newton if max_newton is None else max_newton,
         )
 
 
@@ -172,22 +179,21 @@ def reduced_gradient(problem, state, adjoint, control):
     )
 
 
-def curvature(problem, state, adjoint, direction, second_direction=None, operator=None):
+def curvature(problem, state, adjoint, operator, direction, second_direction=None):
     """Second derivative of the reduced cost along one or two directions.
 
     Evaluates the representation with the linearized responses: tracking
     terms in the responses, terminal terms, control weights, minus the
     adjoint-weighted third-derivative terms along the state. With the
     exact-transpose adjoint this equals the true second difference of the
-    discrete cost up to solver roundoff.
+    discrete cost up to solver roundoff. operator is the
+    `linearized_operator` around state.
     """
-    if operator is None:
-        operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
-    phi = solve_linearized(state, problem.pf, problem.pg, direction, operator=operator)
+    phi = solve_linearized(operator, direction)
     if second_direction is None:
         psi, other = phi, direction
     else:
-        psi = solve_linearized(state, problem.pf, problem.pg, second_direction, operator=operator)
+        psi = solve_linearized(operator, second_direction)
         other = second_direction
 
     grid, time = problem.grid, problem.time
@@ -339,7 +345,7 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
     if state is None:
         state = problem.solve(control)
     operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
-    adjoint = solve_adjoint(state, problem.pf, problem.pg, problem, operator=operator)
+    adjoint = solve_adjoint(state, problem, operator)
     grad = reduced_gradient(problem, state, adjoint, control)
     cost = evaluate_cost(problem, state, control)
     grad_norm = hnorm(problem, grad)
@@ -366,7 +372,7 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
     rng = np.random.default_rng(seed)
     samples = []
     for idx, direction in enumerate(_cone_directions(problem, control, grad, tau, n_dir, rng)):
-        value = curvature(problem, state, adjoint, direction, operator=operator)
+        value = curvature(problem, state, adjoint, operator, direction)
         norm_sq = hinner(problem, direction, direction)
         samples.append((idx, value, norm_sq, value / norm_sq))
 

@@ -96,7 +96,7 @@ def minimize(problem, config, start, callback=None, final_report=True):
     for it in range(config.max_iters):
         clamp_tally += state.info.get("clamp_events", 0)
         operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
-        adjoint = solve_adjoint(state, problem.pf, problem.pg, problem, operator=operator)
+        adjoint = solve_adjoint(state, problem, operator)
         grad = reduced_gradient(problem, state, adjoint, u)
         stat = stationarity_norm(problem, u, grad)
 

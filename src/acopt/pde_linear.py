@@ -22,47 +22,32 @@ duality identity involving these solves therefore holds to direct-solver
 roundoff.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .pde_state import ControlPair, FieldPair, StepMatrix, Trajectory, slot_fields, slot_weights
 
 
-@dataclass
-class CoefficientFields:
-    """Zeroth-order coefficients per time level: bulk (m+1, N), surface (m+1, 4n)."""
-
-    c1: np.ndarray
-    c2: np.ndarray
-
-    def __post_init__(self):
-        self.c1 = np.asarray(self.c1, dtype=float)
-        self.c2 = np.asarray(self.c2, dtype=float)
-        if self.c1.ndim != 2 or self.c2.ndim != 2 or self.c1.shape[0] != self.c2.shape[0]:
-            raise DimensionMismatchError(
-                f"coefficients need matching (levels, nodes) arrays, got {self.c1.shape} and {self.c2.shape}"
-            )
-
-
 class SteppedOperator:
     """Per-level factorizations of M(k) = I/dt + coupled + diag(c(k)).
 
-    Each level is factored lazily, once, as the W-symmetric band of
-    `pde_state.StepMatrix`: banded Cholesky when 1/dt + min c(k) > 0,
-    banded LU otherwise. Forward and transposed solves share that factor
-    and accept (N,) or (N, k) right-hand sides. A fully factored operator
-    holds m+1 bands: 21 x 17.3 MB at n = 128, m = 20. Instances are safe
-    to share across sequential solves on the same state.
+    coeffs is an (m+1, N) array in equation-slot layout: the bulk
+    coefficient at interior slots, the surface coefficient at boundary
+    slots (see `pde_state.slot_fields`). Each level is factored lazily,
+    once, as the W-symmetric band of `pde_state.StepMatrix`: banded
+    Cholesky when 1/dt + min c(k) > 0, banded LU otherwise. Forward and
+    transposed solves share that factor and accept (N,) or (N, k)
+    right-hand sides. A fully factored operator holds m+1 bands:
+    21 x 17.3 MB at n = 128, m = 20. Instances are safe to share across
+    sequential solves on the same state.
     """
 
     def __init__(self, grid, ops, time, coeffs):
-        if coeffs.c1.shape != (time.m + 1, grid.num_nodes) or coeffs.c2.shape != (
-            time.m + 1,
-            grid.num_boundary,
-        ):
-            raise DimensionMismatchError("coefficient shapes do not match grid/time axis")
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (time.m + 1, grid.num_nodes):
+            raise DimensionMismatchError(
+                f"coefficients need shape {(time.m + 1, grid.num_nodes)}, got {coeffs.shape}"
+            )
         self.grid = grid
         self.time = time
         self._step = StepMatrix(grid, ops, time.dt)
@@ -71,8 +56,7 @@ class SteppedOperator:
 
     def _factor(self, k):
         if self._factors[k] is None:
-            diag = slot_fields(self.grid, self._coeffs.c1[k], self._coeffs.c2[k])
-            self._factors[k] = self._step.factor(diag, level=k)
+            self._factors[k] = self._step.factor(self._coeffs[k], level=k)
         return self._factors[k]
 
     def solve(self, k, rhs):
@@ -82,62 +66,49 @@ class SteppedOperator:
         return self._step.solve_transposed(self._factor(k), rhs)
 
 
-def solve_linear(grid, ops, time, coeffs, source, init, operator=None):
+def solve_linear(operator, source, init):
     """Implicit Euler march of the variable-coefficient coupled system.
 
     Args:
-        coeffs: CoefficientFields over the m+1 levels.
+        operator: SteppedOperator holding the grid, time axis and
+            coefficients of the march.
         source: ControlPair-shaped pair read at the arrival level of each
             step (level 0 never enters).
         init: FieldPair or (N,) array of initial values.
-        operator: optional SteppedOperator to reuse factorizations.
 
     Raises:
         SolverFailureError: a step matrix is exactly singular (possible
             for strongly negative coefficients and large dt).
     """
-    op = operator if operator is not None else SteppedOperator(grid, ops, time, coeffs)
+    grid, time = operator.grid, operator.time
     z0 = init.bulk if isinstance(init, FieldPair) else np.asarray(init, dtype=float)
     if z0.shape != (grid.num_nodes,):
         raise DimensionMismatchError(f"initial data needs shape ({grid.num_nodes},)")
+    slot_source = slot_fields(grid, source.bulk, source.surface)
     values = np.empty((time.m + 1, grid.num_nodes))
     values[0] = z0
     for k in range(time.m):
-        rhs = values[k] / time.dt + slot_fields(grid, source.bulk[k + 1], source.surface[k + 1])
-        values[k + 1] = op.solve(k + 1, rhs)
+        values[k + 1] = operator.solve(k + 1, values[k] / time.dt + slot_source[k + 1])
     return Trajectory(values, grid, time)
 
 
-def linearized_coefficients(state, pf, pg):
-    """Second-derivative coefficients of the potentials along a state."""
-    return CoefficientFields(pf.d2(state.values), pg.d2(state.surface))
-
-
 def linearized_operator(state, pf, pg, ops):
-    """Factorization cache for repeated solves around one state."""
-    coeffs = linearized_coefficients(state, pf, pg)
+    """Factorization cache for the marches linearized around one state.
+
+    Its coefficients are the potentials' second derivatives along the
+    state: f'' at interior slots, g'' at boundary slots.
+    """
+    coeffs = slot_fields(state.grid, pf.d2(state.values), pg.d2(state.surface))
     return SteppedOperator(state.grid, ops, state.time, coeffs)
 
 
-def _operator_for(state, pf, pg, ops, operator):
-    """The given operator, or a new one built from ops around the state."""
-    if operator is not None:
-        return operator
-    if ops is None:
-        raise ValueError("either ops or a prebuilt operator is required")
-    return linearized_operator(state, pf, pg, ops)
-
-
-def solve_linearized(state, pf, pg, direction, ops=None, operator=None):
+def solve_linearized(operator, direction):
     """Directional derivative of the control-to-state map at a solved state.
 
-    Solves the variable-coefficient system with the potentials' second
-    derivatives along the state as coefficients, the direction as source,
-    and zero initial data.
+    Solves the variable-coefficient system of `linearized_operator` with
+    the direction as source and zero initial data.
     """
-    op = _operator_for(state, pf, pg, ops, operator)
-    zero = np.zeros(state.grid.num_nodes)
-    return solve_linear(state.grid, ops, state.time, op._coeffs, direction, zero, operator=op)
+    return solve_linear(operator, direction, np.zeros(operator.grid.num_nodes))
 
 
 def tracking_sources(problem, state):
@@ -186,29 +157,25 @@ def adjoint_from_seeds(state, seeds, operator):
     return Trajectory(values, grid, time)
 
 
-def solve_adjoint(state, pf, pg, problem, ops=None, operator=None):
+def solve_adjoint(state, problem, operator):
     """Adjoint pair for the tracking cost at a solved state.
 
     Exact transpose of the linearized forward stepping (see module
     docstring), marched backward from the level that carries the terminal
     mismatch. The trace of the returned trajectory is the surface adjoint.
     """
-    op = _operator_for(state, pf, pg, ops, operator)
-    seeds = tracking_sources(problem, state)
-    return adjoint_from_seeds(state, seeds, op)
+    return adjoint_from_seeds(state, tracking_sources(problem, state), operator)
 
 
-def solve_second_derivative(state, pf, pg, phi, psi, ops=None, operator=None):
+def solve_second_derivative(state, pf, pg, phi, psi, operator):
     """Second directional derivative of the control-to-state map.
 
     phi and psi are linearized solutions at the same state; the source is
     the negative third derivative of the potentials along the state times
     their product, with zero initial data.
     """
-    op = _operator_for(state, pf, pg, ops, operator)
     source = ControlPair(
         -pf.d3(state.values) * phi.values * psi.values,
         -pg.d3(state.surface) * phi.surface * psi.surface,
     )
-    zero = np.zeros(state.grid.num_nodes)
-    return solve_linear(state.grid, ops, state.time, op._coeffs, source, zero, operator=op)
+    return solve_linear(operator, source, np.zeros(state.grid.num_nodes))

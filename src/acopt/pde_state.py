@@ -2,10 +2,11 @@
 
 One implicit Euler step solves the coupled nonlinear system
 
-    (y+ - y)/dt + L_bulk y+ + f'(y+) = u      at interior nodes,
+    (y+ - y)/dt + L y+ + f'(y+) = u      at interior nodes,
     (yG+ - yG)/dt + L_surf yG+ + B_flux y+ + g'(yG+) = uG   at boundary nodes,
 
-with a single unknown vector over all bulk nodes (the boundary trace is
+with L the 5-point negative Laplacian (the interior rows of `coupled`)
+and a single unknown vector over all bulk nodes (the boundary trace is
 the restriction of that vector, so the trace identity holds by
 construction). Newton with interval-preserving damping solves each step;
 the logarithmic derivative pushes iterates away from 0 and 1, so the
@@ -127,10 +128,14 @@ class Trajectory:
 
 
 def slot_fields(grid, bulk_values, surface_values):
-    """Combine interior-slot and boundary-slot data into one equation vector."""
-    out = np.zeros(grid.num_nodes)
-    out[grid.interior_nodes] = bulk_values[grid.interior_nodes]
-    out[grid.boundary_cycle] = surface_values
+    """Combine interior-slot and boundary-slot data into equation vectors.
+
+    bulk_values (..., N) and surface_values (..., 4n) may carry leading
+    axes, such as one row per time level; the result is (..., N).
+    """
+    out = np.zeros(bulk_values.shape)
+    out[..., grid.interior_nodes] = bulk_values[..., grid.interior_nodes]
+    out[..., grid.boundary_cycle] = surface_values
     return out
 
 
@@ -245,8 +250,7 @@ def _interval(pf, pg):
     return lo, hi
 
 
-def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL,
-                max_newton=MAX_NEWTON, max_damping=MAX_DAMPING):
+def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL, max_newton=MAX_NEWTON):
     """March the nonlinear coupled system forward with damped Newton steps.
 
     Args:
@@ -306,7 +310,7 @@ def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL,
             step = 1.0
             accepted = None
             fallback = None
-            for _ in range(max_damping):
+            for _ in range(MAX_DAMPING):
                 cand = z + step * delta
                 if np.min(cand) >= lo and np.max(cand) <= hi:
                     cand_res, clamped = residual(cand)

@@ -11,6 +11,7 @@ from acopt import (
     ControlPair,
     FieldPair,
     OptimizerConfig,
+    SteppedOperator,
     TimeAxis,
     Trajectory,
     build_grid,
@@ -32,7 +33,6 @@ from acopt import (
     trajectory_sup_norm,
 )
 from acopt.cli_io import RunConfig, build_problem
-from acopt.pde_linear import CoefficientFields
 from acopt.pde_state import slot_fields
 
 from conftest import default_potentials, make_problem, quadratic_potentials, random_control
@@ -54,7 +54,7 @@ def duality_setup():
     u = random_control(grid, time, rng, scale=0.4)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops)
-    adj = solve_adjoint(state, pf, pg, prob, operator=op)
+    adj = solve_adjoint(state, prob, op)
     return prob, u, state, op, adj, rng
 
 
@@ -78,7 +78,7 @@ def test_criterion_01_adjoint_linearized_duality(duality_setup):
     worst = 0.0
     for _ in range(5):
         h = random_control(prob.grid, prob.time, rng)
-        xi = solve_linearized(state, prob.pf, prob.pg, h, operator=op)
+        xi = solve_linearized(op, h)
         deriv = prob.beta1 * np.einsum("k,kj,kj->", theta, (state.values - prob.z_q) * w, xi.values)
         deriv += prob.beta2 * np.einsum(
             "k,kj,kj->", theta, (state.surface - prob.z_sigma) * gam, xi.surface
@@ -96,7 +96,7 @@ def test_criterion_02_taylor_remainder(duality_setup):
     """(2) first-order remainder of the state map decays at order >= 1.9."""
     prob, u, state, op, adj, rng = duality_setup
     h = random_control(prob.grid, prob.time, rng, scale=1.0)
-    xi = solve_linearized(state, prob.pf, prob.pg, h, operator=op)
+    xi = solve_linearized(op, h)
     eps_list = np.array([1e-1, 3e-2, 1e-2, 3e-3, 1e-3])
     remainders = []
     for eps in eps_list:
@@ -145,7 +145,7 @@ def test_criterion_04_curvature(duality_setup):
     worst = 0.0
     for _ in range(5):
         h = random_control(prob.grid, prob.time, rng)
-        exact = curvature(prob, state, adj, h, operator=op)
+        exact = curvature(prob, state, adj, op, h)
         best = np.inf
         for eps in (1e-2, 3e-3, 1e-3):
             up = ControlPair(u.bulk + eps * h.bulk, u.surface + eps * h.surface)
@@ -162,10 +162,10 @@ def test_criterion_04_curvature(duality_setup):
     k = random_control(prob.grid, prob.time, rng)
     hp = ControlPair(h.bulk + k.bulk, h.surface + k.surface)
     hm = ControlPair(h.bulk - k.bulk, h.surface - k.surface)
-    mixed = curvature(prob, state, adj, h, second_direction=k, operator=op)
+    mixed = curvature(prob, state, adj, op, h, second_direction=k)
     polar = abs(
-        curvature(prob, state, adj, hp, operator=op)
-        - curvature(prob, state, adj, hm, operator=op)
+        curvature(prob, state, adj, op, hp)
+        - curvature(prob, state, adj, op, hm)
         - 4.0 * mixed
     )
     ok = worst <= 1e-4 and polar <= 1e-9
@@ -249,7 +249,8 @@ def test_criterion_08_linear_quadratic_oracle():
 
     # independent dense assembly: monolithic forward matrix, stacked quadratic
     N, nb, dt = grid.num_nodes, grid.num_boundary, time.dt
-    coeffs = CoefficientFields(
+    coeffs = slot_fields(
+        grid,
         np.broadcast_to(np.asarray(pf.d2(0.0)), (m + 1, N)).copy(),
         np.broadcast_to(np.asarray(pg.d2(0.0)), (m + 1, nb)).copy(),
     )
@@ -258,7 +259,7 @@ def test_criterion_08_linear_quadratic_oracle():
     for k in range(m):
         B[k * N : (k + 1) * N, k * N : (k + 1) * N] = (
             eye / dt + ops.coupled.toarray()
-            + np.diag(slot_fields(grid, coeffs.c1[k + 1], coeffs.c2[k + 1]))
+            + np.diag(coeffs[k + 1])
         )
         if k > 0:
             B[k * N : (k + 1) * N, (k - 1) * N : k * N] = -eye / dt
@@ -347,21 +348,21 @@ def test_criterion_09_monolithic_linear_oracle():
     time = TimeAxis(0.3, 3)
     rng = np.random.default_rng(77)
     N, m = grid.num_nodes, time.m
-    coeffs = CoefficientFields(
-        rng.normal(size=(m + 1, N)), rng.normal(size=(m + 1, grid.num_boundary))
+    coeffs = slot_fields(
+        grid, rng.normal(size=(m + 1, N)), rng.normal(size=(m + 1, grid.num_boundary))
     )
     src = ControlPair(
         rng.normal(size=(m + 1, N)), rng.normal(size=(m + 1, grid.num_boundary))
     )
     init = rng.normal(size=N)
-    traj = solve_linear(grid, ops, time, coeffs, src, init)
+    traj = solve_linear(SteppedOperator(grid, ops, time, coeffs), src, init)
 
     eye = np.eye(N)
     B = np.zeros((m * N, m * N))
     for k in range(m):
         B[k * N : (k + 1) * N, k * N : (k + 1) * N] = (
             eye / time.dt + ops.coupled.toarray()
-            + np.diag(slot_fields(grid, coeffs.c1[k + 1], coeffs.c2[k + 1]))
+            + np.diag(coeffs[k + 1])
         )
         if k > 0:
             B[k * N : (k + 1) * N, (k - 1) * N : k * N] = -eye / time.dt

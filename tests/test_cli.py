@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -217,9 +219,11 @@ def test_main_exit_codes(tmp_path, capsys):
     assert (tmp_path / "m2" / "state_bulk.csv").is_file()
 
 
-def test_solver_failure_exit_code(tmp_path):
+@pytest.mark.parametrize("mode", ["solve", "optimize", "report", "verify-gradient"])
+def test_solver_failure_exit_code(tmp_path, mode):
+    """Every mode solves the state with the configured Newton settings."""
     text = (
-        "mode = solve\n"
+        f"mode = {mode}\n"
         "grid.n = 4\n"
         "time.T = 50\n"
         "time.m = 1\n"
@@ -232,7 +236,8 @@ def test_solver_failure_exit_code(tmp_path):
     )
     cfg = load_config(write(tmp_path, text))
     assert run(cfg) == 3
-    assert (tmp_path / "fail" / "error.jsonl").is_file()
+    error = json.loads((tmp_path / "fail" / "error.jsonl").read_text(encoding="utf-8"))
+    assert "after 1 iterations" in error["message"]  # the configured budget, not the default 50
 
 
 def test_report_mode_emits_files(tmp_path):

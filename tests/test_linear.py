@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 
 from acopt import (
-    CoefficientFields,
     ControlPair,
     FieldPair,
     Potential,
@@ -26,29 +25,25 @@ from acopt.pde_state import Trajectory, slot_fields
 from conftest import default_potentials, make_problem, quadratic_potentials, random_control
 
 
-def zero_coeffs(grid, time):
-    return CoefficientFields(
-        np.zeros((time.m + 1, grid.num_nodes)), np.zeros((time.m + 1, grid.num_boundary))
-    )
-
-
 def test_zero_everything_gives_zero(grid4, ops4):
     time = TimeAxis(0.3, 5)
     src = ControlPair.zeros(grid4, time)
-    traj = solve_linear(grid4, ops4, time, zero_coeffs(grid4, time), src, np.zeros(grid4.num_nodes))
+    op = SteppedOperator(grid4, ops4, time, np.zeros((time.m + 1, grid4.num_nodes)))
+    traj = solve_linear(op, src, np.zeros(grid4.num_nodes))
     assert np.abs(traj.values).max() == 0.0
 
 
 def test_scalar_recursion_exact(grid4, ops4):
     """c=1, unit source, zero init: w_{k+1} = (w_k + dt)/(1 + dt), limit 1 - e^{-t}."""
     time = TimeAxis(1.0, 8)
-    coeffs = CoefficientFields(
-        np.ones((time.m + 1, grid4.num_nodes)), np.ones((time.m + 1, grid4.num_boundary))
+    coeffs = slot_fields(
+        grid4, np.ones((time.m + 1, grid4.num_nodes)), np.ones((time.m + 1, grid4.num_boundary))
     )
     src = ControlPair(
         np.ones((time.m + 1, grid4.num_nodes)), np.ones((time.m + 1, grid4.num_boundary))
     )
-    traj = solve_linear(grid4, ops4, time, coeffs, src, np.zeros(grid4.num_nodes))
+    op = SteppedOperator(grid4, ops4, time, coeffs)
+    traj = solve_linear(op, src, np.zeros(grid4.num_nodes))
     w = 0.0
     for k in range(time.m):
         w = (w + time.dt) / (1.0 + time.dt)
@@ -62,8 +57,7 @@ def _dense_forward_matrix(grid, ops, time, coeffs):
     eye = np.eye(N)
     blocks = []
     for k in range(1, m + 1):
-        diag = slot_fields(grid, coeffs.c1[k], coeffs.c2[k])
-        blocks.append(eye / dt + ops.coupled.toarray() + np.diag(diag))
+        blocks.append(eye / dt + ops.coupled.toarray() + np.diag(coeffs[k]))
     B = np.zeros((m * N, m * N))
     for k in range(m):
         B[k * N : (k + 1) * N, k * N : (k + 1) * N] = blocks[k]
@@ -75,12 +69,12 @@ def _dense_forward_matrix(grid, ops, time, coeffs):
 def test_monolithic_dense_oracle(grid4, ops4, rng):
     time = TimeAxis(0.3, 3)
     N, m = grid4.num_nodes, time.m
-    coeffs = CoefficientFields(
-        rng.normal(size=(m + 1, N)), rng.normal(size=(m + 1, grid4.num_boundary))
+    coeffs = slot_fields(
+        grid4, rng.normal(size=(m + 1, N)), rng.normal(size=(m + 1, grid4.num_boundary))
     )
     src = ControlPair(rng.normal(size=(m + 1, N)), rng.normal(size=(m + 1, grid4.num_boundary)))
     init = rng.normal(size=N)
-    traj = solve_linear(grid4, ops4, time, coeffs, src, init)
+    traj = solve_linear(SteppedOperator(grid4, ops4, time, coeffs), src, init)
 
     B = _dense_forward_matrix(grid4, ops4, time, coeffs)
     rhs = np.concatenate(
@@ -93,8 +87,8 @@ def test_monolithic_dense_oracle(grid4, ops4, rng):
 
 def test_solve_linear_is_linear(grid4, ops4, rng):
     time = TimeAxis(0.2, 4)
-    coeffs = CoefficientFields(
-        rng.normal(size=(5, grid4.num_nodes)), rng.normal(size=(5, grid4.num_boundary))
+    coeffs = slot_fields(
+        grid4, rng.normal(size=(5, grid4.num_nodes)), rng.normal(size=(5, grid4.num_boundary))
     )
     op = SteppedOperator(grid4, ops4, time, coeffs)
     s1 = random_control(grid4, time, rng)
@@ -102,9 +96,9 @@ def test_solve_linear_is_linear(grid4, ops4, rng):
     a, b = 2.5, -1.3
     combo = ControlPair(a * s1.bulk + b * s2.bulk, a * s1.surface + b * s2.surface)
     zero = np.zeros(grid4.num_nodes)
-    t1 = solve_linear(grid4, ops4, time, coeffs, s1, zero, operator=op)
-    t2 = solve_linear(grid4, ops4, time, coeffs, s2, zero, operator=op)
-    tc = solve_linear(grid4, ops4, time, coeffs, combo, zero, operator=op)
+    t1 = solve_linear(op, s1, zero)
+    t2 = solve_linear(op, s2, zero)
+    tc = solve_linear(op, combo, zero)
     np.testing.assert_allclose(tc.values, a * t1.values + b * t2.values, atol=1e-12)
 
 
@@ -119,10 +113,7 @@ def test_singular_step_matrix_raises(grid4, ops4):
 
     with pytest.raises(SolverFailureError):
         solve_linear(
-            grid4,
-            NoCoupling(),
-            time,
-            CoefficientFields(c1, c2),
+            SteppedOperator(grid4, NoCoupling(), time, slot_fields(grid4, c1, c2)),
             ControlPair.zeros(grid4, time),
             np.zeros(N),
         )
@@ -140,12 +131,11 @@ def test_step_solves_match_dense(dt, c_range, cholesky):
     ops = build_operators(grid)
     time = TimeAxis(dt, 1)
     N = grid.num_nodes
-    coeffs = CoefficientFields(
-        rng.uniform(*c_range, size=(2, N)), rng.uniform(*c_range, size=(2, grid.num_boundary))
+    coeffs = slot_fields(
+        grid, rng.uniform(*c_range, size=(2, N)), rng.uniform(*c_range, size=(2, grid.num_boundary))
     )
     op = SteppedOperator(grid, ops, time, coeffs)
-    c = slot_fields(grid, coeffs.c1[1], coeffs.c2[1])
-    M = np.eye(N) / dt + ops.coupled.toarray() + np.diag(c)
+    M = np.eye(N) / dt + ops.coupled.toarray() + np.diag(coeffs[1])
     pivots = op._factor(1)[1]
     assert (pivots is None) == cholesky
     for rhs in (rng.normal(size=N), rng.normal(size=(N, 3))):
@@ -168,7 +158,7 @@ def test_linearized_zero_direction(grid4, ops4):
     pf, pg = default_potentials()
     time = TimeAxis(0.3, 5)
     state = _solved_state(grid4, ops4, time, pf, pg, ControlPair.zeros(grid4, time), 0.5)
-    xi = solve_linearized(state, pf, pg, ControlPair.zeros(grid4, time), ops=ops4)
+    xi = solve_linearized(linearized_operator(state, pf, pg, ops4), ControlPair.zeros(grid4, time))
     assert np.abs(xi.values).max() == 0.0
 
 
@@ -182,7 +172,7 @@ def test_linearized_constant_state_scalar_recursion(grid4, ops4):
         np.full((time.m + 1, grid4.num_nodes), h_val),
         np.full((time.m + 1, grid4.num_boundary), h_val),
     )
-    xi = solve_linearized(state, pf, pg, direction, ops=ops4)
+    xi = solve_linearized(linearized_operator(state, pf, pg, ops4), direction)
     c_lin = 4.0 * pf.alpha - 2.0 * pf.smooth_c
     assert c_lin == pytest.approx(float(pf.d2(0.5)))
     w = 0.0
@@ -198,7 +188,7 @@ def test_taylor_remainder_second_order(grid8, ops8, rng):
     u = ControlPair.zeros(grid8, time)
     state = _solved_state(grid8, ops8, time, pf, pg, u)
     h = random_control(grid8, time, rng, scale=1.0)
-    xi = solve_linearized(state, pf, pg, h, ops=ops8)
+    xi = solve_linearized(linearized_operator(state, pf, pg, ops8), h)
     eps_list = np.array([1e-1, 3e-2, 1e-2, 3e-3, 1e-3])
     remainders = []
     for eps in eps_list:
@@ -218,7 +208,7 @@ def test_adjoint_zero_weights(grid4, ops4):
     time = TimeAxis(0.3, 5)
     prob = make_problem(grid4, ops4, time, pf, pg, betas=(0.0, 0.0, 0.0, 1.0, 1.0))
     state = prob.solve(ControlPair.zeros(grid4, time))
-    adj = solve_adjoint(state, pf, pg, prob, ops=ops4)
+    adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
     assert np.abs(adj.values).max() == 0.0
 
 
@@ -230,11 +220,11 @@ def test_adjoint_matches_dense_transpose(grid4, ops4, rng):
     u = random_control(grid4, time, rng, scale=0.4)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops4)
-    adj = solve_adjoint(state, pf, pg, prob, operator=op)
+    adj = solve_adjoint(state, prob, op)
 
-    from acopt.pde_linear import linearized_coefficients, tracking_sources
+    from acopt.pde_linear import tracking_sources
 
-    coeffs = linearized_coefficients(state, pf, pg)
+    coeffs = slot_fields(grid4, pf.d2(state.values), pg.d2(state.surface))
     B = _dense_forward_matrix(grid4, ops4, time, coeffs)
     seeds = tracking_sources(prob, state)
     N, m = grid4.num_nodes, time.m
@@ -260,7 +250,7 @@ def test_adjoint_terminal_cost_geometric_decay(grid4, ops4):
         init_value=0.3, box=(-9.0, 9.0),
     )
     state = prob.solve(ControlPair.zeros(grid4, time))
-    adj = solve_adjoint(state, pq, pq, prob, ops=ops4)
+    adj = solve_adjoint(state, prob, linearized_operator(state, pq, pq, ops4))
     # spatially constant up to the O(h) boundary quadrature correction
     assert np.ptp(adj.values, axis=1).max() <= 0.5 * grid4.h
     p0 = adj.values[:, adj.grid.interior_nodes[0]]
@@ -276,13 +266,13 @@ def test_adjoint_duality_identity(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.4)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops8)
-    adj = solve_adjoint(state, pf, pg, prob, operator=op)
+    adj = solve_adjoint(state, prob, op)
 
     theta = time.weights()
     w, gam = grid8.bulk_weights, grid8.surface_weights
     for _ in range(3):
         h = random_control(grid8, time, rng)
-        xi = solve_linearized(state, pf, pg, h, operator=op)
+        xi = solve_linearized(op, h)
         lhs = prob.beta1 * np.einsum("k,kj,kj->", theta, (state.values - prob.z_q) * w, xi.values)
         lhs += prob.beta2 * np.einsum(
             "k,kj,kj->", theta, (state.surface - prob.z_sigma) * gam, xi.surface
@@ -309,9 +299,7 @@ def test_transpose_involution_reproduces_forward(grid4, ops4):
     """
     time = TimeAxis(0.4, 2)
     N, m = grid4.num_nodes, time.m
-    coeffs = CoefficientFields(
-        np.full((m + 1, N), 0.8), np.full((m + 1, grid4.num_boundary), 0.8)
-    )
+    coeffs = slot_fields(grid4, np.full((m + 1, N), 0.8), np.full((m + 1, grid4.num_boundary), 0.8))
     op = SteppedOperator(grid4, ops4, time, coeffs)
     zero = np.zeros(N)
 
@@ -332,7 +320,7 @@ def test_transpose_involution_reproduces_forward(grid4, ops4):
             np.vstack([np.zeros((1, N)), levels]),
             np.vstack([np.zeros((1, grid4.num_boundary)), levels[:, grid4.boundary_cycle]]),
         )
-        F[:, j] = solve_linear(grid4, ops4, time, coeffs, src, zero, operator=op).values[1:].ravel()
+        F[:, j] = solve_linear(op, src, zero).values[1:].ravel()
         seeds = np.vstack([np.zeros((1, N)), levels])
         G[:, j] = adjoint_from_seeds(state_like, seeds, op).values[1:].ravel()
 
@@ -358,8 +346,8 @@ def test_derivative_lipschitz_envelope(grid4, ops4):
         u2 = ControlPair(u.bulk + du.bulk, u.surface + du.surface)
         s1 = prob.solve(u)
         s2 = prob.solve(u2)
-        xi1 = solve_linearized(s1, pf, pg, h, ops=ops4)
-        xi2 = solve_linearized(s2, pf, pg, h, ops=ops4)
+        xi1 = solve_linearized(linearized_operator(s1, pf, pg, ops4), h)
+        xi2 = solve_linearized(linearized_operator(s2, pf, pg, ops4), h)
         diff = Trajectory(xi1.values - xi2.values, grid4, time)
         ratios.append(
             trajectory_space_time_norm(diff) / (hnorm(prob, du) * hnorm(prob, h))
@@ -379,8 +367,9 @@ def test_second_derivative_zero_for_quadratic(grid4, ops4, rng):
     u = random_control(grid4, time, rng)
     state = prob.solve(u)
     h = random_control(grid4, time, rng)
-    phi = solve_linearized(state, pf, pg, h, ops=ops4)
-    eta = solve_second_derivative(state, pf, pg, phi, phi, ops=ops4)
+    op = linearized_operator(state, pf, pg, ops4)
+    phi = solve_linearized(op, h)
+    eta = solve_second_derivative(state, pf, pg, phi, phi, op)
     assert np.abs(eta.values).max() == 0.0
 
 
@@ -388,11 +377,10 @@ def test_second_derivative_zero_for_zero_phi(grid4, ops4, rng):
     pf, pg = default_potentials()
     time = TimeAxis(0.3, 5)
     state = _solved_state(grid4, ops4, time, pf, pg, ControlPair.zeros(grid4, time), 0.5)
-    zero = solve_linearized(state, pf, pg, ControlPair.zeros(grid4, time), ops=ops4)
-    psi = solve_linearized(
-        state, pf, pg, random_control(grid4, time, rng), ops=ops4
-    )
-    eta = solve_second_derivative(state, pf, pg, zero, psi, ops=ops4)
+    op = linearized_operator(state, pf, pg, ops4)
+    zero = solve_linearized(op, ControlPair.zeros(grid4, time))
+    psi = solve_linearized(op, random_control(grid4, time, rng))
+    eta = solve_second_derivative(state, pf, pg, zero, psi, op)
     assert np.abs(eta.values).max() == 0.0
 
 
@@ -405,9 +393,9 @@ def test_second_derivative_mixed_difference_oracle(grid8, ops8, rng):
     op = linearized_operator(state, pf, pg, ops8)
     h = random_control(grid8, time, rng, scale=1.0)
     k = random_control(grid8, time, rng, scale=1.0)
-    phi = solve_linearized(state, pf, pg, h, operator=op)
-    psi = solve_linearized(state, pf, pg, k, operator=op)
-    eta = solve_second_derivative(state, pf, pg, phi, psi, operator=op)
+    phi = solve_linearized(op, h)
+    psi = solve_linearized(op, k)
+    eta = solve_second_derivative(state, pf, pg, phi, psi, op)
 
     eps_list = np.array([3e-2, 1e-2, 3e-3])
     errs = []

@@ -90,7 +90,7 @@ def test_gradient_pure_control_case(grid4, ops4, rng):
     prob = make_problem(grid4, ops4, time, pf, pg, betas=(0.0, 0.0, 0.0, 1.0, 0.3))
     u = random_control(grid4, time, rng)
     state = prob.solve(u)
-    adj = solve_adjoint(state, pf, pg, prob, ops=ops4)
+    adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
     grad = reduced_gradient(prob, state, adj, u)
     np.testing.assert_allclose(grad.bulk, u.bulk, atol=1e-14)
     np.testing.assert_allclose(grad.surface, 0.3 * u.surface, atol=1e-14)
@@ -102,7 +102,7 @@ def test_gradient_central_difference_order_two(grid8, ops8, rng):
     prob = make_problem(grid8, ops8, time, pf, pg, betas=(1.0, 1.0, 1.0, 0.1, 0.1), seed=3)
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
-    adj = solve_adjoint(state, pf, pg, prob, ops=ops8)
+    adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops8))
     grad = reduced_gradient(prob, state, adj, u)
 
     eps_list = np.array([3e-2, 1e-2, 3e-3, 1e-3, 3e-4])
@@ -135,14 +135,14 @@ def test_gradient_duality_against_linearized(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.4)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops8)
-    adj = solve_adjoint(state, pf, pg, prob, operator=op)
+    adj = solve_adjoint(state, prob, op)
     grad = reduced_gradient(prob, state, adj, u)
 
     theta = time.weights()
     w, gam = grid8.bulk_weights, grid8.surface_weights
     for _ in range(3):
         h = random_control(grid8, time, rng)
-        xi = solve_linearized(state, pf, pg, h, operator=op)
+        xi = solve_linearized(op, h)
         deriv = prob.beta1 * np.einsum(
             "k,kj,kj->", theta, (state.values - prob.z_q) * w, xi.values
         )
@@ -177,7 +177,7 @@ def test_gradient_depends_on_residuals_only(grid4, ops4, rng):
         shifted.z_sigma = prob.z_sigma + shift
         shifted.z_t = prob.z_t + shift
         shifted.z_gamma_t = shifted.z_t[grid4.boundary_cycle]
-        adj = solve_adjoint(state, pf, pg, shifted, ops=ops4)
+        adj = solve_adjoint(state, shifted, linearized_operator(state, pf, pg, ops4))
         grads.append(reduced_gradient(shifted, state, adj, u))
     np.testing.assert_allclose(grads[0].bulk, grads[1].bulk, atol=1e-11)
     np.testing.assert_allclose(grads[0].surface, grads[1].surface, atol=1e-11)
@@ -192,9 +192,10 @@ def test_curvature_pure_control_quadratic(grid4, ops4, rng):
     )
     u = ControlPair.zeros(grid4, time)
     state = prob.solve(u)
-    adj = solve_adjoint(state, pf, pg, prob, ops=ops4)
+    op = linearized_operator(state, pf, pg, ops4)
+    adj = solve_adjoint(state, prob, op)
     h = random_control(grid4, time, rng)
-    value = curvature(prob, state, adj, h)
+    value = curvature(prob, state, adj, op, h)
     theta = time.weights()
     expected = float(
         np.einsum("k,kj,kj->", theta, h.bulk * grid4.bulk_weights, h.bulk)
@@ -208,8 +209,9 @@ def test_curvature_zero_direction(grid4, ops4):
     prob = make_problem(grid4, ops4, time, pf, pg)
     u = ControlPair.zeros(grid4, time)
     state = prob.solve(u)
-    adj = solve_adjoint(state, pf, pg, prob, ops=ops4)
-    assert curvature(prob, state, adj, ControlPair.zeros(grid4, time)) == 0.0
+    op = linearized_operator(state, pf, pg, ops4)
+    adj = solve_adjoint(state, prob, op)
+    assert curvature(prob, state, adj, op, ControlPair.zeros(grid4, time)) == 0.0
 
 
 def test_curvature_second_difference_oracle(grid8, ops8, rng):
@@ -219,10 +221,10 @@ def test_curvature_second_difference_oracle(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops8)
-    adj = solve_adjoint(state, pf, pg, prob, operator=op)
+    adj = solve_adjoint(state, prob, op)
     j0 = evaluate_cost(prob, state, u)
     h = random_control(grid8, time, rng)
-    exact = curvature(prob, state, adj, h, operator=op)
+    exact = curvature(prob, state, adj, op, h)
     best = np.inf
     for eps in (1e-2, 3e-3, 1e-3):
         up = ControlPair(u.bulk + eps * h.bulk, u.surface + eps * h.surface)
@@ -244,14 +246,14 @@ def test_curvature_polarization_identity(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops8)
-    adj = solve_adjoint(state, pf, pg, prob, operator=op)
+    adj = solve_adjoint(state, prob, op)
     h = random_control(grid8, time, rng)
     k = random_control(grid8, time, rng)
     hp = ControlPair(h.bulk + k.bulk, h.surface + k.surface)
     hm = ControlPair(h.bulk - k.bulk, h.surface - k.surface)
-    mixed = curvature(prob, state, adj, h, second_direction=k, operator=op)
-    plus = curvature(prob, state, adj, hp, operator=op)
-    minus = curvature(prob, state, adj, hm, operator=op)
+    mixed = curvature(prob, state, adj, op, h, second_direction=k)
+    plus = curvature(prob, state, adj, op, hp)
+    minus = curvature(prob, state, adj, op, hm)
     assert abs(plus - minus - 4.0 * mixed) <= 1e-9 * max(abs(plus), abs(minus), 1.0)
 
 
@@ -298,7 +300,7 @@ def test_report_unsupported_without_control_weights(grid4, ops4):
     u = ControlPair.zeros(grid4, time)
     with pytest.raises(UnsupportedConfigurationError):
         state = prob.solve(u)
-        adj = solve_adjoint(state, pf, pg, prob, ops=ops4)
+        adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
         projection_residual(prob, u, adjoint_as_control(prob, adj))
     report = optimality_report(prob, u, n_dir=2)
     assert not report.projection_supported
@@ -313,7 +315,7 @@ def test_stationarity_projection_equivalence(grid4, ops4, rng):
     prob = make_problem(grid4, ops4, time, pf, pg, betas=(0.0, 0.0, 0.0, 1.0, 1.0))
     u0 = ControlPair.zeros(grid4, time)
     state = prob.solve(u0)
-    adj = solve_adjoint(state, pf, pg, prob, ops=ops4)
+    adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
     rep = adjoint_as_control(prob, adj)
     grad = reduced_gradient(prob, state, adj, u0)
     assert stationarity_norm(prob, u0, grad) == 0.0
@@ -321,7 +323,7 @@ def test_stationarity_projection_equivalence(grid4, ops4, rng):
 
     u1 = random_control(grid4, time, rng, scale=0.5)
     state1 = prob.solve(u1)
-    adj1 = solve_adjoint(state1, pf, pg, prob, ops=ops4)
+    adj1 = solve_adjoint(state1, prob, linearized_operator(state1, pf, pg, ops4))
     grad1 = reduced_gradient(prob, state1, adj1, u1)
     assert stationarity_norm(prob, u1, grad1) > 0.0
     assert projection_residual(prob, u1, adjoint_as_control(prob, adj1)) > 0.0

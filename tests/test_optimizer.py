@@ -11,6 +11,7 @@ from acopt import (
     TimeAxis,
     clip_to_box,
     hinner,
+    linearized_operator,
     minimize,
     reduced_gradient,
     solve_adjoint,
@@ -43,9 +44,14 @@ def test_project_box_clips_and_is_idempotent(control_prob, rng):
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=-10, max_value=10))
-def test_project_box_scalar_cases(value):
-    clipped = min(1.0, max(-1.0, value))
-    assert np.clip(value, -1.0, 1.0) == clipped
+def test_project_box_scalar_cases(grid4, ops4, value):
+    """Scalar box bounds clip every node of both control slots to min(hi, max(lo, value))."""
+    pf, pg = default_potentials()
+    prob = make_problem(grid4, ops4, TimeAxis(0.1, 1), pf, pg, box=(-1.0, 0.5))
+    u = ControlPair(np.full_like(prob.u_lo, value), np.full_like(prob.u_lo_surf, value))
+    proj = clip_to_box(prob, u)
+    clipped = min(0.5, max(-1.0, value))
+    assert (proj.bulk == clipped).all() and (proj.surface == clipped).all()
 
 
 def test_decoupled_quadratic_converges_to_projected_zero(control_prob):
@@ -83,7 +89,8 @@ def test_fixed_point_characterization_at_convergence(control_prob):
     result = minimize(control_prob, cfg, random_control(grid, time, rng, scale=0.5))
     u = result.control
     state = control_prob.solve(u)
-    adj = solve_adjoint(state, control_prob.pf, control_prob.pg, control_prob, ops=control_prob.ops)
+    op = linearized_operator(state, control_prob.pf, control_prob.pg, control_prob.ops)
+    adj = solve_adjoint(state, control_prob, op)
     grad = reduced_gradient(control_prob, state, adj, u)
     stat = stationarity_norm(control_prob, u, grad)
     assert stat <= max(cfg.stop_tol, 1e-10)
@@ -101,7 +108,7 @@ def test_descent_direction_validity(grid4, ops4, rng):
     for _ in range(3):
         u = clip_to_box(prob, random_control(grid4, time, rng, scale=0.8))
         state = prob.solve(u)
-        adj = solve_adjoint(state, pf, pg, prob, ops=ops4)
+        adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
         grad = reduced_gradient(prob, state, adj, u)
         if stationarity_norm(prob, u, grad) == 0:
             continue
