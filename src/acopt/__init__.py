@@ -16,6 +16,7 @@ from .errors import (
     InvalidParameterError,
     OptimizerStalledError,
     SolverFailureError,
+    StepSolvabilityWarning,
     UnsupportedConfigurationError,
 )
 from .geometry import (

@@ -18,12 +18,13 @@ failure.
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, OptimizerStalledError, SolverFailureError
+from .errors import ConfigError, OptimizerStalledError, SolverFailureError, StepSolvabilityWarning
 from .geometry import TimeAxis, build_grid, build_operators
 from .objective import (
     ControlProblem,
@@ -157,14 +158,26 @@ def _validate(cfg):
         raise ConfigError("grid.n must be at least 2")
     if cfg.time_T <= 0 or cfg.time_m < 1:
         raise ConfigError("time.T must be positive and time.m at least 1")
-    for name, alpha, eps in (
-        ("potential_f", cfg.pf_alpha, cfg.pf_eps_guard),
-        ("potential_g", cfg.pg_alpha, cfg.pg_eps_guard),
+    dt = cfg.time_T / cfg.time_m
+    for name, alpha, c, eps in (
+        ("potential_f", cfg.pf_alpha, cfg.pf_c, cfg.pf_eps_guard),
+        ("potential_g", cfg.pg_alpha, cfg.pg_c, cfg.pg_eps_guard),
     ):
         if alpha < 0:
             raise ConfigError(f"{name}.alpha must be nonnegative")
         if not (0 < eps < 0.5):
             raise ConfigError(f"{name}.eps_guard must lie in (0, 0.5)")
+        # The step matrix W (I/dt + coupled + diag f'') is positive definite
+        # when 1/dt + min f'' > 0, and min f'' = 4 alpha - 2 c on (0, 1).
+        # Warn rather than reject: a step can still solve, or fail loudly.
+        product = dt * (2.0 * c - 4.0 * alpha)
+        if product >= 1.0:
+            warnings.warn(
+                f"implicit step not guaranteed uniquely solvable: (time.T / time.m) * "
+                f"(2 {name}.c - 4 {name}.alpha) = {product:g} >= 1",
+                StepSolvabilityWarning,
+                stacklevel=3,
+            )
     betas = (cfg.beta1, cfg.beta2, cfg.beta3, cfg.beta5, cfg.beta6)
     if any(b < 0 for b in betas):
         raise ConfigError("cost weights must be nonnegative")
@@ -625,7 +638,6 @@ def main(argv=None):
             cfg.output_dir = args.output_dir
         if args.seed is not None:
             cfg.seed = args.seed
-        _validate(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

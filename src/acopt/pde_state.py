@@ -12,6 +12,11 @@ construction). Newton with interval-preserving damping solves each step;
 the logarithmic derivative pushes iterates away from 0 and 1, so the
 damped iteration stays inside the guarded interval without projections.
 
+Each Newton candidate costs one guarded potential evaluation
+(`potentials.newton_terms`): it yields f', g' for the candidate's residual
+and f'', g'' for the Jacobian at that point, so the accepted candidate
+carries the coefficients of the next Newton step with it.
+
 Every Newton step and every linear step of `pde_linear` solves with a
 matrix M = I/dt + coupled + diag(c). `StepMatrix` factors all of them the
 same way: scaled by the slot quadrature weights W, S = W M is an exactly
@@ -32,7 +37,7 @@ from .errors import (
     SolverFailureError,
 )
 from .geometry import inner_product_bulk, inner_product_surf
-from .potentials import eval_with_clamps
+from .potentials import newton_terms
 
 NEWTON_TOL = 1e-11
 MAX_NEWTON = 50
@@ -154,8 +159,9 @@ class StepMatrix:
     S = W M(c) = W coupled + W/dt + W diag(c). In the natural node order S
     is a band whose half-bandwidth (n+1 on a grid with n cells per side) is
     read off the sparsity pattern of `coupled`. Only the upper entries of
-    W coupled are stored; `factor` assembles the upper band of S in LAPACK
-    layout, summing in the order W coupled, then W/dt, then W c, and
+    W coupled are stored, one per band position (duplicate entries of a
+    non-canonical `coupled` are summed once here); `factor` assigns them
+    into a fresh zero band in LAPACK layout, adds W/dt, then W c, and
     factors it in place.
 
     S is positive definite whenever 1/dt + min c > 0, and then the factor
@@ -178,15 +184,16 @@ class StepMatrix:
         rows, cols = rows[upper], cols[upper]
         self.bandwidth = int(np.max(cols - rows, initial=0))
         # position of S[i, j], i <= j, in the flattened Fortran-ordered band
-        self._pos = self.bandwidth + rows - cols + cols * (self.bandwidth + 1)
-        self._vals = w[rows] * coupled.data[upper]
+        pos = self.bandwidth + rows - cols + cols * (self.bandwidth + 1)
+        self._pos, slot = np.unique(pos, return_inverse=True)
+        self._vals = np.bincount(slot, weights=w[rows] * coupled.data[upper])
         self._w = w
         self._w_dt = w / dt
 
     def _upper_band(self, c):
         b, num = self.bandwidth, self._w.size
         flat = np.zeros((b + 1) * num)
-        np.add.at(flat, self._pos, self._vals)
+        flat[self._pos] = self._vals
         band = flat.reshape((b + 1, num), order="F")
         band[b] += self._w_dt
         band[b] += self._w * c
@@ -236,12 +243,13 @@ class StepMatrix:
         return self._scale(self._solve_band(factor, rhs))
 
 
-def _nonlinearity(grid, pf, pg, z, order):
-    """f-derivative at interior slots, g-derivative at boundary slots, and the clamp count."""
-    out = np.zeros(grid.num_nodes)
-    out[grid.interior_nodes], bulk_clamps = eval_with_clamps(pf, order, z[grid.interior_nodes])
-    out[grid.boundary_cycle], surf_clamps = eval_with_clamps(pg, order, z[grid.boundary_cycle])
-    return out, bulk_clamps + surf_clamps
+def _nonlinearity(grid, pf, pg, z):
+    """(f', g') and (f'', g'') in slot layout, and the clamp count of the one guarded evaluation."""
+    inner, cycle = grid.interior_nodes, grid.boundary_cycle
+    d1, d2 = np.zeros(grid.num_nodes), np.zeros(grid.num_nodes)
+    d1[inner], d2[inner], bulk_clamps = newton_terms(pf, z[inner])
+    d1[cycle], d2[cycle], surf_clamps = newton_terms(pg, z[cycle])
+    return d1, d2, bulk_clamps + surf_clamps
 
 
 def _interval(pf, pg):
@@ -293,16 +301,16 @@ def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL, m
         z = prev.copy()
 
         def residual(v):
-            nonlin, clamped = _nonlinearity(grid, pf, pg, v, 1)
-            return (v - prev) / dt + ops.coupled @ v + nonlin - rhs, clamped
+            d1, d2, clamped = _nonlinearity(grid, pf, pg, v)
+            return (v - prev) / dt + ops.coupled @ v + d1 - rhs, d2, clamped
 
-        res, clamped = residual(z)
+        res, d2, clamped = residual(z)
         clamp_events += clamped
-        res_norm = np.max(np.abs(res))
+        res_norm = np.abs(res).max()
         converged = res_norm <= newton_tol
         iters = 0
         while not converged and iters < max_newton:
-            d2, clamped = _nonlinearity(grid, pf, pg, z, 2)
+            # the Jacobian at z reuses the f'' of z's residual, and its clamps count again
             clamp_events += clamped
             delta = step_matrix.solve(
                 step_matrix.factor(d2, level=k + 1, residual=res_norm), -res
@@ -312,15 +320,15 @@ def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL, m
             fallback = None
             for _ in range(MAX_DAMPING):
                 cand = z + step * delta
-                if np.min(cand) >= lo and np.max(cand) <= hi:
-                    cand_res, clamped = residual(cand)
-                    clamp_events += clamped
-                    cand_norm = np.max(np.abs(cand_res))
+                if cand.min() >= lo and cand.max() <= hi:
+                    cand_res, cand_d2, cand_clamped = residual(cand)
+                    clamp_events += cand_clamped
+                    cand_norm = np.abs(cand_res).max()
                     if cand_norm < res_norm:
-                        accepted = (cand, cand_res, cand_norm)
+                        accepted = (cand, cand_res, cand_norm, cand_d2, cand_clamped)
                         break
                     if fallback is None:
-                        fallback = (cand, cand_res, cand_norm)
+                        fallback = (cand, cand_res, cand_norm, cand_d2, cand_clamped)
                 step *= 0.5
             if accepted is None:
                 if fallback is None:
@@ -330,7 +338,7 @@ def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL, m
                         residual=res_norm,
                     )
                 accepted = fallback
-            z, res, res_norm = accepted
+            z, res, res_norm, d2, clamped = accepted
             iters += 1
             converged = res_norm <= newton_tol
         if not converged:

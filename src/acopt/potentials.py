@@ -12,6 +12,9 @@ Evaluation clamps arguments of a singular potential to
 [eps_guard, 1 - eps_guard] and reports how many it clamped. Solvers keep
 their iterates inside the guarded interval, so a nonzero count after a
 solve flags a discretization problem rather than normal operation.
+`newton_terms` checks and clamps an argument once and returns both the
+first and second derivative there: the state solver's residual and its
+next Newton Jacobian share that one guarded evaluation.
 Potentials hold only their coefficients: they are immutable, hashable and
 safe to share, pickle and copy.
 """
@@ -49,17 +52,36 @@ class Potential:
         return self.alpha > 0
 
     def _prepare(self, y):
-        """Checked argument, clamped into the guarded interval, and the clamp count."""
+        """Checked argument, clamped into the guarded interval, and the clamp count.
+
+        One min and one max reduction decide every check: a NaN anywhere
+        makes the minimum NaN, and the entries are counted and clipped
+        only when [min, max] leaves the guarded interval.
+        """
         y = np.asarray(y, dtype=float)
-        if np.isnan(y).any():
+        y_min = y.min(initial=np.inf)
+        if np.isnan(y_min):
             raise InvalidArgumentError("potential argument contains NaN")
         if not self.is_singular:
             return y, 0
-        if (y < 0.0).any() or (y > 1.0).any():
+        y_max = y.max(initial=-np.inf)
+        if y_min < 0.0 or y_max > 1.0:
             raise DomainError("argument of a singular potential outside [0, 1]")
         lo, hi = self.eps_guard, 1.0 - self.eps_guard
+        if lo <= y_min and y_max <= hi:
+            return y, 0
         outside = int(np.count_nonzero((y < lo) | (y > hi)))
-        return (np.clip(y, lo, hi) if outside else y), outside
+        return np.clip(y, lo, hi), outside
+
+    def _first(self, y, one_minus_y):
+        smooth = self.smooth_c * (1.0 - 2.0 * y)
+        if self.alpha == 0.0:
+            return smooth
+        return self.alpha * np.log(y / one_minus_y) + smooth
+
+    def _second(self, y, one_minus_y):
+        a, c = self.alpha, self.smooth_c
+        return a / (y * one_minus_y) - 2.0 * c if a else np.full_like(y, -2.0 * c)
 
     def _eval(self, order, y):
         a, c = self.alpha, self.smooth_c
@@ -69,12 +91,9 @@ class Potential:
                 return smooth
             return a * (y * np.log(y) + (1.0 - y) * np.log(1.0 - y)) + smooth
         if order == 1:
-            smooth = c * (1.0 - 2.0 * y)
-            if a == 0.0:
-                return smooth
-            return a * np.log(y / (1.0 - y)) + smooth
+            return self._first(y, 1.0 - y)
         if order == 2:
-            return a / (y * (1.0 - y)) - 2.0 * c if a else np.full_like(y, -2.0 * c)
+            return self._second(y, 1.0 - y)
         if order == 3:
             if a == 0.0:
                 return np.zeros_like(y)
@@ -110,6 +129,20 @@ def eval_with_clamps(p, order, y):
     """
     yv, clamped = p._prepare(y)
     return p._eval(order, yv), clamped
+
+
+def newton_terms(p, y):
+    """First and second derivative at one checked argument, and the clamp count.
+
+    One guard and one clip serve both derivatives, which share 1 - y; the
+    values equal eval_with_clamps(p, 1, y) and eval_with_clamps(p, 2, y)
+    bit for bit. A Newton residual needs the first derivative at a
+    candidate and the next Jacobian the second derivative at the same
+    point.
+    """
+    yv, clamped = p._prepare(y)
+    one_minus_y = 1.0 - yv
+    return p._first(yv, one_minus_y), p._second(yv, one_minus_y), clamped
 
 
 def eval_derivative(p, order, y):

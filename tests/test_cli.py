@@ -1,9 +1,11 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acopt import ConfigError
+from acopt import ConfigError, StepSolvabilityWarning
 from acopt.cli_io import (
     RunConfig,
     build_problem,
@@ -219,10 +221,9 @@ def test_main_exit_codes(tmp_path, capsys):
     assert (tmp_path / "m2" / "state_bulk.csv").is_file()
 
 
-@pytest.mark.parametrize("mode", ["solve", "optimize", "report", "verify-gradient"])
-def test_solver_failure_exit_code(tmp_path, mode):
-    """Every mode solves the state with the configured Newton settings."""
-    text = (
+def failing_newton_config(mode, out):
+    """dt * (2c - 4 alpha) = 100 for both potentials: the step is far from convex."""
+    return (
         f"mode = {mode}\n"
         "grid.n = 4\n"
         "time.T = 50\n"
@@ -232,12 +233,38 @@ def test_solver_failure_exit_code(tmp_path, mode):
         "control.preset = constant\n"
         "control.value = 0.9\n"
         "newton.max_iters = 1\n"
-        f"output.dir = {tmp_path/'fail'}\n"
+        f"output.dir = {out}\n"
     )
-    cfg = load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("mode", ["solve", "optimize", "report", "verify-gradient"])
+def test_solver_failure_exit_code(tmp_path, mode):
+    """Every mode solves the state with the configured Newton settings."""
+    text = failing_newton_config(mode, tmp_path / "fail")
+    with pytest.warns(StepSolvabilityWarning):
+        cfg = load_config(write(tmp_path, text))
     assert run(cfg) == 3
     error = json.loads((tmp_path / "fail" / "error.jsonl").read_text(encoding="utf-8"))
     assert "after 1 iterations" in error["message"]  # the configured budget, not the default 50
+
+
+def test_unsolvable_step_warns_by_name(tmp_path):
+    """Configs whose step may not be uniquely solvable load with a warning per potential."""
+    path = write(tmp_path, failing_newton_config("solve", tmp_path / "out"))
+    with pytest.warns(StepSolvabilityWarning) as record:
+        load_config(path)
+    messages = [str(w.message) for w in record if w.category is StepSolvabilityWarning]
+    assert len(messages) == 2
+    for name, message in zip(("potential_f", "potential_g"), messages):
+        for key in ("time.T", "time.m", f"{name}.c", f"{name}.alpha"):
+            assert key in message
+        assert "= 100 >= 1" in message
+    with pytest.warns(StepSolvabilityWarning) as record:
+        assert main([str(path), "--mode", "solve"]) == 3
+    assert sum(w.category is StepSolvabilityWarning for w in record) == 2  # validated once
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_config(Path(__file__).parents[1] / "configs" / "tracking.cfg")
 
 
 def test_report_mode_emits_files(tmp_path):

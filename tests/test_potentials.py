@@ -17,7 +17,7 @@ from acopt import (
     eval_derivative,
 )
 from acopt.cli_io import RunConfig, build_problem
-from acopt.potentials import eval_with_clamps
+from acopt.potentials import eval_with_clamps, newton_terms
 
 
 def test_log_part_values_at_half():
@@ -143,6 +143,44 @@ def test_domain_errors():
         eval_derivative(p, 1, float("nan"))
     with pytest.raises(InvalidParameterError):
         eval_derivative(p, 4, 0.5)
+
+
+@pytest.mark.parametrize(
+    "p, y",
+    [
+        (Potential(1.0, 3.0), np.linspace(0.05, 0.95, 19)),
+        (Potential(0.0, -0.5), np.array([-3.0, 0.0, 0.4, 1.7])),
+        (Potential(2.0, 1.0, eps_guard=1e-6), np.array([0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0, 1e-6])),
+        (Potential(1.0, 3.0), np.array([])),
+    ],
+    ids=["singular", "quadratic", "clamped", "empty"],
+)
+def test_newton_terms_match_separate_evaluations(p, y):
+    """One guarded evaluation gives f' and f'' bit for bit, with the same clamp count."""
+    d1, d2, clamped = newton_terms(p, y)
+    first, first_clamped = eval_with_clamps(p, 1, y)
+    second, second_clamped = eval_with_clamps(p, 2, y)
+    assert np.array_equal(d1, first) and np.array_equal(d2, second)
+    assert d1.shape == d2.shape == y.shape
+    assert clamped == first_clamped == second_clamped
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_argument_guard(order):
+    """NaN is rejected before range checks; only singular potentials have a domain."""
+    singular, quadratic = Potential(1.0, 3.0), Potential(0.0, 3.0)
+    for bad in ([0.5, np.nan], [np.inf, np.nan, 0.5], [np.nan, -np.inf], [np.nan]):
+        for p in (singular, quadratic):
+            with pytest.raises(InvalidArgumentError):
+                eval_derivative(p, order, np.array(bad))
+    for outside in ([0.5, np.inf], [-np.inf, 0.5], [0.5, -1e-300], [1.0 + 1e-15]):
+        with pytest.raises(DomainError):
+            eval_derivative(singular, order, np.array(outside))
+        assert eval_derivative(quadratic, order, np.array(outside)).shape == (len(outside),)
+    value = eval_derivative(singular, order, 0.3)
+    assert isinstance(value, float)
+    assert value == eval_derivative(singular, order, np.array([0.3]))[0]
+    assert isinstance(eval_derivative(quadratic, order, np.float64(7.0)), float)
 
 
 def test_quadratic_variant_unguarded():

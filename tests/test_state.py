@@ -253,6 +253,38 @@ def test_clamp_warning_for_near_endpoint_data(grid4, ops4):
         assert traj.info["clamp_events"] == 2
 
 
+def test_newton_jacobian_reuses_residual_evaluation(grid4, ops4, rng, monkeypatch):
+    """Each residual makes one guarded call per potential; the Jacobian makes none.
+
+    Logs "T" per potential call and "F" per step factorization. Every Newton
+    iteration here accepts its first candidate, so a level logs the
+    residual at the previous state, then per iteration a factorization and
+    the candidate's residual: "TT" + "FTT" * iters.
+    """
+    from acopt import pde_state
+
+    log = []
+    terms, factor = pde_state.newton_terms, pde_state.StepMatrix.factor
+
+    def counted_terms(p, y):
+        log.append("T")
+        return terms(p, y)
+
+    def counted_factor(self, *args, **kwargs):
+        log.append("F")
+        return factor(self, *args, **kwargs)
+
+    monkeypatch.setattr(pde_state, "newton_terms", counted_terms)
+    monkeypatch.setattr(pde_state.StepMatrix, "factor", counted_factor)
+    pf, pg = default_potentials()
+    time = TimeAxis(0.2, 4)
+    init = FieldPair(rng.uniform(0.3, 0.7, grid4.num_nodes), grid4)
+    traj = solve_state(grid4, ops4, time, pf, pg, random_control(grid4, time, rng), init)
+    iters = traj.info["newton_iters"]
+    assert min(iters) >= 2
+    assert "".join(log) == "".join("TT" + "FTT" * n for n in iters)
+
+
 def test_initial_data_validation(grid4, ops4):
     pf, pg = default_potentials()
     time = TimeAxis(0.1, 2)
