@@ -85,12 +85,17 @@ class ControlProblem:
         if (self.u_lo > self.u_hi).any() or (self.u_lo_surf > self.u_hi_surf).any():
             raise InvalidParameterError("(A1): lower control bounds must not exceed upper bounds")
 
-    def solve(self, control, newton_tol=None, max_newton=None):
-        """State solve at a control; the arguments override the problem's Newton settings."""
+    def solve(self, control, newton_tol=None, max_newton=None, guess=None):
+        """State solve at a control.
+
+        newton_tol and max_newton override the problem's Newton settings;
+        guess holds optional Newton starts (see `pde_state.solve_state`).
+        """
         return solve_state(
             self.grid, self.ops, self.time, self.pf, self.pg, control, self.init,
             newton_tol=self.newton_tol if newton_tol is None else newton_tol,
             max_newton=self.max_newton if max_newton is None else max_newton,
+            guess=guess,
         )
 
 

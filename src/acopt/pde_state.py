@@ -17,6 +17,18 @@ Each Newton candidate costs one guarded potential evaluation
 and f'', g'' for the Jacobian at that point, so the accepted candidate
 carries the coefficients of the next Newton step with it.
 
+Newton starts. The step to level k+1 starts from a given guess level,
+else from the time extrapolation 2 y_k - y_{k-1} (y_0 for the first
+step); a start with a non-finite entry or one outside the guarded
+interval is replaced by y_k. The stop test does not depend on the start,
+so every converged level meets the same tolerance, and a start that
+already meets it costs no iteration. Callers that know a nearby solved
+state pass its tangent prediction as the guess (`optimizer.minimize`);
+the optimality report has no such state, and the verify modes keep
+unguessed starts on purpose (see `cli_io`). Where dt max(-f'', -g'') >= 1
+(the regime `StepSolvabilityWarning` names) a step may have several
+roots, and a different start can converge to a different one.
+
 Every Newton step and every linear step of `pde_linear` solves with a
 matrix M = I/dt + coupled + diag(c). `StepMatrix` factors all of them the
 same way: scaled by the slot quadrature weights W, S = W M is an exactly
@@ -258,7 +270,9 @@ def _interval(pf, pg):
     return lo, hi
 
 
-def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL, max_newton=MAX_NEWTON):
+def solve_state(
+    grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL, max_newton=MAX_NEWTON, guess=None
+):
     """March the nonlinear coupled system forward with damped Newton steps.
 
     Args:
@@ -266,6 +280,11 @@ def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL, m
             level k+1 (level 0 never enters the dynamics).
         init: FieldPair (or array) of initial values; for singular
             potentials all entries must lie strictly inside (0, 1).
+        guess: optional (m+1, N) array; level k+1 is the Newton start of
+            the step to level k+1 (level 0 is never read). Without it,
+            the step to level k+1 starts from 2 values[k] - values[k-1]
+            for k >= 1. Either start is replaced by values[k] when it has
+            a non-finite entry or leaves the guarded interval.
 
     Returns:
         Trajectory with info dict holding newton iteration counts and the
@@ -285,6 +304,12 @@ def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL, m
         raise DomainError("initial data must lie strictly inside (0, 1)")
     if not (np.isfinite(control.bulk).all() and np.isfinite(control.surface).all()):
         raise DomainError("controls must be finite")
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+        if guess.shape != (time.m + 1, grid.num_nodes):
+            raise DimensionMismatchError(
+                f"guess needs shape {(time.m + 1, grid.num_nodes)}, got {guess.shape}"
+            )
 
     dt = time.dt
     step_matrix = StepMatrix(grid, ops, dt)
@@ -298,7 +323,14 @@ def solve_state(grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL, m
     for k in range(time.m):
         rhs = slot_fields(grid, control.bulk[k + 1], control.surface[k + 1])
         prev = values[k]
-        z = prev.copy()
+        if guess is not None:
+            start = guess[k + 1]
+        elif k >= 1:
+            start = 2.0 * prev - values[k - 1]
+        else:
+            start = prev
+        admissible = np.isfinite(start).all() and start.min() >= lo and start.max() <= hi
+        z = (start if admissible else prev).copy()
 
         def residual(v):
             d1, d2, clamped = _nonlinearity(grid, pf, pg, v)

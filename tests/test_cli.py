@@ -292,3 +292,95 @@ def test_comments_and_blank_lines(tmp_path):
     cfg = load_config(write(tmp_path, text))
     assert cfg.mode == "solve"
     assert cfg.grid_n == 5
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("optimizer.armijo_c", "2"),
+        ("optimizer.backtrack_factor", "1"),
+        ("optimizer.max_backtracks", "0"),
+        ("optimizer.initial_step", "0"),
+        ("optimizer.initial_step", "inf"),
+        ("optimizer.initial_step", "nan"),
+        ("optimizer.stop_tol", "nan"),
+    ],
+)
+def test_bad_optimizer_key_is_config_error(tmp_path, capsys, key, value):
+    """An out-of-range optimizer setting is rejected at load, by key, with exit 2."""
+    path = write(tmp_path, BASE + f"{key} = {value}\noutput.dir = {tmp_path/'out'}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    assert main([str(path), "--mode", "optimize"]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("newton.max_iters", "0"),
+        ("newton.tol", "-1"),
+        ("newton.tol", "0"),
+        ("newton.tol", "nan"),
+        ("newton.tol", "inf"),
+    ],
+)
+def test_bad_newton_key_is_config_error(tmp_path, key, value):
+    path = write(tmp_path, BASE + f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
+OPTIMIZE = (
+    "mode = optimize\n"
+    "grid.n = 4\n"
+    "time.T = 0.2\n"
+    "time.m = 4\n"
+    "init.preset = tanh-interface\n"
+    "optimizer.max_iters = 100\n"
+    "optimizer.stop_tol = 1e-4\n"
+)
+
+
+def test_optimize_solves_each_trial_once(tmp_path, monkeypatch):
+    """One state solve for the start and one per line-search trial, none after.
+
+    Every trial starts from the tangent prediction, one linearized march
+    each. The run stops by stationarity, so the last solve is the accepted
+    state, and that is the state written.
+    """
+    import acopt.objective as objective
+    import acopt.optimizer as optimizer
+
+    solves, predictions = [], []
+    solve_state, solve_linearized = objective.solve_state, optimizer.solve_linearized
+
+    def counted_solve(*args, **kwargs):
+        solves.append((kwargs.get("guess") is not None, solve_state(*args, **kwargs)))
+        return solves[-1][1]
+
+    def counted_prediction(*args, **kwargs):
+        predictions.append(1)
+        return solve_linearized(*args, **kwargs)
+
+    monkeypatch.setattr(objective, "solve_state", counted_solve)
+    monkeypatch.setattr(optimizer, "solve_linearized", counted_prediction)
+    cfg = load_config(write(tmp_path, OPTIMIZE + f"output.dir = {tmp_path/'out'}\n"))
+    assert run(cfg) == 0
+    history = np.loadtxt(tmp_path / "out" / "history.csv", delimiter=",", skiprows=1)
+    assert history[-1, 2] <= cfg.opt_stop_tol
+    assert len(predictions) >= len(history) - 1  # at least one trial per accepted step
+    assert [guessed for guessed, _ in solves] == [False] + [True] * len(predictions)
+    state = np.loadtxt(tmp_path / "out" / "state_bulk.csv", delimiter=",", skiprows=1)[:, 2:]
+    np.testing.assert_array_equal(state, solves[-1][1].values.T)
+
+
+def test_determinism_optimize_bit_identical(tmp_path):
+    """Two optimize runs write byte-identical history, state and control files."""
+    for tag in ("a", "b"):
+        cfg = load_config(write(tmp_path, OPTIMIZE + f"output.dir = {tmp_path/tag}\n", name=f"{tag}.cfg"))
+        assert run(cfg) == 0
+    for name in ("history.csv", "state_bulk.csv", "control_final_bulk.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -5,6 +5,7 @@ from scipy.integrate import solve_ivp
 
 from acopt import (
     ControlPair,
+    DimensionMismatchError,
     DomainError,
     FieldPair,
     Potential,
@@ -15,6 +16,8 @@ from acopt import (
     energy,
     invariant_interval,
     solve_state,
+    linearized_operator,
+    solve_linearized,
     trajectory_sup_norm,
 )
 from acopt.objective import hnorm
@@ -297,3 +300,67 @@ def test_initial_data_validation(grid4, ops4):
         solve_state(
             grid4, ops4, time, pf, pg, u, FieldPair(np.full(grid4.num_nodes, 0.5), grid4)
         )
+
+
+def _guess_setup(grid):
+    pf, pg = default_potentials()
+    time = TimeAxis(0.2, 6)
+    u = random_control(grid, time, np.random.default_rng(11))
+    init = FieldPair(np.random.default_rng(12).uniform(0.3, 0.7, grid.num_nodes), grid)
+    return pf, pg, time, u, init
+
+
+def test_guess_of_converged_trajectory_costs_no_iterations(grid4, ops4):
+    pf, pg, time, u, init = _guess_setup(grid4)
+    cold = solve_state(grid4, ops4, time, pf, pg, u, init)
+    seeded = solve_state(grid4, ops4, time, pf, pg, u, init, guess=cold.values)
+    assert seeded.info["newton_iters"] == [0] * time.m
+    assert np.array_equal(seeded.values, cold.values)
+
+
+def test_cold_start_extrapolates_in_time(grid4, ops4):
+    """Without a guess, step k+1 starts from 2 y_k - y_{k-1} (from y_0 at the first step)."""
+    pf, pg, time, u, init = _guess_setup(grid4)
+    cold = solve_state(grid4, ops4, time, pf, pg, u, init)
+    starts = np.empty_like(cold.values)
+    starts[1] = cold.values[0]
+    starts[2:] = 2.0 * cold.values[1:-1] - cold.values[:-2]
+    again = solve_state(grid4, ops4, time, pf, pg, u, init, guess=starts)
+    assert np.array_equal(again.values, cold.values)
+    assert again.info == cold.info
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0, -0.5])
+def test_inadmissible_guess_level_starts_from_previous_level(grid4, ops4, bad):
+    """A guess level that is non-finite or leaves (0, 1) is replaced by values[k], bit for bit."""
+    pf, pg, time, u, init = _guess_setup(grid4)
+    cold = solve_state(grid4, ops4, time, pf, pg, u, init)
+    guess = cold.values.copy()
+    guess[2, 3] = bad
+    reference = cold.values.copy()
+    reference[2] = cold.values[1]
+    got = solve_state(grid4, ops4, time, pf, pg, u, init, guess=guess)
+    want = solve_state(grid4, ops4, time, pf, pg, u, init, guess=reference)
+    assert np.array_equal(got.values, want.values)
+    assert got.info == want.info
+    assert got.info["newton_iters"][1] > 0
+
+
+def test_guess_shape_checked(grid4, ops4):
+    pf, pg, time, u, init = _guess_setup(grid4)
+    for shape in ((time.m, grid4.num_nodes), (time.m + 1, grid4.num_nodes + 1)):
+        with pytest.raises(DimensionMismatchError):
+            solve_state(grid4, ops4, time, pf, pg, u, init, guess=np.full(shape, 0.5))
+
+
+def test_tangent_guess_saves_newton_iterations(grid4, ops4):
+    """y(u) + y'(u) d starts Newton closer to y(u + d) than the cold start does."""
+    pf, pg, time, u, init = _guess_setup(grid4)
+    state = solve_state(grid4, ops4, time, pf, pg, u, init)
+    d = random_control(grid4, time, np.random.default_rng(13), scale=1e-3)
+    moved = ControlPair(u.bulk + d.bulk, u.surface + d.surface)
+    tangent = state.values + solve_linearized(linearized_operator(state, pf, pg, ops4), d).values
+    cold = solve_state(grid4, ops4, time, pf, pg, moved, init)
+    warm = solve_state(grid4, ops4, time, pf, pg, moved, init, guess=tangent)
+    assert sum(warm.info["newton_iters"]) < sum(cold.info["newton_iters"])
+    assert np.abs(warm.values - cold.values).max() <= 1e-10
