@@ -66,6 +66,6 @@ from .pde_state import (
     trajectory_space_time_norm,
     trajectory_sup_norm,
 )
-from .potentials import AssumptionReport, Potential, check_assumptions, eval_derivative
+from .potentials import AssumptionReport, Potential, check_assumptions
 
 __version__ = "0.1.0"

@@ -385,7 +385,7 @@ def write_energy_csv(path, traj, ops, pf, pg):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("level,time,energy\n")
         for k, t in enumerate(traj.time.levels):
-            e = energy(traj.grid, ops, pf, pg, traj.snapshot(k))
+            e = energy(traj.grid, ops, pf, pg, traj.values[k])
             fh.write(f"{k},{_fmt(t)},{_fmt(e)}\n")
 
 

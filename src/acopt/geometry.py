@@ -10,8 +10,8 @@ trapezoid on the boundary cycle, trapezoid along the time axis. All mass
 matrices are therefore diagonal, which keeps discrete adjoints plain
 (weighted) matrix transposes.
 
-The flux operator returned here is the summation-by-parts flux: the
-boundary rows of the bulk stiffness form divided by the arclength weights.
+The normal flux in the coupled operator is the summation-by-parts flux:
+the boundary rows of the bulk stiffness form divided by the arclength weights.
 With that choice the coupled evolution operator is exactly the gradient of
 the discrete Dirichlet energy in the node-weight metric, so the implicit
 time stepper inherits an exact energy-dissipation property.
@@ -59,10 +59,6 @@ class Grid:
     def num_boundary(self):
         return 4 * self.n
 
-    @property
-    def num_interior(self):
-        return (self.n - 1) ** 2
-
 
 @dataclass(frozen=True)
 class TimeAxis:
@@ -98,22 +94,17 @@ class OperatorSet:
     """Sparse operators attached to a grid.
 
     Attributes:
-        L_surf: (4n, 4n) negative surface Laplacian on the cycle, the
-            periodic second difference in arclength scaled by 1/h^2.
-        B_flux: (4n, N) discrete outward normal derivative at boundary
-            nodes (summation-by-parts flux, see module docstring).
         dirichlet_bulk: (N, N) symmetric PSD matrix of the bulk gradient
             energy, 0.5 * z' A z ~ 0.5 * int |grad z|^2.
         dirichlet_surf: (4n, 4n) same for the tangential gradient on the
             cycle.
         coupled: (N, N) evolution operator used by the solvers: interior
-            rows are the 5-point negative Laplacian, boundary rows are
-            L_surf + B_flux rows. Row sums vanish, so constants are
-            annihilated exactly.
+            rows are the 5-point negative Laplacian, boundary rows the
+            surface Laplacian dirichlet_surf / h on the trace plus the
+            normal flux (see module docstring). Row sums vanish, so
+            constants are annihilated exactly.
     """
 
-    L_surf: sp.csr_matrix
-    B_flux: sp.csr_matrix
     dirichlet_bulk: sp.csr_matrix
     dirichlet_surf: sp.csr_matrix
     coupled: sp.csr_matrix
@@ -255,8 +246,6 @@ def build_operators(grid):
     coupled.sum_duplicates()
 
     return OperatorSet(
-        L_surf=L_surf,
-        B_flux=B_flux,
         dirichlet_bulk=A,
         dirichlet_surf=A_surf,
         coupled=coupled,

@@ -92,7 +92,7 @@ class ControlProblem:
         guess holds optional Newton starts (see `pde_state.solve_state`).
         """
         return solve_state(
-            self.grid, self.ops, self.time, self.pf, self.pg, control, self.init,
+            self.grid, self.ops, self.time, self.pf, self.pg, control, self.init.bulk,
             newton_tol=self.newton_tol if newton_tol is None else newton_tol,
             max_newton=self.max_newton if max_newton is None else max_newton,
             guess=guess,
@@ -163,9 +163,9 @@ def evaluate_cost(problem, state, control):
 def adjoint_as_control(problem, adjoint):
     """Adjoint representers mapped into control space.
 
-    Zero at the slots the dynamics never read (level 0 and the boundary
-    trace of the distributed slot); the adjoint trace elsewhere in the
-    surface slot.
+    Zero at the slots the dynamics never read (level 0, where the adjoint
+    march leaves zeros, and the boundary trace of the distributed slot);
+    the adjoint trace elsewhere in the surface slot.
     """
     grid = problem.grid
     bulk = np.zeros_like(adjoint.values)

@@ -11,21 +11,22 @@ the adjoint below an exact algebraic transpose of the forward stepping.
 Each M(k) is factored once as the symmetric band S = W M(k), W the slot
 quadrature weights (`pde_state.StepMatrix`). Since M^T = S W^-1, the
 transposed step is the forward band solve with the W scaling moved to the
-other side, and the same factor serves the linearized, adjoint and
-second-derivative marches.
+other side, and one factor serves every (N,) right-hand side of the
+linearized, adjoint and second-derivative marches.
 
 The adjoint is built by transposing that stepping, not by discretizing
 the backward equations anew: multipliers of the step equations are
-marched backward through the transposed step solves and then rescaled by
-the space-time quadrature weights into inner-product representers. Every
-duality identity involving these solves therefore holds to direct-solver
-roundoff.
+marched backward through the transposed step solves, from level m down
+to level 1 (level 0 is initial data, not an unknown), and then rescaled
+by the space-time quadrature weights into inner-product representers.
+Every duality identity involving these solves therefore holds to
+direct-solver roundoff.
 """
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .pde_state import ControlPair, FieldPair, StepMatrix, Trajectory, slot_fields, slot_weights
+from .pde_state import ControlPair, StepMatrix, Trajectory, slot_fields, slot_weights
 
 
 class SteppedOperator:
@@ -36,8 +37,8 @@ class SteppedOperator:
     slots (see `pde_state.slot_fields`). Each level is factored lazily,
     once, as the W-symmetric band of `pde_state.StepMatrix`: banded
     Cholesky when 1/dt + min c(k) > 0, banded LU otherwise. Forward and
-    transposed solves share that factor and accept (N,) or (N, k)
-    right-hand sides. A fully factored operator holds m+1 bands:
+    transposed solves of (N,) right-hand sides share that factor. A fully
+    factored operator holds m+1 bands:
     21 x 17.3 MB at n = 128, m = 20. Instances are safe to share across
     sequential solves on the same state.
     """
@@ -74,14 +75,14 @@ def solve_linear(operator, source, init):
             coefficients of the march.
         source: ControlPair-shaped pair read at the arrival level of each
             step (level 0 never enters).
-        init: FieldPair or (N,) array of initial values.
+        init: (N,) array of initial values.
 
     Raises:
         SolverFailureError: a step matrix is exactly singular (possible
             for strongly negative coefficients and large dt).
     """
     grid, time = operator.grid, operator.time
-    z0 = init.bulk if isinstance(init, FieldPair) else np.asarray(init, dtype=float)
+    z0 = np.asarray(init, dtype=float)
     if z0.shape != (grid.num_nodes,):
         raise DimensionMismatchError(f"initial data needs shape ({grid.num_nodes},)")
     slot_source = slot_fields(grid, source.bulk, source.surface)
@@ -142,7 +143,9 @@ def adjoint_from_seeds(state, seeds, operator):
 
     seeds[k] multiplies the level-k unknown; the returned trajectory holds
     the inner-product representers p with p = multiplier / (theta * slot
-    weight), whose boundary trace is the surface adjoint.
+    weight), whose boundary trace is the surface adjoint. The march stops
+    at level 1: level 0 is initial data, so seeds[0] is never read,
+    values[0] stays zero and level 0 of the operator is never factored.
     """
     grid, time = state.grid, state.time
     theta = time.weights()
@@ -151,7 +154,7 @@ def adjoint_from_seeds(state, seeds, operator):
     values = np.zeros((time.m + 1, grid.num_nodes))
     lam = operator.solve_transposed(time.m, seeds[time.m])
     values[time.m] = lam / (theta[time.m] * slot_w)
-    for k in range(time.m - 1, -1, -1):
+    for k in range(time.m - 1, 0, -1):
         lam = operator.solve_transposed(k, seeds[k] + lam / time.dt)
         values[k] = lam / (theta[k] * slot_w)
     return Trajectory(values, grid, time)
@@ -162,7 +165,8 @@ def solve_adjoint(state, problem, operator):
 
     Exact transpose of the linearized forward stepping (see module
     docstring), marched backward from the level that carries the terminal
-    mismatch. The trace of the returned trajectory is the surface adjoint.
+    mismatch down to level 1; level 0 holds zeros. The trace of the
+    returned trajectory is the surface adjoint.
     """
     return adjoint_from_seeds(state, tracking_sources(problem, state), operator)
 

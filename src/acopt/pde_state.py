@@ -5,12 +5,13 @@ One implicit Euler step solves the coupled nonlinear system
     (y+ - y)/dt + L y+ + f'(y+) = u      at interior nodes,
     (yG+ - yG)/dt + L_surf yG+ + B_flux y+ + g'(yG+) = uG   at boundary nodes,
 
-with L the 5-point negative Laplacian (the interior rows of `coupled`)
-and a single unknown vector over all bulk nodes (the boundary trace is
-the restriction of that vector, so the trace identity holds by
-construction). Newton with interval-preserving damping solves each step;
-the logarithmic derivative pushes iterates away from 0 and 1, so the
-damped iteration stays inside the guarded interval without projections.
+with L the 5-point negative Laplacian (the interior rows of `coupled`,
+whose boundary rows are L_surf + B_flux) and a single (N,) unknown over
+all bulk nodes (the boundary trace is the restriction of that vector, so
+the trace identity holds by construction). Newton with interval-preserving
+damping solves each step; the logarithmic derivative pushes iterates away
+from 0 and 1, so the damped iteration stays inside the guarded interval
+without projections.
 
 Each Newton candidate costs one guarded potential evaluation
 (`potentials.newton_terms`): it yields f', g' for the candidate's residual
@@ -58,11 +59,11 @@ MAX_DAMPING = 30
 
 @dataclass
 class FieldPair:
-    """A bulk scalar field whose boundary trace is shared storage.
+    """Bulk values checked against their grid: a `ControlProblem`'s initial data.
 
     Attributes:
-        bulk: (N,) values at all bulk nodes.
-        grid: owning grid (provides the boundary cycle).
+        bulk: (N,) values at all bulk nodes; solvers take this array.
+        grid: owning grid.
     """
 
     bulk: np.ndarray
@@ -74,11 +75,6 @@ class FieldPair:
             raise DimensionMismatchError(
                 f"field needs shape ({self.grid.num_nodes},), got {self.bulk.shape}"
             )
-
-    @property
-    def surface(self):
-        """Boundary trace, ordered along the cycle."""
-        return self.bulk[self.grid.boundary_cycle]
 
 
 @dataclass
@@ -135,13 +131,6 @@ class Trajectory:
     @property
     def surface(self):
         return self.values[:, self.grid.boundary_cycle]
-
-    def snapshot(self, k):
-        return FieldPair(self.values[k], self.grid)
-
-    @property
-    def terminal(self):
-        return self.snapshot(self.time.m)
 
 
 def slot_fields(grid, bulk_values, surface_values):
@@ -243,16 +232,13 @@ class StepMatrix:
             return lapack.dpbtrs(band, rhs)[0]
         return lapack.dgbtrs(band, self.bandwidth, self.bandwidth, rhs, pivots)[0]
 
-    def _scale(self, v):
-        return self._w[:, None] * v if v.ndim == 2 else self._w * v
-
     def solve(self, factor, rhs):
-        """Solve M x = rhs for rhs of shape (N,) or (N, k)."""
-        return self._solve_band(factor, self._scale(rhs))
+        """Solve M x = rhs for an (N,) right-hand side."""
+        return self._solve_band(factor, self._w * rhs)
 
     def solve_transposed(self, factor, rhs):
-        """Solve M^T x = rhs for rhs of shape (N,) or (N, k)."""
-        return self._scale(self._solve_band(factor, rhs))
+        """Solve M^T x = rhs for an (N,) right-hand side."""
+        return self._w * self._solve_band(factor, rhs)
 
 
 def _nonlinearity(grid, pf, pg, z):
@@ -278,8 +264,8 @@ def solve_state(
     Args:
         control: ControlPair with m+1 levels; the step to level k+1 reads
             level k+1 (level 0 never enters the dynamics).
-        init: FieldPair (or array) of initial values; for singular
-            potentials all entries must lie strictly inside (0, 1).
+        init: (N,) array of initial values; for singular potentials all
+            entries must lie strictly inside (0, 1).
         guess: optional (m+1, N) array; level k+1 is the Newton start of
             the step to level k+1 (level 0 is never read). Without it,
             the step to level k+1 starts from 2 values[k] - values[k-1]
@@ -296,7 +282,7 @@ def solve_state(
             singular, or no damped update stayed inside the guarded
             interval.
     """
-    y0 = init.bulk if isinstance(init, FieldPair) else np.asarray(init, dtype=float)
+    y0 = np.asarray(init, dtype=float)
     if y0.shape != (grid.num_nodes,):
         raise DimensionMismatchError(f"initial data needs shape ({grid.num_nodes},)")
     singular = pf.is_singular or pg.is_singular
@@ -397,14 +383,14 @@ def solve_state(
 
 
 def energy(grid, ops, pf, pg, state):
-    """Discrete free energy: Dirichlet forms plus potential terms.
+    """Discrete free energy of an (N,) state: Dirichlet forms plus potential terms.
 
     The bulk potential is quadratured over interior nodes and the surface
     potential over the boundary cycle; under that splitting the coupled
     scheme is the exact implicit gradient flow of this functional, so its
     value decreases step by step for vanishing controls.
     """
-    z = state.bulk if isinstance(state, FieldPair) else np.asarray(state, dtype=float)
+    z = np.asarray(state, dtype=float)
     trace = z[grid.boundary_cycle]
     if pf.is_singular or pg.is_singular:
         if np.min(z) <= 0.0 or np.max(z) >= 1.0:

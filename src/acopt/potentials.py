@@ -8,13 +8,14 @@ alpha = 0 selects the purely quadratic variant used by linear-quadratic
 cross checks; in that case there is no singularity and no argument
 safeguarding.
 
-Evaluation clamps arguments of a singular potential to
-[eps_guard, 1 - eps_guard] and reports how many it clamped. Solvers keep
-their iterates inside the guarded interval, so a nonzero count after a
-solve flags a discretization problem rather than normal operation.
-`newton_terms` checks and clamps an argument once and returns both the
-first and second derivative there: the state solver's residual and its
-next Newton Jacobian share that one guarded evaluation.
+`value`, `d1`, `d2` and `d3` are the evaluators: each clamps arguments
+of a singular potential to [eps_guard, 1 - eps_guard], and a scalar
+argument gives a float. `newton_terms` checks and clamps an argument
+once, returns both the first and second derivative there and reports how
+many entries it clamped: the state solver's residual and its next Newton
+Jacobian share that one guarded evaluation. Solvers keep their iterates
+inside the guarded interval, so a nonzero count after a solve flags a
+discretization problem rather than normal operation.
 Potentials hold only their coefficients: they are immutable, hashable and
 safe to share, pickle and copy.
 """
@@ -73,6 +74,11 @@ class Potential:
         outside = int(np.count_nonzero((y < lo) | (y > hi)))
         return np.clip(y, lo, hi), outside
 
+    @staticmethod
+    def _output(y, out):
+        """A float for a 0-d argument, the array otherwise."""
+        return float(out) if y.ndim == 0 else out
+
     def _first(self, y, one_minus_y):
         smooth = self.smooth_c * (1.0 - 2.0 * y)
         if self.alpha == 0.0:
@@ -83,34 +89,27 @@ class Potential:
         a, c = self.alpha, self.smooth_c
         return a / (y * one_minus_y) - 2.0 * c if a else np.full_like(y, -2.0 * c)
 
-    def _eval(self, order, y):
-        a, c = self.alpha, self.smooth_c
-        if order == 0:
-            smooth = c * y * (1.0 - y)
-            if a == 0.0:
-                return smooth
-            return a * (y * np.log(y) + (1.0 - y) * np.log(1.0 - y)) + smooth
-        if order == 1:
-            return self._first(y, 1.0 - y)
-        if order == 2:
-            return self._second(y, 1.0 - y)
-        if order == 3:
-            if a == 0.0:
-                return np.zeros_like(y)
-            return a * (2.0 * y - 1.0) / (y * y * (1.0 - y) * (1.0 - y))
-        raise InvalidParameterError(f"derivative order must be 0..3, got {order}")
-
     def value(self, y):
-        return eval_derivative(self, 0, y)
+        y, _ = self._prepare(y)
+        a, c = self.alpha, self.smooth_c
+        out = c * y * (1.0 - y)
+        if a:
+            out = a * (y * np.log(y) + (1.0 - y) * np.log(1.0 - y)) + out
+        return self._output(y, out)
 
     def d1(self, y):
-        return eval_derivative(self, 1, y)
+        y, _ = self._prepare(y)
+        return self._output(y, self._first(y, 1.0 - y))
 
     def d2(self, y):
-        return eval_derivative(self, 2, y)
+        y, _ = self._prepare(y)
+        return self._output(y, self._second(y, 1.0 - y))
 
     def d3(self, y):
-        return eval_derivative(self, 3, y)
+        y, _ = self._prepare(y)
+        a = self.alpha
+        out = a * (2.0 * y - 1.0) / (y * y * (1.0 - y) * (1.0 - y)) if a else np.zeros_like(y)
+        return self._output(y, out)
 
     def singular_d1(self, y):
         """Derivative of the logarithmic part alone (used by (2.4)-style growth checks)."""
@@ -120,40 +119,17 @@ class Potential:
         return self.alpha * np.log(y / (1.0 - y))
 
 
-def eval_with_clamps(p, order, y):
-    """Derivative values at an array argument and the number of clamped entries.
-
-    Arguments of singular potentials are clamped to
-    [eps_guard, 1 - eps_guard]; values outside [0, 1] raise DomainError
-    rather than being clamped silently.
-    """
-    yv, clamped = p._prepare(y)
-    return p._eval(order, yv), clamped
-
-
 def newton_terms(p, y):
     """First and second derivative at one checked argument, and the clamp count.
 
     One guard and one clip serve both derivatives, which share 1 - y; the
-    values equal eval_with_clamps(p, 1, y) and eval_with_clamps(p, 2, y)
-    bit for bit. A Newton residual needs the first derivative at a
-    candidate and the next Jacobian the second derivative at the same
-    point.
+    values equal p.d1(y) and p.d2(y) bit for bit. A Newton residual needs
+    the first derivative at a candidate and the next Jacobian the second
+    derivative at the same point.
     """
     yv, clamped = p._prepare(y)
     one_minus_y = 1.0 - yv
     return p._first(yv, one_minus_y), p._second(yv, one_minus_y), clamped
-
-
-def eval_derivative(p, order, y):
-    """Evaluate the potential or one of its first three derivatives.
-
-    Clamps like eval_with_clamps, without the count. Scalar input gives
-    scalar output.
-    """
-    scalar = np.isscalar(y) or getattr(y, "ndim", 1) == 0
-    out, _ = eval_with_clamps(p, order, y)
-    return float(out) if scalar else out
 
 
 @dataclass(frozen=True)

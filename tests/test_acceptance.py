@@ -9,7 +9,6 @@ import pytest
 
 from acopt import (
     ControlPair,
-    FieldPair,
     OptimizerConfig,
     SteppedOperator,
     TimeAxis,
@@ -185,7 +184,7 @@ def test_criterion_05_maximum_principle():
     detail = f"[r_lo, r_hi] = [{r_lo:.4f}, {r_hi:.4f}]"
     for trial in range(3):
         u = random_control(grid, time, rng, scale=1.0)
-        init = FieldPair(rng.uniform(0.2, 0.8, size=grid.num_nodes), grid)
+        init = rng.uniform(0.2, 0.8, size=grid.num_nodes)
         traj = solve_state(grid, ops, time, pf, pg, u, init)
         inside = traj.values.min() >= r_lo and traj.values.max() <= r_hi
         clean = traj.info["clamp_events"] == 0
@@ -201,9 +200,9 @@ def test_criterion_06_energy_dissipation():
     time = TimeAxis(1.0, 100)  # dt = 1e-2
     pf, pg = default_potentials()
     x, y = grid.bulk_nodes[:, 0], grid.bulk_nodes[:, 1]
-    init = FieldPair(0.5 + 0.25 * np.sin(2 * np.pi * x) * np.cos(np.pi * y), grid)
+    init = 0.5 + 0.25 * np.sin(2 * np.pi * x) * np.cos(np.pi * y)
     traj = solve_state(grid, ops, time, pf, pg, ControlPair.zeros(grid, time), init)
-    E = np.array([energy(grid, ops, pf, pg, traj.snapshot(k)) for k in range(time.m + 1)])
+    E = np.array([energy(grid, ops, pf, pg, traj.values[k]) for k in range(time.m + 1)])
     worst = float(np.diff(E).max())
     _line(6, "energy dissipation", worst <= 1e-10, f"max step increase {worst:.3e} <= 1e-10")
 
@@ -383,7 +382,7 @@ def test_criterion_10_stability_envelope():
     pf, pg = default_potentials()
     prob = make_problem(grid, ops, time, pf, pg)
     rng = np.random.default_rng(88)
-    init = FieldPair(np.full(grid.num_nodes, 0.5), grid)
+    init = np.full(grid.num_nodes, 0.5)
     ratios = []
     for _ in range(20):
         u1 = random_control(grid, time, rng, scale=1.0)

@@ -4,7 +4,6 @@ import scipy.sparse as sp
 
 from acopt import (
     ControlPair,
-    FieldPair,
     Potential,
     SolverFailureError,
     SteppedOperator,
@@ -20,7 +19,7 @@ from acopt import (
     trajectory_space_time_norm,
 )
 from acopt.pde_linear import adjoint_from_seeds
-from acopt.pde_state import Trajectory, slot_fields
+from acopt.pde_state import StepMatrix, Trajectory, slot_fields
 
 from conftest import default_potentials, make_problem, quadratic_potentials, random_control
 
@@ -138,12 +137,12 @@ def test_step_solves_match_dense(dt, c_range, cholesky):
     M = np.eye(N) / dt + ops.coupled.toarray() + np.diag(coeffs[1])
     pivots = op._factor(1)[1]
     assert (pivots is None) == cholesky
-    for rhs in (rng.normal(size=N), rng.normal(size=(N, 3))):
-        x = op.solve(1, rhs)
-        xt = op.solve_transposed(1, rhs)
-        assert x.shape == rhs.shape and xt.shape == rhs.shape
-        np.testing.assert_allclose(x, np.linalg.solve(M, rhs), rtol=0, atol=1e-12 * np.abs(x).max())
-        np.testing.assert_allclose(xt, np.linalg.solve(M.T, rhs), rtol=0, atol=1e-12 * np.abs(xt).max())
+    rhs = rng.normal(size=N)
+    x = op.solve(1, rhs)
+    xt = op.solve_transposed(1, rhs)
+    assert x.shape == rhs.shape and xt.shape == rhs.shape
+    np.testing.assert_allclose(x, np.linalg.solve(M, rhs), rtol=0, atol=1e-12 * np.abs(x).max())
+    np.testing.assert_allclose(xt, np.linalg.solve(M.T, rhs), rtol=0, atol=1e-12 * np.abs(xt).max())
 
 
 def test_step_solves_with_duplicate_coupled_entries():
@@ -173,7 +172,7 @@ def test_step_solves_with_duplicate_coupled_entries():
     time = TimeAxis(dt, 1)
     coeffs = slot_fields(grid, rng.uniform(-3, 5, (2, N)), rng.uniform(-3, 5, (2, grid.num_boundary)))
     op = SteppedOperator(grid, SplitOps(), time, coeffs)
-    rhs = rng.normal(size=(N, 2))
+    rhs = rng.normal(size=N)
     x, xt = op.solve(1, rhs), op.solve_transposed(1, rhs)
     for a, b in zip((split.data, split.indices, split.indptr), before):
         np.testing.assert_array_equal(a, b)
@@ -186,7 +185,7 @@ def test_step_solves_with_duplicate_coupled_entries():
 
 
 def _solved_state(grid, ops, time, pf, pg, control, init_value=0.45):
-    init = FieldPair(np.full(grid.num_nodes, init_value), grid)
+    init = np.full(grid.num_nodes, init_value)
     return solve_state(grid, ops, time, pf, pg, control, init)
 
 
@@ -270,6 +269,26 @@ def test_adjoint_matches_dense_transpose(grid4, ops4, rng):
     slot_w[grid4.boundary_cycle] = grid4.surface_weights
     expected = lam / (theta[1:, None] * slot_w[None, :])
     np.testing.assert_allclose(adj.values[1:], expected, rtol=1e-9, atol=1e-12)
+
+
+def test_adjoint_march_stops_at_level_one(grid4, ops4, rng, monkeypatch):
+    """Level 0 is initial data: the adjoint leaves it zero and never factors its step matrix."""
+    pf, pg = default_potentials()
+    time = TimeAxis(0.3, 5)
+    prob = make_problem(grid4, ops4, time, pf, pg, seed=3)
+    state = prob.solve(random_control(grid4, time, rng, scale=0.4))
+    factored = []
+    original = StepMatrix.factor
+
+    def counting_factor(self, c, level=None, residual=None):
+        factored.append(level)
+        return original(self, c, level=level, residual=residual)
+
+    monkeypatch.setattr(StepMatrix, "factor", counting_factor)
+    adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
+    assert np.all(adj.values[0] == 0.0)
+    assert np.all(np.abs(adj.values[1:]).max(axis=1) > 0.0)
+    assert sorted(factored) == list(range(1, time.m + 1))
 
 
 def test_adjoint_terminal_cost_geometric_decay(grid4, ops4):

@@ -14,40 +14,44 @@ from acopt import (
     InvalidParameterError,
     Potential,
     check_assumptions,
-    eval_derivative,
 )
 from acopt.cli_io import RunConfig, build_problem
-from acopt.potentials import eval_with_clamps, newton_terms
+from acopt.potentials import newton_terms
+
+
+def _derivative(p, order, y):
+    """The evaluator of one derivative order: value, d1, d2 or d3."""
+    return getattr(p, ("value", "d1", "d2", "d3")[order])(y)
 
 
 def test_log_part_values_at_half():
     p = Potential(1.0, 0.0)
-    assert eval_derivative(p, 1, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert eval_derivative(p, 2, 0.5) == pytest.approx(4.0, rel=1e-14)
+    assert p.d1(0.5) == pytest.approx(0.0, abs=1e-15)
+    assert p.d2(0.5) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_log_derivative_at_e_point():
     # ln(y/(1-y)) = 1 at y = e/(1+e)
     p = Potential(1.0, 0.0)
     y = math.e / (1.0 + math.e)
-    assert eval_derivative(p, 1, y) == pytest.approx(1.0, rel=1e-12)
+    assert p.d1(y) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_smooth_part_contributions():
     p = Potential(1.0, 3.0)
     q = Potential(1.0, 0.0)
     y = 0.3
-    assert eval_derivative(p, 0, y) == pytest.approx(eval_derivative(q, 0, y) + 3 * y * (1 - y))
-    assert eval_derivative(p, 1, y) == pytest.approx(eval_derivative(q, 1, y) + 3 * (1 - 2 * y))
-    assert eval_derivative(p, 2, y) == pytest.approx(eval_derivative(q, 2, y) - 6.0)
-    assert eval_derivative(p, 3, y) == pytest.approx(eval_derivative(q, 3, y))
+    assert p.value(y) == pytest.approx(q.value(y) + 3 * y * (1 - y))
+    assert p.d1(y) == pytest.approx(q.d1(y) + 3 * (1 - 2 * y))
+    assert p.d2(y) == pytest.approx(q.d2(y) - 6.0)
+    assert p.d3(y) == pytest.approx(q.d3(y))
 
 
 def test_third_derivative_formula():
     p = Potential(2.0, 5.0)
     y = 0.37
     expected = 2.0 * (2 * y - 1) / (y**2 * (1 - y) ** 2)
-    assert eval_derivative(p, 3, y) == pytest.approx(expected, rel=1e-13)
+    assert p.d3(y) == pytest.approx(expected, rel=1e-13)
 
 
 def test_double_well_minimizers():
@@ -55,7 +59,7 @@ def test_double_well_minimizers():
     p = Potential(1.0, 3.0)
 
     def d1(y):
-        return eval_derivative(p, 1, y)
+        return p.d1(y)
 
     lo, hi = 1e-8, 0.4
     for _ in range(200):
@@ -68,7 +72,7 @@ def test_double_well_minimizers():
     assert root == pytest.approx(0.07072018167994482, abs=1e-12)  # frozen from this oracle
     # symmetry gives the partner minimizer, and both beat the saddle at 0.5
     assert d1(1.0 - root) == pytest.approx(0.0, abs=1e-10)
-    assert eval_derivative(p, 0, root) < eval_derivative(p, 0, 0.5)
+    assert p.value(root) < p.value(0.5)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -76,11 +80,11 @@ def test_double_well_minimizers():
 def test_derivative_consistency_second_order(order, y0):
     """Central differences of order k converge to order k+1 at rate 2."""
     p = Potential(1.0, 3.0)
-    exact = eval_derivative(p, order + 1, y0)
+    exact = _derivative(p, order + 1, y0)
     errors = []
     steps = (1e-3, 5e-4, 2.5e-4)
     for h in steps:
-        fd = (eval_derivative(p, order, y0 + h) - eval_derivative(p, order, y0 - h)) / (2 * h)
+        fd = (_derivative(p, order, y0 + h) - _derivative(p, order, y0 - h)) / (2 * h)
         errors.append(abs(fd - exact))
     errors = np.asarray(errors)
     if errors.max() < 1e-11 * max(1.0, abs(exact)):
@@ -105,44 +109,42 @@ def test_symmetry_of_default_derivative():
 @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
 def test_singular_second_derivative_positive_everywhere(y):
     p = Potential(1.0, 0.0)
-    assert eval_derivative(p, 2, y) > 0
+    assert p.d2(y) > 0
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=0.01, max_value=0.99))
 def test_derivative_antisymmetry_property(y):
     p = Potential(1.0, 3.0)
-    assert eval_derivative(p, 1, y) == pytest.approx(-eval_derivative(p, 1, 1.0 - y), rel=1e-10, abs=1e-10)
+    assert p.d1(y) == pytest.approx(-p.d1(1.0 - y), rel=1e-10, abs=1e-10)
 
 
 def test_clamping_counts_and_bounds():
     p = Potential(1.0, 0.0, eps_guard=1e-6)
-    val = eval_derivative(p, 1, 1e-9)  # inside [0,1], below the guard
-    assert val == eval_derivative(p, 1, 1e-6)
+    val = p.d1(1e-9)  # inside [0,1], below the guard
+    assert val == p.d1(1e-6)
     y = np.array([1e-9, 0.5, 1.0 - 1e-9, 1e-6])  # two below/above the guard, one on it
-    values, clamped = eval_with_clamps(p, 1, y)
+    values, _, clamped = newton_terms(p, y)
     assert clamped == 2
-    np.testing.assert_array_equal(values, eval_derivative(p, 1, np.clip(y, 1e-6, 1.0 - 1e-6)))
-    assert eval_with_clamps(p, 1, np.array([0.25, 0.5]))[1] == 0
+    np.testing.assert_array_equal(values, p.d1(np.clip(y, 1e-6, 1.0 - 1e-6)))
+    assert newton_terms(p, np.array([0.25, 0.5]))[2] == 0
 
 
 def test_blowup_direction_near_endpoints():
     p = Potential(1.0, 0.0, eps_guard=1e-12)
     eps = 1e-8
-    assert eval_derivative(p, 1, eps) < -p.alpha * math.log(1.0 / eps) / 2.0
-    assert eval_derivative(p, 1, 1.0 - eps) > p.alpha * math.log(1.0 / eps) / 2.0
+    assert p.d1(eps) < -p.alpha * math.log(1.0 / eps) / 2.0
+    assert p.d1(1.0 - eps) > p.alpha * math.log(1.0 / eps) / 2.0
 
 
 def test_domain_errors():
     p = Potential(1.0, 3.0)
     with pytest.raises(DomainError):
-        eval_derivative(p, 1, -0.1)
+        p.d1(-0.1)
     with pytest.raises(DomainError):
-        eval_derivative(p, 1, 1.5)
+        p.d1(1.5)
     with pytest.raises(InvalidArgumentError):
-        eval_derivative(p, 1, float("nan"))
-    with pytest.raises(InvalidParameterError):
-        eval_derivative(p, 4, 0.5)
+        p.d1(float("nan"))
 
 
 @pytest.mark.parametrize(
@@ -156,13 +158,12 @@ def test_domain_errors():
     ids=["singular", "quadratic", "clamped", "empty"],
 )
 def test_newton_terms_match_separate_evaluations(p, y):
-    """One guarded evaluation gives f' and f'' bit for bit, with the same clamp count."""
+    """One guarded evaluation gives f' and f'' bit for bit and counts the clamped entries."""
     d1, d2, clamped = newton_terms(p, y)
-    first, first_clamped = eval_with_clamps(p, 1, y)
-    second, second_clamped = eval_with_clamps(p, 2, y)
-    assert np.array_equal(d1, first) and np.array_equal(d2, second)
+    assert np.array_equal(d1, p.d1(y)) and np.array_equal(d2, p.d2(y))
     assert d1.shape == d2.shape == y.shape
-    assert clamped == first_clamped == second_clamped
+    outside = (y < p.eps_guard) | (y > 1.0 - p.eps_guard)
+    assert clamped == (int(np.count_nonzero(outside)) if p.is_singular else 0)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
@@ -172,23 +173,23 @@ def test_argument_guard(order):
     for bad in ([0.5, np.nan], [np.inf, np.nan, 0.5], [np.nan, -np.inf], [np.nan]):
         for p in (singular, quadratic):
             with pytest.raises(InvalidArgumentError):
-                eval_derivative(p, order, np.array(bad))
+                _derivative(p, order, np.array(bad))
     for outside in ([0.5, np.inf], [-np.inf, 0.5], [0.5, -1e-300], [1.0 + 1e-15]):
         with pytest.raises(DomainError):
-            eval_derivative(singular, order, np.array(outside))
-        assert eval_derivative(quadratic, order, np.array(outside)).shape == (len(outside),)
-    value = eval_derivative(singular, order, 0.3)
+            _derivative(singular, order, np.array(outside))
+        assert _derivative(quadratic, order, np.array(outside)).shape == (len(outside),)
+    value = _derivative(singular, order, 0.3)
     assert isinstance(value, float)
-    assert value == eval_derivative(singular, order, np.array([0.3]))[0]
-    assert isinstance(eval_derivative(quadratic, order, np.float64(7.0)), float)
+    assert value == _derivative(singular, order, np.array([0.3]))[0]
+    assert isinstance(_derivative(quadratic, order, np.float64(7.0)), float)
 
 
 def test_quadratic_variant_unguarded():
     p = Potential(0.0, -0.5)
-    assert eval_derivative(p, 1, 1.7) == pytest.approx(-0.5 * (1 - 2 * 1.7))
-    assert eval_derivative(p, 2, -3.0) == pytest.approx(1.0)
-    assert eval_derivative(p, 3, 0.4) == 0.0
-    assert eval_with_clamps(p, 1, np.array([-3.0, 0.0, 1.7]))[1] == 0
+    assert p.d1(1.7) == pytest.approx(-0.5 * (1 - 2 * 1.7))
+    assert p.d2(-3.0) == pytest.approx(1.0)
+    assert p.d3(0.4) == 0.0
+    assert newton_terms(p, np.array([-3.0, 0.0, 1.7]))[2] == 0
 
 
 def test_invalid_construction():

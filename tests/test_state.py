@@ -7,7 +7,6 @@ from acopt import (
     ControlPair,
     DimensionMismatchError,
     DomainError,
-    FieldPair,
     Potential,
     SolverFailureError,
     TimeAxis,
@@ -35,7 +34,7 @@ def constant_control(grid, time, bulk_value, surf_value):
 def test_half_is_fixed_point(grid4, ops4):
     pf, pg = default_potentials()  # f'(0.5) = g'(0.5) = 0 by symmetry
     time = TimeAxis(0.5, 10)
-    init = FieldPair(np.full(grid4.num_nodes, 0.5), grid4)
+    init = np.full(grid4.num_nodes, 0.5)
     traj = solve_state(grid4, ops4, time, pf, pg, ControlPair.zeros(grid4, time), init)
     assert np.abs(traj.values - 0.5).max() == 0.0
     assert traj.info["clamp_events"] == 0
@@ -46,7 +45,7 @@ def test_stationary_solution_any_constant(grid4, ops4):
     time = TimeAxis(0.3, 6)
     y_star = 0.37
     u = constant_control(grid4, time, pf.d1(y_star), pg.d1(y_star))
-    init = FieldPair(np.full(grid4.num_nodes, y_star), grid4)
+    init = np.full(grid4.num_nodes, y_star)
     traj = solve_state(grid4, ops4, time, pf, pg, u, init)
     assert np.abs(traj.values - y_star).max() < 1e-11
 
@@ -61,7 +60,7 @@ def test_constant_field_matches_scalar_ode():
     pf, pg = default_potentials()  # same potential on both sides keeps fields constant
     u_val = 0.25
     u = constant_control(grid, time, u_val, u_val)
-    init = FieldPair(np.full(grid.num_nodes, 0.3), grid)
+    init = np.full(grid.num_nodes, 0.3)
     traj = solve_state(grid, ops, time, pf, pg, u, init)
     assert np.ptp(traj.values, axis=1).max() < 1e-12  # stays spatially constant
 
@@ -87,7 +86,7 @@ def test_constant_field_matches_scalar_ode():
 def test_energy_constant_minimizer(grid8, ops8):
     pf, pg = default_potentials()
     y_star = 0.07072018167994482  # interior minimizer of the double well
-    state = FieldPair(np.full(grid8.num_nodes, y_star), grid8)
+    state = np.full(grid8.num_nodes, y_star)
     expected = (
         float(pf.value(y_star)) * (1.0 - grid8.h) ** 2 + float(pg.value(y_star)) * 4.0
     )
@@ -97,7 +96,7 @@ def test_energy_constant_minimizer(grid8, ops8):
 def test_energy_constant_half_closed_form(grid8, ops8):
     # f(0.5) = ln(0.5) + 3/4; bulk potential weight (1-h)^2, surface weight 4
     pf, pg = default_potentials()
-    state = FieldPair(np.full(grid8.num_nodes, 0.5), grid8)
+    state = np.full(grid8.num_nodes, 0.5)
     f_half = np.log(0.5) + 0.75
     expected = f_half * ((1.0 - grid8.h) ** 2 + 4.0)
     assert energy(grid8, ops8, pf, pg, state) == pytest.approx(expected, rel=1e-13)
@@ -130,7 +129,7 @@ def test_energy_matches_independent_quadrature(grid4, ops4, rng):
         h * h * float(pf.value(z[gid(i, j)])) for i in range(1, n) for j in range(1, n)
     )
     pot += sum(h * float(pg.value(v)) for v in tr)
-    assert energy(grid4, ops4, pf, pg, FieldPair(z, grid4)) == pytest.approx(
+    assert energy(grid4, ops4, pf, pg, z) == pytest.approx(
         grad + pot, rel=1e-12
     )
 
@@ -140,7 +139,7 @@ def test_energy_domain_error_at_endpoint(grid4, ops4):
     z = np.full(grid4.num_nodes, 0.5)
     z[3] = 1.0
     with pytest.raises(DomainError):
-        energy(grid4, ops4, pf, pg, FieldPair(z, grid4))
+        energy(grid4, ops4, pf, pg, z)
 
 
 def test_energy_dissipation_zero_control():
@@ -151,9 +150,9 @@ def test_energy_dissipation_zero_control():
     time = TimeAxis(0.5, 50)  # dt = 1e-2
     pf, pg = default_potentials()
     x, y = grid.bulk_nodes[:, 0], grid.bulk_nodes[:, 1]
-    init = FieldPair(0.5 + 0.25 * np.sin(2 * np.pi * x) * np.cos(np.pi * y), grid)
+    init = 0.5 + 0.25 * np.sin(2 * np.pi * x) * np.cos(np.pi * y)
     traj = solve_state(grid, ops, time, pf, pg, ControlPair.zeros(grid, time), init)
-    E = [energy(grid, ops, pf, pg, traj.snapshot(k)) for k in range(time.m + 1)]
+    E = [energy(grid, ops, pf, pg, traj.values[k]) for k in range(time.m + 1)]
     increments = np.diff(E)
     assert increments.max() <= 1e-10
 
@@ -167,7 +166,7 @@ def test_maximum_principle_interval_and_confinement(grid8, ops8, rng):
 
     time = TimeAxis(0.5, 25)
     u = random_control(grid8, time, rng, scale=1.0)
-    init = FieldPair(rng.uniform(0.2, 0.8, size=grid8.num_nodes), grid8)
+    init = rng.uniform(0.2, 0.8, size=grid8.num_nodes)
     traj = solve_state(grid8, ops8, time, pf, pg, u, init)
     assert traj.values.min() >= r_lo
     assert traj.values.max() <= r_hi
@@ -179,7 +178,7 @@ def test_stability_ratio_envelope(grid4, ops4):
     pf, pg = default_potentials()
     time = TimeAxis(0.4, 10)
     rng = np.random.default_rng(42)
-    init = FieldPair(np.full(grid4.num_nodes, 0.5), grid4)
+    init = np.full(grid4.num_nodes, 0.5)
     prob = make_problem(grid4, ops4, time, pf, pg)
     ratios = []
     for _ in range(20):
@@ -197,7 +196,7 @@ def test_stability_ratio_envelope(grid4, ops4):
 def test_newton_failure_is_reported(grid4, ops4):
     pf, pg = default_potentials()
     time = TimeAxis(50.0, 1)  # absurd step size
-    init = FieldPair(np.full(grid4.num_nodes, 0.5), grid4)
+    init = np.full(grid4.num_nodes, 0.5)
     u = constant_control(grid4, time, 0.9, 0.9)
     with pytest.raises(SolverFailureError) as info:
         solve_state(grid4, ops4, time, pf, pg, u, init, max_newton=1)
@@ -214,7 +213,7 @@ def test_singular_newton_jacobian_raises(grid4):
     class NoCoupling:
         coupled = sp.csr_matrix((N, N))
 
-    init = FieldPair(np.full(N, 0.3), grid4)
+    init = np.full(N, 0.3)
     with pytest.raises(SolverFailureError) as info:
         solve_state(grid4, NoCoupling(), time, pf, pg, ControlPair.zeros(grid4, time), init)
     assert info.value.step == 1
@@ -228,7 +227,7 @@ def test_state_solve_unaffected_by_scipy_reads_of_coupled():
     pf, pg = default_potentials()
     time = TimeAxis(0.2, 5)
     u = random_control(grid, time, np.random.default_rng(3))
-    init = FieldPair(np.full(grid.num_nodes, 0.4), grid)
+    init = np.full(grid.num_nodes, 0.4)
     before = solve_state(grid, ops, time, pf, pg, u, init)
     abs(ops.coupled)
     after = solve_state(grid, ops, time, pf, pg, u, init)
@@ -251,7 +250,7 @@ def test_clamp_warning_for_near_endpoint_data(grid4, ops4):
     for pg in (Potential(1.0, 3.0, eps_guard=1e-6), pf):
         with pytest.warns(BoundsViolationWarning, match="clamped 2 potential evaluations"):
             traj = solve_state(
-                grid4, ops4, time, pf, pg, ControlPair.zeros(grid4, time), FieldPair(init, grid4)
+                grid4, ops4, time, pf, pg, ControlPair.zeros(grid4, time), init
             )
         assert traj.info["clamp_events"] == 2
 
@@ -281,7 +280,7 @@ def test_newton_jacobian_reuses_residual_evaluation(grid4, ops4, rng, monkeypatc
     monkeypatch.setattr(pde_state.StepMatrix, "factor", counted_factor)
     pf, pg = default_potentials()
     time = TimeAxis(0.2, 4)
-    init = FieldPair(rng.uniform(0.3, 0.7, grid4.num_nodes), grid4)
+    init = rng.uniform(0.3, 0.7, grid4.num_nodes)
     traj = solve_state(grid4, ops4, time, pf, pg, random_control(grid4, time, rng), init)
     iters = traj.info["newton_iters"]
     assert min(iters) >= 2
@@ -291,14 +290,14 @@ def test_newton_jacobian_reuses_residual_evaluation(grid4, ops4, rng, monkeypatc
 def test_initial_data_validation(grid4, ops4):
     pf, pg = default_potentials()
     time = TimeAxis(0.1, 2)
-    bad = FieldPair(np.full(grid4.num_nodes, 1.0), grid4)
+    bad = np.full(grid4.num_nodes, 1.0)
     with pytest.raises(DomainError):
         solve_state(grid4, ops4, time, pf, pg, ControlPair.zeros(grid4, time), bad)
     u = ControlPair.zeros(grid4, time)
     u.bulk[0, 0] = np.inf
     with pytest.raises(DomainError):
         solve_state(
-            grid4, ops4, time, pf, pg, u, FieldPair(np.full(grid4.num_nodes, 0.5), grid4)
+            grid4, ops4, time, pf, pg, u, np.full(grid4.num_nodes, 0.5)
         )
 
 
@@ -306,7 +305,7 @@ def _guess_setup(grid):
     pf, pg = default_potentials()
     time = TimeAxis(0.2, 6)
     u = random_control(grid, time, np.random.default_rng(11))
-    init = FieldPair(np.random.default_rng(12).uniform(0.3, 0.7, grid.num_nodes), grid)
+    init = np.random.default_rng(12).uniform(0.3, 0.7, grid.num_nodes)
     return pf, pg, time, u, init
 
 
