@@ -356,12 +356,11 @@ def _fmt(value):
 
 def _write_node_table(path, nodes, data):
     """One row per node (with coordinates), one column per time level of data."""
-    levels = range(data.shape[0])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["x", "y"] + [f"t{k}" for k in levels]) + "\n")
-        for j in range(nodes.shape[0]):
-            row = [_fmt(nodes[j, 0]), _fmt(nodes[j, 1])] + [_fmt(data[k, j]) for k in levels]
-            fh.write(",".join(row) + "\n")
+    header = ",".join(["x", "y"] + [f"t{k}" for k in range(data.shape[0])])
+    table = np.column_stack([nodes, data.T])
+    np.savetxt(
+        path, table, fmt=_FLOAT_FMT, delimiter=",", header=header, comments="", encoding="utf-8"
+    )
 
 
 def write_trajectory_csv(path, traj, surface=False):

@@ -97,10 +97,14 @@ def linearized_operator(state, pf, pg, ops):
     """Factorization cache for the marches linearized around one state.
 
     Its coefficients are the potentials' second derivatives along the
-    state: f'' at interior slots, g'' at boundary slots.
+    state: f'' at interior slots, g'' at boundary slots, on levels 1..m.
+    Level 0 is never factored, so its row stays zero.
     """
-    coeffs = slot_fields(state.grid, pf.d2(state.values), pg.d2(state.surface))
-    return SteppedOperator(state.grid, ops, state.time, coeffs)
+    grid = state.grid
+    coeffs = np.zeros(state.values.shape)
+    coeffs[1:, grid.interior_nodes] = pf.d2(state.values[1:, grid.interior_nodes])
+    coeffs[1:, grid.boundary_cycle] = pg.d2(state.surface[1:])
+    return SteppedOperator(grid, ops, state.time, coeffs)
 
 
 def solve_linearized(operator, direction):
@@ -176,10 +180,15 @@ def solve_second_derivative(state, pf, pg, phi, psi, operator):
 
     phi and psi are linearized solutions at the same state; the source is
     the negative third derivative of the potentials along the state times
-    their product, with zero initial data.
+    their product, with zero initial data. The march reads the source at
+    the interior slots and on the boundary cycle of levels 1..m only, so
+    the third derivatives are evaluated there alone.
     """
-    source = ControlPair(
-        -pf.d3(state.values) * phi.values * psi.values,
-        -pg.d3(state.surface) * phi.surface * psi.surface,
+    grid = state.grid
+    inner = grid.interior_nodes
+    source = ControlPair.zeros(grid, state.time)
+    source.bulk[1:, inner] = (
+        -pf.d3(state.values[1:, inner]) * phi.values[1:, inner] * psi.values[1:, inner]
     )
-    return solve_linear(operator, source, np.zeros(state.grid.num_nodes))
+    source.surface[1:] = -pg.d3(state.surface[1:]) * phi.surface[1:] * psi.surface[1:]
+    return solve_linear(operator, source, np.zeros(grid.num_nodes))

@@ -18,6 +18,23 @@ Each Newton candidate costs one guarded potential evaluation
 and f'', g'' for the Jacobian at that point, so the accepted candidate
 carries the coefficients of the next Newton step with it.
 
+One factorization per time level. The first iteration of a level is a
+damped Newton step, and the level keeps the factor it builds. Later
+iterations are chord steps z - J^-1 res with the kept Jacobian factor J,
+undamped (Kelley, Iterative Methods for Linear and Nonlinear Equations,
+SIAM 1995, 5.4): inside the guarded interval f'' and g'' are Lipschitz,
+so the Jacobian barely moves within a level. A chord step is accepted
+when it stays inside the interval and lowers the residual's max-norm; if
+it contracted the residual by less than CHORD_CONTRACTION, the next
+iteration refactors at the new iterate. A dropped chord candidate makes
+the iteration a damped Newton step at z instead. A chord step that meets
+the tolerance sits just under it, where a Newton step lands far below, so
+a level whose last step was a contracting chord step keeps stepping until
+a step stops contracting or the residual is within 1/CHORD_CONTRACTION of
+its rounding floor: eps times the largest row sum of the residual's
+absolute terms. Difference quotients of the state (the second-derivative
+oracle, the verify modes) need that accuracy.
+
 Newton starts. The step to level k+1 starts from a given guess level,
 else from the time extrapolation 2 y_k - y_{k-1} (y_0 for the first
 step); a start with a non-finite entry or one outside the guarded
@@ -39,6 +56,7 @@ transpose.
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -55,6 +73,7 @@ from .potentials import newton_terms
 NEWTON_TOL = 1e-11
 MAX_NEWTON = 50
 MAX_DAMPING = 30
+CHORD_CONTRACTION = 0.25
 
 
 @dataclass
@@ -250,6 +269,17 @@ def _nonlinearity(grid, pf, pg, z):
     return d1, d2, bulk_clamps + surf_clamps
 
 
+class _Iterate(NamedTuple):
+    """A Newton iterate z, its residual and max-norm, and the guarded evaluation behind them."""
+
+    z: np.ndarray
+    res: np.ndarray
+    norm: float
+    d1: np.ndarray
+    d2: np.ndarray
+    clamps: int
+
+
 def _interval(pf, pg):
     lo = max(pf.eps_guard if pf.is_singular else -np.inf, pg.eps_guard if pg.is_singular else -np.inf)
     hi = min(1 - pf.eps_guard if pf.is_singular else np.inf, 1 - pg.eps_guard if pg.is_singular else np.inf)
@@ -259,7 +289,7 @@ def _interval(pf, pg):
 def solve_state(
     grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL, max_newton=MAX_NEWTON, guess=None
 ):
-    """March the nonlinear coupled system forward with damped Newton steps.
+    """March the nonlinear coupled system forward: damped Newton, then chord steps per level.
 
     Args:
         control: ControlPair with m+1 levels; the step to level k+1 reads
@@ -273,8 +303,10 @@ def solve_state(
             a non-finite entry or leaves the guarded interval.
 
     Returns:
-        Trajectory with info dict holding newton iteration counts and the
-        number of potential arguments clamped during the solve.
+        Trajectory whose info dict holds, per level, the iterations
+        ("newton_iters", Newton and chord steps alike) and the step
+        factorizations ("factorizations"), and the number of potential
+        arguments clamped during the solve ("clamp_events").
 
     Raises:
         SolverFailureError: Newton did not converge within max_newton
@@ -299,11 +331,13 @@ def solve_state(
 
     dt = time.dt
     step_matrix = StepMatrix(grid, ops, dt)
+    abs_coupled = None  # |coupled|, built by the first rounding_floor call
     lo, hi = _interval(pf, pg)
 
     values = np.empty((time.m + 1, grid.num_nodes))
     values[0] = y0
     newton_iters = []
+    factorizations = []
     clamp_events = 0
 
     for k in range(time.m):
@@ -318,55 +352,89 @@ def solve_state(
         admissible = np.isfinite(start).all() and start.min() >= lo and start.max() <= hi
         z = (start if admissible else prev).copy()
 
-        def residual(v):
+        def evaluate(v):
+            nonlocal clamp_events
             d1, d2, clamped = _nonlinearity(grid, pf, pg, v)
-            return (v - prev) / dt + ops.coupled @ v + d1 - rhs, d2, clamped
-
-        res, d2, clamped = residual(z)
-        clamp_events += clamped
-        res_norm = np.abs(res).max()
-        converged = res_norm <= newton_tol
-        iters = 0
-        while not converged and iters < max_newton:
-            # the Jacobian at z reuses the f'' of z's residual, and its clamps count again
             clamp_events += clamped
-            delta = step_matrix.solve(
-                step_matrix.factor(d2, level=k + 1, residual=res_norm), -res
-            )
+            res = (v - prev) / dt + ops.coupled @ v + d1 - rhs
+            return _Iterate(v, res, np.abs(res).max(), d1, d2, clamped)
+
+        def rounding_floor(it):
+            """eps times the largest row sum of |terms| of the residual at it."""
+            nonlocal abs_coupled
+            if abs_coupled is None:
+                # entrywise from a copy: abs() of a CSR matrix sorts its indices in place
+                abs_coupled = ops.coupled.tocsr(copy=True)
+                abs_coupled.data = np.abs(abs_coupled.data)
+            z_abs = np.abs(it.z)
+            terms = (z_abs + np.abs(prev)) / dt + abs_coupled @ z_abs + np.abs(it.d1) + np.abs(rhs)
+            return np.finfo(float).eps * terms.max()
+
+        it = evaluate(z)
+        iters = factors = 0
+        factor = None  # the level's kept factor; None makes the next iteration refactor
+        polish = False  # the last step was a chord step that contracted by CHORD_CONTRACTION
+        while iters < max_newton:
+            # A chord step stops just under the tolerance where a Newton step lands far
+            # below it, so contracting chord steps go on down to the rounding floor.
+            if it.norm <= newton_tol and not (
+                polish and it.norm >= rounding_floor(it) / CHORD_CONTRACTION
+            ):
+                break
+            iters += 1
+            if factor is not None:
+                # undamped chord step on the kept factor
+                cand = it.z + step_matrix.solve(factor, -it.res)
+                if cand.min() >= lo and cand.max() <= hi:
+                    trial = evaluate(cand)
+                    if trial.norm < it.norm:
+                        polish = trial.norm <= CHORD_CONTRACTION * it.norm
+                        if not polish:
+                            factor = None
+                        it = trial
+                        continue
+                # the candidate is dropped: a converged level stops, any other refactors at z
+                if it.norm <= newton_tol:
+                    break
+            # damped Newton step; the Jacobian at z reuses the f'' of z's residual, and its
+            # clamps count again
+            clamp_events += it.clamps
+            factor = None  # at most one band factor is alive
+            factor = step_matrix.factor(it.d2, level=k + 1, residual=it.norm)
+            factors += 1
+            polish = False
+            delta = step_matrix.solve(factor, -it.res)
             step = 1.0
             accepted = None
             fallback = None
             for _ in range(MAX_DAMPING):
-                cand = z + step * delta
+                cand = it.z + step * delta
                 if cand.min() >= lo and cand.max() <= hi:
-                    cand_res, cand_d2, cand_clamped = residual(cand)
-                    clamp_events += cand_clamped
-                    cand_norm = np.abs(cand_res).max()
-                    if cand_norm < res_norm:
-                        accepted = (cand, cand_res, cand_norm, cand_d2, cand_clamped)
+                    trial = evaluate(cand)
+                    if trial.norm < it.norm:
+                        accepted = trial
                         break
                     if fallback is None:
-                        fallback = (cand, cand_res, cand_norm, cand_d2, cand_clamped)
+                        fallback = trial
                 step *= 0.5
             if accepted is None:
                 if fallback is None:
                     raise SolverFailureError(
                         f"no admissible Newton update at step {k + 1}",
                         step=k + 1,
-                        residual=res_norm,
+                        residual=it.norm,
                     )
                 accepted = fallback
-            z, res, res_norm, d2, clamped = accepted
-            iters += 1
-            converged = res_norm <= newton_tol
-        if not converged:
+            it = accepted
+        if not it.norm <= newton_tol:
             raise SolverFailureError(
-                f"Newton stalled at step {k + 1}: residual {res_norm:.3e} after {iters} iterations",
+                f"Newton stalled at step {k + 1}: residual {it.norm:.3e} after {iters} iterations",
                 step=k + 1,
-                residual=res_norm,
+                residual=it.norm,
             )
-        values[k + 1] = z
+        values[k + 1] = it.z
         newton_iters.append(iters)
+        factorizations.append(factors)
 
     if clamp_events > 0:
         warnings.warn(
@@ -378,7 +446,11 @@ def solve_state(
         values,
         grid,
         time,
-        info={"newton_iters": newton_iters, "clamp_events": clamp_events},
+        info={
+            "newton_iters": newton_iters,
+            "factorizations": factorizations,
+            "clamp_events": clamp_events,
+        },
     )
 
 

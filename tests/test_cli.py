@@ -384,3 +384,34 @@ def test_determinism_optimize_bit_identical(tmp_path):
         assert run(cfg) == 0
     for name in ("history.csv", "state_bulk.csv", "control_final_bulk.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _per_value_table(nodes, data):
+    """Reference CSV bytes: one `%.17g` per value, joined by commas, header first."""
+    lines = [",".join(["x", "y"] + [f"t{k}" for k in range(data.shape[0])])]
+    for j in range(nodes.shape[0]):
+        lines.append(",".join("%.17g" % v for v in [nodes[j, 0], nodes[j, 1], *data[:, j]]))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("case", ["random", "no-levels", "surface"])
+def test_node_tables_match_per_value_format(tmp_path, case):
+    from acopt import TimeAxis, build_grid
+    from acopt.cli_io import _write_node_table, write_trajectory_csv
+    from acopt.pde_state import Trajectory
+
+    rng = np.random.default_rng(5)
+    path = tmp_path / "table.csv"
+    if case == "surface":
+        grid = build_grid(4)
+        traj = Trajectory(rng.uniform(size=(4, grid.num_nodes)), grid, TimeAxis(0.2, 3))
+        write_trajectory_csv(path, traj, surface=True)
+        nodes, data = grid.bulk_nodes[grid.boundary_cycle], traj.surface
+    else:
+        levels = 5 if case == "random" else 0
+        nodes = rng.uniform(-1.0, 1.0, size=(9, 2))
+        data = rng.normal(size=(levels, 9)) * 10.0 ** rng.integers(-30, 30, size=(levels, 9))
+        if levels:
+            data[0, :3] = [0.0, -0.0, 1.0]
+        _write_node_table(path, nodes, data)
+    assert path.read_bytes() == _per_value_table(nodes, data)

@@ -471,3 +471,84 @@ def test_second_derivative_mixed_difference_oracle(grid8, ops8, rng):
         )
     slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
     assert slope >= 0.9
+
+
+def test_mixed_difference_follows_linear_trend_at_small_eps(grid8, ops8, rng):
+    """At eps = 3e-3 the mixed-difference error stays within 1.1x of its eps-linear trend.
+
+    The mixed difference divides state differences by eps^2, so a state
+    solved only just under newton_tol adds an error of order tol / eps^2
+    that bends the trend at small eps. A level whose last step was a chord
+    step therefore keeps stepping while the steps contract, down to its
+    rounding floor; stopping those levels at newton_tol reads 1.58x here.
+    """
+    pf, pg = default_potentials()
+    time = TimeAxis(0.4, 10)
+    u = ControlPair.zeros(grid8, time)
+    state = _solved_state(grid8, ops8, time, pf, pg, u)
+    op = linearized_operator(state, pf, pg, ops8)
+    h = random_control(grid8, time, rng, scale=1.0)
+    k = random_control(grid8, time, rng, scale=1.0)
+    eta = solve_second_derivative(
+        state, pf, pg, solve_linearized(op, h), solve_linearized(op, k), op
+    )
+
+    def error(eps):
+        def solved(*dirs):
+            shift = ControlPair(
+                u.bulk + eps * sum(d.bulk for d in dirs),
+                u.surface + eps * sum(d.surface for d in dirs),
+            )
+            return _solved_state(grid8, ops8, time, pf, pg, shift).values
+
+        mixed = (solved(h, k) - solved(h) - solved(k) + state.values) / eps**2
+        return trajectory_space_time_norm(Trajectory(mixed - eta.values, grid8, time))
+
+    assert error(3e-3) <= 1.1 * (3e-3 / 1e-2) * error(1e-2)
+
+
+def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, monkeypatch):
+    """f'', g'' and f''', g''' are evaluated only where the marches read them.
+
+    The step to level k reads the level-k coefficients and sources at the
+    interior slots and on the boundary cycle, k = 1..m. Those values equal
+    the potentials evaluated on the whole state bit for bit.
+    """
+    from acopt import pde_state
+
+    pf, pg = default_potentials()
+    time = TimeAxis(0.3, 5)
+    state = _solved_state(grid4, ops4, time, pf, pg, random_control(grid4, time, rng))
+    h, k = random_control(grid4, time, rng), random_control(grid4, time, rng)
+
+    sizes = {"d2": [], "d3": []}
+    for name, evaluated in sizes.items():
+        def logged(self, y, _original=getattr(Potential, name), _sizes=evaluated):
+            _sizes.append(np.size(y))
+            return _original(self, y)
+
+        monkeypatch.setattr(Potential, name, logged)
+    factored = {}
+    factor = pde_state.StepMatrix.factor
+
+    def logged_factor(self, c, level=None, residual=None):
+        factored[level] = c.copy()
+        return factor(self, c, level=level, residual=residual)
+
+    monkeypatch.setattr(pde_state.StepMatrix, "factor", logged_factor)
+    op = linearized_operator(state, pf, pg, ops4)
+    phi, psi = solve_linearized(op, h), solve_linearized(op, k)
+    eta = solve_second_derivative(state, pf, pg, phi, psi, op)
+    monkeypatch.undo()
+
+    m, interior, boundary = time.m, grid4.interior_nodes.size, grid4.num_boundary
+    assert sizes == {"d2": [m * interior, m * boundary], "d3": [m * interior, m * boundary]}
+    full = slot_fields(grid4, pf.d2(state.values), pg.d2(state.surface))
+    assert sorted(factored) == list(range(1, m + 1))
+    for level, c in factored.items():
+        assert np.array_equal(c, full[level])
+    source = ControlPair(
+        -pf.d3(state.values) * phi.values * psi.values,
+        -pg.d3(state.surface) * phi.surface * psi.surface,
+    )
+    assert np.array_equal(eta.values, solve_linear(op, source, np.zeros(grid4.num_nodes)).values)

@@ -258,10 +258,12 @@ def test_clamp_warning_for_near_endpoint_data(grid4, ops4):
 def test_newton_jacobian_reuses_residual_evaluation(grid4, ops4, rng, monkeypatch):
     """Each residual makes one guarded call per potential; the Jacobian makes none.
 
-    Logs "T" per potential call and "F" per step factorization. Every Newton
-    iteration here accepts its first candidate, so a level logs the
-    residual at the previous state, then per iteration a factorization and
-    the candidate's residual: "TT" + "FTT" * iters.
+    Logs "T" per potential call and "F" per step factorization. A level logs
+    the residual at its start, then its one Newton iteration (a
+    factorization and the candidate's residual), then one residual per
+    chord step on the kept factor; a refactorization would add an "F"
+    between chord steps. Every iteration here accepts its first candidate
+    and no level refactors: "TT" + "FTT" + "TT" * (iters - 1).
     """
     from acopt import pde_state
 
@@ -284,7 +286,75 @@ def test_newton_jacobian_reuses_residual_evaluation(grid4, ops4, rng, monkeypatc
     traj = solve_state(grid4, ops4, time, pf, pg, random_control(grid4, time, rng), init)
     iters = traj.info["newton_iters"]
     assert min(iters) >= 2
-    assert "".join(log) == "".join("TT" + "FTT" * n for n in iters)
+    assert traj.info["factorizations"] == [1] * time.m
+    assert "".join(log) == "".join("TT" + "FTT" + "TT" * (n - 1) for n in iters)
+
+
+def _step_residual(grid, ops, time, pf, pg, control, traj):
+    """Max-norm residual of every implicit Euler step, from the public operators."""
+    new, old = traj.values[1:], traj.values[:-1]
+    inner, cycle = grid.interior_nodes, grid.boundary_cycle
+    res = (new - old) / time.dt + (ops.coupled @ new.T).T
+    res[:, inner] += pf.d1(new[:, inner]) - control.bulk[1:, inner]
+    res[:, cycle] += pg.d1(new[:, cycle]) - control.surface[1:]
+    return np.abs(res).max()
+
+
+def test_one_factorization_per_level_hand_checked(grid4, ops4):
+    """Pinned counters of a run whose iterates were followed by hand.
+
+    Level 1: the Newton step takes the residual from 13.2 to 4.6e-2 on one
+    factor; chord steps on that factor then contract by about 1/100 each:
+    4.1e-4, 4.1e-6, 4.2e-8, 4.3e-10, 4.5e-12. The last one meets
+    newton_tol = 1e-11 by a chord step, so the level takes one more, to
+    4.8e-14, which lies below the rounding floor / CHORD_CONTRACTION
+    (9.4e-14): 7 iterations, 1 factorization. Every later level starts
+    from the time extrapolation and follows the same pattern.
+    """
+    pf, pg, time, u, init = _guess_setup(grid4)
+    traj = solve_state(grid4, ops4, time, pf, pg, u, init)
+    assert traj.info["newton_iters"] == [7, 6, 5, 4, 4, 4]
+    assert traj.info["factorizations"] == [1] * time.m
+    assert traj.info["clamp_events"] == 0
+    assert _step_residual(grid4, ops4, time, pf, pg, u, traj) <= 1e-13
+
+
+def test_dropped_chord_candidate_refactors_at_the_iterate(grid4, ops4, monkeypatch):
+    """A chord candidate that does not lower the residual is dropped.
+
+    The iteration then refactors at the iterate the chord step started from,
+    not at the dropped candidate, takes a damped Newton step there, and the
+    level still converges to newton_tol. Logs ("E", f'') per guarded
+    evaluation and ("F", c) per factorization.
+    """
+    from acopt import pde_state
+
+    events = []
+    nonlinearity, factor = pde_state._nonlinearity, pde_state.StepMatrix.factor
+
+    def logged_nonlinearity(grid, pf, pg, z):
+        out = nonlinearity(grid, pf, pg, z)
+        events.append(("E", out[1]))
+        return out
+
+    def logged_factor(self, c, *args, **kwargs):
+        events.append(("F", c))
+        return factor(self, c, *args, **kwargs)
+
+    monkeypatch.setattr(pde_state, "_nonlinearity", logged_nonlinearity)
+    monkeypatch.setattr(pde_state.StepMatrix, "factor", logged_factor)
+    pf, pg = default_potentials()
+    time = TimeAxis(0.2, 1)
+    u = random_control(grid4, time, np.random.default_rng(1), scale=2.0)
+    traj = solve_state(grid4, ops4, time, pf, pg, u, np.full(grid4.num_nodes, 0.9))
+
+    # start, factor, Newton candidate (accepted), chord candidate (dropped), refactor
+    assert "".join(kind for kind, _ in events).startswith("EFEEF")
+    newton_candidate, chord_candidate, refactored = events[2][1], events[3][1], events[4][1]
+    assert np.array_equal(refactored, newton_candidate)
+    assert not np.array_equal(refactored, chord_candidate)
+    assert traj.info["factorizations"][0] >= 2
+    assert _step_residual(grid4, ops4, time, pf, pg, u, traj) <= 1e-11
 
 
 def test_initial_data_validation(grid4, ops4):
