@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,7 @@ from .objective import (
 )
 from .optimizer import OptimizerConfig, minimize
 from .pde_linear import linearized_operator, solve_adjoint, solve_linearized
-from .pde_state import ControlPair, FieldPair, energy, trajectory_space_time_norm
+from .pde_state import ControlPair, FieldPair, Trajectory, energy, trajectory_space_time_norm
 from .potentials import Potential
 
 MODES = ("solve", "optimize", "verify-gradient", "verify-taylor", "verify-curvature", "report")
@@ -55,91 +55,56 @@ CONTROL_PRESETS = ("zero", "constant", "stationary")
 _FLOAT_FMT = "%.17g"
 
 
+def _key(key, default):
+    """A RunConfig field read from and echoed to the config key `key`."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration (see _KEYS for keys and defaults)."""
+    """Fully resolved run configuration: each field names its config key and default."""
 
-    mode: str = "solve"
-    seed: int = 0
-    output_dir: str = "out"
-    output_formats: str = "csv"
-    grid_n: int = 8
-    time_T: float = 0.25
-    time_m: int = 20
-    pf_alpha: float = 1.0
-    pf_c: float = 3.0
-    pf_eps_guard: float = 1e-9
-    pg_alpha: float = 1.0
-    pg_c: float = 3.0
-    pg_eps_guard: float = 1e-9
-    beta1: float = 1.0
-    beta2: float = 1.0
-    beta3: float = 1.0
-    beta5: float = 1e-2
-    beta6: float = 1e-2
-    target_preset: str = "tanh-moving"
-    target_value: float = 0.5
-    box_u1: float = -1.0
-    box_u2: float = 1.0
-    box_u1_gamma: float = -1.0
-    box_u2_gamma: float = 1.0
-    init_preset: str = "tanh-interface"
-    init_value: float = 0.5
-    control_preset: str = "zero"
-    control_value: float = 0.0
-    newton_tol: float = 1e-11
-    newton_max_iters: int = 50
-    opt_max_iters: int = 500
-    opt_armijo_c: float = 1e-4
-    opt_backtrack_factor: float = 0.5
-    opt_initial_step: float = 1.0
-    opt_stop_tol: float = 1e-8
-    opt_max_backtracks: int = 40
-    opt_checkpoint_every: int = 50
+    mode: str = _key("mode", "solve")
+    seed: int = _key("seed", 0)
+    output_dir: str = _key("output.dir", "out")
+    output_formats: str = _key("output.formats", "csv")
+    grid_n: int = _key("grid.n", 8)
+    time_T: float = _key("time.T", 0.25)
+    time_m: int = _key("time.m", 20)
+    pf_alpha: float = _key("potential_f.alpha", 1.0)
+    pf_c: float = _key("potential_f.c", 3.0)
+    pf_eps_guard: float = _key("potential_f.eps_guard", 1e-9)
+    pg_alpha: float = _key("potential_g.alpha", 1.0)
+    pg_c: float = _key("potential_g.c", 3.0)
+    pg_eps_guard: float = _key("potential_g.eps_guard", 1e-9)
+    beta1: float = _key("cost.beta1", 1.0)
+    beta2: float = _key("cost.beta2", 1.0)
+    beta3: float = _key("cost.beta3", 1.0)
+    beta5: float = _key("cost.beta5", 1e-2)
+    beta6: float = _key("cost.beta6", 1e-2)
+    target_preset: str = _key("target.preset", "tanh-moving")
+    target_value: float = _key("target.value", 0.5)
+    box_u1: float = _key("box.u1", -1.0)
+    box_u2: float = _key("box.u2", 1.0)
+    box_u1_gamma: float = _key("box.u1_gamma", -1.0)
+    box_u2_gamma: float = _key("box.u2_gamma", 1.0)
+    init_preset: str = _key("init.preset", "tanh-interface")
+    init_value: float = _key("init.value", 0.5)
+    control_preset: str = _key("control.preset", "zero")
+    control_value: float = _key("control.value", 0.0)
+    newton_tol: float = _key("newton.tol", 1e-11)
+    newton_max_iters: int = _key("newton.max_iters", 50)
+    opt_max_iters: int = _key("optimizer.max_iters", 500)
+    opt_armijo_c: float = _key("optimizer.armijo_c", 1e-4)
+    opt_backtrack_factor: float = _key("optimizer.backtrack_factor", 0.5)
+    opt_initial_step: float = _key("optimizer.initial_step", 1.0)
+    opt_stop_tol: float = _key("optimizer.stop_tol", 1e-8)
+    opt_max_backtracks: int = _key("optimizer.max_backtracks", 40)
+    opt_checkpoint_every: int = _key("optimizer.checkpoint_every", 50)
 
 
-# key -> (attribute, type)
-_KEYS = {
-    "mode": ("mode", str),
-    "seed": ("seed", int),
-    "output.dir": ("output_dir", str),
-    "output.formats": ("output_formats", str),
-    "grid.n": ("grid_n", int),
-    "time.T": ("time_T", float),
-    "time.m": ("time_m", int),
-    "potential_f.alpha": ("pf_alpha", float),
-    "potential_f.c": ("pf_c", float),
-    "potential_f.eps_guard": ("pf_eps_guard", float),
-    "potential_g.alpha": ("pg_alpha", float),
-    "potential_g.c": ("pg_c", float),
-    "potential_g.eps_guard": ("pg_eps_guard", float),
-    "cost.beta1": ("beta1", float),
-    "cost.beta2": ("beta2", float),
-    "cost.beta3": ("beta3", float),
-    "cost.beta5": ("beta5", float),
-    "cost.beta6": ("beta6", float),
-    "target.preset": ("target_preset", str),
-    "target.value": ("target_value", float),
-    "box.u1": ("box_u1", float),
-    "box.u2": ("box_u2", float),
-    "box.u1_gamma": ("box_u1_gamma", float),
-    "box.u2_gamma": ("box_u2_gamma", float),
-    "init.preset": ("init_preset", str),
-    "init.value": ("init_value", float),
-    "control.preset": ("control_preset", str),
-    "control.value": ("control_value", float),
-    "newton.tol": ("newton_tol", float),
-    "newton.max_iters": ("newton_max_iters", int),
-    "optimizer.max_iters": ("opt_max_iters", int),
-    "optimizer.armijo_c": ("opt_armijo_c", float),
-    "optimizer.backtrack_factor": ("opt_backtrack_factor", float),
-    "optimizer.initial_step": ("opt_initial_step", float),
-    "optimizer.stop_tol": ("opt_stop_tol", float),
-    "optimizer.max_backtracks": ("opt_max_backtracks", int),
-    "optimizer.checkpoint_every": ("opt_checkpoint_every", int),
-}
-
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
+# config key -> RunConfig field
+_KEYS = {f.metadata["key"]: f for f in dc_fields(RunConfig)}
 
 
 def _parse_value(key, text, typ):
@@ -248,8 +213,8 @@ def load_config(path):
             )
         if key not in _KEYS:
             raise ConfigError(f"unknown key '{key}'")
-        attr, typ = _KEYS[key]
-        setattr(cfg, attr, _parse_value(key, value, typ))
+        f = _KEYS[key]
+        setattr(cfg, f.name, _parse_value(key, value, f.type))
     return _validate(cfg)
 
 
@@ -257,11 +222,10 @@ def write_resolved_config(cfg, path):
     """Echo the fully resolved configuration; loading it round-trips."""
     lines = ["# resolved configuration"]
     for f in dc_fields(cfg):
-        key = _ATTR_TO_KEY[f.name]
         value = getattr(cfg, f.name)
         if isinstance(value, float):
             value = _FLOAT_FMT % value
-        lines.append(f"{key} = {value}")
+        lines.append(f"{f.metadata['key']} = {value}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -462,6 +426,25 @@ def _random_direction(problem, rng, scale=1.0):
     )
 
 
+def _base_point(problem, seed):
+    """The seeded rng, a nonzero base control drawn from it, its state and linearized operator."""
+    rng = np.random.default_rng(seed)
+    u = _random_direction(problem, rng, scale=0.3)
+    state = problem.solve(u)
+    return rng, u, state, linearized_operator(state, problem.pf, problem.pg, problem.ops)
+
+
+def _shifted(u, eps, h):
+    """The control u + eps h."""
+    return ControlPair(u.bulk + eps * h.bulk, u.surface + eps * h.surface)
+
+
+def _shifted_cost(problem, u, eps, h):
+    """Cost at the control u + eps h, its state solved from a cold start."""
+    control = _shifted(u, eps, h)
+    return evaluate_cost(problem, problem.solve(control), control)
+
+
 def verify_gradient(problem, seed=0, n_dir=3):
     """Central-difference check of the adjoint gradient. Returns table rows.
 
@@ -469,10 +452,7 @@ def verify_gradient(problem, seed=0, n_dir=3):
     state the odd cost derivatives vanish and the observed order would be
     degenerate.
     """
-    rng = np.random.default_rng(seed)
-    u = _random_direction(problem, rng, scale=0.3)
-    state = problem.solve(u)
-    operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
+    rng, u, state, operator = _base_point(problem, seed)
     adjoint = solve_adjoint(state, problem, operator)
     grad = reduced_gradient(problem, state, adjoint, u)
     rows = []
@@ -482,10 +462,7 @@ def verify_gradient(problem, seed=0, n_dir=3):
         exact = hinner(problem, grad, h)
         errors = []
         for eps in eps_list:
-            up = ControlPair(u.bulk + eps * h.bulk, u.surface + eps * h.surface)
-            dn = ControlPair(u.bulk - eps * h.bulk, u.surface - eps * h.surface)
-            j_up = evaluate_cost(problem, problem.solve(up), up)
-            j_dn = evaluate_cost(problem, problem.solve(dn), dn)
+            j_up, j_dn = _shifted_cost(problem, u, eps, h), _shifted_cost(problem, u, -eps, h)
             fd = (j_up - j_dn) / (2.0 * eps)
             errors.append(abs(fd - exact) / max(abs(exact), 1e-30))
         errors = np.array(errors)
@@ -508,30 +485,22 @@ def _fit_order(eps_list, errors):
 
 def verify_taylor(problem, seed=0):
     """First-order Taylor remainder decay of the control-to-state map."""
-    rng = np.random.default_rng(seed)
-    u = _random_direction(problem, rng, scale=0.3)
-    state = problem.solve(u)
-    operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
+    rng, u, state, operator = _base_point(problem, seed)
     h = _random_direction(problem, rng)
     xi = solve_linearized(operator, h)
     eps_list = np.array([1e-1, 3e-2, 1e-2, 3e-3, 1e-3])
     rem = []
     for eps in eps_list:
-        up = ControlPair(u.bulk + eps * h.bulk, u.surface + eps * h.surface)
-        pert = problem.solve(up)
+        pert = problem.solve(_shifted(u, eps, h))
         diff = pert.values - state.values - eps * xi.values
-        probe = state.__class__(diff, problem.grid, problem.time)
-        rem.append(trajectory_space_time_norm(probe))
+        rem.append(trajectory_space_time_norm(Trajectory(diff, problem.grid, problem.time)))
     slope = _fit_order(eps_list, np.array(rem))
     return [("taylor_remainder_order", slope, 1.9, ">=", slope >= 1.9)]
 
 
 def verify_curvature(problem, seed=0, n_dir=3):
     """Second-difference check of the curvature form."""
-    rng = np.random.default_rng(seed)
-    u = _random_direction(problem, rng, scale=0.3)
-    state = problem.solve(u)
-    operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
+    rng, u, state, operator = _base_point(problem, seed)
     adjoint = solve_adjoint(state, problem, operator)
     j0 = evaluate_cost(problem, state, u)
     rows = []
@@ -540,10 +509,7 @@ def verify_curvature(problem, seed=0, n_dir=3):
         exact = curvature(problem, state, adjoint, operator, h)
         best = np.inf
         for eps in (1e-2, 3e-3, 1e-3):
-            up = ControlPair(u.bulk + eps * h.bulk, u.surface + eps * h.surface)
-            dn = ControlPair(u.bulk - eps * h.bulk, u.surface - eps * h.surface)
-            j_up = evaluate_cost(problem, problem.solve(up), up)
-            j_dn = evaluate_cost(problem, problem.solve(dn), dn)
+            j_up, j_dn = _shifted_cost(problem, u, eps, h), _shifted_cost(problem, u, -eps, h)
             fd = (j_up - 2.0 * j0 + j_dn) / (eps * eps)
             best = min(best, abs(fd - exact) / max(abs(exact), 1e-30))
         rows.append((f"curvature_fd_dir{d}", best, 1e-4, "<=", best <= 1e-4))

@@ -8,7 +8,8 @@ Laplacian acts as a periodic second difference in arclength.
 Quadrature is node based: tensor-product trapezoid in the bulk, composite
 trapezoid on the boundary cycle, trapezoid along the time axis. All mass
 matrices are therefore diagonal, which keeps discrete adjoints plain
-(weighted) matrix transposes.
+(weighted) matrix transposes. `space_time_inner` is the one space-time
+pairing built from these weights.
 
 The normal flux in the coupled operator is the summation-by-parts flux:
 the boundary rows of the bulk stiffness form divided by the arclength weights.
@@ -273,3 +274,8 @@ def inner_product_surf(a, b, grid):
             f"surface fields must have shape ({nb},), got {a.shape} and {b.shape}"
         )
     return float(np.dot(a * grid.surface_weights, b))
+
+
+def space_time_inner(theta, weights, a, b):
+    """Space-time pairing of two (levels, nodes) arrays: time weights theta, node weights."""
+    return float(np.einsum("k,kj,kj->", theta, a * weights[None, :], b))

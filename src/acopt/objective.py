@@ -20,8 +20,17 @@ from .errors import (
     InvalidParameterError,
     UnsupportedConfigurationError,
 )
+from .geometry import space_time_inner
 from .pde_linear import linearized_operator, solve_adjoint, solve_linearized
-from .pde_state import MAX_NEWTON, NEWTON_TOL, ControlPair, FieldPair, solve_state
+from .pde_state import (
+    MAX_NEWTON,
+    NEWTON_TOL,
+    ControlPair,
+    FieldPair,
+    slot_potential,
+    slot_weights,
+    solve_state,
+)
 
 
 @dataclass
@@ -113,21 +122,40 @@ def _as_levels(arr, shape, name):
 def hinner(problem, a, b):
     """Space-time inner product of two control pairs (bulk over Q, surface over Sigma)."""
     theta = problem.time.weights()
-    w = problem.grid.bulk_weights
-    gamma = problem.grid.surface_weights
-    bulk = np.einsum("k,kj,kj->", theta, a.bulk * w[None, :], b.bulk)
-    surf = np.einsum("k,kj,kj->", theta, a.surface * gamma[None, :], b.surface)
-    return float(bulk + surf)
+    bulk = space_time_inner(theta, problem.grid.bulk_weights, a.bulk, b.bulk)
+    return bulk + space_time_inner(theta, problem.grid.surface_weights, a.surface, b.surface)
 
 
 def hnorm(problem, a):
     return float(np.sqrt(max(hinner(problem, a, a), 0.0)))
 
 
-def _traj_weighted_sq(problem, values, targets, weights):
+def _cost_parts(trajectory, control):
+    """The six arguments of `_cost_form` taken from a trajectory and a control pair."""
+    surface = trajectory.surface
+    return (
+        trajectory.values, surface, trajectory.values[-1], surface[-1], control.bulk, control.surface
+    )
+
+
+def _cost_form(problem, a, b):
+    """The symmetric bilinear form behind the six-term tracking cost.
+
+    a and b are `_cost_parts` tuples: bulk and surface trajectories,
+    terminal bulk and surface fields, bulk and surface controls. The cost
+    is half the form on its residuals; the curvature pairs the linearized
+    responses and the directions with it.
+    """
     theta = problem.time.weights()
-    diff = values - targets
-    return float(np.einsum("k,kj,kj->", theta, diff * weights[None, :], diff))
+    w, gamma = problem.grid.bulk_weights, problem.grid.surface_weights
+    return (
+        problem.beta1 * space_time_inner(theta, w, a[0], b[0])
+        + problem.beta2 * space_time_inner(theta, gamma, a[1], b[1])
+        + problem.beta3 * float(np.dot(a[2] * w, b[2]))
+        + problem.beta3 * float(np.dot(a[3] * gamma, b[3]))
+        + problem.beta5 * space_time_inner(theta, w, a[4], b[4])
+        + problem.beta6 * space_time_inner(theta, gamma, a[5], b[5])
+    )
 
 
 # -- cost and derivatives ----------------------------------------------------
@@ -135,29 +163,9 @@ def _traj_weighted_sq(problem, values, targets, weights):
 
 def evaluate_cost(problem, state, control):
     """Quadrature value of the six-term tracking cost."""
-    grid = problem.grid
-    w, gamma = grid.bulk_weights, grid.surface_weights
-    total = 0.0
-    if problem.beta1 > 0:
-        total += 0.5 * problem.beta1 * _traj_weighted_sq(problem, state.values, problem.z_q, w)
-    if problem.beta2 > 0:
-        total += 0.5 * problem.beta2 * _traj_weighted_sq(
-            problem, state.surface, problem.z_sigma, gamma
-        )
-    if problem.beta3 > 0:
-        dT = state.values[-1] - problem.z_t
-        total += 0.5 * problem.beta3 * float(np.dot(dT * w, dT))
-        dG = state.surface[-1] - problem.z_gamma_t
-        total += 0.5 * problem.beta3 * float(np.dot(dG * gamma, dG))
-    if problem.beta5 > 0:
-        total += 0.5 * problem.beta5 * _traj_weighted_sq(
-            problem, control.bulk, np.zeros(1), w
-        )
-    if problem.beta6 > 0:
-        total += 0.5 * problem.beta6 * _traj_weighted_sq(
-            problem, control.surface, np.zeros(1), gamma
-        )
-    return total
+    targets = (problem.z_q, problem.z_sigma, problem.z_t, problem.z_gamma_t, 0.0, 0.0)
+    residual = [x - z for x, z in zip(_cost_parts(state, control), targets)]
+    return 0.5 * _cost_form(problem, residual, residual)
 
 
 def adjoint_as_control(problem, adjoint):
@@ -201,44 +209,15 @@ def curvature(problem, state, adjoint, operator, direction, second_direction=Non
         psi = solve_linearized(operator, second_direction)
         other = second_direction
 
-    grid, time = problem.grid, problem.time
-    theta = time.weights()
-    w, gamma = grid.bulk_weights, grid.surface_weights
-
-    total = problem.beta1 * float(np.einsum("k,kj,kj->", theta, phi.values * w[None, :], psi.values))
-    total += problem.beta2 * float(
-        np.einsum("k,kj,kj->", theta, phi.surface * gamma[None, :], psi.surface)
-    )
-    total += problem.beta3 * float(np.dot(phi.values[-1] * w, psi.values[-1]))
-    total += problem.beta3 * float(np.dot(phi.surface[-1] * gamma, psi.surface[-1]))
-    total += problem.beta5 * float(
-        np.einsum("k,kj,kj->", theta, direction.bulk * w[None, :], other.bulk)
-    )
-    total += problem.beta6 * float(
-        np.einsum("k,kj,kj->", theta, direction.surface * gamma[None, :], other.surface)
-    )
-
+    total = _cost_form(problem, _cost_parts(phi, direction), _cost_parts(psi, other))
     # adjoint-weighted third-derivative terms, over the slots the dynamics read
-    pf, pg = problem.pf, problem.pg
-    interior = grid.interior_nodes
-    f3 = pf.d3(state.values[1:, interior])
-    prod = phi.values[1:, interior] * psi.values[1:, interior]
-    total -= float(
-        np.einsum(
-            "k,kj,kj->",
-            theta[1:],
-            adjoint.values[1:, interior] * w[None, interior],
-            f3 * prod,
-        )
-    )
-    g3 = pg.d3(state.surface[1:])
-    total -= float(
-        np.einsum(
-            "k,kj,kj->",
-            theta[1:],
-            adjoint.surface[1:] * gamma[None, :],
-            g3 * phi.surface[1:] * psi.surface[1:],
-        )
+    grid = problem.grid
+    d3 = slot_potential(grid, state.values[1:], problem.pf.d3, problem.pg.d3)
+    total -= space_time_inner(
+        problem.time.weights()[1:],
+        slot_weights(grid),
+        adjoint.values[1:],
+        d3 * phi.values[1:] * psi.values[1:],
     )
     return total
 
@@ -358,15 +337,10 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
     if tau is None:
         tau = 1e-3 * grad_norm
 
-    theta = problem.time.weights()
-    w, gamma = problem.grid.bulk_weights, problem.grid.surface_weights
-    active_bulk = np.abs(grad.bulk) > tau
-    active_surf = np.abs(grad.surface) > tau
-    measure = float(
-        np.einsum("k,kj->", theta, active_bulk * w[None, :])
-        + np.einsum("k,kj->", theta, active_surf * gamma[None, :])
-    )
-    fraction = measure / (problem.time.T * 5.0)  # |Q| + |Sigma| = T * (1 + 4)
+    # the strongly active set's space-time measure is its indicator's squared norm,
+    # over |Q| + |Sigma| = T * (1 + 4)
+    active = ControlPair(np.abs(grad.bulk) > tau, np.abs(grad.surface) > tau)
+    fraction = hinner(problem, active, active) / (problem.time.T * 5.0)
 
     try:
         proj_res = projection_residual(problem, control, adjoint_as_control(problem, adjoint))

@@ -26,7 +26,7 @@ direct-solver roundoff.
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .pde_state import ControlPair, StepMatrix, Trajectory, slot_fields, slot_weights
+from .pde_state import ControlPair, StepMatrix, Trajectory, slot_fields, slot_potential, slot_weights
 
 
 class SteppedOperator:
@@ -100,11 +100,9 @@ def linearized_operator(state, pf, pg, ops):
     state: f'' at interior slots, g'' at boundary slots, on levels 1..m.
     Level 0 is never factored, so its row stays zero.
     """
-    grid = state.grid
     coeffs = np.zeros(state.values.shape)
-    coeffs[1:, grid.interior_nodes] = pf.d2(state.values[1:, grid.interior_nodes])
-    coeffs[1:, grid.boundary_cycle] = pg.d2(state.surface[1:])
-    return SteppedOperator(grid, ops, state.time, coeffs)
+    coeffs[1:] = slot_potential(state.grid, state.values[1:], pf.d2, pg.d2)
+    return SteppedOperator(state.grid, ops, state.time, coeffs)
 
 
 def solve_linearized(operator, direction):
@@ -185,10 +183,9 @@ def solve_second_derivative(state, pf, pg, phi, psi, operator):
     the third derivatives are evaluated there alone.
     """
     grid = state.grid
-    inner = grid.interior_nodes
-    source = ControlPair.zeros(grid, state.time)
-    source.bulk[1:, inner] = (
-        -pf.d3(state.values[1:, inner]) * phi.values[1:, inner] * psi.values[1:, inner]
+    d3 = slot_potential(grid, state.values[1:], pf.d3, pg.d3)
+    source = np.zeros(state.values.shape)
+    source[1:] = -d3 * phi.values[1:] * psi.values[1:]
+    return solve_linear(
+        operator, ControlPair(source, source[:, grid.boundary_cycle]), np.zeros(grid.num_nodes)
     )
-    source.surface[1:] = -pg.d3(state.surface[1:]) * phi.surface[1:] * psi.surface[1:]
-    return solve_linear(operator, source, np.zeros(grid.num_nodes))

@@ -67,7 +67,7 @@ from .errors import (
     DomainError,
     SolverFailureError,
 )
-from .geometry import inner_product_bulk, inner_product_surf
+from .geometry import space_time_inner
 from .potentials import newton_terms
 
 NEWTON_TOL = 1e-11
@@ -169,6 +169,19 @@ def slot_weights(grid):
     w = grid.bulk_weights.copy()
     w[grid.boundary_cycle] = grid.surface_weights
     return w
+
+
+def slot_potential(grid, values, bulk_fn, surface_fn):
+    """A potential evaluator in slot layout: bulk_fn at interior nodes, surface_fn on the cycle.
+
+    values (..., N) may carry leading axes, such as the levels a march
+    reads; each function sees only its own slots. Interior nodes and the
+    cycle cover every node, so every entry of the (..., N) result is set.
+    """
+    out = np.empty(values.shape)
+    out[..., grid.interior_nodes] = bulk_fn(values[..., grid.interior_nodes])
+    out[..., grid.boundary_cycle] = surface_fn(values[..., grid.boundary_cycle])
+    return out
 
 
 class StepMatrix:
@@ -469,10 +482,8 @@ def energy(grid, ops, pf, pg, state):
             raise DomainError("energy undefined at or beyond the endpoints 0, 1")
     grad_bulk = 0.5 * float(z @ (ops.dirichlet_bulk @ z))
     grad_surf = 0.5 * float(trace @ (ops.dirichlet_surf @ trace))
-    w_int = grid.bulk_weights[grid.interior_nodes]
-    pot_bulk = float(np.dot(w_int, pf.value(z[grid.interior_nodes])))
-    pot_surf = float(np.dot(grid.surface_weights, pg.value(trace)))
-    return grad_bulk + grad_surf + pot_bulk + pot_surf
+    potential = float(np.dot(slot_weights(grid), slot_potential(grid, z, pf.value, pg.value)))
+    return grad_bulk + grad_surf + potential
 
 
 def invariant_interval(pf, pg, radius, y_min, y_max):
@@ -515,19 +526,15 @@ def invariant_interval(pf, pg, radius, y_min, y_max):
 def trajectory_sup_norm(traj_a, traj_b=None):
     """Max over time levels of the bulk L2 norm of the (difference) field."""
     diff = traj_a.values if traj_b is None else traj_a.values - traj_b.values
-    grid = traj_a.grid
-    norms = [np.sqrt(inner_product_bulk(diff[k], diff[k], grid)) for k in range(diff.shape[0])]
-    return float(np.max(norms))
+    squares = np.einsum("kj,kj->k", diff * traj_a.grid.bulk_weights, diff)
+    return float(np.sqrt(np.max(squares)))
 
 
 def trajectory_space_time_norm(traj_a, traj_b=None):
     """Space-time norm over bulk and surface parts with trapezoid weights."""
     diff = traj_a.values if traj_b is None else traj_a.values - traj_b.values
-    grid, time = traj_a.grid, traj_a.time
-    theta = time.weights()
-    total = 0.0
-    for k in range(diff.shape[0]):
-        total += theta[k] * inner_product_bulk(diff[k], diff[k], grid)
-        trace = diff[k][grid.boundary_cycle]
-        total += theta[k] * inner_product_surf(trace, trace, grid)
+    grid, theta = traj_a.grid, traj_a.time.weights()
+    trace = diff[:, grid.boundary_cycle]
+    total = space_time_inner(theta, grid.bulk_weights, diff, diff)
+    total += space_time_inner(theta, grid.surface_weights, trace, trace)
     return float(np.sqrt(total))

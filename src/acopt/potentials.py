@@ -166,7 +166,7 @@ def _endpoint_samples(eps):
     return np.unique(np.concatenate([t, 1.0 - t]))
 
 
-def _singular_limits_ok(p, samples):
+def _singular_limits_ok(p):
     """Blow-up check: d1 of the log part below -alpha*log(1/eps)/2 near 0."""
     if not p.is_singular:
         return False
@@ -202,8 +202,8 @@ def check_assumptions(pf, pg):
         m1=m1,
         m2=m2,
         growth_bound_holds=bool(holds),
-        f_singular_limits_ok=_singular_limits_ok(pf, r),
-        g_singular_limits_ok=_singular_limits_ok(pg, r),
+        f_singular_limits_ok=_singular_limits_ok(pf),
+        g_singular_limits_ok=_singular_limits_ok(pg),
         f_convex_ok=f_convex,
         g_convex_ok=g_convex,
     )

@@ -10,6 +10,8 @@ from acopt import (
     TimeAxis,
     build_grid,
     build_operators,
+    curvature,
+    energy,
     linearized_operator,
     solve_adjoint,
     solve_linear,
@@ -512,7 +514,9 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
 
     The step to level k reads the level-k coefficients and sources at the
     interior slots and on the boundary cycle, k = 1..m. Those values equal
-    the potentials evaluated on the whole state bit for bit.
+    the potentials evaluated on the whole state bit for bit. The curvature's
+    third-derivative term reads the same slots, and the energy evaluates
+    the bulk potential on the interior and the surface one on the cycle.
     """
     from acopt import pde_state
 
@@ -521,13 +525,17 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
     state = _solved_state(grid4, ops4, time, pf, pg, random_control(grid4, time, rng))
     h, k = random_control(grid4, time, rng), random_control(grid4, time, rng)
 
-    sizes = {"d2": [], "d3": []}
-    for name, evaluated in sizes.items():
-        def logged(self, y, _original=getattr(Potential, name), _sizes=evaluated):
-            _sizes.append(np.size(y))
-            return _original(self, y)
+    def log_sizes(*names):
+        sizes = {name: [] for name in names}
+        for name, evaluated in sizes.items():
+            def logged(self, y, _original=getattr(Potential, name), _sizes=evaluated):
+                _sizes.append(np.size(y))
+                return _original(self, y)
 
-        monkeypatch.setattr(Potential, name, logged)
+            monkeypatch.setattr(Potential, name, logged)
+        return sizes
+
+    sizes = log_sizes("d2", "d3")
     factored = {}
     factor = pde_state.StepMatrix.factor
 
@@ -552,3 +560,12 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
         -pg.d3(state.surface) * phi.surface * psi.surface,
     )
     assert np.array_equal(eta.values, solve_linear(op, source, np.zeros(grid4.num_nodes)).values)
+
+    # the curvature's third-derivative pairing reads levels 1..m; the energy reads each slot once
+    prob = make_problem(grid4, ops4, time, pf, pg)
+    adjoint = solve_adjoint(state, prob, op)
+    sizes = log_sizes("value", "d2", "d3")
+    curvature(prob, state, adjoint, op, h, k)
+    assert sizes == {"value": [], "d2": [], "d3": [m * interior, m * boundary]}
+    energy(grid4, ops4, pf, pg, state.values[-1])
+    assert sizes == {"value": [interior, boundary], "d2": [], "d3": [m * interior, m * boundary]}

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,48 @@ def test_cost_matches_independent_quadrature(grid4, ops4, rng):
             state.surface[-1, b] - prob.z_gamma_t[b]
         ) ** 2
     assert evaluate_cost(prob, state, u) == pytest.approx(total, rel=1e-12)
+
+
+def test_cost_and_hinner_bit_identical_to_written_out_terms(grid4, ops4, rng):
+    """evaluate_cost is half the six terms summed in order, and hinner the two pairings, bit for bit.
+
+    The optimizer's Armijo tail is decided at the 1e-15 level, so neither
+    may move by so much as a reordered sum. One problem has all five
+    weights positive, one has beta2 = beta5 = 0.
+    """
+    pf, pg = default_potentials()
+    time = TimeAxis(0.5, 7)
+    theta = time.weights()
+    w, gam = grid4.bulk_weights, grid4.surface_weights
+    draws = []
+    for betas in [(1.0, 0.8, 0.6, 0.4, 0.2), (1.0, 0.0, 0.6, 0.0, 0.2)]:
+        prob = make_problem(grid4, ops4, time, pf, pg, betas=betas, seed=9)
+        for _ in range(30):
+            state = Trajectory(rng.uniform(0.2, 0.8, size=(time.m + 1, grid4.num_nodes)), grid4, time)
+            u, v = random_control(grid4, time, rng), random_control(grid4, time, rng)
+            dq, ds = state.values - prob.z_q, state.surface - prob.z_sigma
+            dt, dg = state.values[-1] - prob.z_t, state.surface[-1] - prob.z_gamma_t
+            terms = [
+                prob.beta1 * np.einsum("k,kj,kj->", theta, dq * w, dq),
+                prob.beta2 * np.einsum("k,kj,kj->", theta, ds * gam, ds),
+                prob.beta3 * np.dot(dt * w, dt),
+                prob.beta3 * np.dot(dg * gam, dg),
+                prob.beta5 * np.einsum("k,kj,kj->", theta, u.bulk * w, u.bulk),
+                prob.beta6 * np.einsum("k,kj,kj->", theta, u.surface * gam, u.surface),
+            ]
+            assert evaluate_cost(prob, state, u) == 0.5 * sum(terms)
+
+            inner = np.einsum("k,kj,kj->", theta, u.bulk * w, v.bulk)
+            inner += np.einsum("k,kj,kj->", theta, u.surface * gam, v.surface)
+            assert hinner(prob, u, v) == inner
+            draws.append(terms)
+
+    # Every other order of the six terms changes the sum on some draw, so a
+    # reordered cost form fails the checks above. Swapping the first two
+    # terms is exact (a + b == b + a) and cannot show.
+    for order in itertools.permutations(range(6)):
+        if order[2:] != (2, 3, 4, 5):
+            assert any(sum(t[i] for i in order) != sum(t) for t in draws), order
 
 
 def test_gradient_pure_control_case(grid4, ops4, rng):

@@ -10,13 +10,17 @@ from acopt import (
     Potential,
     SolverFailureError,
     TimeAxis,
+    Trajectory,
     build_grid,
     build_operators,
     energy,
+    inner_product_bulk,
+    inner_product_surf,
     invariant_interval,
     solve_state,
     linearized_operator,
     solve_linearized,
+    trajectory_space_time_norm,
     trajectory_sup_norm,
 )
 from acopt.objective import hnorm
@@ -132,6 +136,26 @@ def test_energy_matches_independent_quadrature(grid4, ops4, rng):
     assert energy(grid4, ops4, pf, pg, z) == pytest.approx(
         grad + pot, rel=1e-12
     )
+
+
+def test_trajectory_norms_match_per_level_loops(grid4, rng):
+    """Both trajectory norms equal their per-level sums up to summation order."""
+    time = TimeAxis(0.7, 6)
+    a = Trajectory(rng.uniform(-1.0, 1.0, size=(time.m + 1, grid4.num_nodes)), grid4, time)
+    b = Trajectory(rng.uniform(-1.0, 1.0, size=(time.m + 1, grid4.num_nodes)), grid4, time)
+    diff = a.values - b.values
+    theta = time.weights()
+    sup_sq, st_sq = 0.0, 0.0
+    for k in range(time.m + 1):
+        bulk = inner_product_bulk(diff[k], diff[k], grid4)
+        trace = diff[k][grid4.boundary_cycle]
+        sup_sq = max(sup_sq, bulk)
+        st_sq += theta[k] * (bulk + inner_product_surf(trace, trace, grid4))
+    assert trajectory_sup_norm(a, b) == pytest.approx(np.sqrt(sup_sq), rel=1e-14)
+    assert trajectory_space_time_norm(a, b) == pytest.approx(np.sqrt(st_sq), rel=1e-14)
+    ones = Trajectory(np.ones((time.m + 1, grid4.num_nodes)), grid4, time)
+    # |Q| + |Sigma| = T * (1 + 4)
+    assert trajectory_space_time_norm(ones) == pytest.approx(np.sqrt(time.T * 5.0), rel=1e-14)
 
 
 def test_energy_domain_error_at_endpoint(grid4, ops4):
