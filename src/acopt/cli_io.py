@@ -2,7 +2,10 @@
 
 Config files are flat dotted-key text: one `key = value` pair per line,
 UTF-8, `#` starts a comment. Unknown keys are rejected with the offending
-key named. A resolved copy of the configuration (all defaults filled) is
+key named. `load_config` validates by building the run's problem once:
+each rule is checked by the object that owns it, and a rejected value
+raises ConfigError naming its key or section. `run` takes a loaded
+config. A resolved copy of the configuration (all defaults filled) is
 echoed into the output directory, and loading that copy reproduces the
 configuration exactly.
 
@@ -26,6 +29,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DomainError,
     InvalidParameterError,
     OptimizerStalledError,
     SolverFailureError,
@@ -120,28 +124,33 @@ def _parse_value(key, text, typ):
 
 
 def _validate(cfg):
+    """Check the keys that no constructor owns, then build the run's objects once."""
     if cfg.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got '{cfg.mode}'")
     fmts = [f.strip() for f in cfg.output_formats.split(",") if f.strip()]
     if not fmts or any(f not in FORMATS for f in fmts):
         raise ConfigError(f"output.formats must be a subset of {FORMATS}, got '{cfg.output_formats}'")
-    if cfg.grid_n < 2:
-        raise ConfigError("grid.n must be at least 2")
-    if cfg.time_T <= 0 or cfg.time_m < 1:
-        raise ConfigError("time.T must be positive and time.m at least 1")
-    dt = cfg.time_T / cfg.time_m
-    for name, alpha, c, eps in (
-        ("potential_f", cfg.pf_alpha, cfg.pf_c, cfg.pf_eps_guard),
-        ("potential_g", cfg.pg_alpha, cfg.pg_c, cfg.pg_eps_guard),
-    ):
-        if alpha < 0:
-            raise ConfigError(f"{name}.alpha must be nonnegative")
-        if not (0 < eps < 0.5):
-            raise ConfigError(f"{name}.eps_guard must lie in (0, 0.5)")
+    if cfg.target_preset not in TARGET_PRESETS:
+        raise ConfigError(f"target.preset must be one of {TARGET_PRESETS}")
+    if cfg.init_preset not in INIT_PRESETS:
+        raise ConfigError(f"init.preset must be one of {INIT_PRESETS}")
+    if cfg.control_preset not in CONTROL_PRESETS:
+        raise ConfigError(f"control.preset must be one of {CONTROL_PRESETS}")
+    if cfg.control_preset == "stationary" and cfg.init_preset != "constant":
+        raise ConfigError("control.preset = stationary requires init.preset = constant")
+    if not np.isfinite(cfg.control_value):
+        raise ConfigError(f"control.value must be finite, got {cfg.control_value!r}")
+    if not (np.isfinite(cfg.newton_tol) and cfg.newton_tol > 0):
+        raise ConfigError(f"newton.tol must be positive and finite, got {cfg.newton_tol!r}")
+    if cfg.newton_max_iters < 1:
+        raise ConfigError(f"newton.max_iters must be at least 1, got {cfg.newton_max_iters}")
+    _optimizer_config(cfg)
+    problem = build_problem(cfg)
+    for name, p in (("potential_f", problem.pf), ("potential_g", problem.pg)):
         # The step matrix W (I/dt + coupled + diag f'') is positive definite
         # when 1/dt + min f'' > 0, and min f'' = 4 alpha - 2 c on (0, 1).
         # Warn rather than reject: a step can still solve, or fail loudly.
-        product = dt * (2.0 * c - 4.0 * alpha)
+        product = problem.time.dt * (2.0 * p.smooth_c - 4.0 * p.alpha)
         if product >= 1.0:
             warnings.warn(
                 f"implicit step not guaranteed uniquely solvable: (time.T / time.m) * "
@@ -149,52 +158,41 @@ def _validate(cfg):
                 StepSolvabilityWarning,
                 stacklevel=3,
             )
-    betas = (cfg.beta1, cfg.beta2, cfg.beta3, cfg.beta5, cfg.beta6)
-    if any(b < 0 for b in betas):
-        raise ConfigError("cost weights must be nonnegative")
-    if not any(b > 0 for b in betas):
-        raise ConfigError("at least one cost weight must be positive")
-    if cfg.box_u1 > cfg.box_u2:
-        raise ConfigError(f"(A1): box.u1 > box.u2 ({cfg.box_u1} > {cfg.box_u2})")
-    if cfg.box_u1_gamma > cfg.box_u2_gamma:
-        raise ConfigError(
-            f"(A1): box.u1_gamma > box.u2_gamma ({cfg.box_u1_gamma} > {cfg.box_u2_gamma})"
-        )
-    if cfg.target_preset not in TARGET_PRESETS:
-        raise ConfigError(f"target.preset must be one of {TARGET_PRESETS}")
-    if cfg.init_preset not in INIT_PRESETS:
-        raise ConfigError(f"init.preset must be one of {INIT_PRESETS}")
-    if cfg.control_preset not in CONTROL_PRESETS:
-        raise ConfigError(f"control.preset must be one of {CONTROL_PRESETS}")
-    if cfg.init_preset == "constant" and not (0 < cfg.init_value < 1):
-        raise ConfigError("init.value must lie in (0, 1) for the constant preset")
-    if not (np.isfinite(cfg.newton_tol) and cfg.newton_tol > 0):
-        raise ConfigError(f"newton.tol must be positive and finite, got {cfg.newton_tol!r}")
-    if cfg.newton_max_iters < 1:
-        raise ConfigError(f"newton.max_iters must be at least 1, got {cfg.newton_max_iters}")
-    _optimizer_config(cfg)
     return cfg
+
+
+def _owned(prefix, make, *args, **kwargs):
+    """make(*args, **kwargs); a parameter it rejects raises ConfigError naming its key.
+
+    Owners' messages start with the parameter's name, so prefix "section."
+    turns that name into its key. ControlProblem's names are not keys: its
+    prefix maps the start of each name to the config section put first.
+    """
+    try:
+        return make(*args, **kwargs)
+    except (InvalidParameterError, DomainError) as exc:
+        message = str(exc)
+        if not isinstance(prefix, str):
+            prefix = next(p for name, p in prefix.items() if message.startswith(name))
+        raise ConfigError(prefix + message) from exc
 
 
 def _optimizer_config(cfg):
     """The OptimizerConfig of a run; a rejected field raises ConfigError naming its key."""
-    try:
-        return OptimizerConfig(
-            max_iters=cfg.opt_max_iters,
-            armijo_c=cfg.opt_armijo_c,
-            backtrack_factor=cfg.opt_backtrack_factor,
-            initial_step=cfg.opt_initial_step,
-            stop_tol=cfg.opt_stop_tol,
-            max_backtracks=cfg.opt_max_backtracks,
-        )
-    except InvalidParameterError as exc:
-        # OptimizerConfig's messages start with the field name, which is
-        # the config key without its "optimizer." prefix
-        raise ConfigError(f"optimizer.{exc}") from exc
+    return _owned(
+        "optimizer.",
+        OptimizerConfig,
+        max_iters=cfg.opt_max_iters,
+        armijo_c=cfg.opt_armijo_c,
+        backtrack_factor=cfg.opt_backtrack_factor,
+        initial_step=cfg.opt_initial_step,
+        stop_tol=cfg.opt_stop_tol,
+        max_backtracks=cfg.opt_max_backtracks,
+    )
 
 
 def load_config(path):
-    """Parse and validate a flat dotted-key configuration file."""
+    """Parse and validate a flat dotted-key configuration file (see the module docstring)."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -242,16 +240,12 @@ def build_targets(cfg, grid, time):
     tanh-moving: an interface profile in x whose center moves linearly in
     time; the terminal targets are the final frame.
     """
-    levels = time.levels
-    x = grid.bulk_nodes[:, 0]
     if cfg.target_preset == "constant":
         z_q = np.full((time.m + 1, grid.num_nodes), cfg.target_value)
     else:
-        centers = 0.3 + 0.1 * levels / time.T
-        z_q = np.stack([_tanh_profile(x, c) for c in centers])
-    z_sigma = z_q[:, grid.boundary_cycle]
-    z_t = z_q[-1]
-    return z_q, z_sigma, z_t
+        centers = 0.3 + 0.1 * time.levels / time.T
+        z_q = np.stack([_tanh_profile(grid.bulk_nodes[:, 0], c) for c in centers])
+    return z_q, z_q[:, grid.boundary_cycle], z_q[-1]
 
 
 def build_initial(cfg, grid):
@@ -265,28 +259,29 @@ def build_initial(cfg, grid):
     return FieldPair(values, grid)
 
 
-def build_control(cfg, grid, time, pf, pg):
-    u = ControlPair.zeros(grid, time)
+def build_control(cfg, problem):
+    """The configured control preset on the problem's grid and time axis."""
+    u = ControlPair.zeros(problem.grid, problem.time)
     if cfg.control_preset == "constant":
         u.bulk[:] = cfg.control_value
         u.surface[:] = cfg.control_value
-    elif cfg.control_preset == "stationary":
-        if cfg.init_preset != "constant":
-            raise ConfigError("control.preset = stationary requires init.preset = constant")
-        u.bulk[:] = pf.d1(cfg.init_value)
-        u.surface[:] = pg.d1(cfg.init_value)
+    elif cfg.control_preset == "stationary":  # init.preset = constant, checked at load
+        u.bulk[:] = problem.pf.d1(cfg.init_value)
+        u.surface[:] = problem.pg.d1(cfg.init_value)
     return u
 
 
 def build_problem(cfg):
-    """Assemble grid, operators, potentials, and the control problem."""
-    grid = build_grid(cfg.grid_n)
+    """Assemble grid, operators, potentials and the control problem; rejections raise ConfigError."""
+    grid = _owned("grid.", build_grid, cfg.grid_n)
     ops = build_operators(grid)
-    time = TimeAxis(cfg.time_T, cfg.time_m)
-    pf = Potential(cfg.pf_alpha, cfg.pf_c, cfg.pf_eps_guard)
-    pg = Potential(cfg.pg_alpha, cfg.pg_c, cfg.pg_eps_guard)
+    time = _owned("time.", TimeAxis, cfg.time_T, cfg.time_m)
+    pf = _owned("potential_f.", Potential, cfg.pf_alpha, cfg.pf_c, cfg.pf_eps_guard)
+    pg = _owned("potential_g.", Potential, cfg.pg_alpha, cfg.pg_c, cfg.pg_eps_guard)
     z_q, z_sigma, z_t = build_targets(cfg, grid, time)
-    problem = ControlProblem(
+    return _owned(
+        {"beta": "cost: ", "z_": "target: ", "u_": "box: ", "init": ""},
+        ControlProblem,
         grid=grid,
         ops=ops,
         time=time,
@@ -308,7 +303,6 @@ def build_problem(cfg):
         newton_tol=cfg.newton_tol,
         max_newton=cfg.newton_max_iters,
     )
-    return problem
 
 
 # -- writers ------------------------------------------------------------------
@@ -520,21 +514,16 @@ def verify_curvature(problem, seed=0, n_dir=3):
 
 
 def run(cfg):
-    """Execute one experiment; returns the process exit status."""
+    """Execute one experiment from a config that `load_config` returned; returns the exit status."""
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_resolved_config(cfg, outdir / "resolved_config.txt")
     formats = [f.strip() for f in cfg.output_formats.split(",") if f.strip()]
-
-    try:
-        problem = build_problem(cfg)
-    except Exception as exc:
-        _log_error(outdir, exc)
-        return 2
+    problem = build_problem(cfg)
 
     try:
         if cfg.mode == "solve":
-            control = build_control(cfg, problem.grid, problem.time, problem.pf, problem.pg)
+            control = build_control(cfg, problem)
             traj = problem.solve(control)
             if "csv" in formats:
                 write_trajectory_csv(outdir / "state_bulk.csv", traj)
@@ -545,9 +534,7 @@ def run(cfg):
             return 0
 
         if cfg.mode == "optimize":
-            start = clip_to_box(
-                problem, build_control(cfg, problem.grid, problem.time, problem.pf, problem.pg)
-            )
+            start = clip_to_box(problem, build_control(cfg, problem))
             opt_cfg = _optimizer_config(cfg)
             history_path = outdir / "history.csv"
             with open(history_path, "w", encoding="utf-8") as fh:
@@ -578,7 +565,7 @@ def run(cfg):
             return 0
 
         if cfg.mode == "report":
-            control = build_control(cfg, problem.grid, problem.time, problem.pf, problem.pg)
+            control = build_control(cfg, problem)
             report = optimality_report(problem, clip_to_box(problem, control), seed=cfg.seed)
             write_report(outdir, report)
             return 0

@@ -69,10 +69,10 @@ class TimeAxis:
     m: int
 
     def __post_init__(self):
-        if not (self.T > 0):
-            raise InvalidParameterError(f"final time must be positive, got {self.T}")
+        if not (0 < self.T < np.inf):
+            raise InvalidParameterError(f"T must be positive and finite, got {self.T}")
         if self.m < 1:
-            raise InvalidParameterError(f"need at least one time step, got m={self.m}")
+            raise InvalidParameterError(f"m must be at least 1, got {self.m}")
 
     @property
     def dt(self):
@@ -127,7 +127,7 @@ def build_grid(n):
         exactly 1 and 4).
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidParameterError(f"grid needs an integer n >= 2, got {n!r}")
+        raise InvalidParameterError(f"n must be an integer >= 2, got {n!r}")
     n = int(n)
     h = 1.0 / n
     side = n + 1

@@ -27,6 +27,7 @@ from .pde_state import (
     NEWTON_TOL,
     ControlPair,
     FieldPair,
+    check_initial,
     slot_potential,
     slot_weights,
     solve_state,
@@ -39,7 +40,8 @@ class ControlProblem:
 
     The terminal surface weight equals the terminal bulk weight and the
     terminal surface target is the trace of the terminal bulk target;
-    both are enforced here rather than being independent inputs.
+    both are enforced here rather than being independent inputs. Every
+    input rule is checked here, in a message that starts with its parameter.
     newton_tol and max_newton are the state solver's defaults for every
     `solve` on this problem.
     """
@@ -71,28 +73,29 @@ class ControlProblem:
         return self.beta3
 
     def __post_init__(self):
-        betas = (self.beta1, self.beta2, self.beta3, self.beta5, self.beta6)
-        if any(b < 0 for b in betas):
-            raise InvalidParameterError("cost weights must be nonnegative")
-        if not any(b > 0 for b in betas):
-            raise InvalidParameterError("at least one cost weight must be positive")
+        betas = {name: getattr(self, name) for name in ("beta1", "beta2", "beta3", "beta5", "beta6")}
+        for name, b in betas.items():
+            if not (0 <= b < np.inf):
+                raise InvalidParameterError(f"{name} must be finite and nonnegative, got {b}")
+        if not any(b > 0 for b in betas.values()):
+            raise InvalidParameterError(f"{', '.join(betas)} must not all be zero")
         m1, N, nb = self.time.m + 1, self.grid.num_nodes, self.grid.num_boundary
         self.z_q = _as_levels(self.z_q, (m1, N), "z_q")
         self.z_sigma = _as_levels(self.z_sigma, (m1, nb), "z_sigma")
-        self.z_t = np.broadcast_to(np.asarray(self.z_t, dtype=float), (N,)).copy()
+        self.z_t = _as_levels(self.z_t, (N,), "z_t")
         trace = self.z_t[self.grid.boundary_cycle]
         if self.z_gamma_t is None:
             self.z_gamma_t = trace
         elif not np.array_equal(np.asarray(self.z_gamma_t, dtype=float), trace):
-            raise InvalidParameterError(
-                "(A6): terminal surface target must be the trace of the terminal bulk target"
-            )
+            raise InvalidParameterError("z_gamma_t must be the trace of z_t (A6)")
         self.u_lo = _as_levels(self.u_lo, (m1, N), "u_lo")
         self.u_hi = _as_levels(self.u_hi, (m1, N), "u_hi")
         self.u_lo_surf = _as_levels(self.u_lo_surf, (m1, nb), "u_lo_surf")
         self.u_hi_surf = _as_levels(self.u_hi_surf, (m1, nb), "u_hi_surf")
-        if (self.u_lo > self.u_hi).any() or (self.u_lo_surf > self.u_hi_surf).any():
-            raise InvalidParameterError("(A1): lower control bounds must not exceed upper bounds")
+        for lo, hi in (("u_lo", "u_hi"), ("u_lo_surf", "u_hi_surf")):
+            if (getattr(self, lo) > getattr(self, hi)).any():
+                raise InvalidParameterError(f"{lo} must not exceed {hi} (A1)")
+        self.init.bulk = check_initial(self.grid, self.pf, self.pg, self.init.bulk)
 
     def solve(self, control, newton_tol=None, max_newton=None, guess=None):
         """State solve at a control.
@@ -109,7 +112,10 @@ class ControlProblem:
 
 
 def _as_levels(arr, shape, name):
+    """A finite arr broadcast to shape, as a new array."""
     arr = np.asarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError(f"{name} must be finite")
     try:
         return np.broadcast_to(arr, shape).copy()
     except ValueError as exc:
@@ -290,18 +296,20 @@ class OptimalityReport:
 
 
 def _cone_directions(problem, control, grad, tau, n_dir, rng):
-    """Random directions restricted to the tau-critical cone."""
+    """n_dir random directions in the tau-critical cone; none when the cone is {0}.
+
+    A draw is nonzero on every free entry, so no direction has zero norm."""
     active_bulk = np.abs(grad.bulk) > tau
     active_surf = np.abs(grad.surface) > tau
+    if active_bulk.all() and active_surf.all():
+        return []
     at_lo_bulk = control.bulk <= problem.u_lo
     at_hi_bulk = control.bulk >= problem.u_hi
     at_lo_surf = control.surface <= problem.u_lo_surf
     at_hi_surf = control.surface >= problem.u_hi_surf
 
     dirs = []
-    attempts = 0
-    while len(dirs) < n_dir and attempts < 20 * n_dir:
-        attempts += 1
+    for _ in range(n_dir):
         hb = rng.uniform(-1.0, 1.0, size=control.bulk.shape)
         hs = rng.uniform(-1.0, 1.0, size=control.surface.shape)
         hb[active_bulk] = 0.0
@@ -310,9 +318,7 @@ def _cone_directions(problem, control, grad, tau, n_dir, rng):
         hb = np.where(at_hi_bulk & ~active_bulk, -np.abs(hb), hb)
         hs = np.where(at_lo_surf & ~active_surf, np.abs(hs), hs)
         hs = np.where(at_hi_surf & ~active_surf, -np.abs(hs), hs)
-        cand = ControlPair(hb, hs)
-        if hnorm(problem, cand) > 0:
-            dirs.append(cand)
+        dirs.append(ControlPair(hb, hs))
     return dirs
 
 

@@ -51,8 +51,8 @@ class OptimizerConfig:
             raise InvalidParameterError("backtrack_factor must lie in (0, 1)")
         if not (0.0 < self.initial_step < math.inf):
             raise InvalidParameterError("initial_step must be positive and finite")
-        if not self.stop_tol > 0:
-            raise InvalidParameterError("stop_tol must be positive")
+        if not (0.0 < self.stop_tol < math.inf):
+            raise InvalidParameterError("stop_tol must be positive and finite")
         if self.max_backtracks < 1:
             raise InvalidParameterError("max_backtracks must be positive")
 

@@ -78,7 +78,7 @@ CHORD_CONTRACTION = 0.25
 
 @dataclass
 class FieldPair:
-    """Bulk values checked against their grid: a `ControlProblem`'s initial data.
+    """A `ControlProblem`'s initial data; the problem checks it with `check_initial`.
 
     Attributes:
         bulk: (N,) values at all bulk nodes; solvers take this array.
@@ -87,13 +87,6 @@ class FieldPair:
 
     bulk: np.ndarray
     grid: object
-
-    def __post_init__(self):
-        self.bulk = np.asarray(self.bulk, dtype=float)
-        if self.bulk.shape != (self.grid.num_nodes,):
-            raise DimensionMismatchError(
-                f"field needs shape ({self.grid.num_nodes},), got {self.bulk.shape}"
-            )
 
 
 @dataclass
@@ -299,6 +292,19 @@ def _interval(pf, pg):
     return lo, hi
 
 
+def check_initial(grid, pf, pg, init):
+    """The initial data as an (N,) array: finite, and inside (0, 1) when a potential is singular."""
+    y0 = np.asarray(init, dtype=float)
+    if y0.shape != (grid.num_nodes,):
+        raise DimensionMismatchError(f"init needs shape ({grid.num_nodes},), got {y0.shape}")
+    lo, hi = y0.min(), y0.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DomainError("init must be finite")
+    if (pf.is_singular or pg.is_singular) and (lo <= 0.0 or hi >= 1.0):
+        raise DomainError(f"init must lie in (0, 1) for singular potentials, got [{lo}, {hi}]")
+    return y0
+
+
 def solve_state(
     grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL, max_newton=MAX_NEWTON, guess=None
 ):
@@ -307,8 +313,8 @@ def solve_state(
     Args:
         control: ControlPair with m+1 levels; the step to level k+1 reads
             level k+1 (level 0 never enters the dynamics).
-        init: (N,) array of initial values; for singular potentials all
-            entries must lie strictly inside (0, 1).
+        init: (N,) array of initial values, checked by `check_initial`:
+            finite, and strictly inside (0, 1) for singular potentials.
         guess: optional (m+1, N) array; level k+1 is the Newton start of
             the step to level k+1 (level 0 is never read). Without it,
             the step to level k+1 starts from 2 values[k] - values[k-1]
@@ -327,12 +333,7 @@ def solve_state(
             singular, or no damped update stayed inside the guarded
             interval.
     """
-    y0 = np.asarray(init, dtype=float)
-    if y0.shape != (grid.num_nodes,):
-        raise DimensionMismatchError(f"initial data needs shape ({grid.num_nodes},)")
-    singular = pf.is_singular or pg.is_singular
-    if singular and (np.min(y0) <= 0.0 or np.max(y0) >= 1.0):
-        raise DomainError("initial data must lie strictly inside (0, 1)")
+    y0 = check_initial(grid, pf, pg, init)
     if not (np.isfinite(control.bulk).all() and np.isfinite(control.surface).all()):
         raise DomainError("controls must be finite")
     if guess is not None:

@@ -43,8 +43,10 @@ class Potential:
     eps_guard: float = 1e-9
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise InvalidParameterError(f"alpha must be >= 0, got {self.alpha}")
+        if not (0 <= self.alpha < math.inf):
+            raise InvalidParameterError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not math.isfinite(self.smooth_c):
+            raise InvalidParameterError(f"c must be finite, got {self.smooth_c}")
         if not (0.0 < self.eps_guard < 0.5):
             raise InvalidParameterError(f"eps_guard must lie in (0, 0.5), got {self.eps_guard}")
 

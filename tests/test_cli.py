@@ -262,9 +262,51 @@ def test_unsolvable_step_warns_by_name(tmp_path):
     with pytest.warns(StepSolvabilityWarning) as record:
         assert main([str(path), "--mode", "solve"]) == 3
     assert sum(w.category is StepSolvabilityWarning for w in record) == 2  # validated once
+
+
+ROOT = Path(__file__).parents[1]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("perfbench/configs/*.cfg")),
+    ids=lambda path: str(path.relative_to(ROOT)),
+)
+def test_shipped_config_loads_without_warnings(path):
+    """Loading builds the run, so a rule that a shipped config breaks fails here."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        load_config(Path(__file__).parents[1] / "configs" / "tracking.cfg")
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "lines, named",
+    [
+        ("box.u1 = nan", "box: u_lo"),
+        ("control.preset = constant; control.value = nan", "control.value"),
+        ("init.preset = tanh-interface; control.preset = stationary", "control.preset"),
+        ("target.preset = constant; target.value = nan", "target: z_q"),
+        ("time.T = inf", "time.T"),
+        ("time.m = 0", "time.m"),
+        ("potential_f.alpha = nan", "potential_f.alpha"),
+        ("potential_f.c = inf", "potential_f.c"),
+        ("cost.beta1 = nan", "cost: beta1"),
+        ("init.value = 2", "init"),
+    ],
+)
+def test_rejected_value_exits_2_at_load(tmp_path, capsys, lines, named):
+    """Every rejected value is a ConfigError at load naming its key or section: exit 2, no output."""
+    out = tmp_path / "out"
+    path = write(tmp_path, BASE + lines.replace("; ", "\n") + f"\noutput.dir = {out}\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).startswith(named)
+    for mode in ("solve", "optimize"):
+        assert main([str(path), "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {named}" in err
+        assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_report_mode_emits_files(tmp_path):
@@ -304,6 +346,7 @@ def test_comments_and_blank_lines(tmp_path):
         ("optimizer.initial_step", "inf"),
         ("optimizer.initial_step", "nan"),
         ("optimizer.stop_tol", "nan"),
+        ("optimizer.stop_tol", "inf"),
     ],
 )
 def test_bad_optimizer_key_is_config_error(tmp_path, capsys, key, value):

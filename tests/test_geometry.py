@@ -39,6 +39,9 @@ def test_invalid_n():
         build_grid(1)
     with pytest.raises(InvalidParameterError):
         build_grid(0)
+    for n in (np.nan, np.inf):
+        with pytest.raises(InvalidParameterError):
+            build_grid(n)
 
 
 def test_cycle_starts_at_origin_counterclockwise():
@@ -218,6 +221,9 @@ def test_time_axis():
         TimeAxis(0.0, 4)
     with pytest.raises(InvalidParameterError):
         TimeAxis(1.0, 0)
+    for T in (np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match="T must be positive and finite"):
+            TimeAxis(T, 4)
 
 
 def test_grid_arrays_immutable(grid4):

@@ -1,10 +1,12 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from acopt import (
     ControlPair,
+    DomainError,
     FieldPair,
     InvalidParameterError,
     TimeAxis,
@@ -22,7 +24,7 @@ from acopt import (
     solve_linearized,
     stationarity_norm,
 )
-from acopt.objective import adjoint_as_control
+from acopt.objective import _cone_directions, adjoint_as_control
 
 from conftest import default_potentials, make_problem, quadratic_potentials, random_control
 
@@ -323,6 +325,22 @@ def test_report_large_tau_empties_active_set(grid4, ops4, rng):
     assert report.active_set_fraction == 0.0
 
 
+def test_cone_directions_count(grid4, ops4):
+    """A trivial cone draws nothing; a free cone gives exactly n_dir nonzero directions."""
+    pf, pg = default_potentials()
+    time = TimeAxis(0.3, 5)
+    prob = make_problem(grid4, ops4, time, pf, pg)
+    u = ControlPair.zeros(grid4, time)
+    ones = ControlPair(np.ones_like(u.bulk), np.ones_like(u.surface))
+    rng = np.random.default_rng(3)
+    untouched = rng.bit_generator.state
+    assert _cone_directions(prob, u, ones, 0.5, 8, rng) == []  # every entry strongly active
+    assert rng.bit_generator.state == untouched
+    dirs = _cone_directions(prob, u, ones, 2.0, 8, rng)  # none active
+    assert len(dirs) == 8
+    assert all(hnorm(prob, d) > 0 for d in dirs)
+
+
 def test_report_linear_quadratic_ratio_bound(grid4, ops4, rng):
     """With unit control weights the curvature ratio is at least one."""
     pf, pg = quadratic_potentials()
@@ -380,8 +398,24 @@ def test_problem_validation(grid4, ops4):
         make_problem(grid4, ops4, time, pf, pg, betas=(0.0, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(InvalidParameterError):
         make_problem(grid4, ops4, time, pf, pg, box=(1.0, -1.0))
-    # terminal surface target must be the bulk trace
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match="^beta1 must be finite"):
+            make_problem(grid4, ops4, time, pf, pg, betas=(bad, 1.0, 1.0, 1.0, 1.0))
+        with pytest.raises(InvalidParameterError, match="^u_lo must be finite"):
+            make_problem(grid4, ops4, time, pf, pg, box=(-bad, 1.0))
+        with pytest.raises(DomainError, match="^init must be finite"):
+            make_problem(grid4, ops4, time, pf, pg, init_value=bad)
+    # the initial data of a singular potential lies in (0, 1), the rule solve_state applies
+    for value in (0.0, 2.0):
+        with pytest.raises(DomainError, match="^init must lie in"):
+            make_problem(grid4, ops4, time, pf, pg, init_value=value)
+    make_problem(grid4, ops4, time, *quadratic_potentials(), init_value=2.0)
     prob = make_problem(grid4, ops4, time, pf, pg)
+    for target in ("z_q", "z_sigma", "z_t"):
+        bad = np.full_like(getattr(prob, target), np.nan)
+        with pytest.raises(InvalidParameterError, match=f"^{target} must be finite"):
+            replace(prob, **{target: bad}, z_gamma_t=None)
+    # terminal surface target must be the bulk trace
     from acopt import ControlProblem
 
     with pytest.raises(InvalidParameterError):

@@ -197,6 +197,11 @@ def test_invalid_construction():
         Potential(-1.0, 0.0)
     with pytest.raises(InvalidParameterError):
         Potential(1.0, 0.0, eps_guard=0.7)
+    for value in (np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match="^alpha must be finite"):
+            Potential(value, 3.0)
+        with pytest.raises(InvalidParameterError, match="^c must be finite"):
+            Potential(1.0, value)
 
 
 def test_check_assumptions_identical_parts():
