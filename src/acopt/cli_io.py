@@ -2,12 +2,13 @@
 
 Config files are flat dotted-key text: one `key = value` pair per line,
 UTF-8, `#` starts a comment. Unknown keys are rejected with the offending
-key named. `load_config` validates by building the run's problem once:
-each rule is checked by the object that owns it, and a rejected value
-raises ConfigError naming its key or section. `run` takes a loaded
-config. A resolved copy of the configuration (all defaults filled) is
-echoed into the output directory, and loading that copy reproduces the
-configuration exactly.
+key named. `load_config` only parses; `main` then applies its command-line
+overrides, and `run` calls `build_run`, which builds the run's problem,
+optimizer settings and start control once. Each rule is checked by the
+object that owns it, and a rejected value raises ConfigError naming its
+key or section before anything is written. A resolved copy of the
+configuration (all defaults filled) is echoed into the output directory,
+and loading that copy reproduces the configuration exactly.
 
 Modes: solve, optimize, verify-gradient, verify-taylor, verify-curvature,
 report. CSV is the canonical output format (headers, '.' decimal
@@ -123,44 +124,6 @@ def _parse_value(key, text, typ):
     return text
 
 
-def _validate(cfg):
-    """Check the keys that no constructor owns, then build the run's objects once."""
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got '{cfg.mode}'")
-    fmts = [f.strip() for f in cfg.output_formats.split(",") if f.strip()]
-    if not fmts or any(f not in FORMATS for f in fmts):
-        raise ConfigError(f"output.formats must be a subset of {FORMATS}, got '{cfg.output_formats}'")
-    if cfg.target_preset not in TARGET_PRESETS:
-        raise ConfigError(f"target.preset must be one of {TARGET_PRESETS}")
-    if cfg.init_preset not in INIT_PRESETS:
-        raise ConfigError(f"init.preset must be one of {INIT_PRESETS}")
-    if cfg.control_preset not in CONTROL_PRESETS:
-        raise ConfigError(f"control.preset must be one of {CONTROL_PRESETS}")
-    if cfg.control_preset == "stationary" and cfg.init_preset != "constant":
-        raise ConfigError("control.preset = stationary requires init.preset = constant")
-    if not np.isfinite(cfg.control_value):
-        raise ConfigError(f"control.value must be finite, got {cfg.control_value!r}")
-    if not (np.isfinite(cfg.newton_tol) and cfg.newton_tol > 0):
-        raise ConfigError(f"newton.tol must be positive and finite, got {cfg.newton_tol!r}")
-    if cfg.newton_max_iters < 1:
-        raise ConfigError(f"newton.max_iters must be at least 1, got {cfg.newton_max_iters}")
-    _optimizer_config(cfg)
-    problem = build_problem(cfg)
-    for name, p in (("potential_f", problem.pf), ("potential_g", problem.pg)):
-        # The step matrix W (I/dt + coupled + diag f'') is positive definite
-        # when 1/dt + min f'' > 0, and min f'' = 4 alpha - 2 c on (0, 1).
-        # Warn rather than reject: a step can still solve, or fail loudly.
-        product = problem.time.dt * (2.0 * p.smooth_c - 4.0 * p.alpha)
-        if product >= 1.0:
-            warnings.warn(
-                f"implicit step not guaranteed uniquely solvable: (time.T / time.m) * "
-                f"(2 {name}.c - 4 {name}.alpha) = {product:g} >= 1",
-                StepSolvabilityWarning,
-                stacklevel=3,
-            )
-    return cfg
-
-
 def _owned(prefix, make, *args, **kwargs):
     """make(*args, **kwargs); a parameter it rejects raises ConfigError naming its key.
 
@@ -177,22 +140,8 @@ def _owned(prefix, make, *args, **kwargs):
         raise ConfigError(prefix + message) from exc
 
 
-def _optimizer_config(cfg):
-    """The OptimizerConfig of a run; a rejected field raises ConfigError naming its key."""
-    return _owned(
-        "optimizer.",
-        OptimizerConfig,
-        max_iters=cfg.opt_max_iters,
-        armijo_c=cfg.opt_armijo_c,
-        backtrack_factor=cfg.opt_backtrack_factor,
-        initial_step=cfg.opt_initial_step,
-        stop_tol=cfg.opt_stop_tol,
-        max_backtracks=cfg.opt_max_backtracks,
-    )
-
-
 def load_config(path):
-    """Parse and validate a flat dotted-key configuration file (see the module docstring)."""
+    """Parse a flat dotted-key configuration file; `build_run` checks the values it holds."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -213,7 +162,7 @@ def load_config(path):
             raise ConfigError(f"unknown key '{key}'")
         f = _KEYS[key]
         setattr(cfg, f.name, _parse_value(key, value, f.type))
-    return _validate(cfg)
+    return cfg
 
 
 def write_resolved_config(cfg, path):
@@ -261,11 +210,15 @@ def build_initial(cfg, grid):
 
 def build_control(cfg, problem):
     """The configured control preset on the problem's grid and time axis."""
+    if not np.isfinite(cfg.control_value):
+        raise ConfigError(f"control.value must be finite, got {cfg.control_value!r}")
     u = ControlPair.zeros(problem.grid, problem.time)
     if cfg.control_preset == "constant":
         u.bulk[:] = cfg.control_value
         u.surface[:] = cfg.control_value
-    elif cfg.control_preset == "stationary":  # init.preset = constant, checked at load
+    elif cfg.control_preset == "stationary":
+        if cfg.init_preset != "constant":
+            raise ConfigError("control.preset = stationary requires init.preset = constant")
         u.bulk[:] = problem.pf.d1(cfg.init_value)
         u.surface[:] = problem.pg.d1(cfg.init_value)
     return u
@@ -303,6 +256,52 @@ def build_problem(cfg):
         newton_tol=cfg.newton_tol,
         max_newton=cfg.newton_max_iters,
     )
+
+
+def build_run(cfg):
+    """Check the keys that no object owns, then build the run's objects once.
+
+    Returns (problem, OptimizerConfig, start control, output formats).
+    """
+    if cfg.mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got '{cfg.mode}'")
+    formats = [f.strip() for f in cfg.output_formats.split(",") if f.strip()]
+    if not formats or any(f not in FORMATS for f in formats):
+        raise ConfigError(f"output.formats must be a subset of {FORMATS}, got '{cfg.output_formats}'")
+    if cfg.target_preset not in TARGET_PRESETS:
+        raise ConfigError(f"target.preset must be one of {TARGET_PRESETS}")
+    if cfg.init_preset not in INIT_PRESETS:
+        raise ConfigError(f"init.preset must be one of {INIT_PRESETS}")
+    if cfg.control_preset not in CONTROL_PRESETS:
+        raise ConfigError(f"control.preset must be one of {CONTROL_PRESETS}")
+    if not (np.isfinite(cfg.newton_tol) and cfg.newton_tol > 0):
+        raise ConfigError(f"newton.tol must be positive and finite, got {cfg.newton_tol!r}")
+    if cfg.newton_max_iters < 1:
+        raise ConfigError(f"newton.max_iters must be at least 1, got {cfg.newton_max_iters}")
+    opt_cfg = _owned(
+        "optimizer.",
+        OptimizerConfig,
+        max_iters=cfg.opt_max_iters,
+        armijo_c=cfg.opt_armijo_c,
+        backtrack_factor=cfg.opt_backtrack_factor,
+        initial_step=cfg.opt_initial_step,
+        stop_tol=cfg.opt_stop_tol,
+        max_backtracks=cfg.opt_max_backtracks,
+    )
+    problem = build_problem(cfg)
+    for name, p in (("potential_f", problem.pf), ("potential_g", problem.pg)):
+        # The step matrix W (I/dt + coupled + diag f'') is positive definite
+        # when 1/dt + min f'' > 0, and min f'' = 4 alpha - 2 c on (0, 1).
+        # Warn rather than reject: a step can still solve, or fail loudly.
+        product = problem.time.dt * (2.0 * p.smooth_c - 4.0 * p.alpha)
+        if product >= 1.0:
+            warnings.warn(
+                f"implicit step not guaranteed uniquely solvable: (time.T / time.m) * "
+                f"(2 {name}.c - 4 {name}.alpha) = {product:g} >= 1",
+                StepSolvabilityWarning,
+                stacklevel=3,
+            )
+    return problem, opt_cfg, build_control(cfg, problem), formats
 
 
 # -- writers ------------------------------------------------------------------
@@ -514,16 +513,14 @@ def verify_curvature(problem, seed=0, n_dir=3):
 
 
 def run(cfg):
-    """Execute one experiment from a config that `load_config` returned; returns the exit status."""
+    """Execute one experiment from a parsed config; returns the exit status."""
+    problem, opt_cfg, control, formats = build_run(cfg)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_resolved_config(cfg, outdir / "resolved_config.txt")
-    formats = [f.strip() for f in cfg.output_formats.split(",") if f.strip()]
-    problem = build_problem(cfg)
 
     try:
         if cfg.mode == "solve":
-            control = build_control(cfg, problem)
             traj = problem.solve(control)
             if "csv" in formats:
                 write_trajectory_csv(outdir / "state_bulk.csv", traj)
@@ -534,8 +531,7 @@ def run(cfg):
             return 0
 
         if cfg.mode == "optimize":
-            start = clip_to_box(problem, build_control(cfg, problem))
-            opt_cfg = _optimizer_config(cfg)
+            start = clip_to_box(problem, control)
             history_path = outdir / "history.csv"
             with open(history_path, "w", encoding="utf-8") as fh:
                 fh.write("iter,cost,stationarity,step\n")
@@ -565,18 +561,13 @@ def run(cfg):
             return 0
 
         if cfg.mode == "report":
-            control = build_control(cfg, problem)
             report = optimality_report(problem, clip_to_box(problem, control), seed=cfg.seed)
             write_report(outdir, report)
             return 0
 
-        # verify-* modes
-        if cfg.mode == "verify-gradient":
-            rows = verify_gradient(problem, seed=cfg.seed)
-        elif cfg.mode == "verify-taylor":
-            rows = verify_taylor(problem, seed=cfg.seed)
-        else:
-            rows = verify_curvature(problem, seed=cfg.seed)
+        verify = {"verify-gradient": verify_gradient, "verify-taylor": verify_taylor,
+                  "verify-curvature": verify_curvature}[cfg.mode]
+        rows = verify(problem, seed=cfg.seed)
         write_verify_table(outdir / f"{cfg.mode}.csv", rows)
         for name, observed, threshold, sense, passed in rows:
             print(f"{name}: observed={observed:.3e} threshold {sense} {threshold:.3e} -> "
@@ -593,11 +584,12 @@ def _log_error(outdir, exc):
     if isinstance(exc, SolverFailureError):
         payload["step"] = exc.step
         payload["residual"] = exc.residual
+    line = json.dumps(payload)
     try:
-        Path(outdir, "error.jsonl").write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        Path(outdir, "error.jsonl").write_text(line + "\n", encoding="utf-8")
     except OSError:
         pass
-    print(f"error: {payload}", file=sys.stderr)
+    print(f"error: {line}", file=sys.stderr)
 
 
 def main(argv=None):
@@ -619,10 +611,10 @@ def main(argv=None):
             cfg.output_dir = args.output_dir
         if args.seed is not None:
             cfg.seed = args.seed
+        return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ import pytest
 
 from acopt import ConfigError, StepSolvabilityWarning
 from acopt.cli_io import (
+    MODES,
     RunConfig,
     build_problem,
+    build_run,
     load_config,
     main,
     run,
@@ -52,7 +54,7 @@ def test_beta4_key_rejected(tmp_path):
 def test_bound_order_rejected(tmp_path):
     path = write(tmp_path, BASE + "box.u1 = 2.0\nbox.u2 = 1.0\n")
     with pytest.raises(ConfigError, match=r"\(A1\)"):
-        load_config(path)
+        build_run(load_config(path))
 
 
 def test_unknown_key_named(tmp_path):
@@ -241,18 +243,18 @@ def failing_newton_config(mode, out):
 def test_solver_failure_exit_code(tmp_path, mode):
     """Every mode solves the state with the configured Newton settings."""
     text = failing_newton_config(mode, tmp_path / "fail")
+    cfg = load_config(write(tmp_path, text))
     with pytest.warns(StepSolvabilityWarning):
-        cfg = load_config(write(tmp_path, text))
-    assert run(cfg) == 3
+        assert run(cfg) == 3
     error = json.loads((tmp_path / "fail" / "error.jsonl").read_text(encoding="utf-8"))
     assert "after 1 iterations" in error["message"]  # the configured budget, not the default 50
 
 
 def test_unsolvable_step_warns_by_name(tmp_path):
-    """Configs whose step may not be uniquely solvable load with a warning per potential."""
+    """Configs whose step may not be uniquely solvable build with a warning per potential."""
     path = write(tmp_path, failing_newton_config("solve", tmp_path / "out"))
     with pytest.warns(StepSolvabilityWarning) as record:
-        load_config(path)
+        build_run(load_config(path))
     messages = [str(w.message) for w in record if w.category is StepSolvabilityWarning]
     assert len(messages) == 2
     for name, message in zip(("potential_f", "potential_g"), messages):
@@ -261,7 +263,7 @@ def test_unsolvable_step_warns_by_name(tmp_path):
         assert "= 100 >= 1" in message
     with pytest.warns(StepSolvabilityWarning) as record:
         assert main([str(path), "--mode", "solve"]) == 3
-    assert sum(w.category is StepSolvabilityWarning for w in record) == 2  # validated once
+    assert sum(w.category is StepSolvabilityWarning for w in record) == 2  # built once
 
 
 ROOT = Path(__file__).parents[1]
@@ -273,10 +275,10 @@ ROOT = Path(__file__).parents[1]
     ids=lambda path: str(path.relative_to(ROOT)),
 )
 def test_shipped_config_loads_without_warnings(path):
-    """Loading builds the run, so a rule that a shipped config breaks fails here."""
+    """Building the run checks every rule, so a rule that a shipped config breaks fails here."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        load_config(path)
+        build_run(load_config(path))
 
 
 @pytest.mark.parametrize(
@@ -295,11 +297,11 @@ def test_shipped_config_loads_without_warnings(path):
     ],
 )
 def test_rejected_value_exits_2_at_load(tmp_path, capsys, lines, named):
-    """Every rejected value is a ConfigError at load naming its key or section: exit 2, no output."""
+    """Every rejected value is a ConfigError naming its key or section: exit 2, no output."""
     out = tmp_path / "out"
     path = write(tmp_path, BASE + lines.replace("; ", "\n") + f"\noutput.dir = {out}\n")
     with pytest.raises(ConfigError) as info:
-        load_config(path)
+        build_run(load_config(path))
     assert str(info.value).startswith(named)
     for mode in ("solve", "optimize"):
         assert main([str(path), "--mode", mode]) == 2
@@ -307,6 +309,45 @@ def test_rejected_value_exits_2_at_load(tmp_path, capsys, lines, named):
         assert f"config error: {named}" in err
         assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_error_line_is_the_error_jsonl_line(tmp_path, capsys):
+    """The stderr `error:` line is the JSON line that error.jsonl holds, free of numpy reprs."""
+    path = write(tmp_path, failing_newton_config("solve", tmp_path / "fail"))
+    with pytest.warns(StepSolvabilityWarning):
+        assert main([str(path)]) == 3
+    err = capsys.readouterr().err
+    line = next(row for row in err.splitlines() if row.startswith("error: "))[len("error: "):]
+    assert "np.float64" not in line
+    assert isinstance(json.loads(line)["residual"], float)
+    assert line + "\n" == (tmp_path / "fail" / "error.jsonl").read_text(encoding="utf-8")
+
+
+def test_overrides_apply_before_checks(tmp_path):
+    """A file value that a flag replaces is never checked: --mode solve runs a `mode = bogus` file."""
+    out = tmp_path / "out"
+    path = write(tmp_path, BASE.replace("mode = solve", "mode = bogus") + f"output.dir = {out}\n")
+    assert main([str(path), "--mode", "solve"]) == 0
+    assert "mode = solve" in (out / "resolved_config.txt").read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_mode_builds_one_problem(tmp_path, monkeypatch, mode):
+    """Every run builds its problem once, after the overrides: the seed it sees is --seed's."""
+    import acopt.cli_io as cli
+
+    seeds = []
+
+    def counted_build(cfg):
+        seeds.append(cfg.seed)
+        return build_problem(cfg)
+
+    monkeypatch.setattr(cli, "build_problem", counted_build)
+    text = BASE + f"init.preset = random-seeded\noptimizer.max_iters = 5\noutput.dir = {tmp_path/'out'}\n"
+    # 4 is a completed run whose checks failed: verify-gradient's order fit reads
+    # 1.86 on this grid, with a plateau point inside the fitted branch.
+    assert main([str(write(tmp_path, text)), "--mode", mode, "--seed", "3"]) in (0, 4)
+    assert seeds == [3]
 
 
 def test_report_mode_emits_files(tmp_path):
@@ -350,10 +391,10 @@ def test_comments_and_blank_lines(tmp_path):
     ],
 )
 def test_bad_optimizer_key_is_config_error(tmp_path, capsys, key, value):
-    """An out-of-range optimizer setting is rejected at load, by key, with exit 2."""
+    """An out-of-range optimizer setting is rejected before the run, by key, with exit 2."""
     path = write(tmp_path, BASE + f"{key} = {value}\noutput.dir = {tmp_path/'out'}\n")
     with pytest.raises(ConfigError, match=key):
-        load_config(path)
+        build_run(load_config(path))
     assert main([str(path), "--mode", "optimize"]) == 2
     err = capsys.readouterr().err
     assert key in err
@@ -373,7 +414,7 @@ def test_bad_optimizer_key_is_config_error(tmp_path, capsys, key, value):
 def test_bad_newton_key_is_config_error(tmp_path, key, value):
     path = write(tmp_path, BASE + f"{key} = {value}\n")
     with pytest.raises(ConfigError, match=key):
-        load_config(path)
+        build_run(load_config(path))
 
 
 OPTIMIZE = (
