@@ -3,12 +3,12 @@
 Config files are flat dotted-key text: one `key = value` pair per line,
 UTF-8, `#` starts a comment. Unknown keys are rejected with the offending
 key named. `load_config` only parses; `main` then applies its command-line
-overrides, and `run` calls `build_run`, which builds the run's problem,
-optimizer settings and start control once. Each rule is checked by the
-object that owns it, and a rejected value raises ConfigError naming its
-key or section before anything is written. A resolved copy of the
-configuration (all defaults filled) is echoed into the output directory,
-and loading that copy reproduces the configuration exactly.
+overrides, and `run` calls `build_run`, which checks only `mode` and
+`output.formats`, then builds the run's objects once. Every other rule and
+default is stated by the object or builder that owns it; a rejected value
+raises ConfigError naming its key or section before anything is written.
+A resolved copy of the configuration (all defaults filled) is echoed into
+the output directory, and loading that copy reproduces it exactly.
 
 Modes: solve, optimize, verify-gradient, verify-taylor, verify-curvature,
 report. CSV is the canonical output format (headers, '.' decimal
@@ -76,12 +76,12 @@ class RunConfig:
     grid_n: int = _key("grid.n", 8)
     time_T: float = _key("time.T", 0.25)
     time_m: int = _key("time.m", 20)
-    pf_alpha: float = _key("potential_f.alpha", 1.0)
-    pf_c: float = _key("potential_f.c", 3.0)
-    pf_eps_guard: float = _key("potential_f.eps_guard", 1e-9)
-    pg_alpha: float = _key("potential_g.alpha", 1.0)
-    pg_c: float = _key("potential_g.c", 3.0)
-    pg_eps_guard: float = _key("potential_g.eps_guard", 1e-9)
+    pf_alpha: float = _key("potential_f.alpha", Potential.alpha)
+    pf_c: float = _key("potential_f.c", Potential.smooth_c)
+    pf_eps_guard: float = _key("potential_f.eps_guard", Potential.eps_guard)
+    pg_alpha: float = _key("potential_g.alpha", Potential.alpha)
+    pg_c: float = _key("potential_g.c", Potential.smooth_c)
+    pg_eps_guard: float = _key("potential_g.eps_guard", Potential.eps_guard)
     beta1: float = _key("cost.beta1", 1.0)
     beta2: float = _key("cost.beta2", 1.0)
     beta3: float = _key("cost.beta3", 1.0)
@@ -97,14 +97,14 @@ class RunConfig:
     init_value: float = _key("init.value", 0.5)
     control_preset: str = _key("control.preset", "zero")
     control_value: float = _key("control.value", 0.0)
-    newton_tol: float = _key("newton.tol", 1e-11)
-    newton_max_iters: int = _key("newton.max_iters", 50)
-    opt_max_iters: int = _key("optimizer.max_iters", 500)
-    opt_armijo_c: float = _key("optimizer.armijo_c", 1e-4)
-    opt_backtrack_factor: float = _key("optimizer.backtrack_factor", 0.5)
-    opt_initial_step: float = _key("optimizer.initial_step", 1.0)
-    opt_stop_tol: float = _key("optimizer.stop_tol", 1e-8)
-    opt_max_backtracks: int = _key("optimizer.max_backtracks", 40)
+    newton_tol: float = _key("newton.tol", ControlProblem.newton_tol)
+    newton_max_iters: int = _key("newton.max_iters", ControlProblem.max_newton)
+    opt_max_iters: int = _key("optimizer.max_iters", OptimizerConfig.max_iters)
+    opt_armijo_c: float = _key("optimizer.armijo_c", OptimizerConfig.armijo_c)
+    opt_backtrack_factor: float = _key("optimizer.backtrack_factor", OptimizerConfig.backtrack_factor)
+    opt_initial_step: float = _key("optimizer.initial_step", OptimizerConfig.initial_step)
+    opt_stop_tol: float = _key("optimizer.stop_tol", OptimizerConfig.stop_tol)
+    opt_max_backtracks: int = _key("optimizer.max_backtracks", OptimizerConfig.max_backtracks)
     opt_checkpoint_every: int = _key("optimizer.checkpoint_every", 50)
 
 
@@ -189,6 +189,8 @@ def build_targets(cfg, grid, time):
     tanh-moving: an interface profile in x whose center moves linearly in
     time; the terminal targets are the final frame.
     """
+    if cfg.target_preset not in TARGET_PRESETS:
+        raise ConfigError(f"target.preset must be one of {TARGET_PRESETS}")
     if cfg.target_preset == "constant":
         z_q = np.full((time.m + 1, grid.num_nodes), cfg.target_value)
     else:
@@ -198,6 +200,8 @@ def build_targets(cfg, grid, time):
 
 
 def build_initial(cfg, grid):
+    if cfg.init_preset not in INIT_PRESETS:
+        raise ConfigError(f"init.preset must be one of {INIT_PRESETS}")
     if cfg.init_preset == "constant":
         values = np.full(grid.num_nodes, cfg.init_value)
     elif cfg.init_preset == "tanh-interface":
@@ -205,11 +209,13 @@ def build_initial(cfg, grid):
     else:  # random-seeded
         rng = np.random.default_rng(cfg.seed)
         values = rng.uniform(0.3, 0.7, size=grid.num_nodes)
-    return FieldPair(values, grid)
+    return FieldPair(values)
 
 
 def build_control(cfg, problem):
     """The configured control preset on the problem's grid and time axis."""
+    if cfg.control_preset not in CONTROL_PRESETS:
+        raise ConfigError(f"control.preset must be one of {CONTROL_PRESETS}")
     if not np.isfinite(cfg.control_value):
         raise ConfigError(f"control.value must be finite, got {cfg.control_value!r}")
     u = ControlPair.zeros(problem.grid, problem.time)
@@ -233,7 +239,8 @@ def build_problem(cfg):
     pg = _owned("potential_g.", Potential, cfg.pg_alpha, cfg.pg_c, cfg.pg_eps_guard)
     z_q, z_sigma, z_t = build_targets(cfg, grid, time)
     return _owned(
-        {"beta": "cost: ", "z_": "target: ", "u_": "box: ", "init": ""},
+        {"beta": "cost: ", "z_": "target: ", "u_": "box: ", "init": "",
+         "newton_tol": "newton.tol: ", "max_newton": "newton.max_iters: "},
         ControlProblem,
         grid=grid,
         ops=ops,
@@ -259,7 +266,7 @@ def build_problem(cfg):
 
 
 def build_run(cfg):
-    """Check the keys that no object owns, then build the run's objects once.
+    """Check the CLI's own keys, `mode` and `output.formats`, then build the run's objects once.
 
     Returns (problem, OptimizerConfig, start control, output formats).
     """
@@ -268,16 +275,6 @@ def build_run(cfg):
     formats = [f.strip() for f in cfg.output_formats.split(",") if f.strip()]
     if not formats or any(f not in FORMATS for f in formats):
         raise ConfigError(f"output.formats must be a subset of {FORMATS}, got '{cfg.output_formats}'")
-    if cfg.target_preset not in TARGET_PRESETS:
-        raise ConfigError(f"target.preset must be one of {TARGET_PRESETS}")
-    if cfg.init_preset not in INIT_PRESETS:
-        raise ConfigError(f"init.preset must be one of {INIT_PRESETS}")
-    if cfg.control_preset not in CONTROL_PRESETS:
-        raise ConfigError(f"control.preset must be one of {CONTROL_PRESETS}")
-    if not (np.isfinite(cfg.newton_tol) and cfg.newton_tol > 0):
-        raise ConfigError(f"newton.tol must be positive and finite, got {cfg.newton_tol!r}")
-    if cfg.newton_max_iters < 1:
-        raise ConfigError(f"newton.max_iters must be at least 1, got {cfg.newton_max_iters}")
     opt_cfg = _owned(
         "optimizer.",
         OptimizerConfig,

@@ -38,12 +38,11 @@ from .pde_state import (
 class ControlProblem:
     """Weights, targets, box bounds and problem data for the tracking cost.
 
-    The terminal surface weight equals the terminal bulk weight and the
-    terminal surface target is the trace of the terminal bulk target;
-    both are enforced here rather than being independent inputs. Every
-    input rule is checked here, in a message that starts with its parameter.
-    newton_tol and max_newton are the state solver's defaults for every
-    `solve` on this problem.
+    Under (A6) the terminal surface weight is beta3 and the terminal
+    surface target `z_gamma_t` is the trace of z_t; neither is an input.
+    Every input rule is checked here, in a message that starts with its
+    parameter. newton_tol and max_newton are the state solver's defaults
+    for every `solve` on this problem.
     """
 
     grid: object
@@ -64,13 +63,13 @@ class ControlProblem:
     u_hi: np.ndarray
     u_lo_surf: np.ndarray
     u_hi_surf: np.ndarray
-    z_gamma_t: np.ndarray = None
     newton_tol: float = NEWTON_TOL
     max_newton: int = MAX_NEWTON
 
     @property
-    def beta4(self):
-        return self.beta3
+    def z_gamma_t(self):
+        """The terminal surface target: the trace of z_t (A6)."""
+        return self.z_t[self.grid.boundary_cycle]
 
     def __post_init__(self):
         betas = {name: getattr(self, name) for name in ("beta1", "beta2", "beta3", "beta5", "beta6")}
@@ -79,15 +78,14 @@ class ControlProblem:
                 raise InvalidParameterError(f"{name} must be finite and nonnegative, got {b}")
         if not any(b > 0 for b in betas.values()):
             raise InvalidParameterError(f"{', '.join(betas)} must not all be zero")
+        if not (0 < self.newton_tol < np.inf):
+            raise InvalidParameterError(f"newton_tol must be positive and finite, got {self.newton_tol!r}")
+        if self.max_newton < 1:
+            raise InvalidParameterError(f"max_newton must be at least 1, got {self.max_newton}")
         m1, N, nb = self.time.m + 1, self.grid.num_nodes, self.grid.num_boundary
         self.z_q = _as_levels(self.z_q, (m1, N), "z_q")
         self.z_sigma = _as_levels(self.z_sigma, (m1, nb), "z_sigma")
         self.z_t = _as_levels(self.z_t, (N,), "z_t")
-        trace = self.z_t[self.grid.boundary_cycle]
-        if self.z_gamma_t is None:
-            self.z_gamma_t = trace
-        elif not np.array_equal(np.asarray(self.z_gamma_t, dtype=float), trace):
-            raise InvalidParameterError("z_gamma_t must be the trace of z_t (A6)")
         self.u_lo = _as_levels(self.u_lo, (m1, N), "u_lo")
         self.u_hi = _as_levels(self.u_hi, (m1, N), "u_hi")
         self.u_lo_surf = _as_levels(self.u_lo_surf, (m1, nb), "u_lo_surf")

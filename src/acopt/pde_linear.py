@@ -128,15 +128,10 @@ def tracking_sources(problem, state):
     cycle = grid.boundary_cycle
 
     d = np.zeros((time.m + 1, grid.num_nodes))
-    if problem.beta1 > 0:
-        d += problem.beta1 * theta[:, None] * w[None, :] * (state.values - problem.z_q)
-    if problem.beta2 > 0:
-        d[:, cycle] += problem.beta2 * theta[:, None] * gamma[None, :] * (
-            state.surface - problem.z_sigma
-        )
-    if problem.beta3 > 0:
-        d[-1] += problem.beta3 * w * (state.values[-1] - problem.z_t)
-        d[-1, cycle] += problem.beta3 * gamma * (state.surface[-1] - problem.z_gamma_t)
+    d += problem.beta1 * theta[:, None] * w[None, :] * (state.values - problem.z_q)
+    d[:, cycle] += problem.beta2 * theta[:, None] * gamma[None, :] * (state.surface - problem.z_sigma)
+    d[-1] += problem.beta3 * w * (state.values[-1] - problem.z_t)
+    d[-1, cycle] += problem.beta3 * gamma * (state.surface[-1] - problem.z_gamma_t)
     return d
 
 

@@ -82,11 +82,9 @@ class FieldPair:
 
     Attributes:
         bulk: (N,) values at all bulk nodes; solvers take this array.
-        grid: owning grid.
     """
 
     bulk: np.ndarray
-    grid: object
 
 
 @dataclass
@@ -384,6 +382,21 @@ def solve_state(
             terms = (z_abs + np.abs(prev)) / dt + abs_coupled @ z_abs + np.abs(it.d1) + np.abs(rhs)
             return np.finfo(float).eps * terms.max()
 
+        def search(it, delta, tries):
+            """Of z + delta, z + delta/2, ... (tries of them) from the iterate it: the first
+            in the interval that lowers the residual, and the first evaluated one that did not."""
+            step, fallback = 1.0, None
+            for _ in range(tries):
+                cand = it.z + step * delta
+                if cand.min() >= lo and cand.max() <= hi:
+                    trial = evaluate(cand)
+                    if trial.norm < it.norm:
+                        return trial, fallback
+                    if fallback is None:
+                        fallback = trial
+                step *= 0.5
+            return None, fallback
+
         it = evaluate(z)
         iters = factors = 0
         factor = None  # the level's kept factor; None makes the next iteration refactor
@@ -398,15 +411,13 @@ def solve_state(
             iters += 1
             if factor is not None:
                 # undamped chord step on the kept factor
-                cand = it.z + step_matrix.solve(factor, -it.res)
-                if cand.min() >= lo and cand.max() <= hi:
-                    trial = evaluate(cand)
-                    if trial.norm < it.norm:
-                        polish = trial.norm <= CHORD_CONTRACTION * it.norm
-                        if not polish:
-                            factor = None
-                        it = trial
-                        continue
+                trial, _ = search(it, step_matrix.solve(factor, -it.res), 1)
+                if trial is not None:
+                    polish = trial.norm <= CHORD_CONTRACTION * it.norm
+                    if not polish:
+                        factor = None
+                    it = trial
+                    continue
                 # the candidate is dropped: a converged level stops, any other refactors at z
                 if it.norm <= newton_tol:
                     break
@@ -417,29 +428,12 @@ def solve_state(
             factor = step_matrix.factor(it.d2, level=k + 1, residual=it.norm)
             factors += 1
             polish = False
-            delta = step_matrix.solve(factor, -it.res)
-            step = 1.0
-            accepted = None
-            fallback = None
-            for _ in range(MAX_DAMPING):
-                cand = it.z + step * delta
-                if cand.min() >= lo and cand.max() <= hi:
-                    trial = evaluate(cand)
-                    if trial.norm < it.norm:
-                        accepted = trial
-                        break
-                    if fallback is None:
-                        fallback = trial
-                step *= 0.5
-            if accepted is None:
-                if fallback is None:
-                    raise SolverFailureError(
-                        f"no admissible Newton update at step {k + 1}",
-                        step=k + 1,
-                        residual=it.norm,
-                    )
-                accepted = fallback
-            it = accepted
+            accepted, fallback = search(it, step_matrix.solve(factor, -it.res), MAX_DAMPING)
+            if accepted is None and fallback is None:
+                raise SolverFailureError(
+                    f"no admissible Newton update at step {k + 1}", step=k + 1, residual=it.norm
+                )
+            it = fallback if accepted is None else accepted
         if not it.norm <= newton_tol:
             raise SolverFailureError(
                 f"Newton stalled at step {k + 1}: residual {it.norm:.3e} after {iters} iterations",

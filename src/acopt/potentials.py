@@ -138,9 +138,9 @@ def newton_terms(p, y):
 class AssumptionReport:
     """Result of the growth/convexity checks on a potential pair.
 
-    m1, m2 are fitted so that |f1'(r)| <= m1 + m2 |g1'(r)| on the sample;
-    growth_bound_holds is False when no finite fit exists (for example a
-    vanishing surface singular part against a singular bulk part).
+    m1, m2 are constants with |f1'(r)| <= m1 + m2 |g1'(r)| on (0, 1);
+    growth_bound_holds is False when none exist (a vanishing surface
+    singular part against a singular bulk part).
     """
 
     m1: float
@@ -162,12 +162,6 @@ class AssumptionReport:
         )
 
 
-def _endpoint_samples(eps):
-    """Log-spaced points accumulating at both endpoints of (0, 1)."""
-    t = np.geomspace(max(eps, 1e-12), 0.5, 200)
-    return np.unique(np.concatenate([t, 1.0 - t]))
-
-
 def _singular_limits_ok(p):
     """Blow-up check: d1 of the log part below -alpha*log(1/eps)/2 near 0."""
     if not p.is_singular:
@@ -178,34 +172,25 @@ def _singular_limits_ok(p):
 
 
 def check_assumptions(pf, pg):
-    """Fit and verify the growth bound between the singular derivatives.
+    """The growth constants between the singular derivatives, in closed form.
 
-    Report only: the growth constants are existential in nature, so they
-    are estimated on a log-spaced endpoint sample rather than proven.
+    Both singular parts are alpha log(r / (1 - r)), so |f1'| = (alpha_f /
+    alpha_g) |g1'| when g is singular (m1 = 0); with neither singular both
+    vanish (m1 = m2 = 0), and with only f singular no constants exist. A
+    singular part is convex exactly when alpha > 0.
     """
-    eps = max(pf.eps_guard, pg.eps_guard)
-    r = _endpoint_samples(eps)
-    fval = np.abs(pf.singular_d1(r))
-    gval = np.abs(pg.singular_d1(r))
-
-    if pf.is_singular and not pg.is_singular:
+    if pg.is_singular:
+        m1, m2, holds = 0.0, pf.alpha / pg.alpha, True
+    elif pf.is_singular:
         m1, m2, holds = math.inf, math.inf, False
     else:
-        mask = gval > 1e-14
-        m2 = float(np.max(fval[mask] / gval[mask])) if mask.any() else 1.0
-        m1 = float(max(0.0, np.max(fval - m2 * gval)))
-        holds = np.all(fval <= m1 + m2 * gval + 1e-12)
-
-    interior = r[(r > eps) & (r < 1.0 - eps)]
-    f_convex = pf.is_singular and bool(np.all(pf.alpha / (interior * (1 - interior)) > 0))
-    g_convex = pg.is_singular and bool(np.all(pg.alpha / (interior * (1 - interior)) > 0))
-
+        m1, m2, holds = 0.0, 0.0, True
     return AssumptionReport(
         m1=m1,
         m2=m2,
-        growth_bound_holds=bool(holds),
+        growth_bound_holds=holds,
         f_singular_limits_ok=_singular_limits_ok(pf),
         g_singular_limits_ok=_singular_limits_ok(pg),
-        f_convex_ok=f_convex,
-        g_convex_ok=g_convex,
+        f_convex_ok=pf.is_singular,
+        g_convex_ok=pg.is_singular,
     )

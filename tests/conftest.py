@@ -83,7 +83,7 @@ def make_problem(
         z_q=z_q,
         z_sigma=z_sigma,
         z_t=z_t,
-        init=FieldPair(np.full(grid.num_nodes, init_value), grid),
+        init=FieldPair(np.full(grid.num_nodes, init_value)),
         u_lo=box[0],
         u_hi=box[1],
         u_lo_surf=box[0],

@@ -294,6 +294,9 @@ def test_shipped_config_loads_without_warnings(path):
         ("potential_f.c = inf", "potential_f.c"),
         ("cost.beta1 = nan", "cost: beta1"),
         ("init.value = 2", "init"),
+        ("target.preset = tanh-movng", "target.preset"),
+        ("init.preset = random-seedd", "init.preset"),
+        ("control.preset = zer0", "control.preset"),
     ],
 )
 def test_rejected_value_exits_2_at_load(tmp_path, capsys, lines, named):
@@ -411,10 +414,27 @@ def test_bad_optimizer_key_is_config_error(tmp_path, capsys, key, value):
         ("newton.tol", "inf"),
     ],
 )
-def test_bad_newton_key_is_config_error(tmp_path, key, value):
-    path = write(tmp_path, BASE + f"{key} = {value}\n")
+def test_bad_newton_key_is_config_error(tmp_path, capsys, key, value):
+    """The problem owns the Newton settings: `build_problem` rejects them by key, and the CLI exits 2."""
+    out = tmp_path / "out"
+    path = write(tmp_path, BASE + f"{key} = {value}\noutput.dir = {out}\n")
     with pytest.raises(ConfigError, match=key):
         build_run(load_config(path))
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        build_problem(load_config(path))
+    assert main([str(path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [("target_preset", "target.preset", "tanh-movng"), ("init_preset", "init.preset", "random-seedd")],
+)
+def test_build_problem_rejects_a_misspelled_preset(name, key, value):
+    """The library path rejects what the CLI rejects: each preset is checked by its builder."""
+    with pytest.raises(ConfigError, match=f"^{key} must be one of"):
+        build_problem(RunConfig(grid_n=4, time_T=0.2, time_m=4, **{name: value}))
 
 
 OPTIMIZE = (

@@ -7,7 +7,6 @@ import pytest
 from acopt import (
     ControlPair,
     DomainError,
-    FieldPair,
     InvalidParameterError,
     TimeAxis,
     Trajectory,
@@ -37,7 +36,6 @@ def test_cost_zero_when_state_matches_targets(grid4, ops4):
     # make the surface targets the trace so every term vanishes
     prob.z_sigma = prob.z_q[:, grid4.boundary_cycle]
     prob.z_t = prob.z_q[-1]
-    prob.z_gamma_t = prob.z_t[grid4.boundary_cycle]
     assert evaluate_cost(prob, state, ControlPair.zeros(grid4, time)) == 0.0
 
 
@@ -222,7 +220,6 @@ def test_gradient_depends_on_residuals_only(grid4, ops4, rng):
         shifted.z_q = prob.z_q + shift
         shifted.z_sigma = prob.z_sigma + shift
         shifted.z_t = prob.z_t + shift
-        shifted.z_gamma_t = shifted.z_t[grid4.boundary_cycle]
         adj = solve_adjoint(state, shifted, linearized_operator(state, pf, pg, ops4))
         grads.append(reduced_gradient(shifted, state, adj, u))
     np.testing.assert_allclose(grads[0].bulk, grads[1].bulk, atol=1e-11)
@@ -414,19 +411,16 @@ def test_problem_validation(grid4, ops4):
     for target in ("z_q", "z_sigma", "z_t"):
         bad = np.full_like(getattr(prob, target), np.nan)
         with pytest.raises(InvalidParameterError, match=f"^{target} must be finite"):
-            replace(prob, **{target: bad}, z_gamma_t=None)
-    # terminal surface target must be the bulk trace
-    from acopt import ControlProblem
-
-    with pytest.raises(InvalidParameterError):
-        ControlProblem(
-            grid=grid4, ops=ops4, time=time, pf=pf, pg=pg,
-            beta1=1.0, beta2=1.0, beta3=1.0, beta5=1.0, beta6=1.0,
-            z_q=prob.z_q, z_sigma=prob.z_sigma, z_t=prob.z_t,
-            z_gamma_t=prob.z_t[grid4.boundary_cycle] + 1.0,
-            init=FieldPair(np.full(grid4.num_nodes, 0.5), grid4),
-            u_lo=-1.0, u_hi=1.0, u_lo_surf=-1.0, u_hi_surf=1.0,
-        )
+            replace(prob, **{target: bad})
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match="^newton_tol must be positive and finite"):
+            replace(prob, newton_tol=bad)
+    with pytest.raises(InvalidParameterError, match="^max_newton must be at least 1"):
+        replace(prob, max_newton=0)
+    # the terminal surface target is the bulk trace, and follows z_t
+    new = prob.z_t + 0.1
+    prob.z_t = new
+    np.testing.assert_array_equal(prob.z_gamma_t, new[grid4.boundary_cycle])
 
 
 def test_hnorm_consistency(grid4, ops4, rng):
