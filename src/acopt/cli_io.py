@@ -58,6 +58,7 @@ INIT_PRESETS = ("constant", "tanh-interface", "random-seeded")
 CONTROL_PRESETS = ("zero", "constant", "stationary")
 
 _FLOAT_FMT = "%.17g"
+VERIFY_DIRECTIONS = 3  # random directions checked by verify-gradient and verify-curvature
 
 
 def _key(key, default):
@@ -435,7 +436,7 @@ def _shifted_cost(problem, u, eps, h):
     return evaluate_cost(problem, problem.solve(control), control)
 
 
-def verify_gradient(problem, seed=0, n_dir=3):
+def verify_gradient(problem, seed=0):
     """Central-difference check of the adjoint gradient. Returns table rows.
 
     Evaluates at a seeded nonzero base control: around a symmetric flat
@@ -444,10 +445,10 @@ def verify_gradient(problem, seed=0, n_dir=3):
     """
     rng, u, state, operator = _base_point(problem, seed)
     adjoint = solve_adjoint(state, problem, operator)
-    grad = reduced_gradient(problem, state, adjoint, u)
+    grad = reduced_gradient(problem, adjoint, u)
     rows = []
     eps_list = np.array([1e-2, 3e-3, 1e-3, 3e-4, 1e-4])
-    for d in range(n_dir):
+    for d in range(VERIFY_DIRECTIONS):
         h = _random_direction(problem, rng)
         exact = hinner(problem, grad, h)
         errors = []
@@ -488,13 +489,13 @@ def verify_taylor(problem, seed=0):
     return [("taylor_remainder_order", slope, 1.9, ">=", slope >= 1.9)]
 
 
-def verify_curvature(problem, seed=0, n_dir=3):
+def verify_curvature(problem, seed=0):
     """Second-difference check of the curvature form."""
     rng, u, state, operator = _base_point(problem, seed)
     adjoint = solve_adjoint(state, problem, operator)
     j0 = evaluate_cost(problem, state, u)
     rows = []
-    for d in range(n_dir):
+    for d in range(VERIFY_DIRECTIONS):
         h = _random_direction(problem, rng)
         exact = curvature(problem, state, adjoint, operator, h)
         best = np.inf

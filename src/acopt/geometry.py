@@ -16,14 +16,19 @@ the boundary rows of the bulk stiffness form divided by the arclength weights.
 With that choice the coupled evolution operator is exactly the gradient of
 the discrete Dirichlet energy in the node-weight metric, so the implicit
 time stepper inherits an exact energy-dissipation property.
+
+What every implicit step reads from the grid is built once per grid: the
+slot weights W (`Grid.slot_weights`), |coupled| and the `StepMatrix`, whose
+band map every step factorization of every solve shares.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import DimensionMismatchError, InvalidParameterError, SolverFailureError
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,7 @@ class Grid:
         bulk_weights: (N,) area quadrature weights, sum exactly 1.
         surface_weights: (4n,) arclength weights along the cycle, sum
             exactly 4.
+        slot_weights: (N,) per equation slot: area weights, arclength weights on the cycle.
     """
 
     n: int
@@ -51,6 +57,7 @@ class Grid:
     interior_mask: np.ndarray
     bulk_weights: np.ndarray
     surface_weights: np.ndarray
+    slot_weights: np.ndarray
 
     @property
     def num_nodes(self):
@@ -104,11 +111,15 @@ class OperatorSet:
             surface Laplacian dirichlet_surf / h on the trace plus the
             normal flux (see module docstring). Row sums vanish, so
             constants are annihilated exactly.
+        coupled_abs: (N, N) entrywise |coupled|.
+        step: the grid's one `StepMatrix`, built from coupled.
     """
 
     dirichlet_bulk: sp.csr_matrix
     dirichlet_surf: sp.csr_matrix
     coupled: sp.csr_matrix
+    coupled_abs: sp.csr_matrix
+    step: "StepMatrix"
 
 
 def _freeze(arr):
@@ -160,6 +171,8 @@ def build_grid(n):
     bulk_w = np.outer(w1, w1).ravel()
     # composite trapezoid on a closed uniform polygon: every node gets h
     surf_w = np.full(cycle.size, h)
+    slot_w = bulk_w.copy()
+    slot_w[cycle] = surf_w
 
     return Grid(
         n=n,
@@ -170,6 +183,7 @@ def build_grid(n):
         interior_mask=_freeze(interior_mask),
         bulk_weights=_freeze(bulk_w),
         surface_weights=_freeze(surf_w),
+        slot_weights=_freeze(slot_w),
     )
 
 
@@ -178,28 +192,19 @@ def _bulk_stiffness(grid):
 
     Edge weights are midpoint in the edge direction and trapezoid in the
     transverse direction, so interior rows of A/h^2 reproduce the exact
-    5-point stencil.
+    5-point stencil. An edge (a, b) of weight k adds k at (a, a), (b, b)
+    and -k at (a, b), (b, a).
     """
     n, side = grid.n, grid.n + 1
-    rows, cols, vals = [], [], []
-
-    def add_edges(a, b, k):
-        rows.extend([a, b, a, b])
-        cols.extend([a, b, b, a])
-        vals.extend([k, k, -k, -k])
-
-    for j in range(side):
-        k = np.full(n, 1.0 if 0 < j < n else 0.5)
-        a = j * side + np.arange(n)
-        add_edges(a, a + 1, k)
-    for i in range(side):
-        k = np.full(n, 1.0 if 0 < i < n else 0.5)
-        a = np.arange(n) * side + i
-        add_edges(a, a + side, k)
-
-    rows = np.concatenate([np.atleast_1d(r) for r in rows])
-    cols = np.concatenate([np.atleast_1d(c) for c in cols])
-    vals = np.concatenate([np.atleast_1d(v) for v in vals])
+    # int32, the CSR index type at these sizes: the COO indices need no conversion
+    line, step = np.arange(side, dtype=np.int32)[:, None], np.arange(n, dtype=np.int32)
+    # edges a -> a + 1 along each grid row, then a -> a + side along each grid column
+    a = np.concatenate([line * side + step, step * side + line])
+    b = a + np.repeat(np.int32([1, side]), side)[:, None]
+    k = np.tile(np.where((line > 0) & (line < n), 1.0, 0.5), (2, n))  # halved on boundary lines
+    rows = np.stack([a, b, a, b], axis=1).ravel()
+    cols = np.stack([a, b, b, a], axis=1).ravel()
+    vals = np.stack([k, k, -k, -k], axis=1).ravel()
     return sp.coo_matrix((vals, (rows, cols)), shape=(side * side,) * 2).tocsr()
 
 
@@ -212,6 +217,91 @@ def _surface_stiffness(grid):
     cols = np.concatenate([np.arange(nb), nxt, nxt, np.arange(nb)])
     vals = np.concatenate([np.full(nb, k), np.full(nb, k), np.full(nb, -k), np.full(nb, -k)])
     return sp.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
+
+
+class StepMatrix:
+    """Band factorizations of the step matrices M(c) = I/dt + coupled + diag(c), coupled CSR.
+
+    With W = diag(slot weights), W coupled = A_bulk + A_surf (see
+    `build_operators`) is exactly symmetric, and so is
+    S = W M(c) = W coupled + W/dt + W diag(c). In the natural node order S
+    is a band whose half-bandwidth (n+1 on a grid with n cells per side) is
+    read off the sparsity pattern of `coupled`. Only the upper entries of
+    W coupled are stored, one per band position (duplicate entries of a
+    non-canonical `coupled` are summed once here), once per grid by
+    `build_operators`. `factor` assigns them into a fresh zero band in
+    LAPACK layout, adds W/dt, then W c, and factors it in place.
+
+    S is positive definite whenever 1/dt + min c > 0, and then the factor
+    is a banded Cholesky (dpbtrf). Otherwise the same S is factored by
+    banded LU with partial pivoting (dgbtrf); the matrix, not a setting,
+    selects the path. Solves reuse one factor both ways:
+    M x = r is x = S^-1 (W r), and M^T x = r is x = W S^-1 r.
+
+    A factor holds (b+1) N doubles for Cholesky and (3b+1) N for LU, with
+    b the half-bandwidth: 17.3 MB per level at n = 128.
+    """
+
+    def __init__(self, grid, coupled):
+        self._w = w = grid.slot_weights
+        rows = np.repeat(np.arange(coupled.shape[0]), np.diff(coupled.indptr))
+        cols = coupled.indices
+        upper = cols >= rows
+        rows, cols = rows[upper], cols[upper]
+        self.bandwidth = int(np.max(cols - rows, initial=0))
+        # position of S[i, j], i <= j, in the flattened Fortran-ordered band
+        pos = self.bandwidth + rows - cols + cols * (self.bandwidth + 1)
+        self._pos, slot = np.unique(pos, return_inverse=True)
+        self._vals = np.bincount(slot, weights=w[rows] * coupled.data[upper])
+
+    def _upper_band(self, c, dt):
+        b, num = self.bandwidth, self._w.size
+        flat = np.zeros((b + 1) * num)
+        flat[self._pos] = self._vals
+        band = flat.reshape((b + 1, num), order="F")
+        band[b] += self._w / dt
+        band[b] += self._w * c
+        return band
+
+    def factor(self, c, dt, level=None, residual=None):
+        """Factor S = W M(c) for the slot coefficients c and the time step dt.
+
+        Returns (band, pivots) for `solve` and `solve_transposed`: the
+        Cholesky band with pivots None, or the LU band with its pivots.
+        Raises SolverFailureError (carrying level and residual) when S is
+        exactly singular.
+        """
+        chol, info = lapack.dpbtrf(self._upper_band(c, dt), overwrite_ab=1)
+        if info == 0:
+            return chol, None
+        b = self.bandwidth
+        upper = self._upper_band(c, dt)  # dpbtrf overwrote the first band
+        general = np.zeros((3 * b + 1, upper.shape[1]), order="F")
+        general[b : 2 * b + 1] = upper
+        for d in range(1, b + 1):
+            general[2 * b + d, :-d] = upper[b - d, d:]
+        lu, pivots, info = lapack.dgbtrf(general, b, b, overwrite_ab=1)
+        if info > 0:
+            raise SolverFailureError(
+                f"step matrix is exactly singular at step {level}",
+                step=level,
+                residual=residual,
+            )
+        return lu, pivots
+
+    def _solve_band(self, factor, rhs):
+        band, pivots = factor
+        if pivots is None:
+            return lapack.dpbtrs(band, rhs)[0]
+        return lapack.dgbtrs(band, self.bandwidth, self.bandwidth, rhs, pivots)[0]
+
+    def solve(self, factor, rhs):
+        """Solve M x = rhs for an (N,) right-hand side."""
+        return self._solve_band(factor, self._w * rhs)
+
+    def solve_transposed(self, factor, rhs):
+        """Solve M^T x = rhs for an (N,) right-hand side."""
+        return self._w * self._solve_band(factor, rhs)
 
 
 def build_operators(grid):
@@ -245,11 +335,16 @@ def build_operators(grid):
     # canonical (sorted, duplicate-free) CSR: scipy would otherwise sort the
     # indices in place on first use, which changes matvec roundoff mid-run
     coupled.sum_duplicates()
+    # entrywise from a copy: abs() of a CSR matrix sorts its indices in place
+    coupled_abs = coupled.copy()
+    coupled_abs.data = np.abs(coupled_abs.data)
 
     return OperatorSet(
         dirichlet_bulk=A,
         dirichlet_surf=A_surf,
         coupled=coupled,
+        coupled_abs=coupled_abs,
+        step=StepMatrix(grid, coupled),
     )
 
 

@@ -28,8 +28,8 @@ from .pde_state import (
     ControlPair,
     FieldPair,
     check_initial,
+    check_newton,
     slot_potential,
-    slot_weights,
     solve_state,
 )
 
@@ -78,10 +78,7 @@ class ControlProblem:
                 raise InvalidParameterError(f"{name} must be finite and nonnegative, got {b}")
         if not any(b > 0 for b in betas.values()):
             raise InvalidParameterError(f"{', '.join(betas)} must not all be zero")
-        if not (0 < self.newton_tol < np.inf):
-            raise InvalidParameterError(f"newton_tol must be positive and finite, got {self.newton_tol!r}")
-        if self.max_newton < 1:
-            raise InvalidParameterError(f"max_newton must be at least 1, got {self.max_newton}")
+        check_newton(self.newton_tol, self.max_newton)
         m1, N, nb = self.time.m + 1, self.grid.num_nodes, self.grid.num_boundary
         self.z_q = _as_levels(self.z_q, (m1, N), "z_q")
         self.z_sigma = _as_levels(self.z_sigma, (m1, nb), "z_sigma")
@@ -187,7 +184,7 @@ def adjoint_as_control(problem, adjoint):
     return ControlPair(bulk, surf)
 
 
-def reduced_gradient(problem, state, adjoint, control):
+def reduced_gradient(problem, adjoint, control):
     """Exact gradient of the discrete reduced cost: adjoint plus weighted control."""
     rep = adjoint_as_control(problem, adjoint)
     return ControlPair(
@@ -219,7 +216,7 @@ def curvature(problem, state, adjoint, operator, direction, second_direction=Non
     d3 = slot_potential(grid, state.values[1:], problem.pf.d3, problem.pg.d3)
     total -= space_time_inner(
         problem.time.weights()[1:],
-        slot_weights(grid),
+        grid.slot_weights,
         adjoint.values[1:],
         d3 * phi.values[1:] * psi.values[1:],
     )
@@ -334,7 +331,7 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
         state = problem.solve(control)
     operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
     adjoint = solve_adjoint(state, problem, operator)
-    grad = reduced_gradient(problem, state, adjoint, control)
+    grad = reduced_gradient(problem, adjoint, control)
     cost = evaluate_cost(problem, state, control)
     grad_norm = hnorm(problem, grad)
     stationarity = stationarity_norm(problem, control, grad)

@@ -82,20 +82,20 @@ def _cost_at(problem, control, guess=None):
     return evaluate_cost(problem, state, control), state
 
 
-def minimize(problem, config, start, callback=None, final_report=True):
+def minimize(problem, config, start, callback=None):
     """Run projected gradient descent from a starting control.
 
     Each iteration solves state and adjoint once, forms the exact
     discrete gradient, and accepts the first backtracked projected step
     with sufficient decrease. Terminates when the unit-step projected
     residual norm drops below stop_tol or the iteration budget is
-    reached.
+    reached. The result carries the OptimalityReport of the final
+    control.
 
     Args:
         callback: optional callable receiving (IterateRecord, control) as
             each iterate is accepted (used for streaming history and
             checkpoints to disk).
-        final_report: attach an OptimalityReport for the final control.
 
     Raises:
         OptimizerStalledError: the line search exhausted max_backtracks;
@@ -112,7 +112,7 @@ def minimize(problem, config, start, callback=None, final_report=True):
         clamp_tally += state.info.get("clamp_events", 0)
         operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
         adjoint = solve_adjoint(state, problem, operator)
-        grad = reduced_gradient(problem, state, adjoint, u)
+        grad = reduced_gradient(problem, adjoint, u)
         stat = stationarity_norm(problem, u, grad)
 
         record = IterateRecord(it, cost, stat, step, clamp_tally)
@@ -159,5 +159,5 @@ def minimize(problem, config, start, callback=None, final_report=True):
         u, cost, state, used = accepted
         step = min(2.0 * used, 10.0 * config.initial_step)
 
-    report = optimality_report(problem, u, state=state) if final_report else None
+    report = optimality_report(problem, u, state=state)
     return MinimizeResult(control=u, state=state, history=history, report=report, reason=reason)

@@ -9,10 +9,10 @@ the nonlinear solver evaluated its Newton linearization; that choice makes
 the adjoint below an exact algebraic transpose of the forward stepping.
 
 Each M(k) is factored once as the symmetric band S = W M(k), W the slot
-quadrature weights (`pde_state.StepMatrix`). Since M^T = S W^-1, the
-transposed step is the forward band solve with the W scaling moved to the
-other side, and one factor serves every (N,) right-hand side of the
-linearized, adjoint and second-derivative marches.
+quadrature weights, by the grid's one `geometry.StepMatrix` (`ops.step`).
+Since M^T = S W^-1, the transposed step is the forward band solve with
+the W scaling moved to the other side, and one factor serves every (N,)
+right-hand side of the linearized, adjoint and second-derivative marches.
 
 The adjoint is built by transposing that stepping, not by discretizing
 the backward equations anew: multipliers of the step equations are
@@ -26,7 +26,7 @@ direct-solver roundoff.
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .pde_state import ControlPair, StepMatrix, Trajectory, slot_fields, slot_potential, slot_weights
+from .pde_state import ControlPair, Trajectory, slot_fields, slot_potential
 
 
 class SteppedOperator:
@@ -35,10 +35,10 @@ class SteppedOperator:
     coeffs is an (m+1, N) array in equation-slot layout: the bulk
     coefficient at interior slots, the surface coefficient at boundary
     slots (see `pde_state.slot_fields`). Each level is factored lazily,
-    once, as the W-symmetric band of `pde_state.StepMatrix`: banded
-    Cholesky when 1/dt + min c(k) > 0, banded LU otherwise. Forward and
-    transposed solves of (N,) right-hand sides share that factor. A fully
-    factored operator holds m+1 bands:
+    once, by the grid's `geometry.StepMatrix` (`ops.step`) with the time
+    step dt: banded Cholesky when 1/dt + min c(k) > 0, banded LU
+    otherwise. Forward and transposed solves of (N,) right-hand sides
+    share that factor. A fully factored operator holds m+1 bands:
     21 x 17.3 MB at n = 128, m = 20. Instances are safe to share across
     sequential solves on the same state.
     """
@@ -51,13 +51,13 @@ class SteppedOperator:
             )
         self.grid = grid
         self.time = time
-        self._step = StepMatrix(grid, ops, time.dt)
+        self._step = ops.step
         self._coeffs = coeffs
         self._factors = [None] * (time.m + 1)
 
     def _factor(self, k):
         if self._factors[k] is None:
-            self._factors[k] = self._step.factor(self._coeffs[k], level=k)
+            self._factors[k] = self._step.factor(self._coeffs[k], self.time.dt, level=k)
         return self._factors[k]
 
     def solve(self, k, rhs):
@@ -146,14 +146,13 @@ def adjoint_from_seeds(state, seeds, operator):
     """
     grid, time = state.grid, state.time
     theta = time.weights()
-    slot_w = slot_weights(grid)
 
     values = np.zeros((time.m + 1, grid.num_nodes))
     lam = operator.solve_transposed(time.m, seeds[time.m])
-    values[time.m] = lam / (theta[time.m] * slot_w)
+    values[time.m] = lam / (theta[time.m] * grid.slot_weights)
     for k in range(time.m - 1, 0, -1):
         lam = operator.solve_transposed(k, seeds[k] + lam / time.dt)
-        values[k] = lam / (theta[k] * slot_w)
+        values[k] = lam / (theta[k] * grid.slot_weights)
     return Trajectory(values, grid, time)
 
 

@@ -48,10 +48,10 @@ unguessed starts on purpose (see `cli_io`). Where dt max(-f'', -g'') >= 1
 roots, and a different start can converge to a different one.
 
 Every Newton step and every linear step of `pde_linear` solves with a
-matrix M = I/dt + coupled + diag(c). `StepMatrix` factors all of them the
-same way: scaled by the slot quadrature weights W, S = W M is an exactly
-symmetric band, so one LAPACK band factor of S serves both M and its
-transpose.
+matrix M = I/dt + coupled + diag(c). The grid's one `geometry.StepMatrix`
+(`ops.step`) factors all of them the same way: scaled by the slot
+quadrature weights W, S = W M is an exactly symmetric band, so one LAPACK
+band factor of S serves both M and its transpose.
 """
 
 import warnings
@@ -59,12 +59,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     BoundsViolationWarning,
     DimensionMismatchError,
     DomainError,
+    InvalidParameterError,
     SolverFailureError,
 )
 from .geometry import space_time_inner
@@ -155,13 +155,6 @@ def slot_fields(grid, bulk_values, surface_values):
     return out
 
 
-def slot_weights(grid):
-    """Quadrature weight per equation slot: area weights, arclength weights on the cycle."""
-    w = grid.bulk_weights.copy()
-    w[grid.boundary_cycle] = grid.surface_weights
-    return w
-
-
 def slot_potential(grid, values, bulk_fn, surface_fn):
     """A potential evaluator in slot layout: bulk_fn at interior nodes, surface_fn on the cycle.
 
@@ -173,95 +166,6 @@ def slot_potential(grid, values, bulk_fn, surface_fn):
     out[..., grid.interior_nodes] = bulk_fn(values[..., grid.interior_nodes])
     out[..., grid.boundary_cycle] = surface_fn(values[..., grid.boundary_cycle])
     return out
-
-
-class StepMatrix:
-    """Band factorizations of the step matrices M(c) = I/dt + coupled + diag(c).
-
-    With W = diag(slot weights), W coupled = A_bulk + A_surf (see
-    `geometry.build_operators`) is exactly symmetric, and so is
-    S = W M(c) = W coupled + W/dt + W diag(c). In the natural node order S
-    is a band whose half-bandwidth (n+1 on a grid with n cells per side) is
-    read off the sparsity pattern of `coupled`. Only the upper entries of
-    W coupled are stored, one per band position (duplicate entries of a
-    non-canonical `coupled` are summed once here); `factor` assigns them
-    into a fresh zero band in LAPACK layout, adds W/dt, then W c, and
-    factors it in place.
-
-    S is positive definite whenever 1/dt + min c > 0, and then the factor
-    is a banded Cholesky (dpbtrf). Otherwise the same S is factored by
-    banded LU with partial pivoting (dgbtrf); the matrix, not a setting,
-    selects the path. Solves reuse one factor both ways:
-    M x = r is x = S^-1 (W r), and M^T x = r is x = W S^-1 r.
-
-    A factor holds (b+1) N doubles for Cholesky and (3b+1) N for LU, with
-    b the half-bandwidth: 17.3 MB per level at n = 128.
-    """
-
-    def __init__(self, grid, ops, dt):
-        coupled = ops.coupled.tocsr()
-        num = coupled.shape[0]
-        w = slot_weights(grid)
-        rows = np.repeat(np.arange(num), np.diff(coupled.indptr))
-        cols = coupled.indices
-        upper = cols >= rows
-        rows, cols = rows[upper], cols[upper]
-        self.bandwidth = int(np.max(cols - rows, initial=0))
-        # position of S[i, j], i <= j, in the flattened Fortran-ordered band
-        pos = self.bandwidth + rows - cols + cols * (self.bandwidth + 1)
-        self._pos, slot = np.unique(pos, return_inverse=True)
-        self._vals = np.bincount(slot, weights=w[rows] * coupled.data[upper])
-        self._w = w
-        self._w_dt = w / dt
-
-    def _upper_band(self, c):
-        b, num = self.bandwidth, self._w.size
-        flat = np.zeros((b + 1) * num)
-        flat[self._pos] = self._vals
-        band = flat.reshape((b + 1, num), order="F")
-        band[b] += self._w_dt
-        band[b] += self._w * c
-        return band
-
-    def factor(self, c, level=None, residual=None):
-        """Factor S = W M(c) for the slot coefficients c.
-
-        Returns (band, pivots) for `solve` and `solve_transposed`: the
-        Cholesky band with pivots None, or the LU band with its pivots.
-        Raises SolverFailureError (carrying level and residual) when S is
-        exactly singular.
-        """
-        chol, info = lapack.dpbtrf(self._upper_band(c), overwrite_ab=1)
-        if info == 0:
-            return chol, None
-        b = self.bandwidth
-        upper = self._upper_band(c)  # dpbtrf overwrote the first band
-        general = np.zeros((3 * b + 1, upper.shape[1]), order="F")
-        general[b : 2 * b + 1] = upper
-        for d in range(1, b + 1):
-            general[2 * b + d, :-d] = upper[b - d, d:]
-        lu, pivots, info = lapack.dgbtrf(general, b, b, overwrite_ab=1)
-        if info > 0:
-            raise SolverFailureError(
-                f"step matrix is exactly singular at step {level}",
-                step=level,
-                residual=residual,
-            )
-        return lu, pivots
-
-    def _solve_band(self, factor, rhs):
-        band, pivots = factor
-        if pivots is None:
-            return lapack.dpbtrs(band, rhs)[0]
-        return lapack.dgbtrs(band, self.bandwidth, self.bandwidth, rhs, pivots)[0]
-
-    def solve(self, factor, rhs):
-        """Solve M x = rhs for an (N,) right-hand side."""
-        return self._solve_band(factor, self._w * rhs)
-
-    def solve_transposed(self, factor, rhs):
-        """Solve M^T x = rhs for an (N,) right-hand side."""
-        return self._w * self._solve_band(factor, rhs)
 
 
 def _nonlinearity(grid, pf, pg, z):
@@ -303,6 +207,14 @@ def check_initial(grid, pf, pg, init):
     return y0
 
 
+def check_newton(newton_tol, max_newton):
+    """The Newton settings rule: a positive, finite tolerance and at least one iteration."""
+    if not (0 < newton_tol < np.inf):
+        raise InvalidParameterError(f"newton_tol must be positive and finite, got {newton_tol!r}")
+    if max_newton < 1:
+        raise InvalidParameterError(f"max_newton must be at least 1, got {max_newton}")
+
+
 def solve_state(
     grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL, max_newton=MAX_NEWTON, guess=None
 ):
@@ -326,11 +238,13 @@ def solve_state(
         arguments clamped during the solve ("clamp_events").
 
     Raises:
+        InvalidParameterError: newton_tol or max_newton breaks `check_newton`.
         SolverFailureError: Newton did not converge within max_newton
             iterations at some step, a Newton Jacobian was exactly
             singular, or no damped update stayed inside the guarded
             interval.
     """
+    check_newton(newton_tol, max_newton)
     y0 = check_initial(grid, pf, pg, init)
     if not (np.isfinite(control.bulk).all() and np.isfinite(control.surface).all()):
         raise DomainError("controls must be finite")
@@ -342,8 +256,6 @@ def solve_state(
             )
 
     dt = time.dt
-    step_matrix = StepMatrix(grid, ops, dt)
-    abs_coupled = None  # |coupled|, built by the first rounding_floor call
     lo, hi = _interval(pf, pg)
 
     values = np.empty((time.m + 1, grid.num_nodes))
@@ -373,13 +285,8 @@ def solve_state(
 
         def rounding_floor(it):
             """eps times the largest row sum of |terms| of the residual at it."""
-            nonlocal abs_coupled
-            if abs_coupled is None:
-                # entrywise from a copy: abs() of a CSR matrix sorts its indices in place
-                abs_coupled = ops.coupled.tocsr(copy=True)
-                abs_coupled.data = np.abs(abs_coupled.data)
             z_abs = np.abs(it.z)
-            terms = (z_abs + np.abs(prev)) / dt + abs_coupled @ z_abs + np.abs(it.d1) + np.abs(rhs)
+            terms = (z_abs + np.abs(prev)) / dt + ops.coupled_abs @ z_abs + np.abs(it.d1) + np.abs(rhs)
             return np.finfo(float).eps * terms.max()
 
         def search(it, delta, tries):
@@ -411,7 +318,7 @@ def solve_state(
             iters += 1
             if factor is not None:
                 # undamped chord step on the kept factor
-                trial, _ = search(it, step_matrix.solve(factor, -it.res), 1)
+                trial, _ = search(it, ops.step.solve(factor, -it.res), 1)
                 if trial is not None:
                     polish = trial.norm <= CHORD_CONTRACTION * it.norm
                     if not polish:
@@ -425,10 +332,10 @@ def solve_state(
             # clamps count again
             clamp_events += it.clamps
             factor = None  # at most one band factor is alive
-            factor = step_matrix.factor(it.d2, level=k + 1, residual=it.norm)
+            factor = ops.step.factor(it.d2, dt, level=k + 1, residual=it.norm)
             factors += 1
             polish = False
-            accepted, fallback = search(it, step_matrix.solve(factor, -it.res), MAX_DAMPING)
+            accepted, fallback = search(it, ops.step.solve(factor, -it.res), MAX_DAMPING)
             if accepted is None and fallback is None:
                 raise SolverFailureError(
                     f"no admissible Newton update at step {k + 1}", step=k + 1, residual=it.norm
@@ -477,7 +384,7 @@ def energy(grid, ops, pf, pg, state):
             raise DomainError("energy undefined at or beyond the endpoints 0, 1")
     grad_bulk = 0.5 * float(z @ (ops.dirichlet_bulk @ z))
     grad_surf = 0.5 * float(trace @ (ops.dirichlet_surf @ trace))
-    potential = float(np.dot(slot_weights(grid), slot_potential(grid, z, pf.value, pg.value)))
+    potential = float(np.dot(grid.slot_weights, slot_potential(grid, z, pf.value, pg.value)))
     return grad_bulk + grad_surf + potential
 
 

@@ -71,7 +71,7 @@ def tracking_run():
 def test_criterion_01_adjoint_linearized_duality(duality_setup):
     """(1) <reduced gradient, h> vs the linearized directional derivative."""
     prob, u, state, op, adj, rng = duality_setup
-    grad = reduced_gradient(prob, state, adj, u)
+    grad = reduced_gradient(prob, adj, u)
     theta = prob.time.weights()
     w, gam = prob.grid.bulk_weights, prob.grid.surface_weights
     worst = 0.0
@@ -110,7 +110,7 @@ def test_criterion_02_taylor_remainder(duality_setup):
 def test_criterion_03_gradient_fd(duality_setup):
     """(3) central differences match the adjoint gradient: order 2, plateau <= 1e-8."""
     prob, u, state, op, adj, rng = duality_setup
-    grad = reduced_gradient(prob, state, adj, u)
+    grad = reduced_gradient(prob, adj, u)
     eps_list = np.array([3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4])
     worst_plateau = 0.0
     worst_slope = np.inf
@@ -243,7 +243,7 @@ def test_criterion_08_linear_quadratic_oracle():
     )
     result = minimize(
         prob, OptimizerConfig(max_iters=4000, stop_tol=1e-9),
-        ControlPair.zeros(grid, time), final_report=False,
+        ControlPair.zeros(grid, time),
     )
 
     # independent dense assembly: monolithic forward matrix, stacked quadratic

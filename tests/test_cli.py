@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acopt import ConfigError, StepSolvabilityWarning
+from acopt import ConfigError, ControlPair, InvalidParameterError, StepSolvabilityWarning
 from acopt.cli_io import (
     MODES,
     RunConfig,
@@ -437,6 +437,24 @@ def test_build_problem_rejects_a_misspelled_preset(name, key, value):
         build_problem(RunConfig(grid_n=4, time_T=0.2, time_m=4, **{name: value}))
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"newton_tol": 0.0}, "^newton_tol must be positive and finite"),
+        ({"newton_tol": np.nan}, "^newton_tol must be positive and finite"),
+        ({"newton_tol": -1.0}, "^newton_tol must be positive and finite"),
+        ({"newton_tol": np.inf}, "^newton_tol must be positive and finite"),
+        ({"max_newton": 0}, "^max_newton must be at least 1"),
+    ],
+    ids=["tol=0", "tol=nan", "tol=-1", "tol=inf", "max=0"],
+)
+def test_solve_rejects_bad_newton_overrides(setting, message):
+    """A per-call Newton setting obeys the problem's rule: rejected, never a stalled or unsolved state."""
+    problem = build_problem(RunConfig(grid_n=4, time_T=0.2, time_m=4))
+    with pytest.raises(InvalidParameterError, match=message):
+        problem.solve(ControlPair.zeros(problem.grid, problem.time), **setting)
+
+
 OPTIMIZE = (
     "mode = optimize\n"
     "grid.n = 4\n"
@@ -479,6 +497,36 @@ def test_optimize_solves_each_trial_once(tmp_path, monkeypatch):
     assert [guessed for guessed, _ in solves] == [False] + [True] * len(predictions)
     state = np.loadtxt(tmp_path / "out" / "state_bulk.csv", delimiter=",", skiprows=1)[:, 2:]
     np.testing.assert_array_equal(state, solves[-1][1].values.T)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_run_builds_one_step_matrix(tmp_path, monkeypatch, mode):
+    """The grid's StepMatrix is built once, inside `build_operators`.
+
+    No state solve, linearization, report or verification builds another.
+    """
+    import acopt.cli_io as cli
+    from acopt.geometry import StepMatrix, build_operators
+
+    log = []
+    init = StepMatrix.__init__
+
+    def counted_init(self, *args, **kwargs):
+        log.append("step")
+        init(self, *args, **kwargs)
+
+    def logged_build(grid):
+        log.append("build(")
+        ops = build_operators(grid)
+        log.append(")")
+        return ops
+
+    monkeypatch.setattr(StepMatrix, "__init__", counted_init)
+    monkeypatch.setattr(cli, "build_operators", logged_build)
+    text = OPTIMIZE.replace("optimizer.max_iters = 100", "optimizer.max_iters = 5")
+    # 4 is a completed run whose checks failed (see test_each_mode_builds_one_problem)
+    assert main([str(write(tmp_path, text + f"output.dir = {tmp_path/'out'}\n")), "--mode", mode]) in (0, 4)
+    assert log == ["build(", "step", ")"]
 
 
 def test_determinism_optimize_bit_identical(tmp_path):

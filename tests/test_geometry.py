@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy
 
 from acopt import (
@@ -126,13 +127,54 @@ def test_coupled_symmetric_in_slot_weights(n):
     grid = build_grid(n)
     w = grid.bulk_weights.copy()
     w[grid.boundary_cycle] = grid.surface_weights
+    assert np.array_equal(w, grid.slot_weights)
     dense = w[:, None] * build_operators(grid).coupled.toarray()
     assert np.abs(dense - dense.T).max() == 0.0
 
 
 def test_operators_canonical_csr(grid4, ops4):
-    for name in ("dirichlet_bulk", "dirichlet_surf", "coupled"):
+    for name in ("dirichlet_bulk", "dirichlet_surf", "coupled", "coupled_abs"):
         assert getattr(ops4, name).has_canonical_format, name
+
+
+def _bulk_stiffness_per_edge(grid):
+    """The per-edge reference assembly: one block of edges per grid row, then per grid column."""
+    n, side = grid.n, grid.n + 1
+    rows, cols, vals = [], [], []
+
+    def add_edges(a, b, k):
+        rows.extend([a, b, a, b])
+        cols.extend([a, b, b, a])
+        vals.extend([k, k, -k, -k])
+
+    for j in range(side):
+        k = np.full(n, 1.0 if 0 < j < n else 0.5)
+        a = j * side + np.arange(n)
+        add_edges(a, a + 1, k)
+    for i in range(side):
+        k = np.full(n, 1.0 if 0 < i < n else 0.5)
+        a = np.arange(n) * side + i
+        add_edges(a, a + side, k)
+
+    rows = np.concatenate([np.atleast_1d(r) for r in rows])
+    cols = np.concatenate([np.atleast_1d(c) for c in cols])
+    vals = np.concatenate([np.atleast_1d(v) for v in vals])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(side * side,) * 2).tocsr()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 32])
+def test_bulk_stiffness_matches_per_edge_assembly(n, monkeypatch):
+    """The indexed assembly stores the per-edge loop's CSR arrays, and so does coupled."""
+    from acopt import geometry
+
+    grid = build_grid(n)
+    ops = build_operators(grid)
+    monkeypatch.setattr(geometry, "_bulk_stiffness", _bulk_stiffness_per_edge)
+    reference = build_operators(grid)
+    for name in ("dirichlet_bulk", "coupled"):
+        ours, theirs = getattr(ops, name), getattr(reference, name)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ours, part), getattr(theirs, part)), (name, part)
 
 
 def test_inner_products_basic(grid4):

@@ -21,7 +21,8 @@ from acopt import (
     trajectory_space_time_norm,
 )
 from acopt.pde_linear import adjoint_from_seeds
-from acopt.pde_state import StepMatrix, Trajectory, slot_fields
+from acopt.geometry import StepMatrix
+from acopt.pde_state import Trajectory, slot_fields
 
 from conftest import default_potentials, make_problem, quadratic_potentials, random_control
 
@@ -111,6 +112,7 @@ def test_singular_step_matrix_raises(grid4, ops4):
     # cancel the coupling too so the step matrix is exactly singular
     class NoCoupling:
         coupled = sp.csr_matrix((N, N))
+        step = StepMatrix(grid4, coupled)
 
     with pytest.raises(SolverFailureError):
         solve_linear(
@@ -170,6 +172,7 @@ def test_step_solves_with_duplicate_coupled_entries():
 
     class SplitOps:
         coupled = split
+        step = StepMatrix(grid, coupled)
 
     time = TimeAxis(dt, 1)
     coeffs = slot_fields(grid, rng.uniform(-3, 5, (2, N)), rng.uniform(-3, 5, (2, grid.num_boundary)))
@@ -282,9 +285,9 @@ def test_adjoint_march_stops_at_level_one(grid4, ops4, rng, monkeypatch):
     factored = []
     original = StepMatrix.factor
 
-    def counting_factor(self, c, level=None, residual=None):
+    def counting_factor(self, c, dt, level=None, residual=None):
         factored.append(level)
-        return original(self, c, level=level, residual=residual)
+        return original(self, c, dt, level=level, residual=residual)
 
     monkeypatch.setattr(StepMatrix, "factor", counting_factor)
     adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
@@ -518,8 +521,6 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
     third-derivative term reads the same slots, and the energy evaluates
     the bulk potential on the interior and the surface one on the cycle.
     """
-    from acopt import pde_state
-
     pf, pg = default_potentials()
     time = TimeAxis(0.3, 5)
     state = _solved_state(grid4, ops4, time, pf, pg, random_control(grid4, time, rng))
@@ -537,13 +538,13 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
 
     sizes = log_sizes("d2", "d3")
     factored = {}
-    factor = pde_state.StepMatrix.factor
+    factor = StepMatrix.factor
 
-    def logged_factor(self, c, level=None, residual=None):
+    def logged_factor(self, c, dt, level=None, residual=None):
         factored[level] = c.copy()
-        return factor(self, c, level=level, residual=residual)
+        return factor(self, c, dt, level=level, residual=residual)
 
-    monkeypatch.setattr(pde_state.StepMatrix, "factor", logged_factor)
+    monkeypatch.setattr(StepMatrix, "factor", logged_factor)
     op = linearized_operator(state, pf, pg, ops4)
     phi, psi = solve_linearized(op, h), solve_linearized(op, k)
     eta = solve_second_derivative(state, pf, pg, phi, psi, op)

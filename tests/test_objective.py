@@ -135,7 +135,7 @@ def test_gradient_pure_control_case(grid4, ops4, rng):
     u = random_control(grid4, time, rng)
     state = prob.solve(u)
     adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
-    grad = reduced_gradient(prob, state, adj, u)
+    grad = reduced_gradient(prob, adj, u)
     np.testing.assert_allclose(grad.bulk, u.bulk, atol=1e-14)
     np.testing.assert_allclose(grad.surface, 0.3 * u.surface, atol=1e-14)
 
@@ -147,7 +147,7 @@ def test_gradient_central_difference_order_two(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
     adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops8))
-    grad = reduced_gradient(prob, state, adj, u)
+    grad = reduced_gradient(prob, adj, u)
 
     eps_list = np.array([3e-2, 1e-2, 3e-3, 1e-3, 3e-4])
     for _ in range(2):
@@ -180,7 +180,7 @@ def test_gradient_duality_against_linearized(grid8, ops8, rng):
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops8)
     adj = solve_adjoint(state, prob, op)
-    grad = reduced_gradient(prob, state, adj, u)
+    grad = reduced_gradient(prob, adj, u)
 
     theta = time.weights()
     w, gam = grid8.bulk_weights, grid8.surface_weights
@@ -221,7 +221,7 @@ def test_gradient_depends_on_residuals_only(grid4, ops4, rng):
         shifted.z_sigma = prob.z_sigma + shift
         shifted.z_t = prob.z_t + shift
         adj = solve_adjoint(state, shifted, linearized_operator(state, pf, pg, ops4))
-        grads.append(reduced_gradient(shifted, state, adj, u))
+        grads.append(reduced_gradient(shifted, adj, u))
     np.testing.assert_allclose(grads[0].bulk, grads[1].bulk, atol=1e-11)
     np.testing.assert_allclose(grads[0].surface, grads[1].surface, atol=1e-11)
 
@@ -376,14 +376,14 @@ def test_stationarity_projection_equivalence(grid4, ops4, rng):
     state = prob.solve(u0)
     adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
     rep = adjoint_as_control(prob, adj)
-    grad = reduced_gradient(prob, state, adj, u0)
+    grad = reduced_gradient(prob, adj, u0)
     assert stationarity_norm(prob, u0, grad) == 0.0
     assert projection_residual(prob, u0, rep) == 0.0
 
     u1 = random_control(grid4, time, rng, scale=0.5)
     state1 = prob.solve(u1)
     adj1 = solve_adjoint(state1, prob, linearized_operator(state1, pf, pg, ops4))
-    grad1 = reduced_gradient(prob, state1, adj1, u1)
+    grad1 = reduced_gradient(prob, adj1, u1)
     assert stationarity_norm(prob, u1, grad1) > 0.0
     assert projection_residual(prob, u1, adjoint_as_control(prob, adj1)) > 0.0
 

@@ -91,7 +91,7 @@ def test_fixed_point_characterization_at_convergence(control_prob):
     state = control_prob.solve(u)
     op = linearized_operator(state, control_prob.pf, control_prob.pg, control_prob.ops)
     adj = solve_adjoint(state, control_prob, op)
-    grad = reduced_gradient(control_prob, state, adj, u)
+    grad = reduced_gradient(control_prob, adj, u)
     stat = stationarity_norm(control_prob, u, grad)
     assert stat <= max(cfg.stop_tol, 1e-10)
     proj = clip_to_box(
@@ -109,7 +109,7 @@ def test_descent_direction_validity(grid4, ops4, rng):
         u = clip_to_box(prob, random_control(grid4, time, rng, scale=0.8))
         state = prob.solve(u)
         adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
-        grad = reduced_gradient(prob, state, adj, u)
+        grad = reduced_gradient(prob, adj, u)
         if stationarity_norm(prob, u, grad) == 0:
             continue
         s = 1e-3

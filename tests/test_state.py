@@ -23,6 +23,7 @@ from acopt import (
     trajectory_space_time_norm,
     trajectory_sup_norm,
 )
+from acopt.geometry import StepMatrix
 from acopt.objective import hnorm
 
 from conftest import default_potentials, make_problem, random_control
@@ -236,6 +237,7 @@ def test_singular_newton_jacobian_raises(grid4):
 
     class NoCoupling:
         coupled = sp.csr_matrix((N, N))
+        step = StepMatrix(grid4, coupled)
 
     init = np.full(N, 0.3)
     with pytest.raises(SolverFailureError) as info:
@@ -292,7 +294,7 @@ def test_newton_jacobian_reuses_residual_evaluation(grid4, ops4, rng, monkeypatc
     from acopt import pde_state
 
     log = []
-    terms, factor = pde_state.newton_terms, pde_state.StepMatrix.factor
+    terms, factor = pde_state.newton_terms, StepMatrix.factor
 
     def counted_terms(p, y):
         log.append("T")
@@ -303,7 +305,7 @@ def test_newton_jacobian_reuses_residual_evaluation(grid4, ops4, rng, monkeypatc
         return factor(self, *args, **kwargs)
 
     monkeypatch.setattr(pde_state, "newton_terms", counted_terms)
-    monkeypatch.setattr(pde_state.StepMatrix, "factor", counted_factor)
+    monkeypatch.setattr(StepMatrix, "factor", counted_factor)
     pf, pg = default_potentials()
     time = TimeAxis(0.2, 4)
     init = rng.uniform(0.3, 0.7, grid4.num_nodes)
@@ -354,7 +356,7 @@ def test_dropped_chord_candidate_refactors_at_the_iterate(grid4, ops4, monkeypat
     from acopt import pde_state
 
     events = []
-    nonlinearity, factor = pde_state._nonlinearity, pde_state.StepMatrix.factor
+    nonlinearity, factor = pde_state._nonlinearity, StepMatrix.factor
 
     def logged_nonlinearity(grid, pf, pg, z):
         out = nonlinearity(grid, pf, pg, z)
@@ -366,7 +368,7 @@ def test_dropped_chord_candidate_refactors_at_the_iterate(grid4, ops4, monkeypat
         return factor(self, c, *args, **kwargs)
 
     monkeypatch.setattr(pde_state, "_nonlinearity", logged_nonlinearity)
-    monkeypatch.setattr(pde_state.StepMatrix, "factor", logged_factor)
+    monkeypatch.setattr(StepMatrix, "factor", logged_factor)
     pf, pg = default_potentials()
     time = TimeAxis(0.2, 1)
     u = random_control(grid4, time, np.random.default_rng(1), scale=2.0)
