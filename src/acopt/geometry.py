@@ -227,10 +227,10 @@ class StepMatrix:
     S = W M(c) = W coupled + W/dt + W diag(c). In the natural node order S
     is a band whose half-bandwidth (n+1 on a grid with n cells per side) is
     read off the sparsity pattern of `coupled`. Only the upper entries of
-    W coupled are stored, one per band position (duplicate entries of a
-    non-canonical `coupled` are summed once here), once per grid by
-    `build_operators`. `factor` assigns them into a fresh zero band in
-    LAPACK layout, adds W/dt, then W c, and factors it in place.
+    W coupled are stored, one per band position (a non-canonical `coupled`
+    is summed on a copy first), once per grid by `build_operators`.
+    `factor` assigns them into a fresh zero band in LAPACK layout, adds
+    W/dt, then W c, and factors it in place.
 
     S is positive definite whenever 1/dt + min c > 0, and then the factor
     is a banded Cholesky (dpbtrf). Otherwise the same S is factored by
@@ -240,19 +240,40 @@ class StepMatrix:
 
     A factor holds (b+1) N doubles for Cholesky and (3b+1) N for LU, with
     b the half-bandwidth: 17.3 MB per level at n = 128.
+
+    `factor_cost` = kappa(b) = b^2 / (8 b + 100) prices one factorization
+    in chord iterations of `pde_state.solve_state` (a residual evaluation
+    plus a band solve): a factorization grows like N b^2, a solve like N b,
+    a residual like N. The constants fit the measured ratio of the library's
+    own calls (best of 5, tracking problem, dt = 0.0125, shared 2-core Xeon;
+    ranges over two runs):
+
+        n     b    kappa(b)  OPENBLAS_NUM_THREADS=1  2 OpenBLAS threads
+        4     5    0.18      0.19                    0.20-0.36
+        8     9    0.47      0.32-0.34               0.39-0.62
+        16    17   1.22      1.11                    6.2-6.6
+        32    33   2.99      3.1-5.4                 15.9-27.7
+        64    65   6.81      9.9-13.7                12.3-16.3
+        128   129  14.7      9.8-16.9                8.8-21.0
+
+    Break-even, kappa = 1, lies between b = 9 and 17 in every run, at 14.8
+    in the model. kappa depends on b alone, so the rule is deterministic.
     """
 
     def __init__(self, grid, coupled):
+        if not coupled.has_canonical_format:
+            coupled = coupled.copy()  # summed on a copy: the caller's matrix stays as given
+            coupled.sum_duplicates()
         self._w = w = grid.slot_weights
         rows = np.repeat(np.arange(coupled.shape[0]), np.diff(coupled.indptr))
         cols = coupled.indices
         upper = cols >= rows
         rows, cols = rows[upper], cols[upper]
-        self.bandwidth = int(np.max(cols - rows, initial=0))
-        # position of S[i, j], i <= j, in the flattened Fortran-ordered band
-        pos = self.bandwidth + rows - cols + cols * (self.bandwidth + 1)
-        self._pos, slot = np.unique(pos, return_inverse=True)
-        self._vals = np.bincount(slot, weights=w[rows] * coupled.data[upper])
+        self.bandwidth = b = int(np.max(cols - rows, initial=0))
+        self.factor_cost = b * b / (8 * b + 100)
+        # position of S[i, j], i <= j, in the flattened Fortran-ordered band (distinct: canonical)
+        self._pos = b + rows - cols + cols * (b + 1)
+        self._vals = w[rows] * coupled.data[upper]
 
     def _upper_band(self, c, dt):
         b, num = self.bandwidth, self._w.size

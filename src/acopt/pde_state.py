@@ -18,22 +18,29 @@ Each Newton candidate costs one guarded potential evaluation
 and f'', g'' for the Jacobian at that point, so the accepted candidate
 carries the coefficients of the next Newton step with it.
 
-One factorization per time level. The first iteration of a level is a
-damped Newton step, and the level keeps the factor it builds. Later
-iterations are chord steps z - J^-1 res with the kept Jacobian factor J,
-undamped (Kelley, Iterative Methods for Linear and Nonlinear Equations,
-SIAM 1995, 5.4): inside the guarded interval f'' and g'' are Lipschitz,
-so the Jacobian barely moves within a level. A chord step is accepted
-when it stays inside the interval and lowers the residual's max-norm; if
-it contracted the residual by less than CHORD_CONTRACTION, the next
-iteration refactors at the new iterate. A dropped chord candidate makes
-the iteration a damped Newton step at z instead. A chord step that meets
-the tolerance sits just under it, where a Newton step lands far below, so
-a level whose last step was a contracting chord step keeps stepping until
-a step stops contracting or the residual is within 1/CHORD_CONTRACTION of
-its rounding floor: eps times the largest row sum of the residual's
-absolute terms. Difference quotients of the state (the second-derivative
-oracle, the verify modes) need that accuracy.
+Factorizations priced by the grid: one costs kappa = `ops.step.factor_cost`
+chord iterations (see `geometry.StepMatrix`). Where kappa <= 1 every
+iteration is a damped Newton step. Where kappa > 1 the solve keeps the
+factor of its last Newton step, across levels too, for undamped chord
+steps z - J^-1 res (Kelley, Iterative Methods for Linear and Nonlinear
+Equations, SIAM 1995, 5.4; Jacobian reuse as in Hairer & Wanner, Solving
+ODEs II, IV.8): f'' and g'' are Lipschitz in the guarded interval, so J
+moves little between iterates and levels. A chord step is accepted when
+it stays in the interval and lowers the residual's max-norm; it keeps the
+factor while finishing the level at its contraction theta costs at most
+kappa more steps than a fresh factor would, at FRESH_CONTRACTION per
+step: with D = log(newton_tol / new residual) < 0,
+D / log(theta) <= kappa + D / log(FRESH_CONTRACTION). Otherwise the next
+iteration refactors at the new iterate; a dropped candidate makes it a
+damped Newton step at z. No factor outlives a solve, so a solve's first
+iteration factors while later levels may factor 0 times. A level whose
+last step was a chord step that contracted by CHORD_CONTRACTION keeps
+stepping until a step stops contracting that much or the residual is
+within 1/CHORD_CONTRACTION of its rounding floor (eps times the largest
+row sum of the residual's absolute terms): a chord step stops just under
+the tolerance where a Newton step lands far below it, and difference
+quotients of the state (the second-derivative oracle, the verify modes)
+need that accuracy.
 
 Newton starts. The step to level k+1 starts from a given guess level,
 else from the time extrapolation 2 y_k - y_{k-1} (y_0 for the first
@@ -74,6 +81,7 @@ NEWTON_TOL = 1e-11
 MAX_NEWTON = 50
 MAX_DAMPING = 30
 CHORD_CONTRACTION = 0.25
+FRESH_CONTRACTION = 1e-2  # a chord step on a factor built near the root, as seen at n = 4..128
 
 
 @dataclass
@@ -215,10 +223,18 @@ def check_newton(newton_tol, max_newton):
         raise InvalidParameterError(f"max_newton must be at least 1, got {max_newton}")
 
 
+def _keeps_factor(new, old, tol, kappa):
+    """Whether a chord step from residual norm old to new keeps its factor (module docstring)."""
+    if new <= tol:
+        return True
+    left = np.log(tol / new)  # < 0: the log-residual still to go
+    return left / np.log(new / old) <= kappa + left / np.log(FRESH_CONTRACTION)
+
+
 def solve_state(
     grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL, max_newton=MAX_NEWTON, guess=None
 ):
-    """March the nonlinear coupled system forward: damped Newton, then chord steps per level.
+    """March the nonlinear coupled system forward: damped Newton and chord steps, priced by the grid.
 
     Args:
         control: ControlPair with m+1 levels; the step to level k+1 reads
@@ -234,7 +250,8 @@ def solve_state(
     Returns:
         Trajectory whose info dict holds, per level, the iterations
         ("newton_iters", Newton and chord steps alike) and the step
-        factorizations ("factorizations"), and the number of potential
+        factorizations ("factorizations"; 0 where a level finishes on
+        the factor kept from an earlier one), and the number of potential
         arguments clamped during the solve ("clamp_events").
 
     Raises:
@@ -257,12 +274,14 @@ def solve_state(
 
     dt = time.dt
     lo, hi = _interval(pf, pg)
+    kappa = ops.step.factor_cost
 
     values = np.empty((time.m + 1, grid.num_nodes))
     values[0] = y0
     newton_iters = []
     factorizations = []
     clamp_events = 0
+    factor = None  # the kept factor, carried across levels; None makes the next iteration refactor
 
     for k in range(time.m):
         rhs = slot_fields(grid, control.bulk[k + 1], control.surface[k + 1])
@@ -306,7 +325,6 @@ def solve_state(
 
         it = evaluate(z)
         iters = factors = 0
-        factor = None  # the level's kept factor; None makes the next iteration refactor
         polish = False  # the last step was a chord step that contracted by CHORD_CONTRACTION
         while iters < max_newton:
             # A chord step stops just under the tolerance where a Newton step lands far
@@ -321,7 +339,7 @@ def solve_state(
                 trial, _ = search(it, ops.step.solve(factor, -it.res), 1)
                 if trial is not None:
                     polish = trial.norm <= CHORD_CONTRACTION * it.norm
-                    if not polish:
+                    if not _keeps_factor(trial.norm, it.norm, newton_tol, kappa):
                         factor = None
                     it = trial
                     continue
@@ -341,6 +359,8 @@ def solve_state(
                     f"no admissible Newton update at step {k + 1}", step=k + 1, residual=it.norm
                 )
             it = fallback if accepted is None else accepted
+            if kappa <= 1.0:
+                factor = None  # below break-even every iteration refactors: damped Newton
         if not it.norm <= newton_tol:
             raise SolverFailureError(
                 f"Newton stalled at step {k + 1}: residual {it.norm:.3e} after {iters} iterations",

@@ -32,6 +32,16 @@ def ops8(grid8):
     return build_operators(grid8)
 
 
+@pytest.fixture(scope="session")
+def grid16():
+    return build_grid(16)  # half-bandwidth 17: the first grid whose solves carry a factor
+
+
+@pytest.fixture(scope="session")
+def ops16(grid16):
+    return build_operators(grid16)
+
+
 def default_potentials():
     return Potential(1.0, 3.0), Potential(1.0, 3.0)
 

@@ -281,15 +281,17 @@ def test_clamp_warning_for_near_endpoint_data(grid4, ops4):
         assert traj.info["clamp_events"] == 2
 
 
-def test_newton_jacobian_reuses_residual_evaluation(grid4, ops4, rng, monkeypatch):
+def test_newton_jacobian_reuses_residual_evaluation(grid16, ops16, rng, monkeypatch):
     """Each residual makes one guarded call per potential; the Jacobian makes none.
 
     Logs "T" per potential call and "F" per step factorization. A level logs
-    the residual at its start, then its one Newton iteration (a
-    factorization and the candidate's residual), then one residual per
-    chord step on the kept factor; a refactorization would add an "F"
-    between chord steps. Every iteration here accepts its first candidate
-    and no level refactors: "TT" + "FTT" + "TT" * (iters - 1).
+    the residual at its start, then one residual per iteration, the
+    candidate's; an iteration that factors logs its "F" before it. Followed
+    by hand: every iteration accepts its first candidate. Level 1 takes one
+    damped Newton step (residual 317 to 0.12) and six chord steps on its
+    factor, and levels 2 to 4 finish on that same factor with seven chord
+    steps each (contractions of about 1/100 to 1/200 throughout):
+    "TT" + "FTT" + "TT" * 6, then "TT" + "TT" * 7 per level.
     """
     from acopt import pde_state
 
@@ -308,12 +310,15 @@ def test_newton_jacobian_reuses_residual_evaluation(grid4, ops4, rng, monkeypatc
     monkeypatch.setattr(StepMatrix, "factor", counted_factor)
     pf, pg = default_potentials()
     time = TimeAxis(0.2, 4)
-    init = rng.uniform(0.3, 0.7, grid4.num_nodes)
-    traj = solve_state(grid4, ops4, time, pf, pg, random_control(grid4, time, rng), init)
+    init = rng.uniform(0.3, 0.7, grid16.num_nodes)
+    traj = solve_state(grid16, ops16, time, pf, pg, random_control(grid16, time, rng), init)
     iters = traj.info["newton_iters"]
     assert min(iters) >= 2
-    assert traj.info["factorizations"] == [1] * time.m
-    assert "".join(log) == "".join("TT" + "FTT" + "TT" * (n - 1) for n in iters)
+    assert iters == [7, 7, 7, 7]
+    assert traj.info["factorizations"] == [1, 0, 0, 0]
+    assert "".join(log) == "TT" + "FTT" + "TT" * (iters[0] - 1) + "".join(
+        "TT" + "TT" * n for n in iters[1:]
+    )
 
 
 def _step_residual(grid, ops, time, pf, pg, control, traj):
@@ -326,32 +331,39 @@ def _step_residual(grid, ops, time, pf, pg, control, traj):
     return np.abs(res).max()
 
 
-def test_one_factorization_per_level_hand_checked(grid4, ops4):
-    """Pinned counters of a run whose iterates were followed by hand.
+def test_chord_counts_hand_checked(grid16, ops16):
+    """Pinned counters of a run on a carried factor whose iterates were followed by hand.
 
-    Level 1: the Newton step takes the residual from 13.2 to 4.6e-2 on one
-    factor; chord steps on that factor then contract by about 1/100 each:
-    4.1e-4, 4.1e-6, 4.2e-8, 4.3e-10, 4.5e-12. The last one meets
-    newton_tol = 1e-11 by a chord step, so the level takes one more, to
-    4.8e-14, which lies below the rounding floor / CHORD_CONTRACTION
-    (9.4e-14): 7 iterations, 1 factorization. Every later level starts
-    from the time extrapolation and follows the same pattern.
+    Level 1: the damped Newton step takes the residual from 333 to 0.104 on
+    the solve's one factorization; chord steps on that factor then contract
+    by about 1/100 each: 2.3e-4, 1.5e-6, 1.1e-8, 9.2e-11, 7.7e-13. The last
+    one meets newton_tol = 1e-11 by a chord step and already lies below the
+    rounding floor / CHORD_CONTRACTION (1.0e-12): 6 iterations. Level 2
+    starts at 328 and stays on the same factor: 0.106, 4.2e-4, 2.8e-6,
+    2.2e-8, 1.8e-10, then 1.6e-12, which meets newton_tol but not the floor
+    / CHORD_CONTRACTION (9.8e-13), so the level takes one more chord step,
+    to 1.2e-13: 7 iterations, no factorization. Levels 3 to 6 start from
+    the time extrapolation (residuals 6.4, 1.9, 1.7, 1.6) and take 6 chord
+    steps each on the same factor. The floor / CHORD_CONTRACTION is 9.7e-13
+    to 1.0e-12 on every level, so every step residual lies below 1e-12.
     """
-    pf, pg, time, u, init = _guess_setup(grid4)
-    traj = solve_state(grid4, ops4, time, pf, pg, u, init)
-    assert traj.info["newton_iters"] == [7, 6, 5, 4, 4, 4]
-    assert traj.info["factorizations"] == [1] * time.m
+    pf, pg, time, u, init = _guess_setup(grid16)
+    traj = solve_state(grid16, ops16, time, pf, pg, u, init)
+    assert traj.info["newton_iters"] == [6, 7, 6, 6, 6, 6]
+    assert traj.info["factorizations"] == [1, 0, 0, 0, 0, 0]
     assert traj.info["clamp_events"] == 0
-    assert _step_residual(grid4, ops4, time, pf, pg, u, traj) <= 1e-13
+    assert _step_residual(grid16, ops16, time, pf, pg, u, traj) <= 1e-12
 
 
-def test_dropped_chord_candidate_refactors_at_the_iterate(grid4, ops4, monkeypatch):
+def test_dropped_chord_candidate_refactors_at_the_iterate(grid16, ops16, monkeypatch):
     """A chord candidate that does not lower the residual is dropped.
 
     The iteration then refactors at the iterate the chord step started from,
     not at the dropped candidate, takes a damped Newton step there, and the
     level still converges to newton_tol. Logs ("E", f'') per guarded
-    evaluation and ("F", c) per factorization.
+    evaluation and ("F", c) per factorization. Followed by hand: the damped
+    Newton step takes the residual from 5.1 to 2.6, the chord step from
+    there does not lower it, and the Newton step at 2.6 reaches 0.33.
     """
     from acopt import pde_state
 
@@ -371,8 +383,8 @@ def test_dropped_chord_candidate_refactors_at_the_iterate(grid4, ops4, monkeypat
     monkeypatch.setattr(StepMatrix, "factor", logged_factor)
     pf, pg = default_potentials()
     time = TimeAxis(0.2, 1)
-    u = random_control(grid4, time, np.random.default_rng(1), scale=2.0)
-    traj = solve_state(grid4, ops4, time, pf, pg, u, np.full(grid4.num_nodes, 0.9))
+    u = random_control(grid16, time, np.random.default_rng(8), scale=5.0)
+    traj = solve_state(grid16, ops16, time, pf, pg, u, np.full(grid16.num_nodes, 0.9))
 
     # start, factor, Newton candidate (accepted), chord candidate (dropped), refactor
     assert "".join(kind for kind, _ in events).startswith("EFEEF")
@@ -380,7 +392,117 @@ def test_dropped_chord_candidate_refactors_at_the_iterate(grid4, ops4, monkeypat
     assert np.array_equal(refactored, newton_candidate)
     assert not np.array_equal(refactored, chord_candidate)
     assert traj.info["factorizations"][0] >= 2
+    assert _step_residual(grid16, ops16, time, pf, pg, u, traj) <= 1e-11
+
+
+def test_refactor_rule_prices_the_factor(grid16, ops16):
+    """A chord step keeps its factor while finishing the level on it costs at most kappa more steps.
+
+    kappa(17) = 1.22 at n = 16 and 14.7 at n = 128. A step that halves the
+    residual from 1e-9 leaves about 5.6 chord steps at that rate against
+    kappa + 0.85 on a fresh factor: it refactors at n = 16 and keeps the
+    factor at n = 128. Followed by hand on the run of
+    `test_dropped_chord_candidate_refactors_at_the_iterate`, after the
+    dropped candidate and the Newton step to 0.33: a chord step to 0.19
+    (contraction 0.59) and, after the next Newton step, one from 8.2e-3 to
+    6.4e-4 (0.079, 7.1 steps left against kappa + 3.9) both refactor; the
+    Newton step to 7.2e-8 is followed by chord steps to 1.5e-11 and 1.3e-13
+    on its factor: 8 iterations, 4 factorizations.
+    """
+    from acopt.pde_state import _keeps_factor
+
+    kappa16, kappa128 = ops16.step.factor_cost, build_operators(build_grid(128)).step.factor_cost
+    assert 1.0 < kappa16 < 1.3 and 14.0 < kappa128 < 15.0
+    assert not _keeps_factor(5e-10, 1e-9, 1e-11, kappa16)
+    assert _keeps_factor(5e-10, 1e-9, 1e-11, kappa128)
+    assert _keeps_factor(1e-5, 1e-3, 1e-11, kappa16)  # contraction 1/100, as a fresh factor
+    assert _keeps_factor(9e-12, 1e-11 * 0.99, 1e-11, kappa16)  # under newton_tol: always kept
+
+    pf, pg = default_potentials()
+    time = TimeAxis(0.2, 1)
+    u = random_control(grid16, time, np.random.default_rng(8), scale=5.0)
+    traj = solve_state(grid16, ops16, time, pf, pg, u, np.full(grid16.num_nodes, 0.9))
+    assert traj.info["newton_iters"] == [8]
+    assert traj.info["factorizations"] == [4]
+
+
+def test_newton_regime_refactors_every_iteration(grid4, ops4):
+    """Below break-even (n = 4, half-bandwidth 5) every iteration is a damped Newton step.
+
+    Followed by hand on the setup of `test_chord_counts_hand_checked`:
+    level 1 goes 13.2, 4.6e-2, 4.1e-7, 6.7e-15, quadratically, with one
+    factorization per iteration; each later level starts from the time
+    extrapolation and also takes 3. The rounding floor / CHORD_CONTRACTION
+    is 8.6e-14 to 9.4e-14 here.
+    """
+    pf, pg, time, u, init = _guess_setup(grid4)
+    traj = solve_state(grid4, ops4, time, pf, pg, u, init)
+    assert ops4.step.factor_cost <= 1.0
+    assert traj.info["newton_iters"] == [3] * time.m
+    assert traj.info["factorizations"] == traj.info["newton_iters"]
+    assert traj.info["clamp_events"] == 0
+    assert _step_residual(grid4, ops4, time, pf, pg, u, traj) <= 1e-13
+
+
+def test_newton_regime_far_start_takes_newton_iterations(grid4, ops4):
+    """A far start that chord steps on one kept factor took 16 iterations on takes Newton's 6.
+
+    The residual goes 2.2, 0.95, 0.26, 2.2e-2, 1.4e-4, 5.7e-9, then below
+    newton_tol, one factorization per iteration.
+    """
+    pf, pg = default_potentials()
+    time = TimeAxis(0.2, 1)
+    u = random_control(grid4, time, np.random.default_rng(0), scale=2.0)
+    traj = solve_state(grid4, ops4, time, pf, pg, u, np.full(grid4.num_nodes, 0.9))
+    assert traj.info["newton_iters"][0] <= 6
+    assert traj.info["factorizations"] == traj.info["newton_iters"]
     assert _step_residual(grid4, ops4, time, pf, pg, u, traj) <= 1e-11
+
+
+def test_carried_factor_leaves_levels_without_factorization(grid16, ops16, rng):
+    """Above break-even the factor carries into later levels, which may then count 0."""
+    pf, pg = default_potentials()
+    time = TimeAxis(0.25, 10)
+    u = random_control(grid16, time, rng)
+    traj = solve_state(grid16, ops16, time, pf, pg, u, np.full(grid16.num_nodes, 0.45))
+    factorizations = traj.info["factorizations"]
+    assert ops16.step.factor_cost > 1.0
+    assert len(factorizations) == time.m
+    assert factorizations[0] >= 1
+    assert 0 in factorizations
+    assert _step_residual(grid16, ops16, time, pf, pg, u, traj) <= 1e-11
+
+
+def test_back_to_back_solves_each_start_by_factoring(grid16, ops16, monkeypatch):
+    """No factor outlives a solve: two solves in a row agree bit for bit, and each factors first.
+
+    Logs "E" per guarded evaluation and the level of each factorization:
+    both solves begin with the start's evaluation, then a factorization at
+    level 1, whatever the first solve left behind.
+    """
+    from acopt import pde_state
+
+    events = []
+    nonlinearity, factor = pde_state._nonlinearity, StepMatrix.factor
+
+    def logged_nonlinearity(*args):
+        events.append("E")
+        return nonlinearity(*args)
+
+    def logged_factor(self, c, dt, level=None, residual=None):
+        events.append(level)
+        return factor(self, c, dt, level=level, residual=residual)
+
+    monkeypatch.setattr(pde_state, "_nonlinearity", logged_nonlinearity)
+    monkeypatch.setattr(StepMatrix, "factor", logged_factor)
+    pf, pg, time, u, init = _guess_setup(grid16)
+    first = solve_state(grid16, ops16, time, pf, pg, u, init)
+    split = len(events)
+    second = solve_state(grid16, ops16, time, pf, pg, u, init)
+    assert np.array_equal(first.values, second.values)
+    assert first.info == second.info
+    assert events[:2] == ["E", 1] and events[split : split + 2] == ["E", 1]
+    assert events[split:] == events[:split]
 
 
 def test_initial_data_validation(grid4, ops4):
