@@ -25,8 +25,6 @@ from .geometry import (
     TimeAxis,
     build_grid,
     build_operators,
-    inner_product_bulk,
-    inner_product_surf,
 )
 from .objective import (
     ControlProblem,
@@ -66,6 +64,6 @@ from .pde_state import (
     trajectory_space_time_norm,
     trajectory_sup_norm,
 )
-from .potentials import AssumptionReport, Potential, check_assumptions
+from .potentials import Potential
 
 __version__ = "0.1.0"

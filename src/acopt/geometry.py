@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .errors import DimensionMismatchError, InvalidParameterError, SolverFailureError
+from .errors import InvalidParameterError, SolverFailureError
 
 
 @dataclass(frozen=True)
@@ -367,29 +367,6 @@ def build_operators(grid):
         coupled_abs=coupled_abs,
         step=StepMatrix(grid, coupled),
     )
-
-
-def inner_product_bulk(a, b, grid):
-    """Discrete L2 pairing over the bulk (all nodes, area weights)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (grid.num_nodes,) or b.shape != (grid.num_nodes,):
-        raise DimensionMismatchError(
-            f"bulk fields must have shape ({grid.num_nodes},), got {a.shape} and {b.shape}"
-        )
-    return float(np.dot(a * grid.bulk_weights, b))
-
-
-def inner_product_surf(a, b, grid):
-    """Discrete L2 pairing along the boundary cycle (arclength weights)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    nb = grid.num_boundary
-    if a.shape != (nb,) or b.shape != (nb,):
-        raise DimensionMismatchError(
-            f"surface fields must have shape ({nb},), got {a.shape} and {b.shape}"
-        )
-    return float(np.dot(a * grid.surface_weights, b))
 
 
 def space_time_inner(theta, weights, a, b):

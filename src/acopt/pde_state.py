@@ -114,9 +114,6 @@ class ControlPair:
                 f"control pair needs matching (levels, nodes) arrays, got {self.bulk.shape} and {self.surface.shape}"
             )
 
-    def copy(self):
-        return ControlPair(self.bulk.copy(), self.surface.copy())
-
     @classmethod
     def zeros(cls, grid, time):
         return cls(

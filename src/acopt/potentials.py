@@ -113,13 +113,6 @@ class Potential:
         out = a * (2.0 * y - 1.0) / (y * y * (1.0 - y) * (1.0 - y)) if a else np.zeros_like(y)
         return self._output(y, out)
 
-    def singular_d1(self, y):
-        """Derivative of the logarithmic part alone (used by (2.4)-style growth checks)."""
-        y, _ = self._prepare(y)
-        if self.alpha == 0.0:
-            return np.zeros_like(y)
-        return self.alpha * np.log(y / (1.0 - y))
-
 
 def newton_terms(p, y):
     """First and second derivative at one checked argument, and the clamp count.
@@ -132,65 +125,3 @@ def newton_terms(p, y):
     yv, clamped = p._prepare(y)
     one_minus_y = 1.0 - yv
     return p._first(yv, one_minus_y), p._second(yv, one_minus_y), clamped
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Result of the growth/convexity checks on a potential pair.
-
-    m1, m2 are constants with |f1'(r)| <= m1 + m2 |g1'(r)| on (0, 1);
-    growth_bound_holds is False when none exist (a vanishing surface
-    singular part against a singular bulk part).
-    """
-
-    m1: float
-    m2: float
-    growth_bound_holds: bool
-    f_singular_limits_ok: bool
-    g_singular_limits_ok: bool
-    f_convex_ok: bool
-    g_convex_ok: bool
-
-    @property
-    def all_ok(self):
-        return (
-            self.growth_bound_holds
-            and self.f_singular_limits_ok
-            and self.g_singular_limits_ok
-            and self.f_convex_ok
-            and self.g_convex_ok
-        )
-
-
-def _singular_limits_ok(p):
-    """Blow-up check: d1 of the log part below -alpha*log(1/eps)/2 near 0."""
-    if not p.is_singular:
-        return False
-    eps = max(p.eps_guard, 1e-12)
-    probe = math.sqrt(eps)
-    return float(p.singular_d1(probe)) < -p.alpha * math.log(1.0 / probe) / 2.0
-
-
-def check_assumptions(pf, pg):
-    """The growth constants between the singular derivatives, in closed form.
-
-    Both singular parts are alpha log(r / (1 - r)), so |f1'| = (alpha_f /
-    alpha_g) |g1'| when g is singular (m1 = 0); with neither singular both
-    vanish (m1 = m2 = 0), and with only f singular no constants exist. A
-    singular part is convex exactly when alpha > 0.
-    """
-    if pg.is_singular:
-        m1, m2, holds = 0.0, pf.alpha / pg.alpha, True
-    elif pf.is_singular:
-        m1, m2, holds = math.inf, math.inf, False
-    else:
-        m1, m2, holds = 0.0, 0.0, True
-    return AssumptionReport(
-        m1=m1,
-        m2=m2,
-        growth_bound_holds=holds,
-        f_singular_limits_ok=_singular_limits_ok(pf),
-        g_singular_limits_ok=_singular_limits_ok(pg),
-        f_convex_ok=pf.is_singular,
-        g_convex_ok=pg.is_singular,
-    )

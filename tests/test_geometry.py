@@ -4,13 +4,10 @@ import scipy.sparse as sp
 import sympy
 
 from acopt import (
-    DimensionMismatchError,
     InvalidParameterError,
     TimeAxis,
     build_grid,
     build_operators,
-    inner_product_bulk,
-    inner_product_surf,
 )
 
 
@@ -177,37 +174,6 @@ def test_bulk_stiffness_matches_per_edge_assembly(n, monkeypatch):
             assert np.array_equal(getattr(ours, part), getattr(theirs, part)), (name, part)
 
 
-def test_inner_products_basic(grid4):
-    ones = np.ones(grid4.num_nodes)
-    assert inner_product_bulk(ones, ones, grid4) == pytest.approx(1.0, abs=1e-15)
-    ones_s = np.ones(grid4.num_boundary)
-    assert inner_product_surf(ones_s, ones_s, grid4) == pytest.approx(4.0, abs=1e-14)
-
-
-def test_inner_product_linear_exact():
-    g = build_grid(32)
-    x = g.bulk_nodes[:, 0]
-    assert inner_product_bulk(x, np.ones_like(x), g) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_inner_product_symmetric_bilinear(grid4, rng):
-    a = rng.normal(size=grid4.num_nodes)
-    b = rng.normal(size=grid4.num_nodes)
-    c = rng.normal(size=grid4.num_nodes)
-    ab = inner_product_bulk(a, b, grid4)
-    assert ab == inner_product_bulk(b, a, grid4)
-    lhs = inner_product_bulk(2.5 * a + c, b, grid4)
-    assert lhs == pytest.approx(2.5 * ab + inner_product_bulk(c, b, grid4), rel=1e-13)
-    assert inner_product_bulk(a, a, grid4) > 0
-
-
-def test_inner_product_dimension_mismatch(grid4):
-    with pytest.raises(DimensionMismatchError):
-        inner_product_bulk(np.ones(3), np.ones(grid4.num_nodes), grid4)
-    with pytest.raises(DimensionMismatchError):
-        inner_product_surf(np.ones(3), np.ones(3), grid4)
-
-
 def _exact_gradient_pairing(fy, fv):
     """Exact integral of grad(y).grad(v) over the unit square via sympy."""
     x, y = sympy.symbols("x y")
@@ -241,8 +207,9 @@ def test_green_identity_residual_decays():
                 vv = np.broadcast_to(np.asarray(vv, dtype=float), (g.num_nodes,))
                 bulk = ops.coupled @ yy
                 bulk[g.boundary_cycle] = 0.0
-                pairing = inner_product_bulk(bulk, vv, g)
-                pairing += inner_product_surf(_normal_flux(g, ops, yy), vv[g.boundary_cycle], g)
+                pairing = float(np.dot(bulk * g.bulk_weights, vv))
+                flux = _normal_flux(g, ops, yy)
+                pairing += float(np.dot(flux * g.surface_weights, vv[g.boundary_cycle]))
                 residuals.append(abs(pairing - exact))
             residuals = np.asarray(residuals)
             if residuals.max() < 1e-12:

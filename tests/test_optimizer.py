@@ -74,12 +74,14 @@ def test_monotone_descent_and_feasibility(grid4, ops4):
     start = random_control(grid4, time, rng, scale=2.0)  # outside the box on purpose
     seen = []
     cfg = OptimizerConfig(max_iters=25, stop_tol=1e-12)
-    result = minimize(prob, cfg, start, callback=lambda rec, u: seen.append(u.copy()))
+    result = minimize(
+        prob, cfg, start, callback=lambda rec, u: seen.append((u.bulk.copy(), u.surface.copy()))
+    )
     costs = [r.cost for r in result.history]
     assert all(c2 < c1 for c1, c2 in zip(costs, costs[1:]))
-    for u in seen:
-        assert u.bulk.max() <= 1.0 and u.bulk.min() >= -1.0
-        assert u.surface.max() <= 1.0 and u.surface.min() >= -1.0
+    for bulk, surface in seen:
+        assert bulk.max() <= 1.0 and bulk.min() >= -1.0
+        assert surface.max() <= 1.0 and surface.min() >= -1.0
 
 
 def test_fixed_point_characterization_at_convergence(control_prob):

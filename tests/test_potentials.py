@@ -13,7 +13,6 @@ from acopt import (
     InvalidArgumentError,
     InvalidParameterError,
     Potential,
-    check_assumptions,
 )
 from acopt.cli_io import RunConfig, build_problem
 from acopt.potentials import newton_terms
@@ -202,28 +201,6 @@ def test_invalid_construction():
             Potential(value, 3.0)
         with pytest.raises(InvalidParameterError, match="^c must be finite"):
             Potential(1.0, value)
-
-
-def test_check_assumptions_identical_parts():
-    pf = Potential(1.0, 3.0)
-    pg = Potential(1.0, 1.0)  # smooth parts differ; singular parts identical
-    report = check_assumptions(pf, pg)
-    assert report.growth_bound_holds
-    assert report.m1 == pytest.approx(0.0, abs=1e-10)
-    assert report.m2 == pytest.approx(1.0, rel=1e-12)
-    assert report.all_ok
-
-
-def test_check_assumptions_scaled_parts():
-    report = check_assumptions(Potential(2.0, 0.0), Potential(1.0, 0.0))
-    assert report.growth_bound_holds
-    assert report.m2 == pytest.approx(2.0, rel=1e-12)
-
-
-def test_check_assumptions_vanishing_surface_part_fails():
-    report = check_assumptions(Potential(1.0, 0.0), Potential(0.0, 1.0))
-    assert not report.growth_bound_holds
-    assert not report.all_ok
 
 
 def test_potentials_are_immutable_and_problems_picklable():

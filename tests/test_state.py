@@ -14,8 +14,6 @@ from acopt import (
     build_grid,
     build_operators,
     energy,
-    inner_product_bulk,
-    inner_product_surf,
     invariant_interval,
     solve_state,
     linearized_operator,
@@ -148,10 +146,10 @@ def test_trajectory_norms_match_per_level_loops(grid4, rng):
     theta = time.weights()
     sup_sq, st_sq = 0.0, 0.0
     for k in range(time.m + 1):
-        bulk = inner_product_bulk(diff[k], diff[k], grid4)
+        bulk = float(np.dot(diff[k] * grid4.bulk_weights, diff[k]))
         trace = diff[k][grid4.boundary_cycle]
         sup_sq = max(sup_sq, bulk)
-        st_sq += theta[k] * (bulk + inner_product_surf(trace, trace, grid4))
+        st_sq += theta[k] * (bulk + float(np.dot(trace * grid4.surface_weights, trace)))
     assert trajectory_sup_norm(a, b) == pytest.approx(np.sqrt(sup_sq), rel=1e-14)
     assert trajectory_space_time_norm(a, b) == pytest.approx(np.sqrt(st_sq), rel=1e-14)
     ones = Trajectory(np.ones((time.m + 1, grid4.num_nodes)), grid4, time)
