@@ -226,9 +226,10 @@ class StepMatrix:
     `build_operators`) is exactly symmetric, and so is
     S = W M(c) = W coupled + W/dt + W diag(c). In the natural node order S
     is a band whose half-bandwidth (n+1 on a grid with n cells per side) is
-    read off the sparsity pattern of `coupled`. Only the upper entries of
-    W coupled are stored, one per band position (a non-canonical `coupled`
-    is summed on a copy first), once per grid by `build_operators`.
+    read off the sparsity pattern of `coupled`, which must be canonical
+    (sorted, duplicate-free) CSR, as `build_operators` makes it. Only the
+    upper entries of W coupled are stored, one per band position, once per
+    grid by `build_operators`.
     `factor` assigns them into a fresh zero band in LAPACK layout, adds
     W/dt, then W c, and factors it in place.
 
@@ -261,9 +262,6 @@ class StepMatrix:
     """
 
     def __init__(self, grid, coupled):
-        if not coupled.has_canonical_format:
-            coupled = coupled.copy()  # summed on a copy: the caller's matrix stays as given
-            coupled.sum_duplicates()
         self._w = w = grid.slot_weights
         rows = np.repeat(np.arange(coupled.shape[0]), np.diff(coupled.indptr))
         cols = coupled.indices

@@ -193,24 +193,19 @@ def reduced_gradient(problem, adjoint, control):
     )
 
 
-def curvature(problem, state, adjoint, operator, direction, second_direction=None):
-    """Second derivative of the reduced cost along one or two directions.
+def curvature(problem, state, adjoint, operator, direction):
+    """Second derivative of the reduced cost along one direction.
 
-    Evaluates the representation with the linearized responses: tracking
-    terms in the responses, terminal terms, control weights, minus the
+    Evaluates the representation with the linearized response: tracking
+    terms in the response, terminal terms, control weights, minus the
     adjoint-weighted third-derivative terms along the state. With the
     exact-transpose adjoint this equals the true second difference of the
     discrete cost up to solver roundoff. operator is the
     `linearized_operator` around state.
     """
     phi = solve_linearized(operator, direction)
-    if second_direction is None:
-        psi, other = phi, direction
-    else:
-        psi = solve_linearized(operator, second_direction)
-        other = second_direction
-
-    total = _cost_form(problem, _cost_parts(phi, direction), _cost_parts(psi, other))
+    parts = _cost_parts(phi, direction)
+    total = _cost_form(problem, parts, parts)
     # adjoint-weighted third-derivative terms, over the slots the dynamics read
     grid = problem.grid
     d3 = slot_potential(grid, state.values[1:], problem.pf.d3, problem.pg.d3)
@@ -218,7 +213,7 @@ def curvature(problem, state, adjoint, operator, direction, second_direction=Non
         problem.time.weights()[1:],
         grid.slot_weights,
         adjoint.values[1:],
-        d3 * phi.values[1:] * psi.values[1:],
+        d3 * phi.values[1:] * phi.values[1:],
     )
     return total
 
@@ -290,29 +285,34 @@ class OptimalityReport:
         return min(ratios) if ratios else float("nan")
 
 
+def _into_cone(h, at_lo, at_hi, zero):
+    """A draw h for one control slot mapped into the critical cone.
+
+    |h| at the lower bound, -|h| at the upper bound, 0 where zero is set:
+    strongly active entries and pinned ones (lower bound = upper bound),
+    where the cone is {0}.
+    """
+    h = np.where(at_lo, np.abs(h), np.where(at_hi, -np.abs(h), h))
+    h[zero] = 0.0
+    return h
+
+
 def _cone_directions(problem, control, grad, tau, n_dir, rng):
     """n_dir random directions in the tau-critical cone; none when the cone is {0}.
 
     A draw is nonzero on every free entry, so no direction has zero norm."""
-    active_bulk = np.abs(grad.bulk) > tau
-    active_surf = np.abs(grad.surface) > tau
-    if active_bulk.all() and active_surf.all():
+    slots = []
+    for u, g, lo, hi in (
+        (control.bulk, grad.bulk, problem.u_lo, problem.u_hi),
+        (control.surface, grad.surface, problem.u_lo_surf, problem.u_hi_surf),
+    ):
+        at_lo, at_hi = u <= lo, u >= hi
+        slots.append((u.shape, at_lo, at_hi, (np.abs(g) > tau) | (at_lo & at_hi)))
+    if all(zero.all() for *_, zero in slots):
         return []
-    at_lo_bulk = control.bulk <= problem.u_lo
-    at_hi_bulk = control.bulk >= problem.u_hi
-    at_lo_surf = control.surface <= problem.u_lo_surf
-    at_hi_surf = control.surface >= problem.u_hi_surf
-
     dirs = []
     for _ in range(n_dir):
-        hb = rng.uniform(-1.0, 1.0, size=control.bulk.shape)
-        hs = rng.uniform(-1.0, 1.0, size=control.surface.shape)
-        hb[active_bulk] = 0.0
-        hs[active_surf] = 0.0
-        hb = np.where(at_lo_bulk & ~active_bulk, np.abs(hb), hb)
-        hb = np.where(at_hi_bulk & ~active_bulk, -np.abs(hb), hb)
-        hs = np.where(at_lo_surf & ~active_surf, np.abs(hs), hs)
-        hs = np.where(at_hi_surf & ~active_surf, -np.abs(hs), hs)
+        hb, hs = (_into_cone(rng.uniform(-1.0, 1.0, size=shape), *masks) for shape, *masks in slots)
         dirs.append(ControlPair(hb, hs))
     return dirs
 

@@ -442,18 +442,16 @@ def invariant_interval(pf, pg, radius, y_min, y_max):
     return r_lo, r_hi
 
 
-def trajectory_sup_norm(traj_a, traj_b=None):
-    """Max over time levels of the bulk L2 norm of the (difference) field."""
-    diff = traj_a.values if traj_b is None else traj_a.values - traj_b.values
-    squares = np.einsum("kj,kj->k", diff * traj_a.grid.bulk_weights, diff)
+def trajectory_sup_norm(traj):
+    """Max over time levels of the bulk L2 norm of a trajectory's field."""
+    squares = np.einsum("kj,kj->k", traj.values * traj.grid.bulk_weights, traj.values)
     return float(np.sqrt(np.max(squares)))
 
 
-def trajectory_space_time_norm(traj_a, traj_b=None):
+def trajectory_space_time_norm(traj):
     """Space-time norm over bulk and surface parts with trapezoid weights."""
-    diff = traj_a.values if traj_b is None else traj_a.values - traj_b.values
-    grid, theta = traj_a.grid, traj_a.time.weights()
-    trace = diff[:, grid.boundary_cycle]
-    total = space_time_inner(theta, grid.bulk_weights, diff, diff)
+    values, grid, theta = traj.values, traj.grid, traj.time.weights()
+    trace = values[:, grid.boundary_cycle]
+    total = space_time_inner(theta, grid.bulk_weights, values, values)
     total += space_time_inner(theta, grid.surface_weights, trace, trace)
     return float(np.sqrt(total))

@@ -149,50 +149,6 @@ def test_step_solves_match_dense(dt, c_range, cholesky):
     np.testing.assert_allclose(xt, np.linalg.solve(M.T, rhs), rtol=0, atol=1e-12 * np.abs(xt).max())
 
 
-def test_step_solves_with_duplicate_coupled_entries():
-    """A non-canonical `coupled` (one entry split in two) factors as its summed matrix.
-
-    The step matrix sums a copy and leaves the caller's CSR arrays
-    unchanged. The split parts, 1/4 and 3/4 of the entry, sum back to it
-    exactly, so the factor bands equal the canonical ones bit for bit.
-    """
-    rng = np.random.default_rng(3)
-    grid = build_grid(5)
-    ops = build_operators(grid)
-    canon = ops.coupled.tocsr()
-    N, dt = grid.num_nodes, 0.1
-    row = int(grid.interior_nodes[3])
-    start, stop = canon.indptr[row], canon.indptr[row + 1]
-    k = start + int(np.flatnonzero(canon.indices[start:stop] > row)[0])  # an upper off-diagonal entry
-    data = np.insert(canon.data, k + 1, 0.75 * canon.data[k])
-    data[k] *= 0.25
-    indices = np.insert(canon.indices, k + 1, canon.indices[k])
-    indptr = canon.indptr + (np.arange(N + 1) > row)
-    split = sp.csr_matrix((data, indices, indptr), shape=(N, N))
-    assert split.nnz == canon.nnz + 1 and not split.has_canonical_format
-    before = [a.copy() for a in (split.data, split.indices, split.indptr)]
-
-    class SplitOps:
-        coupled = split
-        step = StepMatrix(grid, coupled)
-
-    time = TimeAxis(dt, 1)
-    coeffs = slot_fields(grid, rng.uniform(-3, 5, (2, N)), rng.uniform(-3, 5, (2, grid.num_boundary)))
-    op = SteppedOperator(grid, SplitOps(), time, coeffs)
-    rhs = rng.normal(size=N)
-    x, xt = op.solve(1, rhs), op.solve_transposed(1, rhs)
-    for a, b in zip((split.data, split.indices, split.indptr), before):
-        np.testing.assert_array_equal(a, b)
-    assert not split.has_canonical_format
-    M = np.eye(N) / dt + canon.toarray() + np.diag(coeffs[1])
-    np.testing.assert_allclose(x, np.linalg.solve(M, rhs), rtol=0, atol=1e-12 * np.abs(x).max())
-    np.testing.assert_allclose(xt, np.linalg.solve(M.T, rhs), rtol=0, atol=1e-12 * np.abs(xt).max())
-    summed = split.copy()
-    summed.sum_duplicates()
-    assert np.array_equal(summed.data, canon.data)
-    assert np.array_equal(op._factor(1)[0], ops.step.factor(coeffs[1], dt)[0])
-
-
 # -- linearized system --------------------------------------------------------
 
 
@@ -592,7 +548,7 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
     prob = make_problem(grid4, ops4, time, pf, pg)
     adjoint = solve_adjoint(state, prob, op)
     sizes = log_sizes("value", "d2", "d3")
-    curvature(prob, state, adjoint, op, h, k)
+    curvature(prob, state, adjoint, op, h)
     assert sizes == {"value": [], "d2": [], "d3": [m * interior, m * boundary]}
     energy(grid4, ops4, pf, pg, state.values[-1])
     assert sizes == {"value": [interior, boundary], "d2": [], "d3": [m * interior, m * boundary]}

@@ -23,7 +23,8 @@ from acopt import (
     solve_linearized,
     stationarity_norm,
 )
-from acopt.objective import _cone_directions, adjoint_as_control
+from acopt.cli_io import RunConfig, build_problem
+from acopt.objective import _cone_directions, adjoint_as_control, clip_to_box
 
 from conftest import default_potentials, make_problem, quadratic_potentials, random_control
 
@@ -281,8 +282,8 @@ def test_curvature_second_difference_oracle(grid8, ops8, rng):
     assert best <= 1e-4
 
 
-def test_curvature_polarization_identity(grid8, ops8, rng):
-    """4 D2J[h,k] = D2J[h+k,h+k] - D2J[h-k,h-k], via the bilinear form."""
+def test_curvature_parallelogram_law(grid8, ops8, rng):
+    """D2J[h+k] + D2J[h-k] = 2 D2J[h] + 2 D2J[k]: the curvature is a quadratic form."""
     pf, pg = default_potentials()
     time = TimeAxis(0.4, 8)
     prob = make_problem(grid8, ops8, time, pf, pg, betas=(1.0, 0.5, 0.7, 0.2, 0.2), seed=6)
@@ -294,10 +295,10 @@ def test_curvature_polarization_identity(grid8, ops8, rng):
     k = random_control(grid8, time, rng)
     hp = ControlPair(h.bulk + k.bulk, h.surface + k.surface)
     hm = ControlPair(h.bulk - k.bulk, h.surface - k.surface)
-    mixed = curvature(prob, state, adj, op, h, second_direction=k)
     plus = curvature(prob, state, adj, op, hp)
     minus = curvature(prob, state, adj, op, hm)
-    assert abs(plus - minus - 4.0 * mixed) <= 1e-9 * max(abs(plus), abs(minus), 1.0)
+    sides = 2.0 * curvature(prob, state, adj, op, h) + 2.0 * curvature(prob, state, adj, op, k)
+    assert abs(plus + minus - sides) <= 1e-9 * max(abs(plus), abs(minus), 1.0)
 
 
 # -- optimality report --------------------------------------------------------
@@ -336,6 +337,39 @@ def test_cone_directions_count(grid4, ops4):
     dirs = _cone_directions(prob, u, ones, 2.0, 8, rng)  # none active
     assert len(dirs) == 8
     assert all(hnorm(prob, d) > 0 for d in dirs)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [{"box_u1": 0.0, "box_u2": 0.0}, {"box_u1_gamma": 0.0, "box_u2_gamma": 0.0}],
+    ids=["boundary-only", "distributed-only"],
+)
+def test_cone_directions_stay_in_the_box(box):
+    """Pinned entries (lower = upper bound) get 0; one-sided bounds keep their sign.
+
+    The paper's boundary-only and distributed-only cases pin one slot with a
+    zero-width box. The control is clipped from a wide draw, so the other
+    slot has entries at each bound; a zero gradient leaves none strongly
+    active, so each bound's rule shows on every entry at it.
+    """
+    prob = build_problem(RunConfig(**box))
+    rng = np.random.default_rng(5)
+    u = clip_to_box(prob, random_control(prob.grid, prob.time, rng, scale=2.0))
+    dirs = _cone_directions(prob, u, ControlPair.zeros(prob.grid, prob.time), 0.0, 8, rng)
+    assert len(dirs) == 8
+    slots = (
+        (u.bulk, prob.u_lo, prob.u_hi, "bulk"),
+        (u.surface, prob.u_lo_surf, prob.u_hi_surf, "surface"),
+    )
+    for control, lo, hi, name in slots:
+        pinned = lo == hi
+        only_lo, only_hi = (control <= lo) & ~pinned, (control >= hi) & ~pinned
+        assert pinned.all() or (only_lo.any() and only_hi.any())
+        for d in dirs:
+            h = getattr(d, name)
+            assert np.all(h[pinned] == 0.0)
+            assert np.all(h[only_lo] >= 0.0) and np.all(h[only_hi] <= 0.0)
+            assert np.all(h[~(pinned | only_lo | only_hi)] != 0.0)
 
 
 def test_report_linear_quadratic_ratio_bound(grid4, ops4, rng):

@@ -150,8 +150,9 @@ def test_trajectory_norms_match_per_level_loops(grid4, rng):
         trace = diff[k][grid4.boundary_cycle]
         sup_sq = max(sup_sq, bulk)
         st_sq += theta[k] * (bulk + float(np.dot(trace * grid4.surface_weights, trace)))
-    assert trajectory_sup_norm(a, b) == pytest.approx(np.sqrt(sup_sq), rel=1e-14)
-    assert trajectory_space_time_norm(a, b) == pytest.approx(np.sqrt(st_sq), rel=1e-14)
+    diff_traj = Trajectory(diff, grid4, time)
+    assert trajectory_sup_norm(diff_traj) == pytest.approx(np.sqrt(sup_sq), rel=1e-14)
+    assert trajectory_space_time_norm(diff_traj) == pytest.approx(np.sqrt(st_sq), rel=1e-14)
     ones = Trajectory(np.ones((time.m + 1, grid4.num_nodes)), grid4, time)
     # |Q| + |Sigma| = T * (1 + 4)
     assert trajectory_space_time_norm(ones) == pytest.approx(np.sqrt(time.T * 5.0), rel=1e-14)
@@ -210,7 +211,8 @@ def test_stability_ratio_envelope(grid4, ops4):
         y1 = solve_state(grid4, ops4, time, pf, pg, u1, init)
         y2 = solve_state(grid4, ops4, time, pf, pg, u2, init)
         du = ControlPair(u1.bulk - u2.bulk, u1.surface - u2.surface)
-        ratios.append(trajectory_sup_norm(y1, y2) / hnorm(prob, du))
+        dy = Trajectory(y1.values - y2.values, grid4, time)
+        ratios.append(trajectory_sup_norm(dy) / hnorm(prob, du))
     ratios = np.asarray(ratios)
     assert np.all(np.isfinite(ratios))
     assert ratios.max() < 10.0 * np.median(ratios)
