@@ -16,7 +16,6 @@ from .errors import (
     InvalidParameterError,
     OptimizerStalledError,
     SolverFailureError,
-    StepSolvabilityWarning,
     UnsupportedConfigurationError,
 )
 from .geometry import (

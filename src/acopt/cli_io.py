@@ -3,10 +3,11 @@
 Config files are flat dotted-key text: one `key = value` pair per line,
 UTF-8, `#` starts a comment. Unknown keys are rejected with the offending
 key named. `load_config` only parses; `main` then applies its command-line
-overrides, and `run` calls `build_run`, which checks only `mode` and
-`output.formats`, then builds the run's objects once. Every other rule and
-default is stated by the object or builder that owns it; a rejected value
-raises ConfigError naming its key or section before anything is written.
+overrides, and `run` calls `build_run`, which checks only `mode`,
+`output.formats` and `seed`, then builds the run's objects once; `run`
+then creates `output.dir`. Every other rule and default is stated by the
+object or builder that owns it; a rejected value raises ConfigError
+naming its key or section before anything is written.
 A resolved copy of the configuration (all defaults filled) is echoed into
 the output directory, and loading that copy reproduces it exactly.
 
@@ -22,7 +23,6 @@ failure.
 import argparse
 import json
 import sys
-import warnings
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -34,7 +34,6 @@ from .errors import (
     InvalidParameterError,
     OptimizerStalledError,
     SolverFailureError,
-    StepSolvabilityWarning,
 )
 from .geometry import TimeAxis, build_grid, build_operators
 from .objective import (
@@ -242,7 +241,9 @@ def build_problem(cfg):
     z_q, z_sigma, z_t = build_targets(cfg, grid, time)
     return _owned(
         {"beta": "cost: ", "z_": "target: ", "u_": "box: ", "init": "",
-         "newton_tol": "newton.tol: ", "max_newton": "newton.max_iters: "},
+         "newton_tol": "newton.tol: ", "max_newton": "newton.max_iters: ",
+         "pf": "time.T / time.m, potential_f.c, potential_f.alpha: ",
+         "pg": "time.T / time.m, potential_g.c, potential_g.alpha: "},
         ControlProblem,
         grid=grid,
         ops=ops,
@@ -268,7 +269,7 @@ def build_problem(cfg):
 
 
 def build_run(cfg):
-    """Check the CLI's own keys, `mode` and `output.formats`, then build the run's objects once.
+    """Check the CLI's own keys `mode`, `output.formats` and `seed`, then build the run's objects once.
 
     Returns (problem, OptimizerConfig, start control, output formats).
     """
@@ -277,6 +278,8 @@ def build_run(cfg):
     formats = [f.strip() for f in cfg.output_formats.split(",") if f.strip()]
     if not formats or any(f not in FORMATS for f in formats):
         raise ConfigError(f"output.formats must be a subset of {FORMATS}, got '{cfg.output_formats}'")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     opt_cfg = _owned(
         "optimizer.",
         OptimizerConfig,
@@ -288,18 +291,6 @@ def build_run(cfg):
         max_backtracks=cfg.opt_max_backtracks,
     )
     problem = build_problem(cfg)
-    for name, p in (("potential_f", problem.pf), ("potential_g", problem.pg)):
-        # The step matrix W (I/dt + coupled + diag f'') is positive definite
-        # when 1/dt + min f'' > 0, and min f'' = 4 alpha - 2 c on (0, 1).
-        # Warn rather than reject: a step can still solve, or fail loudly.
-        product = problem.time.dt * (2.0 * p.smooth_c - 4.0 * p.alpha)
-        if product >= 1.0:
-            warnings.warn(
-                f"implicit step not guaranteed uniquely solvable: (time.T / time.m) * "
-                f"(2 {name}.c - 4 {name}.alpha) = {product:g} >= 1",
-                StepSolvabilityWarning,
-                stacklevel=3,
-            )
     return problem, opt_cfg, build_control(cfg, problem), formats
 
 
@@ -533,7 +524,10 @@ def run(cfg):
     """Execute one experiment from a parsed config; returns the exit status."""
     problem, opt_cfg, control, formats = build_run(cfg)
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.dir: cannot create directory '{outdir}': {exc.strerror}") from exc
     write_resolved_config(cfg, outdir / "resolved_config.txt")
 
     try:

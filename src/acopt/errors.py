@@ -53,7 +53,3 @@ class ConfigError(ValueError):
 
 class BoundsViolationWarning(UserWarning):
     """A state solve clamped potential arguments, signalling a bounds issue."""
-
-
-class StepSolvabilityWarning(UserWarning):
-    """A configured implicit step is not guaranteed to be uniquely solvable."""

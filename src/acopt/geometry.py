@@ -231,16 +231,17 @@ class StepMatrix:
     upper entries of W coupled are stored, one per band position, once per
     grid by `build_operators`.
     `factor` assigns them into a fresh zero band in LAPACK layout, adds
-    W/dt, then W c, and factors it in place.
+    W/dt, then W c, and factors it in place by banded Cholesky (dpbtrf).
 
-    S is positive definite whenever 1/dt + min c > 0, and then the factor
-    is a banded Cholesky (dpbtrf). Otherwise the same S is factored by
-    banded LU with partial pivoting (dgbtrf); the matrix, not a setting,
-    selects the path. Solves reuse one factor both ways:
+    S is positive definite whenever 1/dt + c > 0 on every slot, as
+    W coupled is positive semidefinite. On the guarded interval f'' and g''
+    are at least 4 alpha - 2 c, so `objective.ControlProblem` makes every
+    step matrix of its solves SPD by its step rule dt (2 c - 4 alpha) < 1.
+    Solves reuse one factor both ways:
     M x = r is x = S^-1 (W r), and M^T x = r is x = W S^-1 r.
 
-    A factor holds (b+1) N doubles for Cholesky and (3b+1) N for LU, with
-    b the half-bandwidth: 17.3 MB per level at n = 128.
+    A factor holds (b+1) N doubles, with b the half-bandwidth: 17.3 MB per
+    level at n = 128.
 
     `factor_cost` = kappa(b) = b^2 / (8 b + 100) prices one factorization
     in chord iterations of `pde_state.solve_state` (a residual evaluation
@@ -273,54 +274,32 @@ class StepMatrix:
         self._pos = b + rows - cols + cols * (b + 1)
         self._vals = w[rows] * coupled.data[upper]
 
-    def _upper_band(self, c, dt):
+    def factor(self, c, dt, level=None, residual=None):
+        """The Cholesky band of S = W M(c) for the slot coefficients c and the time step dt.
+
+        Raises SolverFailureError (carrying level and residual) when S is
+        not positive definite.
+        """
         b, num = self.bandwidth, self._w.size
         flat = np.zeros((b + 1) * num)
         flat[self._pos] = self._vals
         band = flat.reshape((b + 1, num), order="F")
         band[b] += self._w / dt
         band[b] += self._w * c
-        return band
-
-    def factor(self, c, dt, level=None, residual=None):
-        """Factor S = W M(c) for the slot coefficients c and the time step dt.
-
-        Returns (band, pivots) for `solve` and `solve_transposed`: the
-        Cholesky band with pivots None, or the LU band with its pivots.
-        Raises SolverFailureError (carrying level and residual) when S is
-        exactly singular.
-        """
-        chol, info = lapack.dpbtrf(self._upper_band(c, dt), overwrite_ab=1)
-        if info == 0:
-            return chol, None
-        b = self.bandwidth
-        upper = self._upper_band(c, dt)  # dpbtrf overwrote the first band
-        general = np.zeros((3 * b + 1, upper.shape[1]), order="F")
-        general[b : 2 * b + 1] = upper
-        for d in range(1, b + 1):
-            general[2 * b + d, :-d] = upper[b - d, d:]
-        lu, pivots, info = lapack.dgbtrf(general, b, b, overwrite_ab=1)
+        chol, info = lapack.dpbtrf(band, overwrite_ab=1)
         if info > 0:
             raise SolverFailureError(
-                f"step matrix is exactly singular at step {level}",
-                step=level,
-                residual=residual,
+                f"step matrix is not positive definite at step {level}", step=level, residual=residual
             )
-        return lu, pivots
-
-    def _solve_band(self, factor, rhs):
-        band, pivots = factor
-        if pivots is None:
-            return lapack.dpbtrs(band, rhs)[0]
-        return lapack.dgbtrs(band, self.bandwidth, self.bandwidth, rhs, pivots)[0]
+        return chol
 
     def solve(self, factor, rhs):
         """Solve M x = rhs for an (N,) right-hand side."""
-        return self._solve_band(factor, self._w * rhs)
+        return lapack.dpbtrs(factor, self._w * rhs)[0]
 
     def solve_transposed(self, factor, rhs):
         """Solve M^T x = rhs for an (N,) right-hand side."""
-        return self._w * self._solve_band(factor, rhs)
+        return self._w * lapack.dpbtrs(factor, rhs)[0]
 
 
 def build_operators(grid):

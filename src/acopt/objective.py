@@ -42,7 +42,9 @@ class ControlProblem:
     surface target `z_gamma_t` is the trace of z_t; neither is an input.
     Every input rule is checked here, in a message that starts with its
     parameter. newton_tol and max_newton are the state solver's defaults
-    for every `solve` on this problem.
+    for every `solve` on this problem. The step rule dt (2 c - 4 alpha) < 1,
+    for pf and for pg, makes every step matrix of its solves positive
+    definite (see `geometry.StepMatrix`), so each implicit step has one root.
     """
 
     grid: object
@@ -79,6 +81,10 @@ class ControlProblem:
         if not any(b > 0 for b in betas.values()):
             raise InvalidParameterError(f"{', '.join(betas)} must not all be zero")
         check_newton(self.newton_tol, self.max_newton)
+        for name, p in (("pf", self.pf), ("pg", self.pg)):
+            product = self.time.dt * (2.0 * p.smooth_c - 4.0 * p.alpha)  # 4 alpha - 2 c = min f''
+            if product >= 1.0:
+                raise InvalidParameterError(f"{name} step rule: dt (2 c - 4 alpha) = {product:g} >= 1")
         m1, N, nb = self.time.m + 1, self.grid.num_nodes, self.grid.num_boundary
         self.z_q = _as_levels(self.z_q, (m1, N), "z_q")
         self.z_sigma = _as_levels(self.z_sigma, (m1, nb), "z_sigma")

@@ -36,11 +36,10 @@ class SteppedOperator:
     coefficient at interior slots, the surface coefficient at boundary
     slots (see `pde_state.slot_fields`). Each level is factored lazily,
     once, by the grid's `geometry.StepMatrix` (`ops.step`) with the time
-    step dt: banded Cholesky when 1/dt + min c(k) > 0, banded LU
-    otherwise. Forward and transposed solves of (N,) right-hand sides
-    share that factor. A fully factored operator holds m+1 bands:
-    21 x 17.3 MB at n = 128, m = 20. Instances are safe to share across
-    sequential solves on the same state.
+    step dt, as a banded Cholesky factor that forward and transposed
+    solves of (N,) right-hand sides share. A fully factored operator holds
+    m+1 bands: 21 x 17.3 MB at n = 128, m = 20. Instances are safe to share
+    across sequential solves on the same state.
     """
 
     def __init__(self, grid, ops, time, coeffs):
@@ -78,8 +77,8 @@ def solve_linear(operator, source, init):
         init: (N,) array of initial values.
 
     Raises:
-        SolverFailureError: a step matrix is exactly singular (possible
-            for strongly negative coefficients and large dt).
+        SolverFailureError: a step matrix is not positive definite
+            (possible only when 1/dt + c(k) <= 0 on some slot).
     """
     grid, time = operator.grid, operator.time
     z0 = np.asarray(init, dtype=float)

@@ -50,15 +50,13 @@ so every converged level meets the same tolerance, and a start that
 already meets it costs no iteration. Callers that know a nearby solved
 state pass its tangent prediction as the guess (`optimizer.minimize`);
 the optimality report has no such state, and the verify modes keep
-unguessed starts on purpose (see `cli_io`). Where dt max(-f'', -g'') >= 1
-(the regime `StepSolvabilityWarning` names) a step may have several
-roots, and a different start can converge to a different one.
+unguessed starts on purpose (see `cli_io`).
 
 Every Newton step and every linear step of `pde_linear` solves with a
 matrix M = I/dt + coupled + diag(c). The grid's one `geometry.StepMatrix`
 (`ops.step`) factors all of them the same way: scaled by the slot
-quadrature weights W, S = W M is an exactly symmetric band, so one LAPACK
-band factor of S serves both M and its transpose.
+quadrature weights W, S = W M is an exactly symmetric band, so one banded
+Cholesky factor of S serves both M and its transpose.
 """
 
 import warnings
@@ -234,8 +232,8 @@ def solve_state(
     """March the nonlinear coupled system forward: damped Newton and chord steps, priced by the grid.
 
     Args:
-        control: ControlPair with m+1 levels; the step to level k+1 reads
-            level k+1 (level 0 never enters the dynamics).
+        control: ControlPair of shapes (m+1, N) and (m+1, 4n); the step to
+            level k+1 reads level k+1 (level 0 never enters the dynamics).
         init: (N,) array of initial values, checked by `check_initial`:
             finite, and strictly inside (0, 1) for singular potentials.
         guess: optional (m+1, N) array; level k+1 is the Newton start of
@@ -253,27 +251,32 @@ def solve_state(
 
     Raises:
         InvalidParameterError: newton_tol or max_newton breaks `check_newton`.
+        DimensionMismatchError: control or guess has the wrong shape.
         SolverFailureError: Newton did not converge within max_newton
-            iterations at some step, a Newton Jacobian was exactly
-            singular, or no damped update stayed inside the guarded
-            interval.
+            iterations at some step, a Newton step matrix was not positive
+            definite (see `geometry.StepMatrix`), or no damped update stayed
+            inside the guarded interval.
     """
     check_newton(newton_tol, max_newton)
     y0 = check_initial(grid, pf, pg, init)
+    levels = (time.m + 1, grid.num_nodes)
+    if control.bulk.shape != levels or control.surface.shape != (time.m + 1, grid.num_boundary):
+        raise DimensionMismatchError(
+            f"control needs shapes {levels} and {(time.m + 1, grid.num_boundary)}, "
+            f"got {control.bulk.shape} and {control.surface.shape}"
+        )
     if not (np.isfinite(control.bulk).all() and np.isfinite(control.surface).all()):
         raise DomainError("controls must be finite")
     if guess is not None:
         guess = np.asarray(guess, dtype=float)
-        if guess.shape != (time.m + 1, grid.num_nodes):
-            raise DimensionMismatchError(
-                f"guess needs shape {(time.m + 1, grid.num_nodes)}, got {guess.shape}"
-            )
+        if guess.shape != levels:
+            raise DimensionMismatchError(f"guess needs shape {levels}, got {guess.shape}")
 
     dt = time.dt
     lo, hi = _interval(pf, pg)
     kappa = ops.step.factor_cost
 
-    values = np.empty((time.m + 1, grid.num_nodes))
+    values = np.empty(levels)
     values[0] = y0
     newton_iters = []
     factorizations = []

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acopt import ConfigError, ControlPair, InvalidParameterError, StepSolvabilityWarning
+from acopt import ConfigError, ControlPair, InvalidParameterError
 from acopt.cli_io import (
     MODES,
     RunConfig,
@@ -278,12 +278,12 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 def failing_newton_config(mode, out):
-    """dt * (2c - 4 alpha) = 100 for both potentials: the step is far from convex."""
+    """A solvable step, dt (2c - 4 alpha) = 0.025, that one Newton iteration does not finish."""
     return (
         f"mode = {mode}\n"
         "grid.n = 4\n"
-        "time.T = 50\n"
-        "time.m = 1\n"
+        "time.T = 0.25\n"
+        "time.m = 20\n"
         "init.preset = constant\n"
         "init.value = 0.5\n"
         "control.preset = constant\n"
@@ -298,26 +298,9 @@ def test_solver_failure_exit_code(tmp_path, mode):
     """Every mode solves the state with the configured Newton settings."""
     text = failing_newton_config(mode, tmp_path / "fail")
     cfg = load_config(write(tmp_path, text))
-    with pytest.warns(StepSolvabilityWarning):
-        assert run(cfg) == 3
+    assert run(cfg) == 3
     error = json.loads((tmp_path / "fail" / "error.jsonl").read_text(encoding="utf-8"))
     assert "after 1 iterations" in error["message"]  # the configured budget, not the default 50
-
-
-def test_unsolvable_step_warns_by_name(tmp_path):
-    """Configs whose step may not be uniquely solvable build with a warning per potential."""
-    path = write(tmp_path, failing_newton_config("solve", tmp_path / "out"))
-    with pytest.warns(StepSolvabilityWarning) as record:
-        build_run(load_config(path))
-    messages = [str(w.message) for w in record if w.category is StepSolvabilityWarning]
-    assert len(messages) == 2
-    for name, message in zip(("potential_f", "potential_g"), messages):
-        for key in ("time.T", "time.m", f"{name}.c", f"{name}.alpha"):
-            assert key in message
-        assert "= 100 >= 1" in message
-    with pytest.warns(StepSolvabilityWarning) as record:
-        assert main([str(path), "--mode", "solve"]) == 3
-    assert sum(w.category is StepSolvabilityWarning for w in record) == 2  # built once
 
 
 ROOT = Path(__file__).parents[1]
@@ -362,6 +345,18 @@ def test_verify_gradient_passes_where_the_rounding_floor_guard_matters():
         ("target.preset = tanh-movng", "target.preset"),
         ("init.preset = random-seedd", "init.preset"),
         ("control.preset = zer0", "control.preset"),
+        ("seed = -1", "seed"),
+        # the step rule dt (2 c - 4 alpha) < 1, checked for pf before pg
+        pytest.param(
+            "time.T = 50; time.m = 1",
+            "time.T / time.m, potential_f.c, potential_f.alpha: pf step rule: dt (2 c - 4 alpha) = 100 >= 1",
+            id="step-rule-potential_f",
+        ),
+        pytest.param(
+            "potential_g.c = 20",
+            "time.T / time.m, potential_g.c, potential_g.alpha: pg step rule: dt (2 c - 4 alpha) = 1.8 >= 1",
+            id="step-rule-potential_g",
+        ),
     ],
 )
 def test_rejected_value_exits_2_at_load(tmp_path, capsys, lines, named):
@@ -382,13 +377,24 @@ def test_rejected_value_exits_2_at_load(tmp_path, capsys, lines, named):
 def test_error_line_is_the_error_jsonl_line(tmp_path, capsys):
     """The stderr `error:` line is the JSON line that error.jsonl holds, free of numpy reprs."""
     path = write(tmp_path, failing_newton_config("solve", tmp_path / "fail"))
-    with pytest.warns(StepSolvabilityWarning):
-        assert main([str(path)]) == 3
+    assert main([str(path)]) == 3
     err = capsys.readouterr().err
     line = next(row for row in err.splitlines() if row.startswith("error: "))[len("error: "):]
     assert "np.float64" not in line
     assert isinstance(json.loads(line)["residual"], float)
     assert line + "\n" == (tmp_path / "fail" / "error.jsonl").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_output_dir_that_cannot_be_created_exits_2(tmp_path, capsys, target):
+    """An output.dir at or under an existing file is a ConfigError naming output.dir."""
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    path = write(tmp_path, BASE)
+    assert main([str(path), "--output-dir", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output.dir: cannot create directory")
+    assert "Traceback" not in err
+    assert (tmp_path / "file").read_text(encoding="utf-8") == ""
 
 
 def test_overrides_apply_before_checks(tmp_path):

@@ -122,31 +122,39 @@ def test_singular_step_matrix_raises(grid4, ops4):
         )
 
 
-@pytest.mark.parametrize(
-    "dt, c_range, cholesky",
-    [(0.1, (-3.0, 5.0), True), (0.5, (-30.0, 1.0), False)],
-    ids=["spd-cholesky", "indefinite-lu"],
-)
-def test_step_solves_match_dense(dt, c_range, cholesky):
-    """Forward and transposed band solves equal dense solves with M and M^T."""
+def _random_step_operator(dt, c_range):
+    """A one-step operator on the n = 6 grid with seeded coefficients drawn from c_range."""
     rng = np.random.default_rng(7)
     grid = build_grid(6)
     ops = build_operators(grid)
-    time = TimeAxis(dt, 1)
-    N = grid.num_nodes
     coeffs = slot_fields(
-        grid, rng.uniform(*c_range, size=(2, N)), rng.uniform(*c_range, size=(2, grid.num_boundary))
+        grid,
+        rng.uniform(*c_range, size=(2, grid.num_nodes)),
+        rng.uniform(*c_range, size=(2, grid.num_boundary)),
     )
-    op = SteppedOperator(grid, ops, time, coeffs)
+    return rng, ops, coeffs, SteppedOperator(grid, ops, TimeAxis(dt, 1), coeffs)
+
+
+def test_step_solves_match_dense():
+    """Forward and transposed band solves equal dense solves with M and M^T."""
+    dt = 0.1
+    rng, ops, coeffs, op = _random_step_operator(dt, (-3.0, 5.0))
+    N = coeffs.shape[1]
     M = np.eye(N) / dt + ops.coupled.toarray() + np.diag(coeffs[1])
-    pivots = op._factor(1)[1]
-    assert (pivots is None) == cholesky
     rhs = rng.normal(size=N)
     x = op.solve(1, rhs)
     xt = op.solve_transposed(1, rhs)
     assert x.shape == rhs.shape and xt.shape == rhs.shape
     np.testing.assert_allclose(x, np.linalg.solve(M, rhs), rtol=0, atol=1e-12 * np.abs(x).max())
     np.testing.assert_allclose(xt, np.linalg.solve(M.T, rhs), rtol=0, atol=1e-12 * np.abs(xt).max())
+
+
+def test_indefinite_step_matrix_raises():
+    """dt = 0.5 and coefficients down to -30 make the step matrix indefinite: the factor fails."""
+    rng, ops, coeffs, op = _random_step_operator(0.5, (-30.0, 1.0))
+    with pytest.raises(SolverFailureError, match="^step matrix is not positive definite at step 1$") as info:
+        op.solve(1, rng.normal(size=coeffs.shape[1]))
+    assert info.value.step == 1
 
 
 # -- linearized system --------------------------------------------------------

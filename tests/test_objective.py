@@ -8,6 +8,7 @@ from acopt import (
     ControlPair,
     DomainError,
     InvalidParameterError,
+    Potential,
     TimeAxis,
     Trajectory,
     UnsupportedConfigurationError,
@@ -455,6 +456,21 @@ def test_problem_validation(grid4, ops4):
     new = prob.z_t + 0.1
     prob.z_t = new
     np.testing.assert_array_equal(prob.z_gamma_t, new[grid4.boundary_cycle])
+
+
+@pytest.mark.parametrize("side", ["pf", "pg"])
+def test_problem_enforces_the_step_rule(grid4, ops4, side):
+    """dt (2 c - 4 alpha) = 1 for either potential is rejected; at 0.99 the problem builds and solves."""
+    time = TimeAxis(0.5, 1)
+
+    def build(c):
+        potentials = {"pf": Potential(1.0, 2.0), "pg": Potential(1.0, 2.0), side: Potential(1.0, c)}
+        return make_problem(grid4, ops4, time, potentials["pf"], potentials["pg"], init_value=0.4)
+
+    with pytest.raises(InvalidParameterError, match=rf"^{side} step rule: dt \(2 c - 4 alpha\) = 1 >= 1$"):
+        build(3.0)  # 0.5 (2 * 3 - 4) = 1
+    prob = build(2.99)  # 0.5 (2 * 2.99 - 4) = 0.99
+    assert prob.solve(ControlPair.zeros(grid4, time)).info["factorizations"][0] >= 1
 
 
 def test_hnorm_consistency(grid4, ops4, rng):

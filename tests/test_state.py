@@ -220,10 +220,10 @@ def test_stability_ratio_envelope(grid4, ops4):
 
 def test_newton_failure_is_reported(grid4, ops4):
     pf, pg = default_potentials()
-    time = TimeAxis(50.0, 1)  # absurd step size
+    time = TimeAxis(0.25, 20)  # a solvable step that one Newton iteration does not finish
     init = np.full(grid4.num_nodes, 0.5)
     u = constant_control(grid4, time, 0.9, 0.9)
-    with pytest.raises(SolverFailureError) as info:
+    with pytest.raises(SolverFailureError, match="after 1 iterations") as info:
         solve_state(grid4, ops4, time, pf, pg, u, init, max_newton=1)
     assert info.value.step == 1
     assert info.value.residual is not None
@@ -568,6 +568,23 @@ def test_guess_shape_checked(grid4, ops4):
     for shape in ((time.m, grid4.num_nodes), (time.m + 1, grid4.num_nodes + 1)):
         with pytest.raises(DimensionMismatchError):
             solve_state(grid4, ops4, time, pf, pg, u, init, guess=np.full(shape, 0.5))
+
+
+@pytest.mark.parametrize(
+    "extra_levels, extra_nodes, extra_cycle",
+    [(3, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, -1)],
+    ids=["m+4-levels", "m-levels", "extra-bulk-column", "short-surface"],
+)
+def test_control_shape_checked(grid4, ops4, extra_levels, extra_nodes, extra_cycle):
+    """Only (m+1, N) and (m+1, 4n) controls are solved: no level or column is dropped or missing."""
+    pf, pg, time, _, init = _guess_setup(grid4)
+    levels = time.m + 1 + extra_levels
+    control = ControlPair(
+        np.zeros((levels, grid4.num_nodes + extra_nodes)),
+        np.zeros((levels, grid4.num_boundary + extra_cycle)),
+    )
+    with pytest.raises(DimensionMismatchError, match="^control needs shapes"):
+        solve_state(grid4, ops4, time, pf, pg, control, init)
 
 
 def test_tangent_guess_saves_newton_iterations(grid4, ops4):
