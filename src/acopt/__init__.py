@@ -38,6 +38,7 @@ from .objective import (
     projection_residual,
     reduced_gradient,
     stationarity_norm,
+    tracking_seeds,
 )
 from .optimizer import (
     IterateRecord,

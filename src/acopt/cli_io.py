@@ -45,6 +45,7 @@ from .objective import (
     hnorm,
     optimality_report,
     reduced_gradient,
+    tracking_seeds,
 )
 from .optimizer import OptimizerConfig, minimize
 from .pde_linear import linearized_operator, solve_adjoint, solve_linearized
@@ -365,6 +366,13 @@ def write_state(outdir, traj, formats):
         write_vtk_snapshots(outdir, traj)
 
 
+def _json(payload):
+    """One JSON object; a non-finite float, which JSON cannot spell, is written null."""
+    return json.dumps(
+        {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in payload.items()}
+    )
+
+
 def write_report(outdir, report):
     payload = {
         "cost": report.cost,
@@ -377,14 +385,10 @@ def write_report(outdir, report):
         "min_curvature_ratio": report.min_curvature_ratio,
     }
     with open(Path(outdir, "optimality_report.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload) + "\n")
+        fh.write(_json(payload) + "\n")
         for idx, value, norm_sq, ratio in report.curvature_samples:
-            fh.write(
-                json.dumps(
-                    {"direction": idx, "curvature": value, "norm_sq": norm_sq, "ratio": ratio}
-                )
-                + "\n"
-            )
+            sample = {"direction": idx, "curvature": value, "norm_sq": norm_sq, "ratio": ratio}
+            fh.write(_json(sample) + "\n")
     with open(Path(outdir, "curvature_samples.csv"), "w", encoding="utf-8") as fh:
         fh.write("direction,curvature,norm_sq,ratio\n")
         for idx, value, norm_sq, ratio in report.curvature_samples:
@@ -446,7 +450,7 @@ def verify_gradient(problem, seed=0):
     value but, unlike it, does not vanish when h is nearly orthogonal to grad.
     """
     rng, u, state, operator = _base_point(problem, seed)
-    adjoint = solve_adjoint(state, problem, operator)
+    adjoint = solve_adjoint(state, tracking_seeds(problem, state), operator)
     grad = reduced_gradient(problem, adjoint, u)
     rows = []
     eps_list = np.array([1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4])
@@ -502,7 +506,7 @@ def verify_taylor(problem, seed=0):
 def verify_curvature(problem, seed=0):
     """Second-difference check of the curvature form."""
     rng, u, state, operator = _base_point(problem, seed)
-    adjoint = solve_adjoint(state, problem, operator)
+    adjoint = solve_adjoint(state, tracking_seeds(problem, state), operator)
     j0 = evaluate_cost(problem, state, u)
     rows = []
     for d in range(VERIFY_DIRECTIONS):
@@ -539,7 +543,6 @@ def run(cfg):
             return 0
 
         if cfg.mode == "optimize":
-            start = clip_to_box(problem, control)
             history_path = outdir / "history.csv"
             with open(history_path, "w", encoding="utf-8") as fh:
                 fh.write("iter,cost,stationarity,step\n")
@@ -558,7 +561,7 @@ def run(cfg):
                             str(outdir / "control_checkpoint"), current, problem.grid, problem.time
                         )
 
-                result = minimize(problem, opt_cfg, start, callback=stream)
+                result = minimize(problem, opt_cfg, control, callback=stream)
             write_control_csv(str(outdir / "control_final"), result.control, problem.grid, problem.time)
             write_report(outdir, result.report)
             write_state(outdir, result.state, formats)
@@ -588,7 +591,7 @@ def _log_error(outdir, exc):
     if isinstance(exc, SolverFailureError):
         payload["step"] = exc.step
         payload["residual"] = exc.residual
-    line = json.dumps(payload)
+    line = _json(payload)
     try:
         Path(outdir, "error.jsonl").write_text(line + "\n", encoding="utf-8")
     except OSError:

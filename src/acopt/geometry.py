@@ -11,11 +11,14 @@ matrices are therefore diagonal, which keeps discrete adjoints plain
 (weighted) matrix transposes. `space_time_inner` is the one space-time
 pairing built from these weights.
 
-The normal flux in the coupled operator is the summation-by-parts flux:
-the boundary rows of the bulk stiffness form divided by the arclength weights.
-With that choice the coupled evolution operator is exactly the gradient of
-the discrete Dirichlet energy in the node-weight metric, so the implicit
-time stepper inherits an exact energy-dissipation property.
+The discrete model is one symmetric stiffness K = A_bulk + P^T A_surf P,
+P the trace onto the cycle: the Dirichlet energies of the bulk and the
+surface. The coupled evolution operator is W^-1 K, W the slot weights, so
+it is exactly the gradient of the discrete Dirichlet energy in the
+node-weight metric and the implicit time stepper inherits an exact
+energy-dissipation property. Its boundary rows are the surface Laplacian
+plus the summation-by-parts normal flux: the boundary rows of A_bulk
+divided by the arclength weights.
 
 What every implicit step reads from the grid is built once per grid: the
 slot weights W (`Grid.slot_weights`), |coupled| and the `StepMatrix`, whose
@@ -42,7 +45,6 @@ class Grid:
         boundary_cycle: (4n,) global indices of boundary nodes, ordered
             counterclockwise starting at (0, 0).
         interior_nodes: ((n-1)^2,) global indices of interior nodes.
-        interior_mask: (N,) boolean, True at interior nodes.
         bulk_weights: (N,) area quadrature weights, sum exactly 1.
         surface_weights: (4n,) arclength weights along the cycle, sum
             exactly 4.
@@ -54,7 +56,6 @@ class Grid:
     bulk_nodes: np.ndarray
     boundary_cycle: np.ndarray
     interior_nodes: np.ndarray
-    interior_mask: np.ndarray
     bulk_weights: np.ndarray
     surface_weights: np.ndarray
     slot_weights: np.ndarray
@@ -106,13 +107,12 @@ class OperatorSet:
             energy, 0.5 * z' A z ~ 0.5 * int |grad z|^2.
         dirichlet_surf: (4n, 4n) same for the tangential gradient on the
             cycle.
-        coupled: (N, N) evolution operator used by the solvers: interior
-            rows are the 5-point negative Laplacian, boundary rows the
-            surface Laplacian dirichlet_surf / h on the trace plus the
-            normal flux (see module docstring). Row sums vanish, so
-            constants are annihilated exactly.
+        coupled: (N, N) evolution operator W^-1 K used by the solvers (see
+            module docstring): interior rows are the 5-point negative
+            Laplacian, boundary rows the surface Laplacian plus the normal
+            flux. Row sums vanish, so constants are annihilated exactly.
         coupled_abs: (N, N) entrywise |coupled|.
-        step: the grid's one `StepMatrix`, built from coupled.
+        step: the grid's one `StepMatrix`, built from K.
     """
 
     dirichlet_bulk: sp.csr_matrix
@@ -160,9 +160,7 @@ def build_grid(n):
         ]
     )
 
-    interior_mask = np.ones(num, dtype=bool)
-    interior_mask[cycle] = False
-    interior = np.flatnonzero(interior_mask)
+    interior = np.setdiff1d(np.arange(num), cycle)
 
     # tensor trapezoid: 1-D weight h, halved at the two ends
     w1 = np.full(side, h)
@@ -180,7 +178,6 @@ def build_grid(n):
         bulk_nodes=_freeze(nodes),
         boundary_cycle=_freeze(cycle),
         interior_nodes=_freeze(interior),
-        interior_mask=_freeze(interior_mask),
         bulk_weights=_freeze(bulk_w),
         surface_weights=_freeze(surf_w),
         slot_weights=_freeze(slot_w),
@@ -220,21 +217,21 @@ def _surface_stiffness(grid):
 
 
 class StepMatrix:
-    """Band factorizations of the step matrices M(c) = I/dt + coupled + diag(c), coupled CSR.
+    """Band factorizations of the step matrices M(c) = I/dt + W^-1 K + diag(c).
 
-    With W = diag(slot weights), W coupled = A_bulk + A_surf (see
-    `build_operators`) is exactly symmetric, and so is
-    S = W M(c) = W coupled + W/dt + W diag(c). In the natural node order S
-    is a band whose half-bandwidth (n+1 on a grid with n cells per side) is
-    read off the sparsity pattern of `coupled`, which must be canonical
-    (sorted, duplicate-free) CSR, as `build_operators` makes it. Only the
-    upper entries of W coupled are stored, one per band position, once per
-    grid by `build_operators`.
-    `factor` assigns them into a fresh zero band in LAPACK layout, adds
-    W/dt, then W c, and factors it in place by banded Cholesky (dpbtrf).
+    With W = diag(slot weights), S = W M(c) = K + W/dt + W diag(c) is
+    symmetric by construction: only the upper entries of the stiffness K
+    are stored, one per band position, once per grid by `build_operators`.
+    In the natural node order S is a band whose half-bandwidth (n+1 on a
+    grid with n cells per side) is read off the sparsity pattern of K,
+    which must be canonical (sorted, duplicate-free) CSR, as
+    `build_operators` makes it.
+    `factor` assigns the stored entries into a fresh zero band in LAPACK
+    layout, adds W/dt, then W c, and factors it in place by banded
+    Cholesky (dpbtrf).
 
-    S is positive definite whenever 1/dt + c > 0 on every slot, as
-    W coupled is positive semidefinite. On the guarded interval f'' and g''
+    S is positive definite whenever 1/dt + c > 0 on every slot, as K is
+    positive semidefinite. On the guarded interval f'' and g''
     are at least 4 alpha - 2 c, so `objective.ControlProblem` makes every
     step matrix of its solves SPD by its step rule dt (2 c - 4 alpha) < 1.
     Solves reuse one factor both ways:
@@ -262,17 +259,17 @@ class StepMatrix:
     in the model. kappa depends on b alone, so the rule is deterministic.
     """
 
-    def __init__(self, grid, coupled):
-        self._w = w = grid.slot_weights
-        rows = np.repeat(np.arange(coupled.shape[0]), np.diff(coupled.indptr))
-        cols = coupled.indices
+    def __init__(self, grid, stiffness):
+        self._w = grid.slot_weights
+        rows = np.repeat(np.arange(stiffness.shape[0]), np.diff(stiffness.indptr))
+        cols = stiffness.indices
         upper = cols >= rows
         rows, cols = rows[upper], cols[upper]
         self.bandwidth = b = int(np.max(cols - rows, initial=0))
         self.factor_cost = b * b / (8 * b + 100)
         # position of S[i, j], i <= j, in the flattened Fortran-ordered band (distinct: canonical)
         self._pos = b + rows - cols + cols * (b + 1)
-        self._vals = w[rows] * coupled.data[upper]
+        self._vals = stiffness.data[upper]
 
     def factor(self, c, dt, level=None, residual=None):
         """The Cholesky band of S = W M(c) for the slot coefficients c and the time step dt.
@@ -305,34 +302,21 @@ class StepMatrix:
 def build_operators(grid):
     """Assemble the sparse operator set for a grid.
 
-    The coupled operator stacks the interior 5-point rows of the negative
-    bulk Laplacian with boundary rows made of the surface Laplacian plus
-    the normal flux; it equals diag(weights)^-1 (A_bulk + A_surf), which
-    is what makes the implicit stepper an exact discrete gradient flow.
+    The stiffness K = A_bulk + P^T A_surf P is built once; coupled is K
+    with each row divided by its slot weight, W^-1 K, which is what makes
+    the implicit stepper an exact discrete gradient flow (see module
+    docstring). The `StepMatrix` stores K itself.
     """
-    N = grid.num_nodes
-    h2 = grid.h * grid.h
-
     A = _bulk_stiffness(grid)
     A_surf = _surface_stiffness(grid)
 
-    # interior rows: A row / h^2 is the exact 5-point stencil
-    R_int = sp.diags(grid.interior_mask.astype(float))
-    L_int_rows = (R_int @ A) / h2
-
-    L_surf = (A_surf / grid.h).tocsr()  # divide by arclength weight h
-
-    # summation-by-parts flux: boundary rows of A over arclength weights
-    P_gamma = sp.coo_matrix(
-        (np.ones(grid.num_boundary), (np.arange(grid.num_boundary), grid.boundary_cycle)),
-        shape=(grid.num_boundary, N),
-    ).tocsr()
-    B_flux = ((P_gamma @ A).multiply(1.0 / grid.surface_weights[:, None])).tocsr()
-
-    coupled = (L_int_rows + P_gamma.T @ (L_surf @ P_gamma + B_flux)).tocsr()
+    surf, cycle = A_surf.tocoo(), grid.boundary_cycle
+    K = (A + sp.coo_matrix((surf.data, (cycle[surf.row], cycle[surf.col])), shape=A.shape)).tocsr()
     # canonical (sorted, duplicate-free) CSR: scipy would otherwise sort the
     # indices in place on first use, which changes matvec roundoff mid-run
-    coupled.sum_duplicates()
+    K.sum_duplicates()
+    coupled = K.copy()
+    coupled.data /= np.repeat(grid.slot_weights, np.diff(K.indptr))
     # entrywise from a copy: abs() of a CSR matrix sorts its indices in place
     coupled_abs = coupled.copy()
     coupled_abs.data = np.abs(coupled_abs.data)
@@ -342,7 +326,7 @@ def build_operators(grid):
         dirichlet_surf=A_surf,
         coupled=coupled,
         coupled_abs=coupled_abs,
-        step=StepMatrix(grid, coupled),
+        step=StepMatrix(grid, K),
     )
 
 

@@ -168,11 +168,39 @@ def _cost_form(problem, a, b):
 # -- cost and derivatives ----------------------------------------------------
 
 
+def _tracking_residuals(problem, state):
+    """The state residuals of the cost: over Q and Sigma, then terminal bulk and surface."""
+    surface = state.surface
+    return (
+        state.values - problem.z_q,
+        surface - problem.z_sigma,
+        state.values[-1] - problem.z_t,
+        surface[-1] - problem.z_gamma_t,
+    )
+
+
 def evaluate_cost(problem, state, control):
     """Quadrature value of the six-term tracking cost."""
-    targets = (problem.z_q, problem.z_sigma, problem.z_t, problem.z_gamma_t, 0.0, 0.0)
-    residual = [x - z for x, z in zip(_cost_parts(state, control), targets)]
+    residual = (*_tracking_residuals(problem, state), control.bulk, control.surface)
     return 0.5 * _cost_form(problem, residual, residual)
+
+
+def tracking_seeds(problem, state):
+    """The state gradient of the tracking cost: the adjoint seeds, in equation-slot layout.
+
+    Level k holds the weighted tracking residuals that multiply the level-k
+    unknown of the forward stepping; the final level additionally carries
+    the terminal mismatch terms. `pde_linear.solve_adjoint` marches them.
+    """
+    grid = problem.grid
+    theta = problem.time.weights()[:, None]
+    w, gamma, cycle = grid.bulk_weights, grid.surface_weights, grid.boundary_cycle
+    r_q, r_sigma, r_t, r_gamma_t = _tracking_residuals(problem, state)
+    seeds = problem.beta1 * theta * w * r_q
+    seeds[:, cycle] += problem.beta2 * theta * gamma * r_sigma
+    seeds[-1] += problem.beta3 * w * r_t
+    seeds[-1, cycle] += problem.beta3 * gamma * r_gamma_t
+    return seeds
 
 
 def adjoint_as_control(problem, adjoint):
@@ -336,7 +364,7 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
     if state is None:
         state = problem.solve(control)
     operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
-    adjoint = solve_adjoint(state, problem, operator)
+    adjoint = solve_adjoint(state, tracking_seeds(problem, state), operator)
     grad = reduced_gradient(problem, adjoint, control)
     cost = evaluate_cost(problem, state, control)
     grad_norm = hnorm(problem, grad)

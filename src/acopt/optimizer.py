@@ -28,6 +28,7 @@ from .objective import (
     optimality_report,
     reduced_gradient,
     stationarity_norm,
+    tracking_seeds,
 )
 from .pde_linear import linearized_operator, solve_adjoint, solve_linearized
 from .pde_state import ControlPair
@@ -111,7 +112,7 @@ def minimize(problem, config, start, callback=None):
     for it in range(config.max_iters):
         clamp_tally += state.info.get("clamp_events", 0)
         operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
-        adjoint = solve_adjoint(state, problem, operator)
+        adjoint = solve_adjoint(state, tracking_seeds(problem, state), operator)
         grad = reduced_gradient(problem, adjoint, u)
         stat = stationarity_norm(problem, u, grad)
 

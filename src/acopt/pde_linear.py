@@ -8,8 +8,9 @@ slots. Coefficients are read at the arrival level, the same point where
 the nonlinear solver evaluated its Newton linearization; that choice makes
 the adjoint below an exact algebraic transpose of the forward stepping.
 
-Each M(k) is factored once as the symmetric band S = W M(k), W the slot
-quadrature weights, by the grid's one `geometry.StepMatrix` (`ops.step`).
+Each M(k) is factored once as the symmetric band S = W M(k) =
+K + W/dt + W diag(c(k)), K the grid's stiffness and W the slot quadrature
+weights, by the grid's one `geometry.StepMatrix` (`ops.step`).
 Since M^T = S W^-1, the transposed step is the forward band solve with
 the W scaling moved to the other side, and one factor serves every (N,)
 right-hand side of the linearized, adjoint and second-derivative marches.
@@ -20,7 +21,9 @@ marched backward through the transposed step solves, from level m down
 to level 1 (level 0 is initial data, not an unknown), and then rescaled
 by the space-time quadrature weights into inner-product representers.
 Every duality identity involving these solves therefore holds to
-direct-solver roundoff.
+direct-solver roundoff. The march takes its seeds, the state gradient of
+a cost, as an array; the tracking cost's seeds are
+`objective.tracking_seeds`, next to the cost they differentiate.
 """
 
 import numpy as np
@@ -113,35 +116,16 @@ def solve_linearized(operator, direction):
     return solve_linear(operator, direction, np.zeros(operator.grid.num_nodes))
 
 
-def tracking_sources(problem, state):
-    """Quadrature-weighted cost residuals in equation-slot layout.
-
-    Level k holds the weighted tracking residuals that multiply the level-k
-    unknown of the forward stepping; the final level additionally carries
-    the terminal mismatch terms.
-    """
-    grid, time = state.grid, state.time
-    theta = time.weights()
-    w = grid.bulk_weights
-    gamma = grid.surface_weights
-    cycle = grid.boundary_cycle
-
-    d = np.zeros((time.m + 1, grid.num_nodes))
-    d += problem.beta1 * theta[:, None] * w[None, :] * (state.values - problem.z_q)
-    d[:, cycle] += problem.beta2 * theta[:, None] * gamma[None, :] * (state.surface - problem.z_sigma)
-    d[-1] += problem.beta3 * w * (state.values[-1] - problem.z_t)
-    d[-1, cycle] += problem.beta3 * gamma * (state.surface[-1] - problem.z_gamma_t)
-    return d
-
-
-def adjoint_from_seeds(state, seeds, operator):
+def solve_adjoint(state, seeds, operator):
     """Backward transpose march from weighted seeds to representers.
 
-    seeds[k] multiplies the level-k unknown; the returned trajectory holds
-    the inner-product representers p with p = multiplier / (theta * slot
-    weight), whose boundary trace is the surface adjoint. The march stops
-    at level 1: level 0 is initial data, so seeds[0] is never read,
-    values[0] stays zero and level 0 of the operator is never factored.
+    Exact transpose of the linearized forward stepping (see module
+    docstring). seeds[k] multiplies the level-k unknown; the returned
+    trajectory holds the inner-product representers p with
+    p = multiplier / (theta * slot weight), whose boundary trace is the
+    surface adjoint. The march stops at level 1: level 0 is initial data,
+    so seeds[0] is never read, values[0] stays zero and level 0 of the
+    operator is never factored.
     """
     grid, time = state.grid, state.time
     theta = time.weights()
@@ -153,17 +137,6 @@ def adjoint_from_seeds(state, seeds, operator):
         lam = operator.solve_transposed(k, seeds[k] + lam / time.dt)
         values[k] = lam / (theta[k] * grid.slot_weights)
     return Trajectory(values, grid, time)
-
-
-def solve_adjoint(state, problem, operator):
-    """Adjoint pair for the tracking cost at a solved state.
-
-    Exact transpose of the linearized forward stepping (see module
-    docstring), marched backward from the level that carries the terminal
-    mismatch down to level 1; level 0 holds zeros. The trace of the
-    returned trajectory is the surface adjoint.
-    """
-    return adjoint_from_seeds(state, tracking_sources(problem, state), operator)
 
 
 def solve_second_derivative(state, pf, pg, phi, psi, operator):

@@ -3,12 +3,13 @@
 One implicit Euler step solves the coupled nonlinear system
 
     (y+ - y)/dt + L y+ + f'(y+) = u      at interior nodes,
-    (yG+ - yG)/dt + L_surf yG+ + B_flux y+ + g'(yG+) = uG   at boundary nodes,
+    (yG+ - yG)/dt + L_G yG+ + B y+ + g'(yG+) = uG   at boundary nodes,
 
-with L the 5-point negative Laplacian (the interior rows of `coupled`,
-whose boundary rows are L_surf + B_flux) and a single (N,) unknown over
-all bulk nodes (the boundary trace is the restriction of that vector, so
-the trace identity holds by construction). Newton with interval-preserving
+with L the 5-point negative Laplacian, L_G the surface Laplacian and B the
+normal flux: the interior and boundary rows of `coupled` = W^-1 K (see
+`geometry`). There is a single (N,) unknown over all bulk nodes (the
+boundary trace is the restriction of that vector, so the trace identity
+holds by construction). Newton with interval-preserving
 damping solves each step; the logarithmic derivative pushes iterates away
 from 0 and 1, so the damped iteration stays inside the guarded interval
 without projections.

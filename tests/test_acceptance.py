@@ -28,6 +28,7 @@ from acopt import (
     solve_linear,
     solve_linearized,
     solve_state,
+    tracking_seeds,
     trajectory_space_time_norm,
     trajectory_sup_norm,
 )
@@ -53,7 +54,7 @@ def duality_setup():
     u = random_control(grid, time, rng, scale=0.4)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops)
-    adj = solve_adjoint(state, prob, op)
+    adj = solve_adjoint(state, tracking_seeds(prob, state), op)
     return prob, u, state, op, adj, rng
 
 
@@ -266,7 +267,7 @@ def test_criterion_08_linear_quadratic_oracle():
     S = np.zeros((m * N, nu))  # control vector -> stacked states (levels 1..m)
     for k in range(1, m + 1):
         for j_local in range(N):  # distributed control, interior slots only
-            if not grid.interior_mask[j_local]:
+            if j_local in grid.boundary_cycle:
                 continue
             col = k * N + j_local
             src = np.zeros(m * N)

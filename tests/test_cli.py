@@ -435,6 +435,27 @@ def test_report_mode_emits_files(tmp_path):
     assert "stationarity" in first and "active_set_fraction" in first
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        ("cost.beta5 = 0\n", "projection_residual"),  # the projection identity needs beta5 > 0
+        ("box.u1 = 0\nbox.u2 = 0\nbox.u1_gamma = 0\nbox.u2_gamma = 0\n", "min_curvature_ratio"),
+    ],
+    ids=["beta5-zero", "cone-is-zero"],
+)
+def test_report_jsonl_is_strict_json(tmp_path, lines, key):
+    """A NaN diagnostic is written null: every report line parses as strict JSON."""
+    text = BASE.replace("mode = solve", "mode = report").replace("time.m = 4", "time.m = 5")
+    assert run(load_config(write(tmp_path, text + lines + f"output.dir = {tmp_path / 'rep'}\n"))) == 0
+    report = (tmp_path / "rep" / "optimality_report.jsonl").read_text().splitlines()
+    rows = [json.loads(line, parse_constant=_reject_constant) for line in report]
+    assert rows[0][key] is None
+
+
 def test_build_problem_target_consistency():
     cfg = RunConfig(grid_n=4, time_T=0.2, time_m=4)
     prob = build_problem(cfg)

@@ -18,9 +18,9 @@ from acopt import (
     solve_linearized,
     solve_second_derivative,
     solve_state,
+    tracking_seeds,
     trajectory_space_time_norm,
 )
-from acopt.pde_linear import adjoint_from_seeds
 from acopt.geometry import StepMatrix
 from acopt.pde_state import Trajectory, slot_fields
 
@@ -219,7 +219,7 @@ def test_adjoint_zero_weights(grid4, ops4):
     time = TimeAxis(0.3, 5)
     prob = make_problem(grid4, ops4, time, pf, pg, betas=(0.0, 0.0, 0.0, 1.0, 1.0))
     state = prob.solve(ControlPair.zeros(grid4, time))
-    adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
+    adj = solve_adjoint(state, tracking_seeds(prob, state), linearized_operator(state, pf, pg, ops4))
     assert np.abs(adj.values).max() == 0.0
 
 
@@ -231,13 +231,11 @@ def test_adjoint_matches_dense_transpose(grid4, ops4, rng):
     u = random_control(grid4, time, rng, scale=0.4)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops4)
-    adj = solve_adjoint(state, prob, op)
-
-    from acopt.pde_linear import tracking_sources
+    adj = solve_adjoint(state, tracking_seeds(prob, state), op)
 
     coeffs = slot_fields(grid4, pf.d2(state.values), pg.d2(state.surface))
     B = _dense_forward_matrix(grid4, ops4, time, coeffs)
-    seeds = tracking_sources(prob, state)
+    seeds = tracking_seeds(prob, state)
     N, m = grid4.num_nodes, time.m
     lam = np.linalg.solve(B.T, seeds[1:].ravel()).reshape(m, N)
     theta = time.weights()
@@ -261,7 +259,7 @@ def test_adjoint_march_stops_at_level_one(grid4, ops4, rng, monkeypatch):
         return original(self, c, dt, level=level, residual=residual)
 
     monkeypatch.setattr(StepMatrix, "factor", counting_factor)
-    adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
+    adj = solve_adjoint(state, tracking_seeds(prob, state), linearized_operator(state, pf, pg, ops4))
     assert np.all(adj.values[0] == 0.0)
     assert np.all(np.abs(adj.values[1:]).max(axis=1) > 0.0)
     assert sorted(factored) == list(range(1, time.m + 1))
@@ -281,7 +279,7 @@ def test_adjoint_terminal_cost_geometric_decay(grid4, ops4):
         init_value=0.3, box=(-9.0, 9.0),
     )
     state = prob.solve(ControlPair.zeros(grid4, time))
-    adj = solve_adjoint(state, prob, linearized_operator(state, pq, pq, ops4))
+    adj = solve_adjoint(state, tracking_seeds(prob, state), linearized_operator(state, pq, pq, ops4))
     # spatially constant up to the O(h) boundary quadrature correction
     assert np.ptp(adj.values, axis=1).max() <= 0.5 * grid4.h
     p0 = adj.values[:, adj.grid.interior_nodes[0]]
@@ -297,7 +295,7 @@ def test_adjoint_duality_identity(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.4)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops8)
-    adj = solve_adjoint(state, prob, op)
+    adj = solve_adjoint(state, tracking_seeds(prob, state), op)
 
     theta = time.weights()
     w, gam = grid8.bulk_weights, grid8.surface_weights
@@ -353,7 +351,7 @@ def test_transpose_involution_reproduces_forward(grid4, ops4):
         )
         F[:, j] = solve_linear(op, src, zero).values[1:].ravel()
         seeds = np.vstack([np.zeros((1, N)), levels])
-        G[:, j] = adjoint_from_seeds(state_like, seeds, op).values[1:].ravel()
+        G[:, j] = solve_adjoint(state_like, seeds, op).values[1:].ravel()
 
     # transpose identity: G = W^-1 F^T (as maps on raw seed/source vectors)
     np.testing.assert_allclose(G, F.T / Wvec[:, None], atol=1e-11)
@@ -554,7 +552,7 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
 
     # the curvature's third-derivative pairing reads levels 1..m; the energy reads each slot once
     prob = make_problem(grid4, ops4, time, pf, pg)
-    adjoint = solve_adjoint(state, prob, op)
+    adjoint = solve_adjoint(state, tracking_seeds(prob, state), op)
     sizes = log_sizes("value", "d2", "d3")
     curvature(prob, state, adjoint, op, h)
     assert sizes == {"value": [], "d2": [], "d3": [m * interior, m * boundary]}

@@ -23,6 +23,7 @@ from acopt import (
     solve_adjoint,
     solve_linearized,
     stationarity_norm,
+    tracking_seeds,
 )
 from acopt.cli_io import RunConfig, build_problem
 from acopt.objective import _cone_directions, adjoint_as_control, clip_to_box
@@ -130,13 +131,29 @@ def test_cost_and_hinner_bit_identical_to_written_out_terms(grid4, ops4, rng):
             assert any(sum(t[i] for i in order) != sum(t) for t in draws), order
 
 
+def test_tracking_seeds_are_the_state_gradient_of_the_cost(grid4, ops4, rng):
+    """J is quadratic in the state, so J(y + d) - J(y - d) = 2 <seeds, d> to roundoff."""
+    pf, pg = default_potentials()
+    time = TimeAxis(0.4, 5)
+    prob = make_problem(grid4, ops4, time, pf, pg, betas=(1.0, 0.7, 1.3, 0.1, 0.2), seed=4)
+    u = random_control(grid4, time, rng)
+    state = prob.solve(u)
+    seeds = tracking_seeds(prob, state)
+    for _ in range(3):
+        delta = rng.uniform(-0.1, 0.1, size=state.values.shape)
+        plus = evaluate_cost(prob, Trajectory(state.values + delta, grid4, time), u)
+        minus = evaluate_cost(prob, Trajectory(state.values - delta, grid4, time), u)
+        predicted = 2.0 * np.sum(seeds * delta)
+        assert abs((plus - minus) - predicted) <= 1e-13 * max(plus, minus)
+
+
 def test_gradient_pure_control_case(grid4, ops4, rng):
     pf, pg = default_potentials()
     time = TimeAxis(0.4, 5)
     prob = make_problem(grid4, ops4, time, pf, pg, betas=(0.0, 0.0, 0.0, 1.0, 0.3))
     u = random_control(grid4, time, rng)
     state = prob.solve(u)
-    adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
+    adj = solve_adjoint(state, tracking_seeds(prob, state), linearized_operator(state, pf, pg, ops4))
     grad = reduced_gradient(prob, adj, u)
     np.testing.assert_allclose(grad.bulk, u.bulk, atol=1e-14)
     np.testing.assert_allclose(grad.surface, 0.3 * u.surface, atol=1e-14)
@@ -148,7 +165,7 @@ def test_gradient_central_difference_order_two(grid8, ops8, rng):
     prob = make_problem(grid8, ops8, time, pf, pg, betas=(1.0, 1.0, 1.0, 0.1, 0.1), seed=3)
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
-    adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops8))
+    adj = solve_adjoint(state, tracking_seeds(prob, state), linearized_operator(state, pf, pg, ops8))
     grad = reduced_gradient(prob, adj, u)
 
     eps_list = np.array([3e-2, 1e-2, 3e-3, 1e-3, 3e-4])
@@ -181,7 +198,7 @@ def test_gradient_duality_against_linearized(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.4)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops8)
-    adj = solve_adjoint(state, prob, op)
+    adj = solve_adjoint(state, tracking_seeds(prob, state), op)
     grad = reduced_gradient(prob, adj, u)
 
     theta = time.weights()
@@ -222,7 +239,7 @@ def test_gradient_depends_on_residuals_only(grid4, ops4, rng):
         shifted.z_q = prob.z_q + shift
         shifted.z_sigma = prob.z_sigma + shift
         shifted.z_t = prob.z_t + shift
-        adj = solve_adjoint(state, shifted, linearized_operator(state, pf, pg, ops4))
+        adj = solve_adjoint(state, tracking_seeds(shifted, state), linearized_operator(state, pf, pg, ops4))
         grads.append(reduced_gradient(shifted, adj, u))
     np.testing.assert_allclose(grads[0].bulk, grads[1].bulk, atol=1e-11)
     np.testing.assert_allclose(grads[0].surface, grads[1].surface, atol=1e-11)
@@ -238,7 +255,7 @@ def test_curvature_pure_control_quadratic(grid4, ops4, rng):
     u = ControlPair.zeros(grid4, time)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops4)
-    adj = solve_adjoint(state, prob, op)
+    adj = solve_adjoint(state, tracking_seeds(prob, state), op)
     h = random_control(grid4, time, rng)
     value = curvature(prob, state, adj, op, h)
     theta = time.weights()
@@ -255,7 +272,7 @@ def test_curvature_zero_direction(grid4, ops4):
     u = ControlPair.zeros(grid4, time)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops4)
-    adj = solve_adjoint(state, prob, op)
+    adj = solve_adjoint(state, tracking_seeds(prob, state), op)
     assert curvature(prob, state, adj, op, ControlPair.zeros(grid4, time)) == 0.0
 
 
@@ -266,7 +283,7 @@ def test_curvature_second_difference_oracle(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops8)
-    adj = solve_adjoint(state, prob, op)
+    adj = solve_adjoint(state, tracking_seeds(prob, state), op)
     j0 = evaluate_cost(prob, state, u)
     h = random_control(grid8, time, rng)
     exact = curvature(prob, state, adj, op, h)
@@ -291,7 +308,7 @@ def test_curvature_parallelogram_law(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops8)
-    adj = solve_adjoint(state, prob, op)
+    adj = solve_adjoint(state, tracking_seeds(prob, state), op)
     h = random_control(grid8, time, rng)
     k = random_control(grid8, time, rng)
     hp = ControlPair(h.bulk + k.bulk, h.surface + k.surface)
@@ -394,7 +411,7 @@ def test_report_unsupported_without_control_weights(grid4, ops4):
     u = ControlPair.zeros(grid4, time)
     with pytest.raises(UnsupportedConfigurationError):
         state = prob.solve(u)
-        adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
+        adj = solve_adjoint(state, tracking_seeds(prob, state), linearized_operator(state, pf, pg, ops4))
         projection_residual(prob, u, adjoint_as_control(prob, adj))
     report = optimality_report(prob, u, n_dir=2)
     assert not report.projection_supported
@@ -409,7 +426,7 @@ def test_stationarity_projection_equivalence(grid4, ops4, rng):
     prob = make_problem(grid4, ops4, time, pf, pg, betas=(0.0, 0.0, 0.0, 1.0, 1.0))
     u0 = ControlPair.zeros(grid4, time)
     state = prob.solve(u0)
-    adj = solve_adjoint(state, prob, linearized_operator(state, pf, pg, ops4))
+    adj = solve_adjoint(state, tracking_seeds(prob, state), linearized_operator(state, pf, pg, ops4))
     rep = adjoint_as_control(prob, adj)
     grad = reduced_gradient(prob, adj, u0)
     assert stationarity_norm(prob, u0, grad) == 0.0
@@ -417,7 +434,7 @@ def test_stationarity_projection_equivalence(grid4, ops4, rng):
 
     u1 = random_control(grid4, time, rng, scale=0.5)
     state1 = prob.solve(u1)
-    adj1 = solve_adjoint(state1, prob, linearized_operator(state1, pf, pg, ops4))
+    adj1 = solve_adjoint(state1, tracking_seeds(prob, state1), linearized_operator(state1, pf, pg, ops4))
     grad1 = reduced_gradient(prob, adj1, u1)
     assert stationarity_norm(prob, u1, grad1) > 0.0
     assert projection_residual(prob, u1, adjoint_as_control(prob, adj1)) > 0.0
