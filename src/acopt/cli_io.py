@@ -4,10 +4,11 @@ Config files are flat dotted-key text: one `key = value` pair per line,
 UTF-8, `#` starts a comment. Unknown keys are rejected with the offending
 key named. `load_config` only parses; `main` then applies its command-line
 overrides, and `run` calls `build_run`, which checks only `mode`,
-`output.formats` and `seed`, then builds the run's objects once; `run`
-then creates `output.dir`. Every other rule and default is stated by the
-object or builder that owns it; a rejected value raises ConfigError
-naming its key or section before anything is written.
+`output.formats`, `seed` and `optimizer.checkpoint_every`, then builds
+the run's objects once; `run` then creates `output.dir`. Every other
+rule and default is stated by the object or builder that owns it; a
+rejected value raises ConfigError naming its key or section before
+anything is written.
 A resolved copy of the configuration (all defaults filled) is echoed into
 the output directory, and loading that copy reproduces it exactly.
 
@@ -270,7 +271,8 @@ def build_problem(cfg):
 
 
 def build_run(cfg):
-    """Check the CLI's own keys `mode`, `output.formats` and `seed`, then build the run's objects once.
+    """Check the CLI's own keys `mode`, `output.formats`, `seed` and
+    `optimizer.checkpoint_every` (0: never), then build the run's objects once.
 
     Returns (problem, OptimizerConfig, start control, output formats).
     """
@@ -281,6 +283,10 @@ def build_run(cfg):
         raise ConfigError(f"output.formats must be a subset of {FORMATS}, got '{cfg.output_formats}'")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
+    if cfg.opt_checkpoint_every < 0:
+        raise ConfigError(
+            f"optimizer.checkpoint_every must be nonnegative, got {cfg.opt_checkpoint_every}"
+        )
     opt_cfg = _owned(
         "optimizer.",
         OptimizerConfig,
@@ -374,16 +380,9 @@ def _json(payload):
 
 
 def write_report(outdir, report):
-    payload = {
-        "cost": report.cost,
-        "grad_norm": report.grad_norm,
-        "stationarity": report.stationarity,
-        "tau": report.tau,
-        "active_set_fraction": report.active_set_fraction,
-        "projection_residual": report.projection_residual,
-        "projection_supported": report.projection_supported,
-        "min_curvature_ratio": report.min_curvature_ratio,
-    }
+    payload = {f.name: getattr(report, f.name) for f in dc_fields(report)}
+    del payload["curvature_samples"]
+    payload["min_curvature_ratio"] = report.min_curvature_ratio
     with open(Path(outdir, "optimality_report.jsonl"), "w", encoding="utf-8") as fh:
         fh.write(_json(payload) + "\n")
         for idx, value, norm_sq, ratio in report.curvature_samples:
@@ -450,7 +449,7 @@ def verify_gradient(problem, seed=0):
     value but, unlike it, does not vanish when h is nearly orthogonal to grad.
     """
     rng, u, state, operator = _base_point(problem, seed)
-    adjoint = solve_adjoint(state, tracking_seeds(problem, state), operator)
+    adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
     grad = reduced_gradient(problem, adjoint, u)
     rows = []
     eps_list = np.array([1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4])
@@ -506,7 +505,7 @@ def verify_taylor(problem, seed=0):
 def verify_curvature(problem, seed=0):
     """Second-difference check of the curvature form."""
     rng, u, state, operator = _base_point(problem, seed)
-    adjoint = solve_adjoint(state, tracking_seeds(problem, state), operator)
+    adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
     j0 = evaluate_cost(problem, state, u)
     rows = []
     for d in range(VERIFY_DIRECTIONS):

@@ -203,24 +203,21 @@ def tracking_seeds(problem, state):
     return seeds
 
 
-def adjoint_as_control(problem, adjoint):
+def adjoint_as_control(adjoint):
     """Adjoint representers mapped into control space.
 
-    Zero at the slots the dynamics never read (level 0, where the adjoint
-    march leaves zeros, and the boundary trace of the distributed slot);
-    the adjoint trace elsewhere in the surface slot.
+    Zero at the slots the dynamics never read: level 0, where
+    `pde_linear.solve_adjoint` leaves zeros, and the boundary trace of the
+    distributed slot. The surface slot is the adjoint trace.
     """
-    grid = problem.grid
-    bulk = np.zeros_like(adjoint.values)
-    bulk[1:, grid.interior_nodes] = adjoint.values[1:, grid.interior_nodes]
-    surf = np.zeros((adjoint.values.shape[0], grid.num_boundary))
-    surf[1:] = adjoint.surface[1:]
-    return ControlPair(bulk, surf)
+    bulk = adjoint.values.copy()
+    bulk[:, adjoint.grid.boundary_cycle] = 0.0
+    return ControlPair(bulk, adjoint.surface)
 
 
 def reduced_gradient(problem, adjoint, control):
     """Exact gradient of the discrete reduced cost: adjoint plus weighted control."""
-    rep = adjoint_as_control(problem, adjoint)
+    rep = adjoint_as_control(adjoint)
     return ControlPair(
         problem.beta5 * control.bulk + rep.bulk,
         problem.beta6 * control.surface + rep.surface,
@@ -364,7 +361,7 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
     if state is None:
         state = problem.solve(control)
     operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
-    adjoint = solve_adjoint(state, tracking_seeds(problem, state), operator)
+    adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
     grad = reduced_gradient(problem, adjoint, control)
     cost = evaluate_cost(problem, state, control)
     grad_norm = hnorm(problem, grad)
@@ -378,7 +375,7 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
     fraction = hinner(problem, active, active) / (problem.time.T * 5.0)
 
     try:
-        proj_res = projection_residual(problem, control, adjoint_as_control(problem, adjoint))
+        proj_res = projection_residual(problem, control, adjoint_as_control(adjoint))
         supported = True
     except UnsupportedConfigurationError:
         proj_res, supported = float("nan"), False

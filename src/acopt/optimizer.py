@@ -112,7 +112,7 @@ def minimize(problem, config, start, callback=None):
     for it in range(config.max_iters):
         clamp_tally += state.info.get("clamp_events", 0)
         operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
-        adjoint = solve_adjoint(state, tracking_seeds(problem, state), operator)
+        adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
         grad = reduced_gradient(problem, adjoint, u)
         stat = stationarity_norm(problem, u, grad)
 

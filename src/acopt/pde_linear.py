@@ -21,15 +21,16 @@ marched backward through the transposed step solves, from level m down
 to level 1 (level 0 is initial data, not an unknown), and then rescaled
 by the space-time quadrature weights into inner-product representers.
 Every duality identity involving these solves therefore holds to
-direct-solver roundoff. The march takes its seeds, the state gradient of
-a cost, as an array; the tracking cost's seeds are
+direct-solver roundoff. Both marches read grid and time from the operator
+and act on (m+1, N) arrays in equation-slot layout: `solve_linear` on its
+source, `solve_adjoint` on its seeds, which for the tracking cost are
 `objective.tracking_seeds`, next to the cost they differentiate.
 """
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .pde_state import ControlPair, Trajectory, slot_fields, slot_potential
+from .pde_state import Trajectory, slot_fields, slot_potential
 
 
 class SteppedOperator:
@@ -75,23 +76,26 @@ def solve_linear(operator, source, init):
     Args:
         operator: SteppedOperator holding the grid, time axis and
             coefficients of the march.
-        source: ControlPair-shaped pair read at the arrival level of each
-            step (level 0 never enters).
+        source: (m+1, N) right-hand side in equation-slot layout, read at
+            the arrival level of each step (level 0 never enters).
         init: (N,) array of initial values.
 
     Raises:
+        DimensionMismatchError: source is not (m+1, N) or init is not (N,).
         SolverFailureError: a step matrix is not positive definite
             (possible only when 1/dt + c(k) <= 0 on some slot).
     """
     grid, time = operator.grid, operator.time
+    shape = (time.m + 1, grid.num_nodes)
+    if np.shape(source) != shape:
+        raise DimensionMismatchError(f"source needs shape {shape}, got {np.shape(source)}")
     z0 = np.asarray(init, dtype=float)
     if z0.shape != (grid.num_nodes,):
         raise DimensionMismatchError(f"initial data needs shape ({grid.num_nodes},)")
-    slot_source = slot_fields(grid, source.bulk, source.surface)
-    values = np.empty((time.m + 1, grid.num_nodes))
+    values = np.empty(shape)
     values[0] = z0
     for k in range(time.m):
-        values[k + 1] = operator.solve(k + 1, values[k] / time.dt + slot_source[k + 1])
+        values[k + 1] = operator.solve(k + 1, values[k] / time.dt + source[k + 1])
     return Trajectory(values, grid, time)
 
 
@@ -111,23 +115,25 @@ def solve_linearized(operator, direction):
     """Directional derivative of the control-to-state map at a solved state.
 
     Solves the variable-coefficient system of `linearized_operator` with
-    the direction as source and zero initial data.
+    the direction, mapped into slot layout, as source and zero initial data.
     """
-    return solve_linear(operator, direction, np.zeros(operator.grid.num_nodes))
+    source = slot_fields(operator.grid, direction.bulk, direction.surface)
+    return solve_linear(operator, source, np.zeros(operator.grid.num_nodes))
 
 
-def solve_adjoint(state, seeds, operator):
+def solve_adjoint(operator, seeds):
     """Backward transpose march from weighted seeds to representers.
 
     Exact transpose of the linearized forward stepping (see module
-    docstring). seeds[k] multiplies the level-k unknown; the returned
+    docstring) on an (m+1, N) slot-layout array like `solve_linear`'s
+    source. seeds[k] multiplies the level-k unknown; the returned
     trajectory holds the inner-product representers p with
     p = multiplier / (theta * slot weight), whose boundary trace is the
     surface adjoint. The march stops at level 1: level 0 is initial data,
     so seeds[0] is never read, values[0] stays zero and level 0 of the
     operator is never factored.
     """
-    grid, time = state.grid, state.time
+    grid, time = operator.grid, operator.time
     theta = time.weights()
 
     values = np.zeros((time.m + 1, grid.num_nodes))
@@ -148,10 +154,7 @@ def solve_second_derivative(state, pf, pg, phi, psi, operator):
     the interior slots and on the boundary cycle of levels 1..m only, so
     the third derivatives are evaluated there alone.
     """
-    grid = state.grid
-    d3 = slot_potential(grid, state.values[1:], pf.d3, pg.d3)
+    d3 = slot_potential(state.grid, state.values[1:], pf.d3, pg.d3)
     source = np.zeros(state.values.shape)
     source[1:] = -d3 * phi.values[1:] * psi.values[1:]
-    return solve_linear(
-        operator, ControlPair(source, source[:, grid.boundary_cycle]), np.zeros(grid.num_nodes)
-    )
+    return solve_linear(operator, source, np.zeros(state.grid.num_nodes))

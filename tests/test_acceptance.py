@@ -54,7 +54,7 @@ def duality_setup():
     u = random_control(grid, time, rng, scale=0.4)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops)
-    adj = solve_adjoint(state, tracking_seeds(prob, state), op)
+    adj = solve_adjoint(op, tracking_seeds(prob, state))
     return prob, u, state, op, adj, rng
 
 
@@ -349,8 +349,8 @@ def test_criterion_09_monolithic_linear_oracle():
     coeffs = slot_fields(
         grid, rng.normal(size=(m + 1, N)), rng.normal(size=(m + 1, grid.num_boundary))
     )
-    src = ControlPair(
-        rng.normal(size=(m + 1, N)), rng.normal(size=(m + 1, grid.num_boundary))
+    src = slot_fields(
+        grid, rng.normal(size=(m + 1, N)), rng.normal(size=(m + 1, grid.num_boundary))
     )
     init = rng.normal(size=N)
     traj = solve_linear(SteppedOperator(grid, ops, time, coeffs), src, init)
@@ -364,9 +364,7 @@ def test_criterion_09_monolithic_linear_oracle():
         )
         if k > 0:
             B[k * N : (k + 1) * N, (k - 1) * N : k * N] = -eye / time.dt
-    rhs = np.concatenate(
-        [slot_fields(grid, src.bulk[k], src.surface[k]) for k in range(1, m + 1)]
-    )
+    rhs = src[1:].flatten()
     rhs[:N] += init / time.dt
     dense = np.linalg.solve(B, rhs).reshape(m, N)
     gap = float(np.abs(traj.values[1:] - dense).max())

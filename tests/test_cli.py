@@ -253,7 +253,7 @@ def test_verify_gradient_fails_a_wrong_gradient(monkeypatch):
     from acopt.objective import adjoint_as_control
 
     def without_beta5(problem, adjoint, control):
-        rep = adjoint_as_control(problem, adjoint)
+        rep = adjoint_as_control(adjoint)
         return ControlPair(rep.bulk, problem.beta6 * control.surface + rep.surface)
 
     problem = build_problem(RunConfig(grid_n=4, time_T=0.2, time_m=5))
@@ -346,6 +346,7 @@ def test_verify_gradient_passes_where_the_rounding_floor_guard_matters():
         ("init.preset = random-seedd", "init.preset"),
         ("control.preset = zer0", "control.preset"),
         ("seed = -1", "seed"),
+        ("optimizer.checkpoint_every = -3", "optimizer.checkpoint_every"),
         # the step rule dt (2 c - 4 alpha) < 1, checked for pf before pg
         pytest.param(
             "time.T = 50; time.m = 1",

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from acopt import (
     ControlPair,
+    DimensionMismatchError,
     Potential,
     SolverFailureError,
     SteppedOperator,
@@ -29,10 +30,28 @@ from conftest import default_potentials, make_problem, quadratic_potentials, ran
 
 def test_zero_everything_gives_zero(grid4, ops4):
     time = TimeAxis(0.3, 5)
-    src = ControlPair.zeros(grid4, time)
+    src = np.zeros((time.m + 1, grid4.num_nodes))
     op = SteppedOperator(grid4, ops4, time, np.zeros((time.m + 1, grid4.num_nodes)))
     traj = solve_linear(op, src, np.zeros(grid4.num_nodes))
     assert np.abs(traj.values).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "make_source",
+    [
+        lambda grid, time: np.zeros((time.m + 4, grid.num_nodes)),
+        lambda grid, time: np.zeros((time.m + 1, grid.num_nodes - 1)),
+        lambda grid, time: np.zeros(grid.num_nodes),
+        ControlPair.zeros,
+    ],
+    ids=["extra-levels", "short-rows", "one-level", "control-pair"],
+)
+def test_solve_linear_rejects_a_source_off_the_slot_shape(grid4, ops4, make_source):
+    """The source must be (m+1, N) in slot layout: extra levels are not ignored, a pair not mapped."""
+    time = TimeAxis(0.3, 5)
+    op = SteppedOperator(grid4, ops4, time, np.zeros((time.m + 1, grid4.num_nodes)))
+    with pytest.raises(DimensionMismatchError, match=r"^source needs shape \(6, 25\)"):
+        solve_linear(op, make_source(grid4, time), np.zeros(grid4.num_nodes))
 
 
 def test_scalar_recursion_exact(grid4, ops4):
@@ -41,9 +60,7 @@ def test_scalar_recursion_exact(grid4, ops4):
     coeffs = slot_fields(
         grid4, np.ones((time.m + 1, grid4.num_nodes)), np.ones((time.m + 1, grid4.num_boundary))
     )
-    src = ControlPair(
-        np.ones((time.m + 1, grid4.num_nodes)), np.ones((time.m + 1, grid4.num_boundary))
-    )
+    src = np.ones((time.m + 1, grid4.num_nodes))
     op = SteppedOperator(grid4, ops4, time, coeffs)
     traj = solve_linear(op, src, np.zeros(grid4.num_nodes))
     w = 0.0
@@ -74,14 +91,14 @@ def test_monolithic_dense_oracle(grid4, ops4, rng):
     coeffs = slot_fields(
         grid4, rng.normal(size=(m + 1, N)), rng.normal(size=(m + 1, grid4.num_boundary))
     )
-    src = ControlPair(rng.normal(size=(m + 1, N)), rng.normal(size=(m + 1, grid4.num_boundary)))
+    src = slot_fields(
+        grid4, rng.normal(size=(m + 1, N)), rng.normal(size=(m + 1, grid4.num_boundary))
+    )
     init = rng.normal(size=N)
     traj = solve_linear(SteppedOperator(grid4, ops4, time, coeffs), src, init)
 
     B = _dense_forward_matrix(grid4, ops4, time, coeffs)
-    rhs = np.concatenate(
-        [slot_fields(grid4, src.bulk[k], src.surface[k]) for k in range(1, m + 1)]
-    )
+    rhs = src[1:].flatten()
     rhs[:N] += init / time.dt
     dense = np.linalg.solve(B, rhs).reshape(m, N)
     np.testing.assert_allclose(traj.values[1:], dense, atol=1e-10)
@@ -95,8 +112,9 @@ def test_solve_linear_is_linear(grid4, ops4, rng):
     op = SteppedOperator(grid4, ops4, time, coeffs)
     s1 = random_control(grid4, time, rng)
     s2 = random_control(grid4, time, rng)
+    s1, s2 = (slot_fields(grid4, s.bulk, s.surface) for s in (s1, s2))
     a, b = 2.5, -1.3
-    combo = ControlPair(a * s1.bulk + b * s2.bulk, a * s1.surface + b * s2.surface)
+    combo = a * s1 + b * s2
     zero = np.zeros(grid4.num_nodes)
     t1 = solve_linear(op, s1, zero)
     t2 = solve_linear(op, s2, zero)
@@ -117,7 +135,7 @@ def test_singular_step_matrix_raises(grid4, ops4):
     with pytest.raises(SolverFailureError):
         solve_linear(
             SteppedOperator(grid4, NoCoupling(), time, slot_fields(grid4, c1, c2)),
-            ControlPair.zeros(grid4, time),
+            np.zeros((2, N)),
             np.zeros(N),
         )
 
@@ -219,7 +237,7 @@ def test_adjoint_zero_weights(grid4, ops4):
     time = TimeAxis(0.3, 5)
     prob = make_problem(grid4, ops4, time, pf, pg, betas=(0.0, 0.0, 0.0, 1.0, 1.0))
     state = prob.solve(ControlPair.zeros(grid4, time))
-    adj = solve_adjoint(state, tracking_seeds(prob, state), linearized_operator(state, pf, pg, ops4))
+    adj = solve_adjoint(linearized_operator(state, pf, pg, ops4), tracking_seeds(prob, state))
     assert np.abs(adj.values).max() == 0.0
 
 
@@ -231,7 +249,7 @@ def test_adjoint_matches_dense_transpose(grid4, ops4, rng):
     u = random_control(grid4, time, rng, scale=0.4)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops4)
-    adj = solve_adjoint(state, tracking_seeds(prob, state), op)
+    adj = solve_adjoint(op, tracking_seeds(prob, state))
 
     coeffs = slot_fields(grid4, pf.d2(state.values), pg.d2(state.surface))
     B = _dense_forward_matrix(grid4, ops4, time, coeffs)
@@ -259,7 +277,7 @@ def test_adjoint_march_stops_at_level_one(grid4, ops4, rng, monkeypatch):
         return original(self, c, dt, level=level, residual=residual)
 
     monkeypatch.setattr(StepMatrix, "factor", counting_factor)
-    adj = solve_adjoint(state, tracking_seeds(prob, state), linearized_operator(state, pf, pg, ops4))
+    adj = solve_adjoint(linearized_operator(state, pf, pg, ops4), tracking_seeds(prob, state))
     assert np.all(adj.values[0] == 0.0)
     assert np.all(np.abs(adj.values[1:]).max(axis=1) > 0.0)
     assert sorted(factored) == list(range(1, time.m + 1))
@@ -279,7 +297,7 @@ def test_adjoint_terminal_cost_geometric_decay(grid4, ops4):
         init_value=0.3, box=(-9.0, 9.0),
     )
     state = prob.solve(ControlPair.zeros(grid4, time))
-    adj = solve_adjoint(state, tracking_seeds(prob, state), linearized_operator(state, pq, pq, ops4))
+    adj = solve_adjoint(linearized_operator(state, pq, pq, ops4), tracking_seeds(prob, state))
     # spatially constant up to the O(h) boundary quadrature correction
     assert np.ptp(adj.values, axis=1).max() <= 0.5 * grid4.h
     p0 = adj.values[:, adj.grid.interior_nodes[0]]
@@ -295,7 +313,7 @@ def test_adjoint_duality_identity(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.4)
     state = prob.solve(u)
     op = linearized_operator(state, pf, pg, ops8)
-    adj = solve_adjoint(state, tracking_seeds(prob, state), op)
+    adj = solve_adjoint(op, tracking_seeds(prob, state))
 
     theta = time.weights()
     w, gam = grid8.bulk_weights, grid8.surface_weights
@@ -340,18 +358,13 @@ def test_transpose_involution_reproduces_forward(grid4, ops4):
     dim = m * N
     F = np.zeros((dim, dim))
     G = np.zeros((dim, dim))
-    state_like = Trajectory(np.zeros((m + 1, N)), grid4, time)
     for j in range(dim):
         e = np.zeros(dim)
         e[j] = 1.0
-        levels = e.reshape(m, N)
-        src = ControlPair(
-            np.vstack([np.zeros((1, N)), levels]),
-            np.vstack([np.zeros((1, grid4.num_boundary)), levels[:, grid4.boundary_cycle]]),
-        )
-        F[:, j] = solve_linear(op, src, zero).values[1:].ravel()
-        seeds = np.vstack([np.zeros((1, N)), levels])
-        G[:, j] = solve_adjoint(state_like, seeds, op).values[1:].ravel()
+        # one slot array serves as the forward source and as the adjoint seeds
+        slots = np.vstack([np.zeros((1, N)), e.reshape(m, N)])
+        F[:, j] = solve_linear(op, slots, zero).values[1:].ravel()
+        G[:, j] = solve_adjoint(op, slots).values[1:].ravel()
 
     # transpose identity: G = W^-1 F^T (as maps on raw seed/source vectors)
     np.testing.assert_allclose(G, F.T / Wvec[:, None], atol=1e-11)
@@ -544,7 +557,8 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
     assert sorted(factored) == list(range(1, m + 1))
     for level, c in factored.items():
         assert np.array_equal(c, full[level])
-    source = ControlPair(
+    source = slot_fields(
+        grid4,
         -pf.d3(state.values) * phi.values * psi.values,
         -pg.d3(state.surface) * phi.surface * psi.surface,
     )
@@ -552,7 +566,7 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
 
     # the curvature's third-derivative pairing reads levels 1..m; the energy reads each slot once
     prob = make_problem(grid4, ops4, time, pf, pg)
-    adjoint = solve_adjoint(state, tracking_seeds(prob, state), op)
+    adjoint = solve_adjoint(op, tracking_seeds(prob, state))
     sizes = log_sizes("value", "d2", "d3")
     curvature(prob, state, adjoint, op, h)
     assert sizes == {"value": [], "d2": [], "d3": [m * interior, m * boundary]}
