@@ -22,9 +22,11 @@ divided by the arclength weights.
 
 What every implicit step reads from the grid is built once per grid: the
 slot weights W (`Grid.slot_weights`), |coupled| and the `StepMatrix`, whose
-band map every step factorization of every solve shares.
+choice of factorization (banded Cholesky, or SuperLU on wide bands) and
+map of K every step factorization of every solve shares.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,36 +218,67 @@ def _surface_stiffness(grid):
     return sp.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
 
 
+SPARSE_BANDWIDTH = 105  # the smallest half-bandwidth factored by SuperLU (see StepMatrix)
+
+
 class StepMatrix:
-    """Band factorizations of the step matrices M(c) = I/dt + W^-1 K + diag(c).
+    """Factorizations of the step matrices M(c) = I/dt + W^-1 K + diag(c).
 
     With W = diag(slot weights), S = W M(c) = K + W/dt + W diag(c) is
-    symmetric by construction: only the upper entries of the stiffness K
-    are stored, one per band position, once per grid by `build_operators`.
-    In the natural node order S is a band whose half-bandwidth (n+1 on a
-    grid with n cells per side) is read off the sparsity pattern of K,
-    which must be canonical (sorted, duplicate-free) CSR, as
-    `build_operators` makes it.
-    `factor` assigns the stored entries into a fresh zero band in LAPACK
-    layout, adds W/dt, then W c, and factors it in place by banded
-    Cholesky (dpbtrf).
+    symmetric by construction. In the natural node order S is a band
+    whose half-bandwidth b (n+1 on a grid with n cells per side) is read
+    off the sparsity pattern of K, which must be canonical (sorted,
+    duplicate-free) CSR, as `build_operators` makes it. The grid picks the
+    factorization once, from b alone:
+
+    - b < SPARSE_BANDWIDTH: banded Cholesky. Only the upper entries of K
+      are stored, one per band position. `factor` assigns them into a
+      fresh zero band in LAPACK layout, adds W/dt, then W c, and factors
+      it in place (dpbtrf). A factor holds (b+1) N doubles.
+    - b >= SPARSE_BANDWIDTH: SuperLU (`splu`) on S in CSC form with a
+      minimum-degree ordering of S + S^T, diagonal pivots and symmetric
+      mode, an LDL^T-shaped factor. K symmetric and canonical, its CSR
+      arrays are those of S's CSC form; `factor` adds W/dt, then W c, at
+      the diagonal positions recorded at build, in the band path's order.
+      At n = 128 the factor has 0.69 M nonzeros (L and U) against the
+      band's 2.16 M entries (17.3 MB).
 
     S is positive definite whenever 1/dt + c > 0 on every slot, as K is
     positive semidefinite. On the guarded interval f'' and g''
     are at least 4 alpha - 2 c, so `objective.ControlProblem` makes every
     step matrix of its solves SPD by its step rule dt (2 c - 4 alpha) < 1.
+    A factorization that is not SPD raises: dpbtrf reports a non-positive
+    pivot; SuperLU raises on an exactly singular S, and its factor is
+    checked for row pivots equal to the column order and, unless S's
+    diagonal exceeds K's on every slot (then S is K plus a positive
+    diagonal, positive definite as it stands), for positive pivots.
+    Reading the pivots caches copies of L and U in the factor: at n = 128
+    a held factor grows the resident set by 7.7-8.3 MB, by 16.1 MB once
+    its pivots are read, and a band by 17.4 MB.
     Solves reuse one factor both ways:
     M x = r is x = S^-1 (W r), and M^T x = r is x = W S^-1 r.
 
-    A factor holds (b+1) N doubles, with b the half-bandwidth: 17.3 MB per
-    level at n = 128.
+    The crossover is where a chord step of `pde_state.solve_state` (a
+    residual evaluation plus a step solve) costs the same on both paths.
+    Measured inside a real solve (the solve-n128 problem at grid n, seed 1,
+    newton_tol 1e-10, median of 7 solves, shared 2-core Xeon, ranges over
+    two runs), ms per chord step and per step solve:
 
-    `factor_cost` = kappa(b) = b^2 / (8 b + 100) prices one factorization
-    in chord iterations of `pde_state.solve_state` (a residual evaluation
-    plus a band solve): a factorization grows like N b^2, a solve like N b,
-    a residual like N. The constants fit the measured ratio of the library's
-    own calls (best of 5, tracking problem, dt = 0.0125, shared 2-core Xeon;
-    ranges over two runs):
+        n     b    chord: band     SuperLU      solve: band     SuperLU
+        64    65   0.70-0.80       0.87-0.94    0.30-0.35       0.47-0.51
+        80    81   1.10-1.12       1.30-1.46    0.56-0.58       0.76-0.81
+        96    97   2.07-2.21       2.05-2.18    1.23-1.35       1.21-1.29
+        112   113  3.99-4.06       2.95-3.04    2.70-2.79       1.85-1.93
+        128   129  6.31-6.69       4.19-4.25    4.73-4.98       2.68-2.70
+
+    The paths are level at b = 97 and SuperLU is a quarter faster at 113;
+    SPARSE_BANDWIDTH sits between them.
+
+    `factor_cost` prices one factorization in chord iterations. On the
+    band, kappa(b) = b^2 / (8 b + 100): a factorization grows like N b^2,
+    a solve like N b, a residual like N. The constants fit the measured
+    ratio of the library's own calls (best of 5, tracking problem,
+    dt = 0.0125, shared 2-core Xeon; ranges over two runs):
 
         n     b    kappa(b)  OPENBLAS_NUM_THREADS=1  2 OpenBLAS threads
         4     5    0.18      0.19                    0.20-0.36
@@ -253,30 +286,60 @@ class StepMatrix:
         16    17   1.22      1.11                    6.2-6.6
         32    33   2.99      3.1-5.4                 15.9-27.7
         64    65   6.81      9.9-13.7                12.3-16.3
-        128   129  14.7      9.8-16.9                8.8-21.0
 
     Break-even, kappa = 1, lies between b = 9 and 17 in every run, at 14.8
-    in the model. kappa depends on b alone, so the rule is deterministic.
+    in the model. On SuperLU the ordering, the factorization and the
+    chord step all grow close to N, and their ratio only like log b:
+    kappa(b) = 6 ln b - 7, fitted to the in-solve ratio of a solve's one
+    factorization to its mean iteration net of that factorization (the
+    problem and settings of the crossover table, SuperLU forced at every
+    n, median of 9 solves):
+
+        n     b    6 ln b - 7  measured (range)
+        64    65   18.0        17.6 (16.6-18.4)
+        80    81   19.4        18.7 (11.7-19.4)
+        96    97   20.4        20.4 (18.2-23.6)
+        112   113  21.4        21.7 (18.6-22.7)
+        128   129  22.2        20.5 (15.7-22.6)
+        160   161  23.5        23.2 (20.7-24.9)
+
+    kappa depends on b alone, so the rule is deterministic.
     """
 
     def __init__(self, grid, stiffness):
         self._w = grid.slot_weights
         rows = np.repeat(np.arange(stiffness.shape[0]), np.diff(stiffness.indptr))
         cols = stiffness.indices
+        self.bandwidth = b = int(np.max(cols - rows, initial=0))
+        self.sparse = b >= SPARSE_BANDWIDTH
+        if self.sparse:
+            # loaded where the grid picks this path, so band-only runs never hold its 2 MB
+            from scipy.sparse.linalg import splu
+
+            self._splu = functools.partial(
+                splu, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, options={"SymmetricMode": True}
+            )
+            self.factor_cost = 6.0 * float(np.log(b)) - 7.0
+            # K is symmetric and canonical, so its CSR arrays are its CSC arrays
+            self._csc = stiffness.indices, stiffness.indptr
+            self._vals = stiffness.data
+            self._diag = np.flatnonzero(cols == rows)
+            return
+        self.factor_cost = b * b / (8 * b + 100)
         upper = cols >= rows
         rows, cols = rows[upper], cols[upper]
-        self.bandwidth = b = int(np.max(cols - rows, initial=0))
-        self.factor_cost = b * b / (8 * b + 100)
         # position of S[i, j], i <= j, in the flattened Fortran-ordered band (distinct: canonical)
         self._pos = b + rows - cols + cols * (b + 1)
         self._vals = stiffness.data[upper]
 
     def factor(self, c, dt, level=None, residual=None):
-        """The Cholesky band of S = W M(c) for the slot coefficients c and the time step dt.
+        """A factor of S = W M(c) for the slot coefficients c and the time step dt.
 
         Raises SolverFailureError (carrying level and residual) when S is
         not positive definite.
         """
+        if self.sparse:
+            return self._sparse_factor(c, dt, level, residual)
         b, num = self.bandwidth, self._w.size
         flat = np.zeros((b + 1) * num)
         flat[self._pos] = self._vals
@@ -285,18 +348,43 @@ class StepMatrix:
         band[b] += self._w * c
         chol, info = lapack.dpbtrf(band, overwrite_ab=1)
         if info > 0:
-            raise SolverFailureError(
-                f"step matrix is not positive definite at step {level}", step=level, residual=residual
-            )
+            raise _not_definite(level, residual)
         return chol
+
+    def _sparse_factor(self, c, dt, level, residual):
+        num = self._w.size
+        data = self._vals.copy()
+        data[self._diag] += self._w / dt
+        data[self._diag] += self._w * c
+        S = sp.csc_matrix((data, *self._csc), shape=(num, num))
+        try:
+            lu = self._splu(S)
+        except RuntimeError as err:  # "Factor is exactly singular"
+            raise _not_definite(level, residual) from err
+        # K plus a positive diagonal is positive definite as it stands; only other shifts read
+        # the pivots, since reading U caches L and U in the factor and doubles its size
+        definite = np.all(data[self._diag] > self._vals[self._diag]) or lu.U.diagonal().min() > 0
+        if not (definite and np.array_equal(lu.perm_r, lu.perm_c)):
+            raise _not_definite(level, residual)
+        return lu
 
     def solve(self, factor, rhs):
         """Solve M x = rhs for an (N,) right-hand side."""
+        if self.sparse:
+            return factor.solve(self._w * rhs)
         return lapack.dpbtrs(factor, self._w * rhs)[0]
 
     def solve_transposed(self, factor, rhs):
         """Solve M^T x = rhs for an (N,) right-hand side."""
+        if self.sparse:
+            return self._w * factor.solve(rhs)
         return self._w * lapack.dpbtrs(factor, rhs)[0]
+
+
+def _not_definite(level, residual):
+    return SolverFailureError(
+        f"step matrix is not positive definite at step {level}", step=level, residual=residual
+    )
 
 
 def build_operators(grid):

@@ -8,7 +8,7 @@ of part of the algorithm.
 Each line-search trial at cand = u + d solves its state by Newton from
 the tangent prediction y(u) + y'(u) d (predictor-corrector continuation).
 y'(u) d is one linearized march on the operator whose every level the
-adjoint march at u has already factored: m band solves, no new
+adjoint march at u has already factored: m step solves, no new
 factorization. The control-to-state map is twice differentiable, so the
 prediction is off by O(|d|^2): on the seed-1 optimize-n8 benchmark
 input, 36 % of the trial levels need no Newton step, 45 % one and 19 %

@@ -8,10 +8,11 @@ slots. Coefficients are read at the arrival level, the same point where
 the nonlinear solver evaluated its Newton linearization; that choice makes
 the adjoint below an exact algebraic transpose of the forward stepping.
 
-Each M(k) is factored once as the symmetric band S = W M(k) =
+Each M(k) is factored once as the symmetric S = W M(k) =
 K + W/dt + W diag(c(k)), K the grid's stiffness and W the slot quadrature
-weights, by the grid's one `geometry.StepMatrix` (`ops.step`).
-Since M^T = S W^-1, the transposed step is the forward band solve with
+weights, by the grid's one `geometry.StepMatrix` (`ops.step`): banded
+Cholesky, or SuperLU on the wide bands of n >= 104.
+Since M^T = S W^-1, the transposed step is the forward solve with
 the W scaling moved to the other side, and one factor serves every (N,)
 right-hand side of the linearized, adjoint and second-derivative marches.
 
@@ -40,10 +41,11 @@ class SteppedOperator:
     coefficient at interior slots, the surface coefficient at boundary
     slots (see `pde_state.slot_fields`). Each level is factored lazily,
     once, by the grid's `geometry.StepMatrix` (`ops.step`) with the time
-    step dt, as a banded Cholesky factor that forward and transposed
-    solves of (N,) right-hand sides share. A fully factored operator holds
-    m+1 bands: 21 x 17.3 MB at n = 128, m = 20. Instances are safe to share
-    across sequential solves on the same state.
+    step dt, as one factor that forward and transposed solves of (N,)
+    right-hand sides share. A fully factored operator holds m factors
+    (level 0 is never factored): at n = 128, m = 20, 20 SuperLU factors of
+    about 8 MB each, where bands would take 20 x 17.3 MB. Instances are
+    safe to share across sequential solves on the same state.
     """
 
     def __init__(self, grid, ops, time, coeffs):
@@ -132,11 +134,17 @@ def solve_adjoint(operator, seeds):
     surface adjoint. The march stops at level 1: level 0 is initial data,
     so seeds[0] is never read, values[0] stays zero and level 0 of the
     operator is never factored.
+
+    Raises:
+        DimensionMismatchError: seeds is not (m+1, N).
     """
     grid, time = operator.grid, operator.time
+    shape = (time.m + 1, grid.num_nodes)
+    if np.shape(seeds) != shape:
+        raise DimensionMismatchError(f"seeds need shape {shape}, got {np.shape(seeds)}")
     theta = time.weights()
 
-    values = np.zeros((time.m + 1, grid.num_nodes))
+    values = np.zeros(shape)
     lam = operator.solve_transposed(time.m, seeds[time.m])
     values[time.m] = lam / (theta[time.m] * grid.slot_weights)
     for k in range(time.m - 1, 0, -1):

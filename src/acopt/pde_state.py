@@ -56,8 +56,10 @@ unguessed starts on purpose (see `cli_io`).
 Every Newton step and every linear step of `pde_linear` solves with a
 matrix M = I/dt + coupled + diag(c). The grid's one `geometry.StepMatrix`
 (`ops.step`) factors all of them the same way: scaled by the slot
-quadrature weights W, S = W M is an exactly symmetric band, so one banded
-Cholesky factor of S serves both M and its transpose.
+quadrature weights W, S = W M is exactly symmetric, so one factor of S
+serves both M and its transpose. The grid's half-bandwidth picks that
+factor once: banded Cholesky below `geometry.SPARSE_BANDWIDTH` (n < 104),
+a SuperLU factor with a minimum-degree ordering from there on.
 """
 
 import warnings
@@ -350,7 +352,7 @@ def solve_state(
             # damped Newton step; the Jacobian at z reuses the f'' of z's residual, and its
             # clamps count again
             clamp_events += it.clamps
-            factor = None  # at most one band factor is alive
+            factor = None  # at most one factor is alive
             factor = ops.step.factor(it.d2, dt, level=k + 1, residual=it.norm)
             factors += 1
             polish = False

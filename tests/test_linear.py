@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -52,6 +54,17 @@ def test_solve_linear_rejects_a_source_off_the_slot_shape(grid4, ops4, make_sour
     op = SteppedOperator(grid4, ops4, time, np.zeros((time.m + 1, grid4.num_nodes)))
     with pytest.raises(DimensionMismatchError, match=r"^source needs shape \(6, 25\)"):
         solve_linear(op, make_source(grid4, time), np.zeros(grid4.num_nodes))
+
+
+@pytest.mark.parametrize("shape", [(9, 25), (6, 24)], ids=["extra-levels", "short-rows"])
+def test_solve_adjoint_rejects_seeds_off_the_slot_shape(grid4, ops4, shape, capfd):
+    """The seeds must be (m+1, N): extra levels are not ignored, short rows never reach LAPACK."""
+    time = TimeAxis(0.3, 5)
+    op = SteppedOperator(grid4, ops4, time, np.zeros((time.m + 1, grid4.num_nodes)))
+    expected = rf"^seeds need shape \(6, 25\), got {re.escape(str(shape))}$"
+    with pytest.raises(DimensionMismatchError, match=expected):
+        solve_adjoint(op, np.ones(shape))
+    assert capfd.readouterr().err == ""
 
 
 def test_scalar_recursion_exact(grid4, ops4):
@@ -173,6 +186,75 @@ def test_indefinite_step_matrix_raises():
     with pytest.raises(SolverFailureError, match="^step matrix is not positive definite at step 1$") as info:
         op.solve(1, rng.normal(size=coeffs.shape[1]))
     assert info.value.step == 1
+
+
+# -- the SuperLU step path ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """The smallest grid whose step matrices SuperLU factors: n = 104, half-bandwidth 105."""
+    grid = build_grid(104)
+    ops = build_operators(grid)
+    assert ops.step.sparse and not build_operators(build_grid(103)).step.sparse
+    return grid, ops
+
+
+def test_sparse_step_solves_leave_roundoff_residuals(wide):
+    """Forward and transposed SuperLU solves against M = coupled + diag(1/dt + c)."""
+    grid, ops = wide
+    rng = np.random.default_rng(5)
+    dt = 0.0125
+    c = rng.uniform(-3.0, 5.0, grid.num_nodes)
+    M = ops.coupled + sp.diags(1.0 / dt + c)
+    norm = abs(M).sum(axis=1).max()
+    factor = ops.step.factor(c, dt)
+    rhs = rng.normal(size=grid.num_nodes)
+    x = ops.step.solve(factor, rhs)
+    xt = ops.step.solve_transposed(factor, rhs)
+    assert np.abs(M @ x - rhs).max() <= 1e-14 * norm * np.abs(x).max()
+    assert np.abs(M.T @ xt - rhs).max() <= 1e-14 * norm * np.abs(xt).max()
+    a, b = rng.normal(size=(2, grid.num_nodes))
+    forward = b @ ops.step.solve(factor, a)
+    assert abs(forward - ops.step.solve_transposed(factor, b) @ a) <= 1e-13 * abs(forward)
+
+
+@pytest.mark.parametrize("shift", [-2.0, -1.0], ids=["indefinite", "singular"])
+def test_sparse_step_matrix_not_spd_raises(wide, shift):
+    """c = -2/dt makes S = K - W/dt indefinite, c = -1/dt makes it K, singular up to rounding."""
+    grid, ops = wide
+    dt = 0.0125
+    with pytest.raises(SolverFailureError, match="^step matrix is not positive definite at step 7$") as info:
+        ops.step.factor(np.full(grid.num_nodes, shift / dt), dt, level=7, residual=0.5)
+    assert info.value.step == 7 and info.value.residual == 0.5
+
+
+def test_sparse_exactly_singular_step_matrix_raises(wide):
+    """A stiffness of explicit zeros with c = -1/dt at dt = 1 leaves S = 0 exactly: SuperLU's
+    singular-factor error surfaces as SolverFailureError."""
+    grid, ops = wide
+    zeros = ops.coupled.copy()
+    zeros.data[:] = 0.0
+    step = StepMatrix(grid, zeros)
+    assert step.sparse
+    with pytest.raises(SolverFailureError) as info:
+        step.factor(np.full(grid.num_nodes, -1.0), 1.0, level=2)
+    assert info.value.step == 2
+
+
+def test_sparse_linear_and_adjoint_marches_pair(wide):
+    """seeds . F source = sum_k theta_k w p_k . source_k for the transposed march p on m = 2."""
+    grid, ops = wide
+    rng = np.random.default_rng(11)
+    time = TimeAxis(0.025, 2)
+    N = grid.num_nodes
+    op = SteppedOperator(grid, ops, time, rng.uniform(-3.0, 5.0, size=(time.m + 1, N)))
+    source, seeds = rng.normal(size=(2, time.m + 1, N))
+    z = solve_linear(op, source, np.zeros(N)).values
+    p = solve_adjoint(op, seeds).values
+    lhs = np.sum(seeds[1:] * z[1:])
+    rhs = np.sum(time.weights()[1:, None] * grid.slot_weights * p[1:] * source[1:])
+    assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
 
 # -- linearized system --------------------------------------------------------

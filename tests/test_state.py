@@ -398,7 +398,8 @@ def test_dropped_chord_candidate_refactors_at_the_iterate(grid16, ops16, monkeyp
 def test_refactor_rule_prices_the_factor(grid16, ops16):
     """A chord step keeps its factor while finishing the level on it costs at most kappa more steps.
 
-    kappa(17) = 1.22 at n = 16 and 14.7 at n = 128. A step that halves the
+    kappa(17) = 1.22 at n = 16 (band) and 22.2 at n = 128 (SuperLU, whose
+    in-solve ratio measured 19.0-20.7 there). A step that halves the
     residual from 1e-9 leaves about 5.6 chord steps at that rate against
     kappa + 0.85 on a fresh factor: it refactors at n = 16 and keeps the
     factor at n = 128. Followed by hand on the run of
@@ -412,7 +413,7 @@ def test_refactor_rule_prices_the_factor(grid16, ops16):
     from acopt.pde_state import _keeps_factor
 
     kappa16, kappa128 = ops16.step.factor_cost, build_operators(build_grid(128)).step.factor_cost
-    assert 1.0 < kappa16 < 1.3 and 14.0 < kappa128 < 15.0
+    assert 1.0 < kappa16 < 1.3 and 19.0 < kappa128 < 23.0
     assert not _keeps_factor(5e-10, 1e-9, 1e-11, kappa16)
     assert _keeps_factor(5e-10, 1e-9, 1e-11, kappa128)
     assert _keeps_factor(1e-5, 1e-3, 1e-11, kappa16)  # contraction 1/100, as a fresh factor
