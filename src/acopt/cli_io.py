@@ -51,7 +51,7 @@ from .objective import (
 from .optimizer import OptimizerConfig, minimize
 from .pde_linear import linearized_operator, solve_adjoint, solve_linearized
 from .pde_state import ControlPair, FieldPair, Trajectory, energy, trajectory_space_time_norm
-from .potentials import Potential
+from .potentials import Potential, SlotPotential
 
 MODES = ("solve", "optimize", "verify-gradient", "verify-taylor", "verify-curvature", "report")
 FORMATS = ("csv", "vtk")
@@ -335,10 +335,11 @@ def write_control_csv(prefix, control, grid, time):
 
 
 def write_energy_csv(path, traj, ops, pf, pg):
+    potential = SlotPotential.on(traj.grid, pf, pg)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("level,time,energy\n")
         for k, t in enumerate(traj.time.levels):
-            e = energy(traj.grid, ops, pf, pg, traj.values[k])
+            e = energy(traj.grid, ops, potential, traj.values[k])
             fh.write(f"{k},{_fmt(t)},{_fmt(e)}\n")
 
 
@@ -426,7 +427,7 @@ def _base_point(problem, seed):
     rng = np.random.default_rng(seed)
     u = _random_direction(problem, rng, scale=0.3)
     state = problem.solve(u)
-    return rng, u, state, linearized_operator(state, problem.pf, problem.pg, problem.ops)
+    return rng, u, state, linearized_operator(state, problem.potential, problem.ops)
 
 
 def _shifted(u, eps, h):

@@ -251,7 +251,7 @@ class StepMatrix:
     pivot; SuperLU raises on an exactly singular S, and its factor is
     checked for row pivots equal to the column order and, unless S's
     diagonal exceeds K's on every slot (then S is K plus a positive
-    diagonal, positive definite as it stands), for positive pivots.
+    diagonal, positive definite as it stands), for pivots above N eps max S_ii.
     Reading the pivots caches copies of L and U in the factor: at n = 128
     a held factor grows the resident set by 7.7-8.3 MB, by 16.1 MB once
     its pivots are read, and a band by 17.4 MB.
@@ -363,7 +363,8 @@ class StepMatrix:
             raise _not_definite(level, residual) from err
         # K plus a positive diagonal is positive definite as it stands; only other shifts read
         # the pivots, since reading U caches L and U in the factor and doubles its size
-        definite = np.all(data[self._diag] > self._vals[self._diag]) or lu.U.diagonal().min() > 0
+        floor = num * np.finfo(float).eps * data[self._diag].max()
+        definite = np.all(data[self._diag] > self._vals[self._diag]) or lu.U.diagonal().min() > floor
         if not (definite and np.array_equal(lu.perm_r, lu.perm_c)):
             raise _not_definite(level, residual)
         return lu

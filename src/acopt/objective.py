@@ -29,9 +29,9 @@ from .pde_state import (
     FieldPair,
     check_initial,
     check_newton,
-    slot_potential,
     solve_state,
 )
+from .potentials import SlotPotential
 
 
 @dataclass
@@ -67,6 +67,7 @@ class ControlProblem:
     u_hi_surf: np.ndarray
     newton_tol: float = NEWTON_TOL
     max_newton: int = MAX_NEWTON
+    potential: SlotPotential = field(init=False, repr=False)
 
     @property
     def z_gamma_t(self):
@@ -96,7 +97,8 @@ class ControlProblem:
         for lo, hi in (("u_lo", "u_hi"), ("u_lo_surf", "u_hi_surf")):
             if (getattr(self, lo) > getattr(self, hi)).any():
                 raise InvalidParameterError(f"{lo} must not exceed {hi} (A1)")
-        self.init.bulk = check_initial(self.grid, self.pf, self.pg, self.init.bulk)
+        self.potential = SlotPotential.on(self.grid, self.pf, self.pg)
+        self.init.bulk = check_initial(self.grid, self.potential, self.init.bulk)
 
     def solve(self, control, newton_tol=None, max_newton=None, guess=None):
         """State solve at a control.
@@ -105,7 +107,7 @@ class ControlProblem:
         guess holds optional Newton starts (see `pde_state.solve_state`).
         """
         return solve_state(
-            self.grid, self.ops, self.time, self.pf, self.pg, control, self.init.bulk,
+            self.grid, self.ops, self.time, self.potential, control, self.init.bulk,
             newton_tol=self.newton_tol if newton_tol is None else newton_tol,
             max_newton=self.max_newton if max_newton is None else max_newton,
             guess=guess,
@@ -238,13 +240,11 @@ def curvature(problem, state, adjoint, operator, direction):
     parts = _cost_parts(phi, direction)
     total = _cost_form(problem, parts, parts)
     # adjoint-weighted third-derivative terms, over the slots the dynamics read
-    grid = problem.grid
-    d3 = slot_potential(grid, state.values[1:], problem.pf.d3, problem.pg.d3)
     total -= space_time_inner(
         problem.time.weights()[1:],
-        grid.slot_weights,
+        problem.grid.slot_weights,
         adjoint.values[1:],
-        d3 * phi.values[1:] * phi.values[1:],
+        problem.potential.d3(state.values[1:]) * phi.values[1:] * phi.values[1:],
     )
     return total
 
@@ -360,7 +360,7 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
     """
     if state is None:
         state = problem.solve(control)
-    operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
+    operator = linearized_operator(state, problem.potential, problem.ops)
     adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
     grad = reduced_gradient(problem, adjoint, control)
     cost = evaluate_cost(problem, state, control)

@@ -111,7 +111,7 @@ def minimize(problem, config, start, callback=None):
     cost, state = _cost_at(problem, u)
     for it in range(config.max_iters):
         clamp_tally += state.info.get("clamp_events", 0)
-        operator = linearized_operator(state, problem.pf, problem.pg, problem.ops)
+        operator = linearized_operator(state, problem.potential, problem.ops)
         adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
         grad = reduced_gradient(problem, adjoint, u)
         stat = stationarity_norm(problem, u, grad)

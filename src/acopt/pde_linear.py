@@ -2,10 +2,10 @@
 
 All four reuse one implicit Euler stepper. A step from level k to k+1
 solves M(k+1) z = z_prev/dt + source(k+1) with
-M(k) = I/dt + coupled + diag(c(k)), where the diagonal carries the bulk
-coefficient at interior slots and the surface coefficient at boundary
-slots. Coefficients are read at the arrival level, the same point where
-the nonlinear solver evaluated its Newton linearization; that choice makes
+M(k) = I/dt + coupled + diag(c(k)), c in slot layout (linearized: the
+`potentials.SlotPotential` f'' at interior slots, g'' on the cycle).
+Coefficients are read at the arrival level, the same point where the
+nonlinear solver evaluated its Newton linearization; that choice makes
 the adjoint below an exact algebraic transpose of the forward stepping.
 
 Each M(k) is factored once as the symmetric S = W M(k) =
@@ -31,7 +31,7 @@ source, `solve_adjoint` on its seeds, which for the tracking cost are
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .pde_state import Trajectory, slot_fields, slot_potential
+from .pde_state import Trajectory, slot_fields
 
 
 class SteppedOperator:
@@ -101,15 +101,15 @@ def solve_linear(operator, source, init):
     return Trajectory(values, grid, time)
 
 
-def linearized_operator(state, pf, pg, ops):
+def linearized_operator(state, potential, ops):
     """Factorization cache for the marches linearized around one state.
 
-    Its coefficients are the potentials' second derivatives along the
+    Its coefficients are the potential's second derivatives along the
     state: f'' at interior slots, g'' at boundary slots, on levels 1..m.
     Level 0 is never factored, so its row stays zero.
     """
     coeffs = np.zeros(state.values.shape)
-    coeffs[1:] = slot_potential(state.grid, state.values[1:], pf.d2, pg.d2)
+    coeffs[1:] = potential.d2(state.values[1:])
     return SteppedOperator(state.grid, ops, state.time, coeffs)
 
 
@@ -153,7 +153,7 @@ def solve_adjoint(operator, seeds):
     return Trajectory(values, grid, time)
 
 
-def solve_second_derivative(state, pf, pg, phi, psi, operator):
+def solve_second_derivative(state, potential, phi, psi, operator):
     """Second directional derivative of the control-to-state map.
 
     phi and psi are linearized solutions at the same state; the source is
@@ -162,7 +162,6 @@ def solve_second_derivative(state, pf, pg, phi, psi, operator):
     the interior slots and on the boundary cycle of levels 1..m only, so
     the third derivatives are evaluated there alone.
     """
-    d3 = slot_potential(state.grid, state.values[1:], pf.d3, pg.d3)
     source = np.zeros(state.values.shape)
-    source[1:] = -d3 * phi.values[1:] * psi.values[1:]
+    source[1:] = -potential.d3(state.values[1:]) * phi.values[1:] * psi.values[1:]
     return solve_linear(operator, source, np.zeros(state.grid.num_nodes))

@@ -14,10 +14,10 @@ damping solves each step; the logarithmic derivative pushes iterates away
 from 0 and 1, so the damped iteration stays inside the guarded interval
 without projections.
 
-Each Newton candidate costs one guarded potential evaluation
-(`potentials.newton_terms`): it yields f', g' for the candidate's residual
-and f'', g'' for the Jacobian at that point, so the accepted candidate
-carries the coefficients of the next Newton step with it.
+Each Newton candidate costs one guarded evaluation of f and g over all
+slots (`potentials.SlotPotential.newton_terms`): it yields f', g' for the
+candidate's residual and f'', g'' for the Jacobian at that point, so the
+accepted candidate carries the coefficients of the next Newton step.
 
 Factorizations priced by the grid: one costs kappa = `ops.step.factor_cost`
 chord iterations (see `geometry.StepMatrix`). Where kappa <= 1 every
@@ -76,7 +76,6 @@ from .errors import (
     SolverFailureError,
 )
 from .geometry import space_time_inner
-from .potentials import newton_terms
 
 NEWTON_TOL = 1e-11
 MAX_NEWTON = 50
@@ -161,28 +160,6 @@ def slot_fields(grid, bulk_values, surface_values):
     return out
 
 
-def slot_potential(grid, values, bulk_fn, surface_fn):
-    """A potential evaluator in slot layout: bulk_fn at interior nodes, surface_fn on the cycle.
-
-    values (..., N) may carry leading axes, such as the levels a march
-    reads; each function sees only its own slots. Interior nodes and the
-    cycle cover every node, so every entry of the (..., N) result is set.
-    """
-    out = np.empty(values.shape)
-    out[..., grid.interior_nodes] = bulk_fn(values[..., grid.interior_nodes])
-    out[..., grid.boundary_cycle] = surface_fn(values[..., grid.boundary_cycle])
-    return out
-
-
-def _nonlinearity(grid, pf, pg, z):
-    """(f', g') and (f'', g'') in slot layout, and the clamp count of the one guarded evaluation."""
-    inner, cycle = grid.interior_nodes, grid.boundary_cycle
-    d1, d2 = np.zeros(grid.num_nodes), np.zeros(grid.num_nodes)
-    d1[inner], d2[inner], bulk_clamps = newton_terms(pf, z[inner])
-    d1[cycle], d2[cycle], surf_clamps = newton_terms(pg, z[cycle])
-    return d1, d2, bulk_clamps + surf_clamps
-
-
 class _Iterate(NamedTuple):
     """A Newton iterate z, its residual and max-norm, and the guarded evaluation behind them."""
 
@@ -194,13 +171,7 @@ class _Iterate(NamedTuple):
     clamps: int
 
 
-def _interval(pf, pg):
-    lo = max(pf.eps_guard if pf.is_singular else -np.inf, pg.eps_guard if pg.is_singular else -np.inf)
-    hi = min(1 - pf.eps_guard if pf.is_singular else np.inf, 1 - pg.eps_guard if pg.is_singular else np.inf)
-    return lo, hi
-
-
-def check_initial(grid, pf, pg, init):
+def check_initial(grid, potential, init):
     """The initial data as an (N,) array: finite, and inside (0, 1) when a potential is singular."""
     y0 = np.asarray(init, dtype=float)
     if y0.shape != (grid.num_nodes,):
@@ -208,7 +179,7 @@ def check_initial(grid, pf, pg, init):
     lo, hi = y0.min(), y0.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise DomainError("init must be finite")
-    if (pf.is_singular or pg.is_singular) and (lo <= 0.0 or hi >= 1.0):
+    if potential.is_singular and (lo <= 0.0 or hi >= 1.0):
         raise DomainError(f"init must lie in (0, 1) for singular potentials, got [{lo}, {hi}]")
     return y0
 
@@ -230,11 +201,12 @@ def _keeps_factor(new, old, tol, kappa):
 
 
 def solve_state(
-    grid, ops, time, pf, pg, control, init, newton_tol=NEWTON_TOL, max_newton=MAX_NEWTON, guess=None
+    grid, ops, time, potential, control, init, newton_tol=NEWTON_TOL, max_newton=MAX_NEWTON, guess=None
 ):
     """March the nonlinear coupled system forward: damped Newton and chord steps, priced by the grid.
 
     Args:
+        potential: the `potentials.SlotPotential` of f and g on this grid.
         control: ControlPair of shapes (m+1, N) and (m+1, 4n); the step to
             level k+1 reads level k+1 (level 0 never enters the dynamics).
         init: (N,) array of initial values, checked by `check_initial`:
@@ -261,7 +233,7 @@ def solve_state(
             inside the guarded interval.
     """
     check_newton(newton_tol, max_newton)
-    y0 = check_initial(grid, pf, pg, init)
+    y0 = check_initial(grid, potential, init)
     levels = (time.m + 1, grid.num_nodes)
     if control.bulk.shape != levels or control.surface.shape != (time.m + 1, grid.num_boundary):
         raise DimensionMismatchError(
@@ -276,7 +248,7 @@ def solve_state(
             raise DimensionMismatchError(f"guess needs shape {levels}, got {guess.shape}")
 
     dt = time.dt
-    lo, hi = _interval(pf, pg)
+    lo, hi = potential.interval
     kappa = ops.step.factor_cost
 
     values = np.empty(levels)
@@ -285,9 +257,10 @@ def solve_state(
     factorizations = []
     clamp_events = 0
     factor = None  # the kept factor, carried across levels; None makes the next iteration refactor
+    source = slot_fields(grid, control.bulk, control.surface)
 
     for k in range(time.m):
-        rhs = slot_fields(grid, control.bulk[k + 1], control.surface[k + 1])
+        rhs = source[k + 1]
         prev = values[k]
         if guess is not None:
             start = guess[k + 1]
@@ -300,7 +273,7 @@ def solve_state(
 
         def evaluate(v):
             nonlocal clamp_events
-            d1, d2, clamped = _nonlinearity(grid, pf, pg, v)
+            d1, d2, clamped = potential.newton_terms(v)
             clamp_events += clamped
             res = (v - prev) / dt + ops.coupled @ v + d1 - rhs
             return _Iterate(v, res, np.abs(res).max(), d1, d2, clamped)
@@ -392,7 +365,7 @@ def solve_state(
     )
 
 
-def energy(grid, ops, pf, pg, state):
+def energy(grid, ops, potential, state):
     """Discrete free energy of an (N,) state: Dirichlet forms plus potential terms.
 
     The bulk potential is quadratured over interior nodes and the surface
@@ -402,13 +375,11 @@ def energy(grid, ops, pf, pg, state):
     """
     z = np.asarray(state, dtype=float)
     trace = z[grid.boundary_cycle]
-    if pf.is_singular or pg.is_singular:
-        if np.min(z) <= 0.0 or np.max(z) >= 1.0:
-            raise DomainError("energy undefined at or beyond the endpoints 0, 1")
+    if potential.is_singular and (np.min(z) <= 0.0 or np.max(z) >= 1.0):
+        raise DomainError("energy undefined at or beyond the endpoints 0, 1")
     grad_bulk = 0.5 * float(z @ (ops.dirichlet_bulk @ z))
     grad_surf = 0.5 * float(trace @ (ops.dirichlet_surf @ trace))
-    potential = float(np.dot(grid.slot_weights, slot_potential(grid, z, pf.value, pg.value)))
-    return grad_bulk + grad_surf + potential
+    return grad_bulk + grad_surf + float(np.dot(grid.slot_weights, potential.value(z)))
 
 
 def invariant_interval(pf, pg, radius, y_min, y_max):

@@ -8,16 +8,15 @@ alpha = 0 selects the purely quadratic variant used by linear-quadratic
 cross checks; in that case there is no singularity and no argument
 safeguarding.
 
-`value`, `d1`, `d2` and `d3` are the evaluators: each clamps arguments
-of a singular potential to [eps_guard, 1 - eps_guard], and a scalar
-argument gives a float. `newton_terms` checks and clamps an argument
-once, returns both the first and second derivative there and reports how
-many entries it clamped: the state solver's residual and its next Newton
-Jacobian share that one guarded evaluation. Solvers keep their iterates
-inside the guarded interval, so a nonzero count after a solve flags a
+`Potential` holds the coefficients the configuration names; it is
+immutable, hashable and safe to share, pickle and copy. The solvers
+evaluate `SlotPotential.on(grid, pf, pg)`, f at the interior slots and g
+on the boundary cycle, over (..., N) slot-layout arrays in one pass; a
+`Potential` evaluates as the one-slot `SlotPotential` of its
+coefficients. The evaluators clamp arguments of a singular potential to
+[eps_guard, 1 - eps_guard] and count them; solvers keep their iterates
+inside that interval, so a nonzero count after a solve flags a
 discretization problem rather than normal operation.
-Potentials hold only their coefficients: they are immutable, hashable and
-safe to share, pickle and copy.
 """
 
 import math
@@ -28,8 +27,24 @@ import numpy as np
 from .errors import DomainError, InvalidArgumentError, InvalidParameterError
 
 
+class _Evaluators:
+    """value, d1, d2 and d3, each through the class's _evaluate(name, y)."""
+
+    def value(self, y):
+        return self._evaluate("value", y)
+
+    def d1(self, y):
+        return self._evaluate("d1", y)
+
+    def d2(self, y):
+        return self._evaluate("d2", y)
+
+    def d3(self, y):
+        return self._evaluate("d3", y)
+
+
 @dataclass(frozen=True)
-class Potential:
+class Potential(_Evaluators):
     """Coefficients and derivative evaluators for one potential.
 
     Attributes:
@@ -54,74 +69,86 @@ class Potential:
     def is_singular(self):
         return self.alpha > 0
 
-    def _prepare(self, y):
-        """Checked argument, clamped into the guarded interval, and the clamp count.
+    def _evaluate(self, name, y):
+        """The evaluator name of this potential on every entry of y; a float for a 0-d y."""
+        out = SlotPotential(self.alpha, self.smooth_c, self.eps_guard)._evaluate(name, y)
+        return float(out) if np.ndim(y) == 0 else out
 
-        One min and one max reduction decide every check: a NaN anywhere
-        makes the minimum NaN, and the entries are counted and clipped
-        only when [min, max] leaves the guarded interval.
+
+# Each evaluator as (smooth part (c, y, 1 - y), log part (alpha, y, 1 - y)), summed log + smooth.
+# The log part is formed only where alpha > 0: 0 * NaN is NaN outside (0, 1).
+_TERMS = {
+    "value": (lambda c, y, q: c * y * q, lambda a, y, q: a * (y * np.log(y) + q * np.log(q))),
+    "d1": (lambda c, y, q: c * (1.0 - 2.0 * y), lambda a, y, q: a * np.log(y / q)),
+    "d2": (lambda c, y, q: -2.0 * c, lambda a, y, q: a / (y * q)),
+    "d3": (lambda c, y, q: 0.0, lambda a, y, q: a * (2.0 * y - 1.0) / (y * y * q * q)),
+}
+
+
+class SlotPotential(_Evaluators):
+    """A potential whose coefficients alpha, c and eps_guard may differ from slot to slot.
+
+    Each coefficient is a scalar or an (N,) array, broadcast against the
+    last axis of arguments such as (m, N) level stacks. NaN anywhere raises
+    InvalidArgumentError, a value outside [0, 1] on a singular slot
+    (alpha > 0) raises DomainError, and singular slots are clamped.
+    `interval` is the tightest guard over the singular slots ((-inf, inf)
+    without any), which solver iterates keep to on every slot.
+    """
+
+    def __init__(self, alpha, c, eps_guard):
+        self.alpha, self.c = np.asarray(alpha, dtype=float), np.asarray(c, dtype=float)
+        singular = self.alpha > 0
+        self.lo = np.where(singular, eps_guard, -np.inf)
+        self.hi = np.where(singular, 1.0 - np.asarray(eps_guard, dtype=float), np.inf)
+        self.interval = (self.lo.max(), self.hi.min())
+        self.is_singular = bool(singular.any())
+        self._log_slots = None if singular.all() else singular  # None: every slot
+
+    @classmethod
+    def on(cls, grid, pf, pg):
+        """pf at the interior slots of grid and pg on its boundary cycle."""
+        on_cycle = np.zeros(grid.num_nodes, dtype=bool)
+        on_cycle[grid.boundary_cycle] = True
+        names = ("alpha", "smooth_c", "eps_guard")
+        return cls(*(np.where(on_cycle, getattr(pg, name), getattr(pf, name)) for name in names))
+
+    def _guard(self, y):
+        """The checked argument, clamped slot by slot, and the clamp count.
+
+        A NaN makes the minimum NaN, and [min, max] inside `interval` is
+        inside every slot's guard, so two reductions decide the common case.
         """
         y = np.asarray(y, dtype=float)
         y_min = y.min(initial=np.inf)
         if np.isnan(y_min):
             raise InvalidArgumentError("potential argument contains NaN")
-        if not self.is_singular:
-            return y, 0
         y_max = y.max(initial=-np.inf)
-        if y_min < 0.0 or y_max > 1.0:
-            raise DomainError("argument of a singular potential outside [0, 1]")
-        lo, hi = self.eps_guard, 1.0 - self.eps_guard
+        lo, hi = self.interval
         if lo <= y_min and y_max <= hi:
             return y, 0
-        outside = int(np.count_nonzero((y < lo) | (y > hi)))
-        return np.clip(y, lo, hi), outside
+        singular = y if self._log_slots is None else y[..., self._log_slots]
+        if singular.min(initial=np.inf) < 0.0 or singular.max(initial=-np.inf) > 1.0:
+            raise DomainError("argument of a singular potential outside [0, 1]")
+        outside = int(np.count_nonzero((y < self.lo) | (y > self.hi)))
+        return np.clip(y, self.lo, self.hi), outside
 
-    @staticmethod
-    def _output(y, out):
-        """A float for a 0-d argument, the array otherwise."""
-        return float(out) if y.ndim == 0 else out
+    def _term(self, name, y, one_minus_y):
+        smooth, log_part = _TERMS[name]
+        out = smooth(self.c, y, one_minus_y)
+        s = self._log_slots
+        if s is None:
+            return log_part(self.alpha, y, one_minus_y) + out
+        out = np.broadcast_to(out, y.shape).copy()
+        out[..., s] = log_part(self.alpha[s], y[..., s], one_minus_y[..., s]) + out[..., s]
+        return out
 
-    def _first(self, y, one_minus_y):
-        smooth = self.smooth_c * (1.0 - 2.0 * y)
-        if self.alpha == 0.0:
-            return smooth
-        return self.alpha * np.log(y / one_minus_y) + smooth
+    def _evaluate(self, name, y):
+        y, _ = self._guard(y)
+        return self._term(name, y, 1.0 - y)
 
-    def _second(self, y, one_minus_y):
-        a, c = self.alpha, self.smooth_c
-        return a / (y * one_minus_y) - 2.0 * c if a else np.full_like(y, -2.0 * c)
-
-    def value(self, y):
-        y, _ = self._prepare(y)
-        a, c = self.alpha, self.smooth_c
-        out = c * y * (1.0 - y)
-        if a:
-            out = a * (y * np.log(y) + (1.0 - y) * np.log(1.0 - y)) + out
-        return self._output(y, out)
-
-    def d1(self, y):
-        y, _ = self._prepare(y)
-        return self._output(y, self._first(y, 1.0 - y))
-
-    def d2(self, y):
-        y, _ = self._prepare(y)
-        return self._output(y, self._second(y, 1.0 - y))
-
-    def d3(self, y):
-        y, _ = self._prepare(y)
-        a = self.alpha
-        out = a * (2.0 * y - 1.0) / (y * y * (1.0 - y) * (1.0 - y)) if a else np.zeros_like(y)
-        return self._output(y, out)
-
-
-def newton_terms(p, y):
-    """First and second derivative at one checked argument, and the clamp count.
-
-    One guard and one clip serve both derivatives, which share 1 - y; the
-    values equal p.d1(y) and p.d2(y) bit for bit. A Newton residual needs
-    the first derivative at a candidate and the next Jacobian the second
-    derivative at the same point.
-    """
-    yv, clamped = p._prepare(y)
-    one_minus_y = 1.0 - yv
-    return p._first(yv, one_minus_y), p._second(yv, one_minus_y), clamped
+    def newton_terms(self, y):
+        """f' and f'' at one guarded argument, which share 1 - y, and its clamp count."""
+        y, clamped = self._guard(y)
+        one_minus_y = 1.0 - y
+        return self._term("d1", y, one_minus_y), self._term("d2", y, one_minus_y), clamped

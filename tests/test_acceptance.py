@@ -10,6 +10,7 @@ import pytest
 from acopt import (
     ControlPair,
     OptimizerConfig,
+    SlotPotential,
     SteppedOperator,
     TimeAxis,
     Trajectory,
@@ -53,7 +54,7 @@ def duality_setup():
     rng = np.random.default_rng(100)
     u = random_control(grid, time, rng, scale=0.4)
     state = prob.solve(u)
-    op = linearized_operator(state, pf, pg, ops)
+    op = linearized_operator(state, prob.potential, ops)
     adj = solve_adjoint(op, tracking_seeds(prob, state))
     return prob, u, state, op, adj, rng
 
@@ -184,7 +185,7 @@ def test_criterion_05_maximum_principle():
     for trial in range(3):
         u = random_control(grid, time, rng, scale=1.0)
         init = rng.uniform(0.2, 0.8, size=grid.num_nodes)
-        traj = solve_state(grid, ops, time, pf, pg, u, init)
+        traj = solve_state(grid, ops, time, SlotPotential.on(grid, pf, pg), u, init)
         inside = traj.values.min() >= r_lo and traj.values.max() <= r_hi
         clean = traj.info["clamp_events"] == 0
         ok = ok and inside and clean
@@ -200,8 +201,9 @@ def test_criterion_06_energy_dissipation():
     pf, pg = default_potentials()
     x, y = grid.bulk_nodes[:, 0], grid.bulk_nodes[:, 1]
     init = 0.5 + 0.25 * np.sin(2 * np.pi * x) * np.cos(np.pi * y)
-    traj = solve_state(grid, ops, time, pf, pg, ControlPair.zeros(grid, time), init)
-    E = np.array([energy(grid, ops, pf, pg, traj.values[k]) for k in range(time.m + 1)])
+    potential = SlotPotential.on(grid, pf, pg)
+    traj = solve_state(grid, ops, time, potential, ControlPair.zeros(grid, time), init)
+    E = np.array([energy(grid, ops, potential, traj.values[k]) for k in range(time.m + 1)])
     worst = float(np.diff(E).max())
     _line(6, "energy dissipation", worst <= 1e-10, f"max step increase {worst:.3e} <= 1e-10")
 
@@ -384,8 +386,8 @@ def test_criterion_10_stability_envelope():
     for _ in range(20):
         u1 = random_control(grid, time, rng, scale=1.0)
         u2 = random_control(grid, time, rng, scale=1.0)
-        y1 = solve_state(grid, ops, time, pf, pg, u1, init)
-        y2 = solve_state(grid, ops, time, pf, pg, u2, init)
+        y1 = solve_state(grid, ops, time, prob.potential, u1, init)
+        y2 = solve_state(grid, ops, time, prob.potential, u2, init)
         du = ControlPair(u1.bulk - u2.bulk, u1.surface - u2.surface)
         dy = Trajectory(y1.values - y2.values, grid, time)
         ratios.append(trajectory_sup_norm(dy) / hnorm(prob, du))

@@ -8,6 +8,7 @@ from acopt import (
     ControlPair,
     DimensionMismatchError,
     Potential,
+    SlotPotential,
     SolverFailureError,
     SteppedOperator,
     TimeAxis,
@@ -229,6 +230,17 @@ def test_sparse_step_matrix_not_spd_raises(wide, shift):
     assert info.value.step == 7 and info.value.residual == 0.5
 
 
+def test_sparse_singular_step_matrix_with_a_positive_pivot_raises():
+    """At n = 112, c = -1/dt makes S = K, singular, yet SuperLU's smallest pivot comes out
+    +9.2e-13: positive, but under the rounding floor N eps max S_ii = 6.4e-10."""
+    grid = build_grid(112)
+    ops = build_operators(grid)
+    dt = 0.0125
+    with pytest.raises(SolverFailureError, match="^step matrix is not positive definite at step 3$"):
+        ops.step.factor(np.full(grid.num_nodes, -1.0 / dt), dt, level=3)
+    assert ops.step.factor(np.zeros(grid.num_nodes), dt).U.diagonal().min() > 1.0
+
+
 def test_sparse_exactly_singular_step_matrix_raises(wide):
     """A stiffness of explicit zeros with c = -1/dt at dt = 1 leaves S = 0 exactly: SuperLU's
     singular-factor error surfaces as SolverFailureError."""
@@ -262,14 +274,15 @@ def test_sparse_linear_and_adjoint_marches_pair(wide):
 
 def _solved_state(grid, ops, time, pf, pg, control, init_value=0.45):
     init = np.full(grid.num_nodes, init_value)
-    return solve_state(grid, ops, time, pf, pg, control, init)
+    return solve_state(grid, ops, time, SlotPotential.on(grid, pf, pg), control, init)
 
 
 def test_linearized_zero_direction(grid4, ops4):
     pf, pg = default_potentials()
     time = TimeAxis(0.3, 5)
     state = _solved_state(grid4, ops4, time, pf, pg, ControlPair.zeros(grid4, time), 0.5)
-    xi = solve_linearized(linearized_operator(state, pf, pg, ops4), ControlPair.zeros(grid4, time))
+    op = linearized_operator(state, SlotPotential.on(grid4, pf, pg), ops4)
+    xi = solve_linearized(op, ControlPair.zeros(grid4, time))
     assert np.abs(xi.values).max() == 0.0
 
 
@@ -283,7 +296,7 @@ def test_linearized_constant_state_scalar_recursion(grid4, ops4):
         np.full((time.m + 1, grid4.num_nodes), h_val),
         np.full((time.m + 1, grid4.num_boundary), h_val),
     )
-    xi = solve_linearized(linearized_operator(state, pf, pg, ops4), direction)
+    xi = solve_linearized(linearized_operator(state, SlotPotential.on(grid4, pf, pg), ops4), direction)
     c_lin = 4.0 * pf.alpha - 2.0 * pf.smooth_c
     assert c_lin == pytest.approx(float(pf.d2(0.5)))
     w = 0.0
@@ -299,7 +312,7 @@ def test_taylor_remainder_second_order(grid8, ops8, rng):
     u = ControlPair.zeros(grid8, time)
     state = _solved_state(grid8, ops8, time, pf, pg, u)
     h = random_control(grid8, time, rng, scale=1.0)
-    xi = solve_linearized(linearized_operator(state, pf, pg, ops8), h)
+    xi = solve_linearized(linearized_operator(state, SlotPotential.on(state.grid, pf, pg), ops8), h)
     eps_list = np.array([1e-1, 3e-2, 1e-2, 3e-3, 1e-3])
     remainders = []
     for eps in eps_list:
@@ -319,7 +332,7 @@ def test_adjoint_zero_weights(grid4, ops4):
     time = TimeAxis(0.3, 5)
     prob = make_problem(grid4, ops4, time, pf, pg, betas=(0.0, 0.0, 0.0, 1.0, 1.0))
     state = prob.solve(ControlPair.zeros(grid4, time))
-    adj = solve_adjoint(linearized_operator(state, pf, pg, ops4), tracking_seeds(prob, state))
+    adj = solve_adjoint(linearized_operator(state, prob.potential, ops4), tracking_seeds(prob, state))
     assert np.abs(adj.values).max() == 0.0
 
 
@@ -330,7 +343,7 @@ def test_adjoint_matches_dense_transpose(grid4, ops4, rng):
     prob = make_problem(grid4, ops4, time, pf, pg, betas=(1.0, 0.5, 2.0, 0.1, 0.1), seed=5)
     u = random_control(grid4, time, rng, scale=0.4)
     state = prob.solve(u)
-    op = linearized_operator(state, pf, pg, ops4)
+    op = linearized_operator(state, prob.potential, ops4)
     adj = solve_adjoint(op, tracking_seeds(prob, state))
 
     coeffs = slot_fields(grid4, pf.d2(state.values), pg.d2(state.surface))
@@ -359,7 +372,7 @@ def test_adjoint_march_stops_at_level_one(grid4, ops4, rng, monkeypatch):
         return original(self, c, dt, level=level, residual=residual)
 
     monkeypatch.setattr(StepMatrix, "factor", counting_factor)
-    adj = solve_adjoint(linearized_operator(state, pf, pg, ops4), tracking_seeds(prob, state))
+    adj = solve_adjoint(linearized_operator(state, prob.potential, ops4), tracking_seeds(prob, state))
     assert np.all(adj.values[0] == 0.0)
     assert np.all(np.abs(adj.values[1:]).max(axis=1) > 0.0)
     assert sorted(factored) == list(range(1, time.m + 1))
@@ -379,7 +392,7 @@ def test_adjoint_terminal_cost_geometric_decay(grid4, ops4):
         init_value=0.3, box=(-9.0, 9.0),
     )
     state = prob.solve(ControlPair.zeros(grid4, time))
-    adj = solve_adjoint(linearized_operator(state, pq, pq, ops4), tracking_seeds(prob, state))
+    adj = solve_adjoint(linearized_operator(state, prob.potential, ops4), tracking_seeds(prob, state))
     # spatially constant up to the O(h) boundary quadrature correction
     assert np.ptp(adj.values, axis=1).max() <= 0.5 * grid4.h
     p0 = adj.values[:, adj.grid.interior_nodes[0]]
@@ -394,7 +407,7 @@ def test_adjoint_duality_identity(grid8, ops8, rng):
     prob = make_problem(grid8, ops8, time, pf, pg, betas=(1.0, 0.7, 0.9, 0.0, 0.0), seed=2)
     u = random_control(grid8, time, rng, scale=0.4)
     state = prob.solve(u)
-    op = linearized_operator(state, pf, pg, ops8)
+    op = linearized_operator(state, prob.potential, ops8)
     adj = solve_adjoint(op, tracking_seeds(prob, state))
 
     theta = time.weights()
@@ -470,8 +483,8 @@ def test_derivative_lipschitz_envelope(grid4, ops4):
         u2 = ControlPair(u.bulk + du.bulk, u.surface + du.surface)
         s1 = prob.solve(u)
         s2 = prob.solve(u2)
-        xi1 = solve_linearized(linearized_operator(s1, pf, pg, ops4), h)
-        xi2 = solve_linearized(linearized_operator(s2, pf, pg, ops4), h)
+        xi1 = solve_linearized(linearized_operator(s1, prob.potential, ops4), h)
+        xi2 = solve_linearized(linearized_operator(s2, prob.potential, ops4), h)
         diff = Trajectory(xi1.values - xi2.values, grid4, time)
         ratios.append(
             trajectory_space_time_norm(diff) / (hnorm(prob, du) * hnorm(prob, h))
@@ -491,9 +504,9 @@ def test_second_derivative_zero_for_quadratic(grid4, ops4, rng):
     u = random_control(grid4, time, rng)
     state = prob.solve(u)
     h = random_control(grid4, time, rng)
-    op = linearized_operator(state, pf, pg, ops4)
+    op = linearized_operator(state, prob.potential, ops4)
     phi = solve_linearized(op, h)
-    eta = solve_second_derivative(state, pf, pg, phi, phi, op)
+    eta = solve_second_derivative(state, prob.potential, phi, phi, op)
     assert np.abs(eta.values).max() == 0.0
 
 
@@ -501,10 +514,11 @@ def test_second_derivative_zero_for_zero_phi(grid4, ops4, rng):
     pf, pg = default_potentials()
     time = TimeAxis(0.3, 5)
     state = _solved_state(grid4, ops4, time, pf, pg, ControlPair.zeros(grid4, time), 0.5)
-    op = linearized_operator(state, pf, pg, ops4)
+    potential = SlotPotential.on(state.grid, pf, pg)
+    op = linearized_operator(state, potential, ops4)
     zero = solve_linearized(op, ControlPair.zeros(grid4, time))
     psi = solve_linearized(op, random_control(grid4, time, rng))
-    eta = solve_second_derivative(state, pf, pg, zero, psi, op)
+    eta = solve_second_derivative(state, potential, zero, psi, op)
     assert np.abs(eta.values).max() == 0.0
 
 
@@ -514,12 +528,13 @@ def test_second_derivative_mixed_difference_oracle(grid8, ops8, rng):
     time = TimeAxis(0.4, 10)
     u = ControlPair.zeros(grid8, time)
     state = _solved_state(grid8, ops8, time, pf, pg, u)
-    op = linearized_operator(state, pf, pg, ops8)
+    potential = SlotPotential.on(state.grid, pf, pg)
+    op = linearized_operator(state, potential, ops8)
     h = random_control(grid8, time, rng, scale=1.0)
     k = random_control(grid8, time, rng, scale=1.0)
     phi = solve_linearized(op, h)
     psi = solve_linearized(op, k)
-    eta = solve_second_derivative(state, pf, pg, phi, psi, op)
+    eta = solve_second_derivative(state, potential, phi, psi, op)
 
     eps_list = np.array([3e-2, 1e-2, 3e-3])
     errs = []
@@ -548,12 +563,11 @@ def _mixed_difference_errors(grid, ops, rng, eps_list):
     time = TimeAxis(0.4, 10)
     u = ControlPair.zeros(grid, time)
     state = _solved_state(grid, ops, time, pf, pg, u)
-    op = linearized_operator(state, pf, pg, ops)
+    potential = SlotPotential.on(grid, pf, pg)
+    op = linearized_operator(state, potential, ops)
     h = random_control(grid, time, rng, scale=1.0)
     k = random_control(grid, time, rng, scale=1.0)
-    eta = solve_second_derivative(
-        state, pf, pg, solve_linearized(op, h), solve_linearized(op, k), op
-    )
+    eta = solve_second_derivative(state, potential, solve_linearized(op, h), solve_linearized(op, k), op)
 
     def error(eps):
         def solved(*dirs):
@@ -602,7 +616,7 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
     interior slots and on the boundary cycle, k = 1..m. Those values equal
     the potentials evaluated on the whole state bit for bit. The curvature's
     third-derivative term reads the same slots, and the energy evaluates
-    the bulk potential on the interior and the surface one on the cycle.
+    each slot once. Each is one `SlotPotential` evaluation over all slots.
     """
     pf, pg = default_potentials()
     time = TimeAxis(0.3, 5)
@@ -612,11 +626,11 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
     def log_sizes(*names):
         sizes = {name: [] for name in names}
         for name, evaluated in sizes.items():
-            def logged(self, y, _original=getattr(Potential, name), _sizes=evaluated):
+            def logged(self, y, _original=getattr(SlotPotential, name), _sizes=evaluated):
                 _sizes.append(np.size(y))
                 return _original(self, y)
 
-            monkeypatch.setattr(Potential, name, logged)
+            monkeypatch.setattr(SlotPotential, name, logged)
         return sizes
 
     sizes = log_sizes("d2", "d3")
@@ -628,13 +642,14 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
         return factor(self, c, dt, level=level, residual=residual)
 
     monkeypatch.setattr(StepMatrix, "factor", logged_factor)
-    op = linearized_operator(state, pf, pg, ops4)
+    potential = SlotPotential.on(state.grid, pf, pg)
+    op = linearized_operator(state, potential, ops4)
     phi, psi = solve_linearized(op, h), solve_linearized(op, k)
-    eta = solve_second_derivative(state, pf, pg, phi, psi, op)
+    eta = solve_second_derivative(state, potential, phi, psi, op)
     monkeypatch.undo()
 
-    m, interior, boundary = time.m, grid4.interior_nodes.size, grid4.num_boundary
-    assert sizes == {"d2": [m * interior, m * boundary], "d3": [m * interior, m * boundary]}
+    m, N = time.m, grid4.num_nodes
+    assert sizes == {"d2": [m * N], "d3": [m * N]}
     full = slot_fields(grid4, pf.d2(state.values), pg.d2(state.surface))
     assert sorted(factored) == list(range(1, m + 1))
     for level, c in factored.items():
@@ -651,6 +666,6 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
     adjoint = solve_adjoint(op, tracking_seeds(prob, state))
     sizes = log_sizes("value", "d2", "d3")
     curvature(prob, state, adjoint, op, h)
-    assert sizes == {"value": [], "d2": [], "d3": [m * interior, m * boundary]}
-    energy(grid4, ops4, pf, pg, state.values[-1])
-    assert sizes == {"value": [interior, boundary], "d2": [], "d3": [m * interior, m * boundary]}
+    assert sizes == {"value": [], "d2": [], "d3": [m * N]}
+    energy(grid4, ops4, prob.potential, state.values[-1])
+    assert sizes == {"value": [N], "d2": [], "d3": [m * N]}

@@ -153,7 +153,7 @@ def test_gradient_pure_control_case(grid4, ops4, rng):
     prob = make_problem(grid4, ops4, time, pf, pg, betas=(0.0, 0.0, 0.0, 1.0, 0.3))
     u = random_control(grid4, time, rng)
     state = prob.solve(u)
-    adj = solve_adjoint(linearized_operator(state, pf, pg, ops4), tracking_seeds(prob, state))
+    adj = solve_adjoint(linearized_operator(state, prob.potential, ops4), tracking_seeds(prob, state))
     grad = reduced_gradient(prob, adj, u)
     np.testing.assert_allclose(grad.bulk, u.bulk, atol=1e-14)
     np.testing.assert_allclose(grad.surface, 0.3 * u.surface, atol=1e-14)
@@ -165,7 +165,7 @@ def test_gradient_central_difference_order_two(grid8, ops8, rng):
     prob = make_problem(grid8, ops8, time, pf, pg, betas=(1.0, 1.0, 1.0, 0.1, 0.1), seed=3)
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
-    adj = solve_adjoint(linearized_operator(state, pf, pg, ops8), tracking_seeds(prob, state))
+    adj = solve_adjoint(linearized_operator(state, prob.potential, ops8), tracking_seeds(prob, state))
     grad = reduced_gradient(prob, adj, u)
 
     eps_list = np.array([3e-2, 1e-2, 3e-3, 1e-3, 3e-4])
@@ -197,7 +197,7 @@ def test_gradient_duality_against_linearized(grid8, ops8, rng):
     prob = make_problem(grid8, ops8, time, pf, pg, betas=(1.0, 0.6, 0.8, 0.2, 0.3), seed=8)
     u = random_control(grid8, time, rng, scale=0.4)
     state = prob.solve(u)
-    op = linearized_operator(state, pf, pg, ops8)
+    op = linearized_operator(state, prob.potential, ops8)
     adj = solve_adjoint(op, tracking_seeds(prob, state))
     grad = reduced_gradient(prob, adj, u)
 
@@ -239,7 +239,7 @@ def test_gradient_depends_on_residuals_only(grid4, ops4, rng):
         shifted.z_q = prob.z_q + shift
         shifted.z_sigma = prob.z_sigma + shift
         shifted.z_t = prob.z_t + shift
-        adj = solve_adjoint(linearized_operator(state, pf, pg, ops4), tracking_seeds(shifted, state))
+        adj = solve_adjoint(linearized_operator(state, prob.potential, ops4), tracking_seeds(shifted, state))
         grads.append(reduced_gradient(shifted, adj, u))
     np.testing.assert_allclose(grads[0].bulk, grads[1].bulk, atol=1e-11)
     np.testing.assert_allclose(grads[0].surface, grads[1].surface, atol=1e-11)
@@ -254,7 +254,7 @@ def test_curvature_pure_control_quadratic(grid4, ops4, rng):
     )
     u = ControlPair.zeros(grid4, time)
     state = prob.solve(u)
-    op = linearized_operator(state, pf, pg, ops4)
+    op = linearized_operator(state, prob.potential, ops4)
     adj = solve_adjoint(op, tracking_seeds(prob, state))
     h = random_control(grid4, time, rng)
     value = curvature(prob, state, adj, op, h)
@@ -271,7 +271,7 @@ def test_curvature_zero_direction(grid4, ops4):
     prob = make_problem(grid4, ops4, time, pf, pg)
     u = ControlPair.zeros(grid4, time)
     state = prob.solve(u)
-    op = linearized_operator(state, pf, pg, ops4)
+    op = linearized_operator(state, prob.potential, ops4)
     adj = solve_adjoint(op, tracking_seeds(prob, state))
     assert curvature(prob, state, adj, op, ControlPair.zeros(grid4, time)) == 0.0
 
@@ -282,7 +282,7 @@ def test_curvature_second_difference_oracle(grid8, ops8, rng):
     prob = make_problem(grid8, ops8, time, pf, pg, betas=(1.0, 1.0, 1.0, 0.1, 0.1), seed=4)
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
-    op = linearized_operator(state, pf, pg, ops8)
+    op = linearized_operator(state, prob.potential, ops8)
     adj = solve_adjoint(op, tracking_seeds(prob, state))
     j0 = evaluate_cost(prob, state, u)
     h = random_control(grid8, time, rng)
@@ -307,7 +307,7 @@ def test_curvature_parallelogram_law(grid8, ops8, rng):
     prob = make_problem(grid8, ops8, time, pf, pg, betas=(1.0, 0.5, 0.7, 0.2, 0.2), seed=6)
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
-    op = linearized_operator(state, pf, pg, ops8)
+    op = linearized_operator(state, prob.potential, ops8)
     adj = solve_adjoint(op, tracking_seeds(prob, state))
     h = random_control(grid8, time, rng)
     k = random_control(grid8, time, rng)
@@ -411,7 +411,7 @@ def test_report_unsupported_without_control_weights(grid4, ops4):
     u = ControlPair.zeros(grid4, time)
     with pytest.raises(UnsupportedConfigurationError):
         state = prob.solve(u)
-        adj = solve_adjoint(linearized_operator(state, pf, pg, ops4), tracking_seeds(prob, state))
+        adj = solve_adjoint(linearized_operator(state, prob.potential, ops4), tracking_seeds(prob, state))
         projection_residual(prob, u, adjoint_as_control(adj))
     report = optimality_report(prob, u, n_dir=2)
     assert not report.projection_supported
@@ -426,7 +426,7 @@ def test_stationarity_projection_equivalence(grid4, ops4, rng):
     prob = make_problem(grid4, ops4, time, pf, pg, betas=(0.0, 0.0, 0.0, 1.0, 1.0))
     u0 = ControlPair.zeros(grid4, time)
     state = prob.solve(u0)
-    adj = solve_adjoint(linearized_operator(state, pf, pg, ops4), tracking_seeds(prob, state))
+    adj = solve_adjoint(linearized_operator(state, prob.potential, ops4), tracking_seeds(prob, state))
     rep = adjoint_as_control(adj)
     grad = reduced_gradient(prob, adj, u0)
     assert stationarity_norm(prob, u0, grad) == 0.0
@@ -434,7 +434,7 @@ def test_stationarity_projection_equivalence(grid4, ops4, rng):
 
     u1 = random_control(grid4, time, rng, scale=0.5)
     state1 = prob.solve(u1)
-    adj1 = solve_adjoint(linearized_operator(state1, pf, pg, ops4), tracking_seeds(prob, state1))
+    adj1 = solve_adjoint(linearized_operator(state1, prob.potential, ops4), tracking_seeds(prob, state1))
     grad1 = reduced_gradient(prob, adj1, u1)
     assert stationarity_norm(prob, u1, grad1) > 0.0
     assert projection_residual(prob, u1, adjoint_as_control(adj1)) > 0.0

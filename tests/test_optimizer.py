@@ -92,7 +92,7 @@ def test_fixed_point_characterization_at_convergence(control_prob):
     result = minimize(control_prob, cfg, random_control(grid, time, rng, scale=0.5))
     u = result.control
     state = control_prob.solve(u)
-    op = linearized_operator(state, control_prob.pf, control_prob.pg, control_prob.ops)
+    op = linearized_operator(state, control_prob.potential, control_prob.ops)
     adj = solve_adjoint(op, tracking_seeds(control_prob, state))
     grad = reduced_gradient(control_prob, adj, u)
     stat = stationarity_norm(control_prob, u, grad)
@@ -111,7 +111,7 @@ def test_descent_direction_validity(grid4, ops4, rng):
     for _ in range(3):
         u = clip_to_box(prob, random_control(grid4, time, rng, scale=0.8))
         state = prob.solve(u)
-        adj = solve_adjoint(linearized_operator(state, pf, pg, ops4), tracking_seeds(prob, state))
+        adj = solve_adjoint(linearized_operator(state, prob.potential, ops4), tracking_seeds(prob, state))
         grad = reduced_gradient(prob, adj, u)
         if stationarity_norm(prob, u, grad) == 0:
             continue

@@ -13,9 +13,9 @@ from acopt import (
     InvalidArgumentError,
     InvalidParameterError,
     Potential,
+    SlotPotential,
 )
 from acopt.cli_io import RunConfig, build_problem
-from acopt.potentials import newton_terms
 
 
 def _derivative(p, order, y):
@@ -118,15 +118,17 @@ def test_derivative_antisymmetry_property(y):
     assert p.d1(y) == pytest.approx(-p.d1(1.0 - y), rel=1e-10, abs=1e-10)
 
 
-def test_clamping_counts_and_bounds():
+def test_clamping_counts_and_bounds(grid4):
     p = Potential(1.0, 0.0, eps_guard=1e-6)
     val = p.d1(1e-9)  # inside [0,1], below the guard
     assert val == p.d1(1e-6)
-    y = np.array([1e-9, 0.5, 1.0 - 1e-9, 1e-6])  # two below/above the guard, one on it
-    values, _, clamped = newton_terms(p, y)
+    slots = SlotPotential.on(grid4, p, p)
+    y = np.full(grid4.num_nodes, 0.5)
+    y[:4] = [1e-9, 0.5, 1.0 - 1e-9, 1e-6]  # two below/above the guard, one on it
+    values, _, clamped = slots.newton_terms(y)
     assert clamped == 2
     np.testing.assert_array_equal(values, p.d1(np.clip(y, 1e-6, 1.0 - 1e-6)))
-    assert newton_terms(p, np.array([0.25, 0.5]))[2] == 0
+    assert slots.newton_terms(np.full(grid4.num_nodes, 0.25))[2] == 0
 
 
 def test_blowup_direction_near_endpoints():
@@ -156,9 +158,10 @@ def test_domain_errors():
     ],
     ids=["singular", "quadratic", "clamped", "empty"],
 )
-def test_newton_terms_match_separate_evaluations(p, y):
+def test_newton_terms_match_separate_evaluations(p, y, grid4):
     """One guarded evaluation gives f' and f'' bit for bit and counts the clamped entries."""
-    d1, d2, clamped = newton_terms(p, y)
+    y = np.repeat(y[:, None], grid4.num_nodes, axis=1)  # one row per value, on every slot
+    d1, d2, clamped = SlotPotential.on(grid4, p, p).newton_terms(y)
     assert np.array_equal(d1, p.d1(y)) and np.array_equal(d2, p.d2(y))
     assert d1.shape == d2.shape == y.shape
     outside = (y < p.eps_guard) | (y > 1.0 - p.eps_guard)
@@ -183,12 +186,109 @@ def test_argument_guard(order):
     assert isinstance(_derivative(quadratic, order, np.float64(7.0)), float)
 
 
-def test_quadratic_variant_unguarded():
+def test_quadratic_variant_unguarded(grid4):
     p = Potential(0.0, -0.5)
     assert p.d1(1.7) == pytest.approx(-0.5 * (1 - 2 * 1.7))
     assert p.d2(-3.0) == pytest.approx(1.0)
     assert p.d3(0.4) == 0.0
-    assert newton_terms(p, np.array([-3.0, 0.0, 1.7]))[2] == 0
+    assert SlotPotential.on(grid4, p, p).newton_terms(np.resize([-3.0, 0.0, 1.7], grid4.num_nodes))[2] == 0
+
+
+SLOT_PAIRS = {
+    "singular-singular": (Potential(1.0, 3.0), Potential(2.0, -1.5)),
+    "singular-quadratic": (Potential(1.0, 3.0), Potential(0.0, -0.5)),
+    "quadratic-singular": (Potential(0.0, 0.0), Potential(0.7, 2.0)),
+    "quadratic-quadratic": (Potential(0.0, -0.5), Potential(0.0, 2.0)),
+    "two-guards": (Potential(1.0, 3.0, eps_guard=1e-9), Potential(1.5, 2.0, eps_guard=1e-3)),
+}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _written_out(p, order, y):
+    """One potential's derivative of the given order, clamped and written out term by term.
+
+    The reference for the slot evaluator, which `Potential` itself goes
+    through: the same operations in the same order, with no log term at
+    alpha = 0.
+    """
+    a, c = p.alpha, p.smooth_c
+    if a:
+        y = np.clip(y, p.eps_guard, 1.0 - p.eps_guard)
+    q = 1.0 - y
+    if order == 0:
+        return a * (y * np.log(y) + q * np.log(q)) + c * y * q if a else c * y * q
+    if order == 1:
+        return a * np.log(y / q) + c * (1.0 - 2.0 * y) if a else c * (1.0 - 2.0 * y)
+    if order == 2:
+        return a / (y * q) - 2.0 * c if a else np.full_like(y, -2.0 * c)
+    return a * (2.0 * y - 1.0) / (y * y * q * q) if a else np.zeros_like(y)
+
+
+@pytest.mark.parametrize("pair", SLOT_PAIRS.values(), ids=SLOT_PAIRS)
+def test_slot_potential_is_each_slots_potential_bit_for_bit(grid4, pair):
+    """f at the interior slots and g on the cycle: values, derivatives and clamp count.
+
+    Each slot equals its potential's written-out formula, and `Potential`'s
+    own evaluator, bit for bit. Row 0 holds interior values and row 1 the endpoints and the values
+    between the two guards of "two-guards", on interior and cycle slots
+    alike. A third row goes outside [0, 1] on the slots of a quadratic
+    potential only, which no singular check may touch.
+    """
+    pf, pg = pair
+    inner, cycle, N = grid4.interior_nodes, grid4.boundary_cycle, grid4.num_nodes
+    y = np.empty((3, N))
+    y[0] = np.linspace(0.05, 0.95, N)
+    y[1] = np.resize([0.0, 1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-12, 1.0], N)
+    y[2] = 0.5
+    y[2, inner[::2]] = -0.5 if not pf.is_singular else 0.5
+    y[2, cycle[::2]] = 1.5 if not pg.is_singular else 0.5
+    slots = SlotPotential.on(grid4, pf, pg)
+    for order in range(4):
+        out = _derivative(slots, order, y)
+        for p, nodes in ((pf, inner), (pg, cycle)):
+            reference = _written_out(p, order, y[:, nodes])
+            assert _same_bits(out[:, nodes], reference)
+            assert _same_bits(_derivative(p, order, y[:, nodes]), reference)
+    d1, d2, clamped = slots.newton_terms(y)
+    assert _same_bits(d1, slots.d1(y)) and _same_bits(d2, slots.d2(y))
+
+    def outside(p, v):
+        return int(np.count_nonzero((v < p.eps_guard) | (v > 1.0 - p.eps_guard))) if p.is_singular else 0
+
+    expected = outside(pf, y[:, inner]) + outside(pg, y[:, cycle])
+    assert clamped == expected
+    assert expected > 0 or not slots.is_singular  # row 1 reaches past every singular guard
+    singular = [p for p in pair if p.is_singular]
+    assert slots.interval == (
+        max((p.eps_guard for p in singular), default=-np.inf),
+        min((1.0 - p.eps_guard for p in singular), default=np.inf),
+    )
+
+
+@pytest.mark.parametrize("pair", SLOT_PAIRS.values(), ids=SLOT_PAIRS)
+@pytest.mark.parametrize("side", ["interior", "cycle"])
+def test_slot_potential_argument_guard(grid4, pair, side):
+    """NaN on any slot raises InvalidArgumentError; outside [0, 1] raises DomainError on singular slots only."""
+    p = pair[0] if side == "interior" else pair[1]
+    node = (grid4.interior_nodes if side == "interior" else grid4.boundary_cycle)[1]
+    slots = SlotPotential.on(grid4, *pair)
+    evaluators = [slots.value, slots.d1, slots.d2, slots.d3, slots.newton_terms]
+    for bad in (np.nan, -0.25, 1.25):
+        y = np.full((2, grid4.num_nodes), 0.5)
+        y[1, node] = bad
+        for evaluate in evaluators:
+            if np.isnan(bad):
+                with pytest.raises(InvalidArgumentError):
+                    evaluate(y)
+            elif p.is_singular:
+                with pytest.raises(DomainError):
+                    evaluate(y)
+            else:
+                evaluate(y)
 
 
 def test_invalid_construction():
