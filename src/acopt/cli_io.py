@@ -39,6 +39,7 @@ from .errors import (
 from .geometry import TimeAxis, build_grid, build_operators
 from .objective import (
     ControlProblem,
+    ThirdOrderField,
     clip_to_box,
     curvature,
     evaluate_cost,
@@ -507,11 +508,12 @@ def verify_curvature(problem, seed=0):
     """Second-difference check of the curvature form."""
     rng, u, state, operator = _base_point(problem, seed)
     adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
+    third = ThirdOrderField.along(problem, state, adjoint)
     j0 = evaluate_cost(problem, state, u)
     rows = []
     for d in range(VERIFY_DIRECTIONS):
         h = _random_direction(problem, rng)
-        exact = curvature(problem, state, adjoint, operator, h)
+        exact = curvature(problem, operator, third, h)
         best = np.inf
         for eps in (1e-2, 3e-3, 1e-3):
             j_up, j_dn = _shifted_cost(problem, u, eps, h), _shifted_cost(problem, u, -eps, h)

@@ -26,6 +26,7 @@ choice of factorization (banded Cholesky, or SuperLU on wide bands) and
 map of K every step factorization of every solve shares.
 """
 
+import ctypes
 import functools
 from dataclasses import dataclass
 
@@ -221,6 +222,41 @@ def _surface_stiffness(grid):
 SPARSE_BANDWIDTH = 105  # the smallest half-bandwidth factored by SuperLU (see StepMatrix)
 
 
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that scipy's LAPACK links.
+
+    Resolved from scipy's own LAPACK module, so numpy's separate OpenBLAS is
+    never touched. (None, None) where the library lacks either symbol.
+    """
+    lib = ctypes.CDLL(lapack._flapack.__file__)
+    get = getattr(lib, "scipy_openblas_get_num_threads", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads", None)
+    if get is None or set_ is None:
+        return None, None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+_get_threads, _set_threads = _openblas_threads()
+
+
+def _dpbtrf(band):
+    """dpbtrf in place on one OpenBLAS thread, the caller's thread count restored after.
+
+    Plain calls rather than a context manager: a factorization at n = 8
+    takes about 25 us, and the get/set/set triple about 1 us.
+    """
+    if _set_threads is None:
+        return lapack.dpbtrf(band, overwrite_ab=1)
+    threads = _get_threads()
+    _set_threads(1)
+    try:
+        return lapack.dpbtrf(band, overwrite_ab=1)
+    finally:
+        _set_threads(threads)
+
+
 class StepMatrix:
     """Factorizations of the step matrices M(c) = I/dt + W^-1 K + diag(c).
 
@@ -234,7 +270,8 @@ class StepMatrix:
     - b < SPARSE_BANDWIDTH: banded Cholesky. Only the upper entries of K
       are stored, one per band position. `factor` assigns them into a
       fresh zero band in LAPACK layout, adds W/dt, then W c, and factors
-      it in place (dpbtrf). A factor holds (b+1) N doubles.
+      it in place (dpbtrf) on one OpenBLAS thread, restoring the caller's
+      thread count afterwards. A factor holds (b+1) N doubles.
     - b >= SPARSE_BANDWIDTH: SuperLU (`splu`) on S in CSC form with a
       minimum-degree ordering of S + S^T, diagonal pivots and symmetric
       mode, an LDL^T-shaped factor. K symmetric and canonical, its CSR
@@ -288,8 +325,16 @@ class StepMatrix:
         64    65   6.81      9.9-13.7                12.3-16.3
 
     Break-even, kappa = 1, lies between b = 9 and 17 in every run, at 14.8
-    in the model. On SuperLU the ordering, the factorization and the
-    chord step all grow close to N, and their ratio only like log b:
+    in the model. Band factorizations run on one OpenBLAS thread, the
+    regime kappa was fitted to; the last column is why: at these band
+    sizes a second thread makes dpbtrf up to 4-7 times slower (n = 32:
+    0.68 ms on one thread, 2.6 ms on two). The band solves and SuperLU
+    keep the caller's count, as they cost the same under either (band
+    solve at n = 32: 37 and 39 us; SuperLU factor at n = 128: 52-68 ms
+    on either, best of 5).
+
+    On SuperLU the ordering, the factorization and the chord step all
+    grow close to N, and their ratio only like log b:
     kappa(b) = 6 ln b - 7, fitted to the in-solve ratio of a solve's one
     factorization to its mean iteration net of that factorization (the
     problem and settings of the crossover table, SuperLU forced at every
@@ -346,7 +391,7 @@ class StepMatrix:
         band = flat.reshape((b + 1, num), order="F")
         band[b] += self._w / dt
         band[b] += self._w * c
-        chol, info = lapack.dpbtrf(band, overwrite_ab=1)
+        chol, info = _dpbtrf(band)
         if info > 0:
             raise _not_definite(level, residual)
         return chol

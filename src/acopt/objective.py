@@ -226,7 +226,31 @@ def reduced_gradient(problem, adjoint, control):
     )
 
 
-def curvature(problem, state, adjoint, operator, direction):
+@dataclass(frozen=True)
+class ThirdOrderField:
+    """The direction-independent half of the curvature's third-derivative pairing.
+
+    Along one state and its adjoint, on the levels 1..m the dynamics read:
+    theta the time weights, weighted_adjoint the adjoint times the slot
+    weights W, d3 the slot potential's third derivative (f''' at interior
+    slots, g''' on the cycle). A caller forms it once for all its
+    directions and `curvature` pairs it with each.
+    """
+
+    theta: np.ndarray
+    weighted_adjoint: np.ndarray
+    d3: np.ndarray
+
+    @classmethod
+    def along(cls, problem, state, adjoint):
+        return cls(
+            problem.time.weights()[1:],
+            adjoint.values[1:] * problem.grid.slot_weights,
+            problem.potential.d3(state.values[1:]),
+        )
+
+
+def curvature(problem, operator, third, direction):
     """Second derivative of the reduced cost along one direction.
 
     Evaluates the representation with the linearized response: tracking
@@ -234,18 +258,14 @@ def curvature(problem, state, adjoint, operator, direction):
     adjoint-weighted third-derivative terms along the state. With the
     exact-transpose adjoint this equals the true second difference of the
     discrete cost up to solver roundoff. operator is the
-    `linearized_operator` around state.
+    `linearized_operator` around the state and third its `ThirdOrderField`.
     """
     phi = solve_linearized(operator, direction)
     parts = _cost_parts(phi, direction)
     total = _cost_form(problem, parts, parts)
-    # adjoint-weighted third-derivative terms, over the slots the dynamics read
-    total -= space_time_inner(
-        problem.time.weights()[1:],
-        problem.grid.slot_weights,
-        adjoint.values[1:],
-        problem.potential.d3(state.values[1:]) * phi.values[1:] * phi.values[1:],
-    )
+    # space_time_inner's pairing, its weight W already in the adjoint
+    phi = phi.values[1:]
+    total -= float(np.einsum("k,kj,kj->", third.theta, third.weighted_adjoint, third.d3 * phi * phi))
     return total
 
 
@@ -356,8 +376,13 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
     thousandth of the gradient norm), the pointwise projection residual,
     and curvature/norm ratios along directions sampled from the
     tau-critical cone. The curvature part is a report, never a proof: a
-    small ratio is flagged by the caller, not failed here.
+    small ratio is flagged by the caller, not failed here. n_dir must be a
+    nonnegative integer and tau, when given, finite and nonnegative.
     """
+    if not isinstance(n_dir, (int, np.integer)) or n_dir < 0:
+        raise InvalidParameterError(f"n_dir must be a nonnegative integer, got {n_dir!r}")
+    if tau is not None and not 0 <= tau < np.inf:
+        raise InvalidParameterError(f"tau must be finite and nonnegative, got {tau!r}")
     if state is None:
         state = problem.solve(control)
     operator = linearized_operator(state, problem.potential, problem.ops)
@@ -381,9 +406,10 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
         proj_res, supported = float("nan"), False
 
     rng = np.random.default_rng(seed)
+    third = ThirdOrderField.along(problem, state, adjoint)
     samples = []
     for idx, direction in enumerate(_cone_directions(problem, control, grad, tau, n_dir, rng)):
-        value = curvature(problem, state, adjoint, operator, direction)
+        value = curvature(problem, operator, third, direction)
         norm_sq = hinner(problem, direction, direction)
         samples.append((idx, value, norm_sq, value / norm_sq))
 

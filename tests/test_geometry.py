@@ -5,10 +5,12 @@ import sympy
 
 from acopt import (
     InvalidParameterError,
+    SolverFailureError,
     TimeAxis,
     build_grid,
     build_operators,
 )
+from acopt import geometry
 
 
 def test_counts_n2():
@@ -238,3 +240,66 @@ def test_time_axis():
 def test_grid_arrays_immutable(grid4):
     with pytest.raises(ValueError):
         grid4.bulk_weights[0] = 2.0
+
+
+# -- the band factorization's OpenBLAS thread scope ----------------------------
+
+
+@pytest.fixture(scope="module", params=[16, 32])
+def band_step(request):
+    """A band-path StepMatrix (n = 16, 32) and seeded SPD slot coefficients at dt = 0.0125."""
+    grid = build_grid(request.param)
+    step = build_operators(grid).step
+    assert not step.sparse
+    return step, np.random.default_rng(request.param).uniform(-1.0, 5.0, grid.num_nodes), 0.0125
+
+
+@pytest.fixture
+def two_threads():
+    """The caller's scipy OpenBLAS count set to 2 for the test, the original restored after."""
+    if geometry._set_threads is None:
+        pytest.skip("the running scipy's OpenBLAS exports no thread-count symbols")
+    original = geometry._get_threads()
+    geometry._set_threads(2)
+    yield geometry._get_threads()
+    geometry._set_threads(original)
+
+
+def test_band_factor_runs_on_one_thread_and_restores_the_count(band_step, two_threads, monkeypatch):
+    step, c, dt = band_step
+    seen = []
+    dpbtrf = geometry.lapack.dpbtrf
+
+    def spy(*args, **kwargs):
+        seen.append(geometry._get_threads())
+        return dpbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(geometry.lapack, "dpbtrf", spy)
+    step.factor(c, dt)
+    assert two_threads == 2
+    assert seen == [1]
+    assert geometry._get_threads() == two_threads
+
+
+def test_band_factor_restores_the_count_when_it_raises(band_step, two_threads):
+    """c = -2/dt makes S = K - W/dt indefinite: dpbtrf fails and the count is still the caller's."""
+    step, c, dt = band_step
+    with pytest.raises(SolverFailureError, match="^step matrix is not positive definite at step 3$"):
+        step.factor(np.full(c.size, -2.0 / dt), dt, level=3)
+    assert geometry._get_threads() == two_threads
+
+
+def test_band_factor_equals_one_made_on_the_callers_threads(band_step, two_threads, monkeypatch):
+    step, c, dt = band_step
+    limited = step.factor(c, dt)
+    monkeypatch.setattr(geometry, "_set_threads", lambda threads: None)  # the limit bypassed
+    assert np.array_equal(step.factor(c, dt), limited)
+
+
+def test_band_factor_without_the_thread_symbols(band_step, monkeypatch):
+    """Where scipy's OpenBLAS exports neither symbol, factor makes the same factor unscoped."""
+    step, c, dt = band_step
+    scoped = step.factor(c, dt)
+    monkeypatch.setattr(geometry, "_get_threads", None)
+    monkeypatch.setattr(geometry, "_set_threads", None)
+    assert np.array_equal(step.factor(c, dt), scoped)

@@ -14,9 +14,9 @@ from acopt import (
     TimeAxis,
     build_grid,
     build_operators,
-    curvature,
     energy,
     linearized_operator,
+    optimality_report,
     solve_adjoint,
     solve_linear,
     solve_linearized,
@@ -615,12 +615,14 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
     The step to level k reads the level-k coefficients and sources at the
     interior slots and on the boundary cycle, k = 1..m. Those values equal
     the potentials evaluated on the whole state bit for bit. The curvature's
-    third-derivative term reads the same slots, and the energy evaluates
-    each slot once. Each is one `SlotPotential` evaluation over all slots.
+    third-derivative term reads the same slots, once per report whatever
+    its number of directions, and the energy evaluates each slot once. Each
+    is one `SlotPotential` evaluation over all slots.
     """
     pf, pg = default_potentials()
     time = TimeAxis(0.3, 5)
-    state = _solved_state(grid4, ops4, time, pf, pg, random_control(grid4, time, rng))
+    control = random_control(grid4, time, rng)
+    state = _solved_state(grid4, ops4, time, pf, pg, control)
     h, k = random_control(grid4, time, rng), random_control(grid4, time, rng)
 
     def log_sizes(*names):
@@ -661,11 +663,12 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
     )
     assert np.array_equal(eta.values, solve_linear(op, source, np.zeros(grid4.num_nodes)).values)
 
-    # the curvature's third-derivative pairing reads levels 1..m; the energy reads each slot once
+    # a report reads f''' and g''' on levels 1..m once for all its directions, and f'' and
+    # g'' once for its one linearized operator; the energy reads each slot once
     prob = make_problem(grid4, ops4, time, pf, pg)
-    adjoint = solve_adjoint(op, tracking_seeds(prob, state))
     sizes = log_sizes("value", "d2", "d3")
-    curvature(prob, state, adjoint, op, h)
-    assert sizes == {"value": [], "d2": [], "d3": [m * N]}
+    report = optimality_report(prob, control, tau=1e9, n_dir=5, state=state)
+    assert len(report.curvature_samples) == 5
+    assert sizes == {"value": [], "d2": [m * N], "d3": [m * N]}
     energy(grid4, ops4, prob.potential, state.values[-1])
-    assert sizes == {"value": [N], "d2": [], "d3": [m * N]}
+    assert sizes == {"value": [N], "d2": [m * N], "d3": [m * N]}

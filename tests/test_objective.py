@@ -9,6 +9,7 @@ from acopt import (
     DomainError,
     InvalidParameterError,
     Potential,
+    ThirdOrderField,
     TimeAxis,
     Trajectory,
     UnsupportedConfigurationError,
@@ -26,7 +27,8 @@ from acopt import (
     tracking_seeds,
 )
 from acopt.cli_io import RunConfig, build_problem
-from acopt.objective import _cone_directions, adjoint_as_control, clip_to_box
+from acopt.geometry import space_time_inner
+from acopt.objective import _cone_directions, _cost_form, _cost_parts, adjoint_as_control, clip_to_box
 
 from conftest import default_potentials, make_problem, quadratic_potentials, random_control
 
@@ -255,9 +257,9 @@ def test_curvature_pure_control_quadratic(grid4, ops4, rng):
     u = ControlPair.zeros(grid4, time)
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, ops4)
-    adj = solve_adjoint(op, tracking_seeds(prob, state))
+    third = ThirdOrderField.along(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
     h = random_control(grid4, time, rng)
-    value = curvature(prob, state, adj, op, h)
+    value = curvature(prob, op, third, h)
     theta = time.weights()
     expected = float(
         np.einsum("k,kj,kj->", theta, h.bulk * grid4.bulk_weights, h.bulk)
@@ -272,8 +274,8 @@ def test_curvature_zero_direction(grid4, ops4):
     u = ControlPair.zeros(grid4, time)
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, ops4)
-    adj = solve_adjoint(op, tracking_seeds(prob, state))
-    assert curvature(prob, state, adj, op, ControlPair.zeros(grid4, time)) == 0.0
+    third = ThirdOrderField.along(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
+    assert curvature(prob, op, third, ControlPair.zeros(grid4, time)) == 0.0
 
 
 def test_curvature_second_difference_oracle(grid8, ops8, rng):
@@ -283,10 +285,10 @@ def test_curvature_second_difference_oracle(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, ops8)
-    adj = solve_adjoint(op, tracking_seeds(prob, state))
+    third = ThirdOrderField.along(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
     j0 = evaluate_cost(prob, state, u)
     h = random_control(grid8, time, rng)
-    exact = curvature(prob, state, adj, op, h)
+    exact = curvature(prob, op, third, h)
     best = np.inf
     for eps in (1e-2, 3e-3, 1e-3):
         up = ControlPair(u.bulk + eps * h.bulk, u.surface + eps * h.surface)
@@ -308,15 +310,43 @@ def test_curvature_parallelogram_law(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, ops8)
-    adj = solve_adjoint(op, tracking_seeds(prob, state))
+    third = ThirdOrderField.along(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
     h = random_control(grid8, time, rng)
     k = random_control(grid8, time, rng)
     hp = ControlPair(h.bulk + k.bulk, h.surface + k.surface)
     hm = ControlPair(h.bulk - k.bulk, h.surface - k.surface)
-    plus = curvature(prob, state, adj, op, hp)
-    minus = curvature(prob, state, adj, op, hm)
-    sides = 2.0 * curvature(prob, state, adj, op, h) + 2.0 * curvature(prob, state, adj, op, k)
+    plus = curvature(prob, op, third, hp)
+    minus = curvature(prob, op, third, hm)
+    sides = 2.0 * curvature(prob, op, third, h) + 2.0 * curvature(prob, op, third, k)
     assert abs(plus + minus - sides) <= 1e-9 * max(abs(plus), abs(minus), 1.0)
+
+
+def test_curvature_equals_the_written_out_form(grid8, ops8, rng):
+    """The hoisted third-order field changes no bit of the curvature.
+
+    Reference: the cost form on (phi, h) minus the adjoint-weighted third-derivative
+    pairing evaluated in full for the one direction, on a cone direction. Started at
+    0.1, near the singular end, the third-derivative term is half the cost form,
+    and forming d3 (phi phi) instead of (d3 phi) phi changes its last bits.
+    """
+    pf, pg = default_potentials()
+    time = TimeAxis(0.4, 8)
+    prob = make_problem(grid8, ops8, time, pf, pg, init_value=0.1, seed=3)
+    u = clip_to_box(prob, random_control(grid8, time, rng, scale=1.5))
+    state = prob.solve(u)
+    op = linearized_operator(state, prob.potential, ops8)
+    adj = solve_adjoint(op, tracking_seeds(prob, state))
+    grad = reduced_gradient(prob, adj, u)
+    (h,) = _cone_directions(prob, u, grad, 1e9, 1, rng)  # none strongly active, signs at the bounds
+    phi = solve_linearized(op, h)
+    parts = _cost_parts(phi, h)
+    expected = _cost_form(prob, parts, parts) - space_time_inner(
+        time.weights()[1:],
+        grid8.slot_weights,
+        adj.values[1:],
+        prob.potential.d3(state.values[1:]) * phi.values[1:] * phi.values[1:],
+    )
+    assert curvature(prob, op, ThirdOrderField.along(prob, state, adj), h) == expected
 
 
 # -- optimality report --------------------------------------------------------
@@ -330,6 +360,36 @@ def test_report_fixed_point_of_projection(grid4, ops4):
     report = optimality_report(prob, ControlPair.zeros(grid4, time), n_dir=4)
     assert report.projection_residual == 0.0
     assert report.stationarity == 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"n_dir": -3}, "n_dir"),
+        ({"n_dir": 2.5}, "n_dir"),
+        ({"tau": float("nan")}, "tau"),
+        ({"tau": -1.0}, "tau"),
+    ],
+    ids=["negative-n_dir", "fractional-n_dir", "nan-tau", "negative-tau"],
+)
+def test_report_rejects_bad_inputs_by_name(grid4, ops4, kwargs, name):
+    """A negative or fractional n_dir, a negative or NaN tau: rejected, not read as a report."""
+    pf, pg = default_potentials()
+    time = TimeAxis(0.3, 5)
+    prob = make_problem(grid4, ops4, time, pf, pg)
+    with pytest.raises(InvalidParameterError, match=f"^{name} "):
+        optimality_report(prob, ControlPair.zeros(grid4, time), **kwargs)
+
+
+def test_report_accepts_zero_n_dir_and_zero_tau(grid4, ops4, rng):
+    pf, pg = default_potentials()
+    time = TimeAxis(0.3, 5)
+    prob = make_problem(grid4, ops4, time, pf, pg, seed=2)
+    u = random_control(grid4, time, rng, scale=0.5)
+    report = optimality_report(prob, u, n_dir=0)
+    assert report.curvature_samples == [] and report.grad_norm > 0
+    report = optimality_report(prob, u, tau=0.0, n_dir=2)  # every nonzero gradient entry is active
+    assert report.tau == 0.0 and report.active_set_fraction == pytest.approx(1.0)
 
 
 def test_report_large_tau_empties_active_set(grid4, ops4, rng):
