@@ -28,7 +28,6 @@ from .geometry import (
 from .objective import (
     ControlProblem,
     OptimalityReport,
-    ThirdOrderField,
     adjoint_as_control,
     clip_to_box,
     curvature,

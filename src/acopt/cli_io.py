@@ -39,7 +39,6 @@ from .errors import (
 from .geometry import TimeAxis, build_grid, build_operators
 from .objective import (
     ControlProblem,
-    ThirdOrderField,
     clip_to_box,
     curvature,
     evaluate_cost,
@@ -508,7 +507,7 @@ def verify_curvature(problem, seed=0):
     """Second-difference check of the curvature form."""
     rng, u, state, operator = _base_point(problem, seed)
     adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
-    third = ThirdOrderField.along(problem, state, adjoint)
+    third = adjoint.values[1:] * problem.potential.d3(state.values[1:])
     j0 = evaluate_cost(problem, state, u)
     rows = []
     for d in range(VERIFY_DIRECTIONS):

@@ -82,8 +82,8 @@ class TimeAxis:
     def __post_init__(self):
         if not (0 < self.T < np.inf):
             raise InvalidParameterError(f"T must be positive and finite, got {self.T}")
-        if self.m < 1:
-            raise InvalidParameterError(f"m must be at least 1, got {self.m}")
+        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
+            raise InvalidParameterError(f"m must be an integer >= 1, got {self.m!r}")
 
     @property
     def dt(self):

@@ -1,14 +1,19 @@
 """Tracking cost, reduced gradient, curvature form, optimality diagnostics.
 
-The reduced gradient pairs the adjoint representers with control
-variations. Two slots of the control never influence the dynamics: level
-0 (the first step reads level 1) and the boundary-trace entries of the
+The space-time inner product `hinner` (time weights theta, slot weights
+W) is defined here, and so is its Riesz map: `adjoint_as_control` turns
+the multipliers of `pde_linear.solve_adjoint` into the control-space
+representer p = multiplier / (theta W), the one place that division is
+made. Two slots of the control never influence the dynamics: level 0
+(the first step reads level 1) and the boundary-trace entries of the
 distributed control (boundary rows carry the surface equation). The
 adjoint contribution to the gradient is therefore zero exactly there,
-and only there; everywhere else the gradient is adjoint plus weighted
-control, which is the discrete form of the classical identification. All
-first- and second-order identities below hold to direct-solver roundoff
-because the adjoint is the exact transpose of the forward stepping.
+and only there; everywhere else the gradient is representer plus
+weighted control, which is the discrete form of the classical
+identification. The curvature pairs the multipliers themselves with the
+third derivatives. All first- and second-order identities below hold to
+direct-solver roundoff because the adjoint is the exact transpose of the
+forward stepping.
 """
 
 from dataclasses import dataclass, field
@@ -206,48 +211,29 @@ def tracking_seeds(problem, state):
 
 
 def adjoint_as_control(adjoint):
-    """Adjoint representers mapped into control space.
+    """The Riesz map of `hinner`: adjoint multipliers to their control-space representer.
 
-    Zero at the slots the dynamics never read: level 0, where
+    The representer p = multiplier / (theta W) satisfies
+    hinner(p, h) = sum over levels 1..m of multiplier . slot_fields(h):
+    the multipliers' slot pairing with a control direction. It is zero at
+    the slots the dynamics never read: level 0, where
     `pde_linear.solve_adjoint` leaves zeros, and the boundary trace of the
-    distributed slot. The surface slot is the adjoint trace.
+    distributed slot. The surface slot is the trace of p.
     """
-    bulk = adjoint.values.copy()
-    bulk[:, adjoint.grid.boundary_cycle] = 0.0
-    return ControlPair(bulk, adjoint.surface)
+    grid = adjoint.grid
+    bulk = adjoint.values / (adjoint.time.weights()[:, None] * grid.slot_weights)
+    surface = bulk[:, grid.boundary_cycle]
+    bulk[:, grid.boundary_cycle] = 0.0
+    return ControlPair(bulk, surface)
 
 
 def reduced_gradient(problem, adjoint, control):
-    """Exact gradient of the discrete reduced cost: adjoint plus weighted control."""
+    """Exact gradient of the discrete reduced cost: adjoint representer plus weighted control."""
     rep = adjoint_as_control(adjoint)
     return ControlPair(
         problem.beta5 * control.bulk + rep.bulk,
         problem.beta6 * control.surface + rep.surface,
     )
-
-
-@dataclass(frozen=True)
-class ThirdOrderField:
-    """The direction-independent half of the curvature's third-derivative pairing.
-
-    Along one state and its adjoint, on the levels 1..m the dynamics read:
-    theta the time weights, weighted_adjoint the adjoint times the slot
-    weights W, d3 the slot potential's third derivative (f''' at interior
-    slots, g''' on the cycle). A caller forms it once for all its
-    directions and `curvature` pairs it with each.
-    """
-
-    theta: np.ndarray
-    weighted_adjoint: np.ndarray
-    d3: np.ndarray
-
-    @classmethod
-    def along(cls, problem, state, adjoint):
-        return cls(
-            problem.time.weights()[1:],
-            adjoint.values[1:] * problem.grid.slot_weights,
-            problem.potential.d3(state.values[1:]),
-        )
 
 
 def curvature(problem, operator, third, direction):
@@ -258,15 +244,15 @@ def curvature(problem, operator, third, direction):
     adjoint-weighted third-derivative terms along the state. With the
     exact-transpose adjoint this equals the true second difference of the
     discrete cost up to solver roundoff. operator is the
-    `linearized_operator` around the state and third its `ThirdOrderField`.
+    `linearized_operator` around the state y, and third is the (m, N) array
+    lambda[1:] * d3(y[1:]) of the adjoint multipliers lambda and the slot
+    potential's third derivative (f''' at interior slots, g''' on the
+    cycle), which a caller forms once for all its directions.
     """
     phi = solve_linearized(operator, direction)
     parts = _cost_parts(phi, direction)
-    total = _cost_form(problem, parts, parts)
-    # space_time_inner's pairing, its weight W already in the adjoint
-    phi = phi.values[1:]
-    total -= float(np.einsum("k,kj,kj->", third.theta, third.weighted_adjoint, third.d3 * phi * phi))
-    return total
+    squared = phi.values[1:] * phi.values[1:]
+    return _cost_form(problem, parts, parts) - float(np.einsum("kj,kj->", third, squared))
 
 
 # -- first-order diagnostics -------------------------------------------------
@@ -406,7 +392,7 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
         proj_res, supported = float("nan"), False
 
     rng = np.random.default_rng(seed)
-    third = ThirdOrderField.along(problem, state, adjoint)
+    third = adjoint.values[1:] * problem.potential.d3(state.values[1:])
     samples = []
     for idx, direction in enumerate(_cone_directions(problem, control, grad, tau, n_dir, rng)):
         value = curvature(problem, operator, third, direction)

@@ -20,6 +20,8 @@ hands it to the caller, so the final control costs no extra solve.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidParameterError, OptimizerStalledError
 from .objective import (
     clip_to_box,
@@ -44,8 +46,8 @@ class OptimizerConfig:
     max_backtracks: int = 40
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise InvalidParameterError("max_iters must be positive")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise InvalidParameterError(f"max_iters must be a positive integer, got {self.max_iters!r}")
         if not (0.0 < self.armijo_c < 1.0):
             raise InvalidParameterError("armijo_c must lie in (0, 1)")
         if not (0.0 < self.backtrack_factor < 1.0):
@@ -54,8 +56,10 @@ class OptimizerConfig:
             raise InvalidParameterError("initial_step must be positive and finite")
         if not (0.0 < self.stop_tol < math.inf):
             raise InvalidParameterError("stop_tol must be positive and finite")
-        if self.max_backtracks < 1:
-            raise InvalidParameterError("max_backtracks must be positive")
+        if not isinstance(self.max_backtracks, (int, np.integer)) or self.max_backtracks < 1:
+            raise InvalidParameterError(
+                f"max_backtracks must be a positive integer, got {self.max_backtracks!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,17 @@ right-hand side of the linearized, adjoint and second-derivative marches.
 The adjoint is built by transposing that stepping, not by discretizing
 the backward equations anew: multipliers of the step equations are
 marched backward through the transposed step solves, from level m down
-to level 1 (level 0 is initial data, not an unknown), and then rescaled
-by the space-time quadrature weights into inner-product representers.
-Every duality identity involving these solves therefore holds to
-direct-solver roundoff. Both marches read grid and time from the operator
-and act on (m+1, N) arrays in equation-slot layout: `solve_linear` on its
-source, `solve_adjoint` on its seeds, which for the tracking cost are
-`objective.tracking_seeds`, next to the cost they differentiate.
+to level 1 (level 0 is initial data, not an unknown). The march returns
+the multipliers themselves: from zero initial data, seeds paired with
+`solve_linear(source)` equals the multipliers paired with source, both
+summed plainly over the slots of levels 1..m. No quadrature weight enters
+here; `objective.adjoint_as_control` maps the multipliers into control
+space. Every duality identity involving these solves therefore
+holds to direct-solver roundoff. Both marches read grid and time from the
+operator and act on (m+1, N) arrays in equation-slot layout:
+`solve_linear` on its source, `solve_adjoint` on its seeds, which for the
+tracking cost are `objective.tracking_seeds`, next to the cost they
+differentiate.
 """
 
 import numpy as np
@@ -124,16 +128,15 @@ def solve_linearized(operator, direction):
 
 
 def solve_adjoint(operator, seeds):
-    """Backward transpose march from weighted seeds to representers.
+    """Backward transpose march from seeds to the step multipliers.
 
     Exact transpose of the linearized forward stepping (see module
     docstring) on an (m+1, N) slot-layout array like `solve_linear`'s
     source. seeds[k] multiplies the level-k unknown; the returned
-    trajectory holds the inner-product representers p with
-    p = multiplier / (theta * slot weight), whose boundary trace is the
-    surface adjoint. The march stops at level 1: level 0 is initial data,
-    so seeds[0] is never read, values[0] stays zero and level 0 of the
-    operator is never factored.
+    trajectory holds the multipliers of the step equations, with no
+    quadrature rescaling. The march stops at level 1: level 0 is initial
+    data, so seeds[0] is never read, values[0] stays zero and level 0 of
+    the operator is never factored.
 
     Raises:
         DimensionMismatchError: seeds is not (m+1, N).
@@ -142,14 +145,10 @@ def solve_adjoint(operator, seeds):
     shape = (time.m + 1, grid.num_nodes)
     if np.shape(seeds) != shape:
         raise DimensionMismatchError(f"seeds need shape {shape}, got {np.shape(seeds)}")
-    theta = time.weights()
-
     values = np.zeros(shape)
-    lam = operator.solve_transposed(time.m, seeds[time.m])
-    values[time.m] = lam / (theta[time.m] * grid.slot_weights)
+    values[time.m] = operator.solve_transposed(time.m, seeds[time.m])
     for k in range(time.m - 1, 0, -1):
-        lam = operator.solve_transposed(k, seeds[k] + lam / time.dt)
-        values[k] = lam / (theta[k] * grid.slot_weights)
+        values[k] = operator.solve_transposed(k, seeds[k] + values[k + 1] / time.dt)
     return Trajectory(values, grid, time)
 
 

@@ -12,7 +12,6 @@ from acopt import (
     OptimizerConfig,
     SlotPotential,
     SteppedOperator,
-    ThirdOrderField,
     TimeAxis,
     Trajectory,
     build_grid,
@@ -37,7 +36,13 @@ from acopt import (
 from acopt.cli_io import RunConfig, build_problem
 from acopt.pde_state import slot_fields
 
-from conftest import default_potentials, make_problem, quadratic_potentials, random_control
+from conftest import (
+    default_potentials,
+    make_problem,
+    quadratic_potentials,
+    random_control,
+    third_order,
+)
 
 
 def _line(num, name, ok, detail):
@@ -143,7 +148,7 @@ def test_criterion_03_gradient_fd(duality_setup):
 def test_criterion_04_curvature(duality_setup):
     """(4) second differences match curvature to 1e-4; the parallelogram law to 1e-9."""
     prob, u, state, op, adj, rng = duality_setup
-    third = ThirdOrderField.along(prob, state, adj)
+    third = third_order(prob, state, adj)
     j0 = evaluate_cost(prob, state, u)
     worst = 0.0
     for _ in range(5):

@@ -237,6 +237,12 @@ def test_time_axis():
             TimeAxis(T, 4)
 
 
+def test_time_axis_rejects_a_non_integer_step_count():
+    """m = 2.5 (dt = 0.1) is refused by name, not left to fail in weights()."""
+    with pytest.raises(InvalidParameterError, match=r"^m must be an integer >= 1, got 2\.5$"):
+        TimeAxis(0.25, 2.5)
+
+
 def test_grid_arrays_immutable(grid4):
     with pytest.raises(ValueError):
         grid4.bulk_weights[0] = 2.0

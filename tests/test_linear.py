@@ -12,9 +12,11 @@ from acopt import (
     SolverFailureError,
     SteppedOperator,
     TimeAxis,
+    adjoint_as_control,
     build_grid,
     build_operators,
     energy,
+    hinner,
     linearized_operator,
     optimality_report,
     solve_adjoint,
@@ -255,7 +257,7 @@ def test_sparse_exactly_singular_step_matrix_raises(wide):
 
 
 def test_sparse_linear_and_adjoint_marches_pair(wide):
-    """seeds . F source = sum_k theta_k w p_k . source_k for the transposed march p on m = 2."""
+    """seeds . F source = sum_k lambda_k . source_k for the transposed march's multipliers on m = 2."""
     grid, ops = wide
     rng = np.random.default_rng(11)
     time = TimeAxis(0.025, 2)
@@ -263,9 +265,9 @@ def test_sparse_linear_and_adjoint_marches_pair(wide):
     op = SteppedOperator(grid, ops, time, rng.uniform(-3.0, 5.0, size=(time.m + 1, N)))
     source, seeds = rng.normal(size=(2, time.m + 1, N))
     z = solve_linear(op, source, np.zeros(N)).values
-    p = solve_adjoint(op, seeds).values
+    lam = solve_adjoint(op, seeds).values
     lhs = np.sum(seeds[1:] * z[1:])
-    rhs = np.sum(time.weights()[1:, None] * grid.slot_weights * p[1:] * source[1:])
+    rhs = np.sum(lam[1:] * source[1:])
     assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
 
@@ -351,11 +353,7 @@ def test_adjoint_matches_dense_transpose(grid4, ops4, rng):
     seeds = tracking_seeds(prob, state)
     N, m = grid4.num_nodes, time.m
     lam = np.linalg.solve(B.T, seeds[1:].ravel()).reshape(m, N)
-    theta = time.weights()
-    slot_w = grid4.bulk_weights.copy()
-    slot_w[grid4.boundary_cycle] = grid4.surface_weights
-    expected = lam / (theta[1:, None] * slot_w[None, :])
-    np.testing.assert_allclose(adj.values[1:], expected, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(adj.values[1:], lam, rtol=1e-9, atol=1e-12)
 
 
 def test_adjoint_march_stops_at_level_one(grid4, ops4, rng, monkeypatch):
@@ -379,11 +377,12 @@ def test_adjoint_march_stops_at_level_one(grid4, ops4, rng, monkeypatch):
 
 
 def test_adjoint_terminal_cost_geometric_decay(grid4, ops4):
-    """Terminal-only cost with frozen unit coefficients decays backward at 1/(1+dt).
+    """Terminal-only cost with frozen unit coefficients: the representer decays backward at 1/(1+dt).
 
-    Checked on the interior levels; the endpoint levels absorb the half
-    trapezoid weights, and the full structure is pinned by the dense
-    transpose above.
+    Read through `adjoint_as_control`, where it is O(1): the multipliers
+    carry the factor theta W. Checked on the interior levels; the endpoint
+    levels absorb the half trapezoid weights, and the full structure is
+    pinned by the dense transpose above.
     """
     pq = Potential(0.0, -0.5)  # f'' = 1 frozen
     time = TimeAxis(0.6, 8)
@@ -393,15 +392,17 @@ def test_adjoint_terminal_cost_geometric_decay(grid4, ops4):
     )
     state = prob.solve(ControlPair.zeros(grid4, time))
     adj = solve_adjoint(linearized_operator(state, prob.potential, ops4), tracking_seeds(prob, state))
+    rep = adjoint_as_control(adj)
+    p = slot_fields(grid4, rep.bulk, rep.surface)
     # spatially constant up to the O(h) boundary quadrature correction
-    assert np.ptp(adj.values, axis=1).max() <= 0.5 * grid4.h
-    p0 = adj.values[:, adj.grid.interior_nodes[0]]
+    assert np.ptp(p, axis=1).max() <= 0.5 * grid4.h
+    p0 = p[:, grid4.interior_nodes[0]]
     ratios = p0[1 : time.m - 1] / p0[2 : time.m]
     np.testing.assert_allclose(ratios, 1.0 / (1.0 + time.dt), rtol=2.0 * grid4.h)
 
 
 def test_adjoint_duality_identity(grid8, ops8, rng):
-    """Tracking pairing with xi equals the adjoint pairing with the direction."""
+    """Tracking pairing with xi equals the adjoint representer's `hinner` pairing with the direction."""
     pf, pg = default_potentials()
     time = TimeAxis(0.5, 10)
     prob = make_problem(grid8, ops8, time, pf, pg, betas=(1.0, 0.7, 0.9, 0.0, 0.0), seed=2)
@@ -409,6 +410,7 @@ def test_adjoint_duality_identity(grid8, ops8, rng):
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, ops8)
     adj = solve_adjoint(op, tracking_seeds(prob, state))
+    rep = adjoint_as_control(adj)
 
     theta = time.weights()
     w, gam = grid8.bulk_weights, grid8.surface_weights
@@ -421,34 +423,23 @@ def test_adjoint_duality_identity(grid8, ops8, rng):
         )
         lhs += prob.beta3 * np.dot((state.values[-1] - prob.z_t) * w, xi.values[-1])
         lhs += prob.beta3 * np.dot((state.surface[-1] - prob.z_gamma_t) * gam, xi.surface[-1])
-        interior = grid8.interior_nodes
-        rhs = np.einsum(
-            "k,kj,kj->",
-            theta[1:],
-            adj.values[1:, interior] * w[None, interior],
-            h.bulk[1:, interior],
-        )
-        rhs += np.einsum("k,kj,kj->", theta[1:], adj.surface[1:] * gam[None, :], h.surface[1:])
+        rhs = hinner(prob, rep, h)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
 def test_transpose_involution_reproduces_forward(grid4, ops4):
-    """The weighted-transpose construction applied twice is the forward map.
+    """The adjoint march is the plain transpose of the forward march.
 
     With time-constant coefficients, assemble the forward propagator F and
-    the adjoint propagator G on basis vectors; G must equal W^-1 F^T W and
-    hence the same construction applied to G returns F.
+    the adjoint propagator G on basis vectors, as maps on raw source and
+    seed slot vectors. No weight stands between them, so G = F^T, and
+    transposing G once more reproduces F.
     """
     time = TimeAxis(0.4, 2)
     N, m = grid4.num_nodes, time.m
     coeffs = slot_fields(grid4, np.full((m + 1, N), 0.8), np.full((m + 1, grid4.num_boundary), 0.8))
     op = SteppedOperator(grid4, ops4, time, coeffs)
     zero = np.zeros(N)
-
-    theta = time.weights()
-    slot_w = grid4.bulk_weights.copy()
-    slot_w[grid4.boundary_cycle] = grid4.surface_weights
-    Wvec = (theta[1:, None] * slot_w[None, :]).ravel()
 
     dim = m * N
     F = np.zeros((dim, dim))
@@ -461,11 +452,7 @@ def test_transpose_involution_reproduces_forward(grid4, ops4):
         F[:, j] = solve_linear(op, slots, zero).values[1:].ravel()
         G[:, j] = solve_adjoint(op, slots).values[1:].ravel()
 
-    # transpose identity: G = W^-1 F^T (as maps on raw seed/source vectors)
-    np.testing.assert_allclose(G, F.T / Wvec[:, None], atol=1e-11)
-    # applying the same weighted transpose to G recovers F
-    H = (G * Wvec[:, None]).T / 1.0
-    np.testing.assert_allclose(H, F, atol=1e-11)
+    np.testing.assert_allclose(G, F.T, atol=1e-11)
 
 
 def test_derivative_lipschitz_envelope(grid4, ops4):

@@ -9,7 +9,6 @@ from acopt import (
     DomainError,
     InvalidParameterError,
     Potential,
-    ThirdOrderField,
     TimeAxis,
     Trajectory,
     UnsupportedConfigurationError,
@@ -27,10 +26,16 @@ from acopt import (
     tracking_seeds,
 )
 from acopt.cli_io import RunConfig, build_problem
-from acopt.geometry import space_time_inner
 from acopt.objective import _cone_directions, _cost_form, _cost_parts, adjoint_as_control, clip_to_box
+from acopt.pde_state import slot_fields
 
-from conftest import default_potentials, make_problem, quadratic_potentials, random_control
+from conftest import (
+    default_potentials,
+    make_problem,
+    quadratic_potentials,
+    random_control,
+    third_order,
+)
 
 
 def test_cost_zero_when_state_matches_targets(grid4, ops4):
@@ -149,6 +154,24 @@ def test_tracking_seeds_are_the_state_gradient_of_the_cost(grid4, ops4, rng):
         assert abs((plus - minus) - predicted) <= 1e-13 * max(plus, minus)
 
 
+def test_adjoint_as_control_is_the_riesz_map_of_hinner(grid8, ops8, rng):
+    """hinner(adjoint_as_control(lambda), h) is the multipliers' slot pairing with h.
+
+    The Riesz map's defining property, for random multipliers (level 0
+    zero, as `solve_adjoint` leaves it) and a random control direction:
+    sum over levels 1..m of lambda_k . slot_fields(h)_k.
+    """
+    pf, pg = default_potentials()
+    time = TimeAxis(0.5, 7)
+    prob = make_problem(grid8, ops8, time, pf, pg)
+    lam = rng.normal(size=(time.m + 1, grid8.num_nodes))
+    lam[0] = 0.0
+    h = random_control(grid8, time, rng)
+    slot_pairing = np.sum(lam[1:] * slot_fields(grid8, h.bulk, h.surface)[1:])
+    rep = adjoint_as_control(Trajectory(lam, grid8, time))
+    assert hinner(prob, rep, h) == pytest.approx(slot_pairing, rel=1e-13)
+
+
 def test_gradient_pure_control_case(grid4, ops4, rng):
     pf, pg = default_potentials()
     time = TimeAxis(0.4, 5)
@@ -257,7 +280,7 @@ def test_curvature_pure_control_quadratic(grid4, ops4, rng):
     u = ControlPair.zeros(grid4, time)
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, ops4)
-    third = ThirdOrderField.along(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
+    third = third_order(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
     h = random_control(grid4, time, rng)
     value = curvature(prob, op, third, h)
     theta = time.weights()
@@ -274,7 +297,7 @@ def test_curvature_zero_direction(grid4, ops4):
     u = ControlPair.zeros(grid4, time)
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, ops4)
-    third = ThirdOrderField.along(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
+    third = third_order(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
     assert curvature(prob, op, third, ControlPair.zeros(grid4, time)) == 0.0
 
 
@@ -285,7 +308,7 @@ def test_curvature_second_difference_oracle(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, ops8)
-    third = ThirdOrderField.along(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
+    third = third_order(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
     j0 = evaluate_cost(prob, state, u)
     h = random_control(grid8, time, rng)
     exact = curvature(prob, op, third, h)
@@ -310,7 +333,7 @@ def test_curvature_parallelogram_law(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, ops8)
-    third = ThirdOrderField.along(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
+    third = third_order(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
     h = random_control(grid8, time, rng)
     k = random_control(grid8, time, rng)
     hp = ControlPair(h.bulk + k.bulk, h.surface + k.surface)
@@ -322,12 +345,14 @@ def test_curvature_parallelogram_law(grid8, ops8, rng):
 
 
 def test_curvature_equals_the_written_out_form(grid8, ops8, rng):
-    """The hoisted third-order field changes no bit of the curvature.
+    """The third-order array changes no bit of the curvature.
 
-    Reference: the cost form on (phi, h) minus the adjoint-weighted third-derivative
-    pairing evaluated in full for the one direction, on a cone direction. Started at
-    0.1, near the singular end, the third-derivative term is half the cost form,
-    and forming d3 (phi phi) instead of (d3 phi) phi changes its last bits.
+    Reference: the cost form on (phi, h) minus the third-derivative pairing
+    written out in multiplier space, sum of (lambda d3) (phi phi) over levels
+    1..m, on a cone direction. Started at 0.1, near the singular end, the
+    third-derivative term is half the cost form, so the check reads its
+    last bits: summing the four factors in another order, in one
+    four-operand einsum or by np.sum, moves them.
     """
     pf, pg = default_potentials()
     time = TimeAxis(0.4, 8)
@@ -340,13 +365,9 @@ def test_curvature_equals_the_written_out_form(grid8, ops8, rng):
     (h,) = _cone_directions(prob, u, grad, 1e9, 1, rng)  # none strongly active, signs at the bounds
     phi = solve_linearized(op, h)
     parts = _cost_parts(phi, h)
-    expected = _cost_form(prob, parts, parts) - space_time_inner(
-        time.weights()[1:],
-        grid8.slot_weights,
-        adj.values[1:],
-        prob.potential.d3(state.values[1:]) * phi.values[1:] * phi.values[1:],
-    )
-    assert curvature(prob, op, ThirdOrderField.along(prob, state, adj), h) == expected
+    lam_d3 = adj.values[1:] * prob.potential.d3(state.values[1:])
+    pairing = float(np.einsum("kj,kj->", lam_d3, phi.values[1:] * phi.values[1:]))
+    assert curvature(prob, op, third_order(prob, state, adj), h) == _cost_form(prob, parts, parts) - pairing
 
 
 # -- optimality report --------------------------------------------------------

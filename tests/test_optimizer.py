@@ -149,6 +149,13 @@ def test_history_records_fields(control_prob):
     assert result.report is not None
 
 
+@pytest.mark.parametrize("name", ["max_iters", "max_backtracks"])
+def test_config_rejects_a_non_integer_count(name):
+    """A count of 2.5 is refused by name, not left to fail in minimize's range()."""
+    with pytest.raises(InvalidParameterError, match=rf"^{name} must be a positive integer, got 2\.5$"):
+        OptimizerConfig(**{name: 2.5})
+
+
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
         OptimizerConfig(armijo_c=1.5)
