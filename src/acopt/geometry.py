@@ -11,14 +11,16 @@ matrices are therefore diagonal, which keeps discrete adjoints plain
 (weighted) matrix transposes. `space_time_inner` is the one space-time
 pairing built from these weights.
 
-The discrete model is one symmetric stiffness K = A_bulk + P^T A_surf P,
-P the trace onto the cycle: the Dirichlet energies of the bulk and the
-surface. The coupled evolution operator is W^-1 K, W the slot weights, so
-it is exactly the gradient of the discrete Dirichlet energy in the
-node-weight metric and the implicit time stepper inherits an exact
-energy-dissipation property. Its boundary rows are the surface Laplacian
-plus the summation-by-parts normal flux: the boundary rows of A_bulk
-divided by the arclength weights.
+The discrete model is one edge list (a, b, k): the bulk grid's edges and
+the boundary cycle's, whose graph energy 0.5 sum k (z_a - z_b)^2 is the
+Dirichlet energy of the bulk plus that of the surface. Its matrix, the
+symmetric stiffness K, is assembled from the same list. The coupled
+evolution operator is W^-1 K, W the slot weights, so it is exactly the
+gradient of the discrete Dirichlet energy in the node-weight metric and
+the implicit time stepper inherits an exact energy-dissipation property.
+Its boundary rows are the surface Laplacian plus the summation-by-parts
+normal flux: the bulk edges' part of the boundary rows of K divided by
+the arclength weights.
 
 What every implicit step reads from the grid is built once per grid: the
 slot weights W (`Grid.slot_weights`), |coupled| and the `StepMatrix`, whose
@@ -106,10 +108,9 @@ class OperatorSet:
     """Sparse operators attached to a grid.
 
     Attributes:
-        dirichlet_bulk: (N, N) symmetric PSD matrix of the bulk gradient
-            energy, 0.5 * z' A z ~ 0.5 * int |grad z|^2.
-        dirichlet_surf: (4n, 4n) same for the tangential gradient on the
-            cycle.
+        edges: the edge list (a, b, k) of `_edges`, frozen int32, int32
+            and float arrays: 0.5 sum k (z_a - z_b)^2 is the Dirichlet
+            energy of z, bulk and surface, and K its matrix.
         coupled: (N, N) evolution operator W^-1 K used by the solvers (see
             module docstring): interior rows are the 5-point negative
             Laplacian, boundary rows the surface Laplacian plus the normal
@@ -118,8 +119,7 @@ class OperatorSet:
         step: the grid's one `StepMatrix`, built from K.
     """
 
-    dirichlet_bulk: sp.csr_matrix
-    dirichlet_surf: sp.csr_matrix
+    edges: tuple
     coupled: sp.csr_matrix
     coupled_abs: sp.csr_matrix
     step: "StepMatrix"
@@ -187,36 +187,27 @@ def build_grid(n):
     )
 
 
-def _bulk_stiffness(grid):
-    """Assemble the bulk gradient-energy matrix A with z'Az ~ int |grad z|^2.
+def _edges(grid):
+    """The Dirichlet energy's edge list (a, b, k): its value on z is 0.5 sum k (z_a - z_b)^2.
 
-    Edge weights are midpoint in the edge direction and trapezoid in the
-    transverse direction, so interior rows of A/h^2 reproduce the exact
-    5-point stencil. An edge (a, b) of weight k adds k at (a, a), (b, b)
-    and -k at (a, b), (b, a).
+    First the bulk grid's edges, a -> a + 1 along each grid row, then
+    a -> a + side along each grid column: weight 1, halved on the
+    boundary lines (midpoint in the edge direction, trapezoid across it),
+    so interior rows of K/h^2 reproduce the exact 5-point stencil. Then
+    the cycle's edges (cycle[i], cycle[i+1]) of weight 1/h, the tangential
+    gradient energy on the boundary.
     """
-    n, side = grid.n, grid.n + 1
+    n, side, cycle = grid.n, grid.n + 1, grid.boundary_cycle
     # int32, the CSR index type at these sizes: the COO indices need no conversion
     line, step = np.arange(side, dtype=np.int32)[:, None], np.arange(n, dtype=np.int32)
-    # edges a -> a + 1 along each grid row, then a -> a + side along each grid column
     a = np.concatenate([line * side + step, step * side + line])
     b = a + np.repeat(np.int32([1, side]), side)[:, None]
-    k = np.tile(np.where((line > 0) & (line < n), 1.0, 0.5), (2, n))  # halved on boundary lines
-    rows = np.stack([a, b, a, b], axis=1).ravel()
-    cols = np.stack([a, b, b, a], axis=1).ravel()
-    vals = np.stack([k, k, -k, -k], axis=1).ravel()
-    return sp.coo_matrix((vals, (rows, cols)), shape=(side * side,) * 2).tocsr()
-
-
-def _surface_stiffness(grid):
-    """Cycle gradient-energy matrix with z'Az ~ int_Gamma |grad_Gamma z|^2."""
-    nb = grid.num_boundary
-    k = 1.0 / grid.h
-    nxt = np.roll(np.arange(nb), -1)
-    rows = np.concatenate([np.arange(nb), nxt, np.arange(nb), nxt])
-    cols = np.concatenate([np.arange(nb), nxt, nxt, np.arange(nb)])
-    vals = np.concatenate([np.full(nb, k), np.full(nb, k), np.full(nb, -k), np.full(nb, -k)])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
+    k = np.tile(np.where((line > 0) & (line < n), 1.0, 0.5), (2, n))
+    return (
+        _freeze(np.concatenate([a.ravel(), cycle], dtype=np.int32)),
+        _freeze(np.concatenate([b.ravel(), np.roll(cycle, -1)], dtype=np.int32)),
+        _freeze(np.concatenate([k.ravel(), np.full(cycle.size, 1.0 / grid.h)])),
+    )
 
 
 SPARSE_BANDWIDTH = 105  # the smallest half-bandwidth factored by SuperLU (see StepMatrix)
@@ -436,16 +427,15 @@ def _not_definite(level, residual):
 def build_operators(grid):
     """Assemble the sparse operator set for a grid.
 
-    The stiffness K = A_bulk + P^T A_surf P is built once; coupled is K
-    with each row divided by its slot weight, W^-1 K, which is what makes
-    the implicit stepper an exact discrete gradient flow (see module
-    docstring). The `StepMatrix` stores K itself.
+    The stiffness K is assembled once from the edge list (`_edges`): an
+    edge (a, b) of weight k adds k at (a, a) and (b, b) and -k at (a, b)
+    and (b, a). coupled is K with each row divided by its slot weight,
+    W^-1 K, which is what makes the implicit stepper an exact discrete
+    gradient flow (see module docstring). The `StepMatrix` stores K itself.
     """
-    A = _bulk_stiffness(grid)
-    A_surf = _surface_stiffness(grid)
-
-    surf, cycle = A_surf.tocoo(), grid.boundary_cycle
-    K = (A + sp.coo_matrix((surf.data, (cycle[surf.row], cycle[surf.col])), shape=A.shape)).tocsr()
+    a, b, k = edges = _edges(grid)
+    ends = (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))
+    K = sp.coo_matrix((np.concatenate([k, k, -k, -k]), ends), shape=(grid.num_nodes,) * 2).tocsr()
     # canonical (sorted, duplicate-free) CSR: scipy would otherwise sort the
     # indices in place on first use, which changes matvec roundoff mid-run
     K.sum_duplicates()
@@ -455,13 +445,7 @@ def build_operators(grid):
     coupled_abs = coupled.copy()
     coupled_abs.data = np.abs(coupled_abs.data)
 
-    return OperatorSet(
-        dirichlet_bulk=A,
-        dirichlet_surf=A_surf,
-        coupled=coupled,
-        coupled_abs=coupled_abs,
-        step=StepMatrix(grid, K),
-    )
+    return OperatorSet(edges=edges, coupled=coupled, coupled_abs=coupled_abs, step=StepMatrix(grid, K))
 
 
 def space_time_inner(theta, weights, a, b):

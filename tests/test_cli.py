@@ -535,9 +535,11 @@ def test_build_problem_rejects_a_misspelled_preset(name, key, value):
         ({"newton_tol": np.nan}, "^newton_tol must be positive and finite"),
         ({"newton_tol": -1.0}, "^newton_tol must be positive and finite"),
         ({"newton_tol": np.inf}, "^newton_tol must be positive and finite"),
-        ({"max_newton": 0}, "^max_newton must be at least 1"),
+        ({"max_newton": 0}, "^max_newton must be a positive integer, got 0$"),
+        ({"max_newton": 2.5}, r"^max_newton must be a positive integer, got 2\.5$"),
+        ({"max_newton": np.nan}, "^max_newton must be a positive integer, got nan$"),
     ],
-    ids=["tol=0", "tol=nan", "tol=-1", "tol=inf", "max=0"],
+    ids=["tol=0", "tol=nan", "tol=-1", "tol=inf", "max=0", "max=2.5", "max=nan"],
 )
 def test_solve_rejects_bad_newton_overrides(setting, message):
     """A per-call Newton setting obeys the problem's rule: rejected, never a stalled or unsolved state."""

@@ -72,20 +72,22 @@ def test_node_classification_partition():
     assert len(interior) + len(boundary) == g.num_nodes
 
 
-def _surface_laplacian(grid, ops):
-    """Negative surface Laplacian on the cycle: the cycle stiffness over the arclength weight h."""
-    return ops.dirichlet_surf / grid.h
+def _surface_laplacian(grid):
+    """Negative surface Laplacian on the cycle: the periodic second difference over h^2."""
+    nb = grid.num_boundary
+    nxt = sp.csr_matrix((np.ones(nb), (np.arange(nb), np.roll(np.arange(nb), -1))), shape=(nb, nb))
+    return (2.0 * sp.identity(nb, format="csr") - nxt - nxt.T) / grid.h**2
 
 
 def _normal_flux(grid, ops, z):
     """Normal flux at the boundary nodes: boundary rows of `coupled` minus the surface Laplacian."""
     trace = z[grid.boundary_cycle]
-    return (ops.coupled @ z)[grid.boundary_cycle] - _surface_laplacian(grid, ops) @ trace
+    return (ops.coupled @ z)[grid.boundary_cycle] - _surface_laplacian(grid) @ trace
 
 
 def test_operators_annihilate_constants(grid4, ops4):
     ones = np.ones(grid4.num_nodes)
-    assert np.abs(_surface_laplacian(grid4, ops4) @ np.ones(grid4.num_boundary)).max() == 0.0
+    assert np.abs(_surface_laplacian(grid4) @ np.ones(grid4.num_boundary)).max() == 0.0
     assert np.abs(_normal_flux(grid4, ops4, ones)).max() == 0.0
     assert np.abs(ops4.coupled @ ones).max() == 0.0
     # non-representable constants: zero up to rounding of the products
@@ -107,7 +109,7 @@ def test_surface_eigenvalue_cosine_mode():
     s = np.arange(g.num_boundary) * g.h
     mode = np.cos(2 * np.pi * s / 4.0)
     lam_discrete = 2.0 * (1.0 - np.cos(2 * np.pi * g.h / 4.0)) / g.h**2
-    out = _surface_laplacian(g, ops) @ mode
+    out = _surface_laplacian(g) @ mode
     # exact eigenvector of the periodic second difference
     assert np.allclose(out, lam_discrete * mode, atol=1e-10)
     # within 1% of the continuous eigenvalue (2*pi/4)^2
@@ -116,7 +118,7 @@ def test_surface_eigenvalue_cosine_mode():
 
 def test_surface_laplacian_symmetric_in_weights(grid4, ops4):
     # uniform arclength weights: plain symmetry
-    dense = _surface_laplacian(grid4, ops4).toarray()
+    dense = _surface_laplacian(grid4).toarray()
     assert np.abs(dense - dense.T).max() == 0.0
 
 
@@ -132,48 +134,40 @@ def test_coupled_symmetric_in_slot_weights(n):
 
 
 def test_operators_canonical_csr(grid4, ops4):
-    for name in ("dirichlet_bulk", "dirichlet_surf", "coupled", "coupled_abs"):
+    for name in ("coupled", "coupled_abs"):
         assert getattr(ops4, name).has_canonical_format, name
 
 
-def _bulk_stiffness_per_edge(grid):
-    """The per-edge reference assembly: one block of edges per grid row, then per grid column."""
-    n, side = grid.n, grid.n + 1
-    rows, cols, vals = [], [], []
-
-    def add_edges(a, b, k):
-        rows.extend([a, b, a, b])
-        cols.extend([a, b, b, a])
-        vals.extend([k, k, -k, -k])
-
+def _edges_per_edge(grid):
+    """The per-edge reference edge list: grid rows, then grid columns, then the boundary cycle."""
+    n, side, cycle = grid.n, grid.n + 1, grid.boundary_cycle
+    edges = []
     for j in range(side):
-        k = np.full(n, 1.0 if 0 < j < n else 0.5)
-        a = j * side + np.arange(n)
-        add_edges(a, a + 1, k)
+        for i in range(n):
+            edges.append((j * side + i, j * side + i + 1, 1.0 if 0 < j < n else 0.5))
     for i in range(side):
-        k = np.full(n, 1.0 if 0 < i < n else 0.5)
-        a = np.arange(n) * side + i
-        add_edges(a, a + side, k)
-
-    rows = np.concatenate([np.atleast_1d(r) for r in rows])
-    cols = np.concatenate([np.atleast_1d(c) for c in cols])
-    vals = np.concatenate([np.atleast_1d(v) for v in vals])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(side * side,) * 2).tocsr()
+        for j in range(n):
+            edges.append((j * side + i, (j + 1) * side + i, 1.0 if 0 < i < n else 0.5))
+    for i in range(cycle.size):
+        edges.append((cycle[i], cycle[(i + 1) % cycle.size], 1.0 / grid.h))
+    a, b, k = zip(*edges)
+    return np.array(a, dtype=np.int32), np.array(b, dtype=np.int32), np.array(k)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 32])
 def test_bulk_stiffness_matches_per_edge_assembly(n, monkeypatch):
-    """The indexed assembly stores the per-edge loop's CSR arrays, and so does coupled."""
-    from acopt import geometry
-
+    """The indexed edge list assembles the per-edge loop's coupled and step entries, bit for bit."""
     grid = build_grid(n)
     ops = build_operators(grid)
-    monkeypatch.setattr(geometry, "_bulk_stiffness", _bulk_stiffness_per_edge)
+    monkeypatch.setattr(geometry, "_edges", _edges_per_edge)
     reference = build_operators(grid)
-    for name in ("dirichlet_bulk", "coupled"):
-        ours, theirs = getattr(ops, name), getattr(reference, name)
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(ours, part), getattr(theirs, part)), (name, part)
+    for ours, theirs in zip(ops.edges, reference.edges):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(ops.coupled, part), getattr(reference.coupled, part)), part
+    assert ops.step.bandwidth == reference.step.bandwidth
+    assert np.array_equal(ops.step._pos, reference.step._pos)
+    assert np.array_equal(ops.step._vals, reference.step._vals)
 
 
 def _exact_gradient_pairing(fy, fv):

@@ -548,8 +548,10 @@ def test_problem_validation(grid4, ops4):
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(InvalidParameterError, match="^newton_tol must be positive and finite"):
             replace(prob, newton_tol=bad)
-    with pytest.raises(InvalidParameterError, match="^max_newton must be at least 1"):
-        replace(prob, max_newton=0)
+    for bad, shown in ((0, "0"), (2.5, r"2\.5"), (np.nan, "nan")):
+        message = f"^max_newton must be a positive integer, got {shown}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            replace(prob, max_newton=bad)
     # the terminal surface target is the bulk trace, and follows z_t
     new = prob.z_t + 0.1
     prob.z_t = new

@@ -110,6 +110,20 @@ def test_energy_constant_half_closed_form(grid8, ops8):
     assert energy(grid8, ops8, potential, state) == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [4, 5, 8, 16, 32, 64])
+def test_energy_dirichlet_part_is_an_exact_edge_sum(n):
+    """Zero potentials leave the Dirichlet edge sum: exactly 0 on a constant, 3/2 on z = x.
+
+    z = x has unit gradient: the bulk contributes 1/2, the cycle's two
+    horizontal sides 1/2 each, its vertical sides nothing.
+    """
+    grid = build_grid(n)
+    ops = build_operators(grid)
+    zero = SlotPotential.on(grid, Potential(0.0, 0.0), Potential(0.0, 0.0))
+    assert energy(grid, ops, zero, np.full(grid.num_nodes, 3.7)) == 0.0
+    assert energy(grid, ops, zero, grid.bulk_nodes[:, 0]) == 1.5
+
+
 def test_energy_matches_independent_quadrature(grid4, ops4, rng):
     """Independent re-summation with explicit edge loops."""
     pf, pg = default_potentials()
