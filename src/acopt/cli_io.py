@@ -563,6 +563,10 @@ def run(cfg):
                         )
 
                 result = minimize(problem, opt_cfg, control, callback=stream)
+            # each record but the last of a run that stopped early was followed by an accepted step
+            steps = len(result.history) - (result.reason != "max_iters")
+            print(f"optimize: stopped by {result.reason} after {steps} accepted steps: "
+                  f"stationarity={result.report.stationarity:.3e} threshold <= {opt_cfg.stop_tol:.3e}")
             write_control_csv(str(outdir / "control_final"), result.control, problem.grid, problem.time)
             write_report(outdir, result.report)
             write_state(outdir, result.state, formats)

@@ -1,9 +1,19 @@
 """Projected gradient descent over the box of admissible controls.
 
-Plain projected gradient with Armijo backtracking and a doubling step
-memory. Second-order machinery stays out of the loop on purpose, so the
-curvature diagnostics remain an independent check on the result instead
-of part of the algorithm.
+Projected gradient with monotone Armijo backtracking. The first trial
+step is `initial_step` at iteration 0 and after it the BB2 step
+<s, y>_H / <y, y>_H of Barzilai & Borwein (IMA J. Numer. Anal. 8, 1988),
+where s and y are the moves of the control and of the reduced gradient
+over the last accepted step, as in the spectral projected gradient of
+Birgin, Martinez & Raydan (SIAM J. Optim. 10, 2000). Where <s, y> <= 0,
+or the quotient is not finite, the first trial falls back to the doubled
+step that was last used, capped at 10 initial_step. On optimize-n8
+(seed 1) BB2 takes 59 iterations where that doubling rule took 127.
+BB1, <s, s> / <s, y>, takes fewer still, but its longer steps spoil the
+tangent starts below and cost more Newton iterations. Second-order
+machinery stays out of the loop on purpose, so the curvature
+diagnostics remain an independent check on the result instead of part
+of the algorithm.
 
 Each line-search trial at cand = u + d solves its state by Newton from
 the tangent prediction y(u) + y'(u) d (predictor-corrector continuation).
@@ -11,7 +21,7 @@ y'(u) d is one linearized march on the operator whose every level the
 adjoint march at u has already factored: m step solves, no new
 factorization. The control-to-state map is twice differentiable, so the
 prediction is off by O(|d|^2): on the seed-1 optimize-n8 benchmark
-input, 36 % of the trial levels need no Newton step, 45 % one and 19 %
+input, 32 % of the trial levels need no Newton step, 49 % one and 19 %
 two. The trial's state still meets the full Newton tolerance. The final
 optimality report reuses the accepted state, and `MinimizeResult.state`
 hands it to the caller, so the final control costs no extra solve.
@@ -26,6 +36,7 @@ from .errors import InvalidParameterError, OptimizerStalledError
 from .objective import (
     clip_to_box,
     evaluate_cost,
+    hinner,
     hnorm,
     optimality_report,
     reduced_gradient,
@@ -87,14 +98,31 @@ def _cost_at(problem, control, guess=None):
     return evaluate_cost(problem, state, control), state
 
 
+def _moved(a, b):
+    """The control-pair difference a - b."""
+    return ControlPair(a.bulk - b.bulk, a.surface - b.surface)
+
+
+def _bb_step(problem, s, y, used, config):
+    """The first trial step after an accepted step s that moved the gradient by y.
+
+    The BB2 step <s, y> / <y, y>. Where <s, y> <= 0 or the quotient is
+    not finite, the doubled step that was used, capped at 10 initial_step.
+    """
+    sy, yy = hinner(problem, s, y), hinner(problem, y, y)
+    step = sy / yy if sy > 0.0 and yy > 0.0 else math.nan
+    return step if math.isfinite(step) else min(2.0 * used, 10.0 * config.initial_step)
+
+
 def minimize(problem, config, start, callback=None):
     """Run projected gradient descent from a starting control.
 
     Each iteration solves state and adjoint once, forms the exact
     discrete gradient, and accepts the first backtracked projected step
-    with sufficient decrease. Terminates when the unit-step projected
-    residual norm drops below stop_tol or the iteration budget is
-    reached. The result carries the OptimalityReport of the final
+    with sufficient decrease. The first trial step is initial_step at
+    iteration 0 and `_bb_step` after it. Terminates when the unit-step
+    projected residual norm drops below stop_tol or the iteration budget
+    is reached. The result carries the OptimalityReport of the final
     control.
 
     Args:
@@ -119,6 +147,8 @@ def minimize(problem, config, start, callback=None):
         adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
         grad = reduced_gradient(problem, adjoint, u)
         stat = stationarity_norm(problem, u, grad)
+        if it > 0:
+            step = _bb_step(problem, _moved(u, last_u), _moved(grad, last_grad), used, config)
 
         record = IterateRecord(it, cost, stat, step, clamp_tally)
         history.append(record)
@@ -135,7 +165,7 @@ def minimize(problem, config, start, callback=None):
             cand = clip_to_box(
                 problem, ControlPair(u.bulk - trial * grad.bulk, u.surface - trial * grad.surface)
             )
-            move = ControlPair(cand.bulk - u.bulk, cand.surface - u.surface)
+            move = _moved(cand, u)
             move_sq = hnorm(problem, move) ** 2
             if move_sq == 0.0:
                 at_float_floor = True
@@ -161,8 +191,8 @@ def minimize(problem, config, start, callback=None):
                 control=u,
                 history=history,
             )
+        last_u, last_grad = u, grad
         u, cost, state, used = accepted
-        step = min(2.0 * used, 10.0 * config.initial_step)
 
     report = optimality_report(problem, u, state=state)
     return MinimizeResult(control=u, state=state, history=history, report=report, reason=reason)

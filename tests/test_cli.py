@@ -660,3 +660,17 @@ def test_node_tables_match_per_value_format(tmp_path, case):
             data[0, :3] = [0.0, -0.0, 1.0]
         _write_node_table(path, nodes, data)
     assert path.read_bytes() == _per_value_table(nodes, data)
+
+
+def test_optimize_prints_why_it_stopped(tmp_path, capsys):
+    """A run cut by optimizer.max_iters says so on stdout and still exits 0."""
+    path = write(tmp_path, (ROOT / "configs" / "tracking.cfg").read_text() + "optimizer.max_iters = 3\n")
+    assert main([str(path), "--mode", "optimize", "--output-dir", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("optimize: stopped by max_iters after 3 accepted steps: stationarity=")
+    stat = float(lines[0].split("stationarity=")[1].split()[0])
+    assert stat > 1e-8
+    assert lines[0].endswith("threshold <= 1.000e-08")
+    history = (tmp_path / "out" / "history.csv").read_text().splitlines()
+    assert len(history) == 1 + 3

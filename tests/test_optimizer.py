@@ -165,3 +165,58 @@ def test_config_validation():
         OptimizerConfig(max_iters=0)
     with pytest.raises(InvalidParameterError):
         OptimizerConfig(stop_tol=-1.0)
+
+
+@pytest.fixture
+def quadratic_run(grid4, ops4):
+    """minimize on the decoupled quadratic 0.5 beta |u|^2 at beta = 0.3, from a start inside the box."""
+    pf, pg = default_potentials()
+    prob = make_problem(grid4, ops4, TimeAxis(0.3, 6), pf, pg, betas=(0.0, 0.0, 0.0, 0.3, 0.3))
+    start = random_control(grid4, prob.time, np.random.default_rng(5), scale=0.9)
+    return lambda max_iters: minimize(prob, OptimizerConfig(max_iters=max_iters, stop_tol=1e-10), start)
+
+
+def test_bb_step_is_one_over_beta_on_the_decoupled_quadratic(quadratic_run):
+    """The gradient is beta u, so <s, y> / <y, y> = 1/beta: the second trial lands on the minimizer."""
+    result = quadratic_run(200)
+    assert result.reason == "stationarity"
+    assert len(result.history) <= 3
+    assert result.history[1].step == pytest.approx(1.0 / 0.3, rel=1e-12)
+
+
+def test_first_trial_step_is_the_bb2_quotient(grid4, ops4):
+    """history[k].step = <s, y> / <y, y> for the moves of control and gradient into iterate k."""
+    pf, pg = default_potentials()
+    prob = make_problem(grid4, ops4, TimeAxis(0.25, 5), pf, pg, targets="tanh", seed=3)
+    start = random_control(grid4, prob.time, np.random.default_rng(9), scale=0.8)
+    seen = []
+    cfg = OptimizerConfig(max_iters=10, stop_tol=1e-12)
+    history = minimize(prob, cfg, start, callback=lambda rec, u: seen.append(u)).history
+    grads = []
+    for u in seen:
+        state = prob.solve(u)
+        adjoint = solve_adjoint(
+            linearized_operator(state, prob.potential, prob.ops), tracking_seeds(prob, state)
+        )
+        grads.append(reduced_gradient(prob, adjoint, u))
+    assert history[0].step == cfg.initial_step
+    for k in range(1, len(history)):
+        s = ControlPair(seen[k].bulk - seen[k - 1].bulk, seen[k].surface - seen[k - 1].surface)
+        y = ControlPair(grads[k].bulk - grads[k - 1].bulk, grads[k].surface - grads[k - 1].surface)
+        sy = hinner(prob, s, y)
+        assert sy > 0.0
+        # the cold-started states here differ from the tangent-started ones within newton.tol
+        assert history[k].step == pytest.approx(sy / hinner(prob, y, y), rel=1e-8)
+
+
+def test_a_nonpositive_pairing_falls_back_to_the_doubled_step(quadratic_run, monkeypatch):
+    """Where <s, y> <= 0 the first trial is min(2 used, 10 initial_step).
+
+    On the quadratic the steps 1, 2 and 4 are accepted, 8 overshoots and
+    backtracks to 4, and the doubled step stays 8. No tier-1 problem has
+    <s, y> <= 0, so the pairing is patched to make it so.
+    """
+    import acopt.optimizer
+
+    monkeypatch.setattr(acopt.optimizer, "hinner", lambda problem, a, b: -1.0)
+    assert [r.step for r in quadratic_run(6).history] == [1.0, 2.0, 4.0, 8.0, 8.0, 8.0]
