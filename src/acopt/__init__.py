@@ -64,6 +64,6 @@ from .pde_state import (
     trajectory_space_time_norm,
     trajectory_sup_norm,
 )
-from .potentials import Potential, SlotPotential
+from .potentials import Potential
 
 __version__ = "0.1.0"

@@ -51,7 +51,7 @@ from .objective import (
 from .optimizer import OptimizerConfig, minimize
 from .pde_linear import linearized_operator, solve_adjoint, solve_linearized
 from .pde_state import ControlPair, FieldPair, Trajectory, energy, trajectory_space_time_norm
-from .potentials import Potential, SlotPotential
+from .potentials import Potential
 
 MODES = ("solve", "optimize", "verify-gradient", "verify-taylor", "verify-curvature", "report")
 FORMATS = ("csv", "vtk")
@@ -335,7 +335,7 @@ def write_control_csv(prefix, control, grid, time):
 
 
 def write_energy_csv(path, traj, ops, pf, pg):
-    potential = SlotPotential.on(traj.grid, pf, pg)
+    potential = Potential.on(traj.grid, pf, pg)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("level,time,energy\n")
         for k, t in enumerate(traj.time.levels):

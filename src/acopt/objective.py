@@ -36,7 +36,7 @@ from .pde_state import (
     check_newton,
     solve_state,
 )
-from .potentials import SlotPotential
+from .potentials import Potential
 
 
 @dataclass
@@ -72,7 +72,7 @@ class ControlProblem:
     u_hi_surf: np.ndarray
     newton_tol: float = NEWTON_TOL
     max_newton: int = MAX_NEWTON
-    potential: SlotPotential = field(init=False, repr=False)
+    potential: Potential = field(init=False, repr=False)
 
     @property
     def z_gamma_t(self):
@@ -102,7 +102,7 @@ class ControlProblem:
         for lo, hi in (("u_lo", "u_hi"), ("u_lo_surf", "u_hi_surf")):
             if (getattr(self, lo) > getattr(self, hi)).any():
                 raise InvalidParameterError(f"{lo} must not exceed {hi} (A1)")
-        self.potential = SlotPotential.on(self.grid, self.pf, self.pg)
+        self.potential = Potential.on(self.grid, self.pf, self.pg)
         self.init.bulk = check_initial(self.grid, self.potential, self.init.bulk)
 
     def solve(self, control, newton_tol=None, max_newton=None, guess=None):
@@ -158,15 +158,17 @@ def _cost_form(problem, a, b):
     a and b are `_cost_parts` tuples: bulk and surface trajectories,
     terminal bulk and surface fields, bulk and surface controls. The cost
     is half the form on its residuals; the curvature pairs the linearized
-    responses and the directions with it.
+    responses and the directions with it. The terminal terms are numpy
+    sums, not BLAS dots, so the form's bits do not depend on the CPU's
+    BLAS kernel.
     """
     theta = problem.time.weights()
     w, gamma = problem.grid.bulk_weights, problem.grid.surface_weights
     return (
         problem.beta1 * space_time_inner(theta, w, a[0], b[0])
         + problem.beta2 * space_time_inner(theta, gamma, a[1], b[1])
-        + problem.beta3 * float(np.dot(a[2] * w, b[2]))
-        + problem.beta3 * float(np.dot(a[3] * gamma, b[3]))
+        + problem.beta3 * float(np.sum(a[2] * w * b[2]))
+        + problem.beta3 * float(np.sum(a[3] * gamma * b[3]))
         + problem.beta5 * space_time_inner(theta, w, a[4], b[4])
         + problem.beta6 * space_time_inner(theta, gamma, a[5], b[5])
     )
@@ -245,9 +247,9 @@ def curvature(problem, operator, third, direction):
     exact-transpose adjoint this equals the true second difference of the
     discrete cost up to solver roundoff. operator is the
     `linearized_operator` around the state y, and third is the (m, N) array
-    lambda[1:] * d3(y[1:]) of the adjoint multipliers lambda and the slot
-    potential's third derivative (f''' at interior slots, g''' on the
-    cycle), which a caller forms once for all its directions.
+    lambda[1:] * d3(y[1:]) of the adjoint multipliers lambda and
+    `problem.potential`'s third derivative (f''' at interior slots, g'''
+    on the cycle), which a caller forms once for all its directions.
     """
     phi = solve_linearized(operator, direction)
     parts = _cost_parts(phi, direction)

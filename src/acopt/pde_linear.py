@@ -3,7 +3,7 @@
 All four reuse one implicit Euler stepper. A step from level k to k+1
 solves M(k+1) z = z_prev/dt + source(k+1) with
 M(k) = I/dt + coupled + diag(c(k)), c in slot layout (linearized: the
-`potentials.SlotPotential` f'' at interior slots, g'' on the cycle).
+`potentials.Potential.on` f'' at interior slots, g'' on the cycle).
 Coefficients are read at the arrival level, the same point where the
 nonlinear solver evaluated its Newton linearization; that choice makes
 the adjoint below an exact algebraic transpose of the forward stepping.

@@ -15,7 +15,7 @@ from 0 and 1, so the damped iteration stays inside the guarded interval
 without projections.
 
 Each Newton candidate costs one guarded evaluation of f and g over all
-slots (`potentials.SlotPotential.newton_terms`): it yields f', g' for the
+slots (`potentials.Potential.newton_terms`): it yields f', g' for the
 candidate's residual and f'', g'' for the Jacobian at that point, so the
 accepted candidate carries the coefficients of the next Newton step.
 
@@ -206,7 +206,7 @@ def solve_state(
     """March the nonlinear coupled system forward: damped Newton and chord steps, priced by the grid.
 
     Args:
-        potential: the `potentials.SlotPotential` of f and g on this grid.
+        potential: `potentials.Potential.on(grid, pf, pg)`, f and g on this grid.
         control: ControlPair of shapes (m+1, N) and (m+1, 4n); the step to
             level k+1 reads level k+1 (level 0 never enters the dynamics).
         init: (N,) array of initial values, checked by `check_initial`:
@@ -380,8 +380,8 @@ def energy(grid, ops, potential, state):
         raise DomainError("energy undefined at or beyond the endpoints 0, 1")
     a, b, k = ops.edges
     d = z.take(a) - z.take(b)
-    # numpy's pairwise sum, not a BLAS dot: its order is the same on every CPU
-    return 0.5 * float(np.sum(k * d * d)) + float(np.dot(grid.slot_weights, potential.value(z)))
+    # numpy's pairwise sums, not a BLAS dot: their order is the same on every CPU
+    return 0.5 * float(np.sum(k * d * d)) + float(np.sum(grid.slot_weights * potential.value(z)))
 
 
 def invariant_interval(pf, pg, radius, y_min, y_max):

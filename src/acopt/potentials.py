@@ -8,27 +8,87 @@ alpha = 0 selects the purely quadratic variant used by linear-quadratic
 cross checks; in that case there is no singularity and no argument
 safeguarding.
 
-`Potential` holds the coefficients the configuration names; it is
-immutable, hashable and safe to share, pickle and copy. The solvers
-evaluate `SlotPotential.on(grid, pf, pg)`, f at the interior slots and g
-on the boundary cycle, over (..., N) slot-layout arrays in one pass; a
-`Potential` evaluates as the one-slot `SlotPotential` of its
-coefficients. The evaluators clamp arguments of a singular potential to
+`Potential` holds the coefficients, each a scalar (as the configuration
+names them) or an (N,) array of per-slot values. The solvers evaluate
+`Potential.on(grid, pf, pg)`, f at the interior slots and g on the
+boundary cycle, over (..., N) slot-layout arrays in one pass. The
+evaluators clamp arguments of a singular potential to
 [eps_guard, 1 - eps_guard] and count them; solvers keep their iterates
 inside that interval, so a nonzero count after a solve flags a
 discretization problem rather than normal operation.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, InvalidParameterError
 
+# Each evaluator as (smooth part (c, y, 1 - y), log part (alpha, y, 1 - y)), summed log + smooth.
+# The log part is formed only where alpha > 0: 0 * NaN is NaN outside (0, 1).
+_TERMS = {
+    "value": (lambda c, y, q: c * y * q, lambda a, y, q: a * (y * np.log(y) + q * np.log(q))),
+    "d1": (lambda c, y, q: c * (1.0 - 2.0 * y), lambda a, y, q: a * np.log(y / q)),
+    "d2": (lambda c, y, q: -2.0 * c, lambda a, y, q: a / (y * q)),
+    "d3": (lambda c, y, q: 0.0, lambda a, y, q: a * (2.0 * y - 1.0) / (y * y * q * q)),
+}
 
-class _Evaluators:
-    """value, d1, d2 and d3, each through the class's _evaluate(name, y)."""
+
+@dataclass(frozen=True)
+class Potential:
+    """Coefficients and derivative evaluators for one potential, scalar or per slot.
+
+    Each coefficient is a scalar or an (N,) array, broadcast against the
+    last axis of arguments such as (m, N) level stacks. A scalar potential
+    is immutable, hashable and safe to share, pickle and copy. A per-slot
+    one holds arrays, so it is neither hashable nor `==`-comparable.
+
+    NaN anywhere in an argument raises InvalidArgumentError, a value
+    outside [0, 1] on a singular slot (alpha > 0) raises DomainError, and
+    singular slots are clamped. A 0-d result is returned as a float.
+
+    Attributes:
+        alpha: coefficient of the logarithmic part, >= 0 (0 disables it).
+        smooth_c: coefficient c of the smooth part c * y * (1 - y).
+        eps_guard: safeguard distance from the endpoints, in (0, 0.5).
+        interval: the tightest guard over the singular slots ((-inf, inf)
+            without any), which solver iterates keep to on every slot.
+        is_singular: whether any slot has alpha > 0.
+    """
+
+    alpha: float | np.ndarray = 1.0
+    smooth_c: float | np.ndarray = 3.0
+    eps_guard: float | np.ndarray = 1e-9
+
+    def __post_init__(self):
+        alpha, c, eps = (np.asarray(v, dtype=float) for v in (self.alpha, self.smooth_c, self.eps_guard))
+        if not ((0 <= alpha) & (alpha < np.inf)).all():
+            raise InvalidParameterError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not np.isfinite(c).all():
+            raise InvalidParameterError(f"c must be finite, got {self.smooth_c}")
+        if not ((0.0 < eps) & (eps < 0.5)).all():
+            raise InvalidParameterError(f"eps_guard must lie in (0, 0.5), got {self.eps_guard}")
+        singular = alpha > 0
+        lo, hi = np.where(singular, eps, -np.inf), np.where(singular, 1.0 - eps, np.inf)
+        derived = {
+            "_alpha": alpha,
+            "_c": c,
+            "_lo": lo,
+            "_hi": hi,
+            "interval": (lo.max(), hi.min()),
+            "is_singular": bool(singular.any()),
+            "_log_slots": None if singular.all() else singular,  # None: every slot
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def on(cls, grid, pf, pg):
+        """pf at the interior slots of grid and pg on its boundary cycle."""
+        on_cycle = np.zeros(grid.num_nodes, dtype=bool)
+        on_cycle[grid.boundary_cycle] = True
+        names = ("alpha", "smooth_c", "eps_guard")
+        return cls(*(np.where(on_cycle, getattr(pg, name), getattr(pf, name)) for name in names))
 
     def value(self, y):
         return self._evaluate("value", y)
@@ -42,76 +102,11 @@ class _Evaluators:
     def d3(self, y):
         return self._evaluate("d3", y)
 
-
-@dataclass(frozen=True)
-class Potential(_Evaluators):
-    """Coefficients and derivative evaluators for one potential.
-
-    Attributes:
-        alpha: coefficient of the logarithmic part, >= 0 (0 disables it).
-        smooth_c: coefficient c of the smooth part c * y * (1 - y).
-        eps_guard: safeguard distance from the endpoints, in (0, 0.5).
-    """
-
-    alpha: float = 1.0
-    smooth_c: float = 3.0
-    eps_guard: float = 1e-9
-
-    def __post_init__(self):
-        if not (0 <= self.alpha < math.inf):
-            raise InvalidParameterError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not math.isfinite(self.smooth_c):
-            raise InvalidParameterError(f"c must be finite, got {self.smooth_c}")
-        if not (0.0 < self.eps_guard < 0.5):
-            raise InvalidParameterError(f"eps_guard must lie in (0, 0.5), got {self.eps_guard}")
-
-    @property
-    def is_singular(self):
-        return self.alpha > 0
-
-    def _evaluate(self, name, y):
-        """The evaluator name of this potential on every entry of y; a float for a 0-d y."""
-        out = SlotPotential(self.alpha, self.smooth_c, self.eps_guard)._evaluate(name, y)
-        return float(out) if np.ndim(y) == 0 else out
-
-
-# Each evaluator as (smooth part (c, y, 1 - y), log part (alpha, y, 1 - y)), summed log + smooth.
-# The log part is formed only where alpha > 0: 0 * NaN is NaN outside (0, 1).
-_TERMS = {
-    "value": (lambda c, y, q: c * y * q, lambda a, y, q: a * (y * np.log(y) + q * np.log(q))),
-    "d1": (lambda c, y, q: c * (1.0 - 2.0 * y), lambda a, y, q: a * np.log(y / q)),
-    "d2": (lambda c, y, q: -2.0 * c, lambda a, y, q: a / (y * q)),
-    "d3": (lambda c, y, q: 0.0, lambda a, y, q: a * (2.0 * y - 1.0) / (y * y * q * q)),
-}
-
-
-class SlotPotential(_Evaluators):
-    """A potential whose coefficients alpha, c and eps_guard may differ from slot to slot.
-
-    Each coefficient is a scalar or an (N,) array, broadcast against the
-    last axis of arguments such as (m, N) level stacks. NaN anywhere raises
-    InvalidArgumentError, a value outside [0, 1] on a singular slot
-    (alpha > 0) raises DomainError, and singular slots are clamped.
-    `interval` is the tightest guard over the singular slots ((-inf, inf)
-    without any), which solver iterates keep to on every slot.
-    """
-
-    def __init__(self, alpha, c, eps_guard):
-        self.alpha, self.c = np.asarray(alpha, dtype=float), np.asarray(c, dtype=float)
-        singular = self.alpha > 0
-        self.lo = np.where(singular, eps_guard, -np.inf)
-        self.hi = np.where(singular, 1.0 - np.asarray(eps_guard, dtype=float), np.inf)
-        self.interval = (self.lo.max(), self.hi.min())
-        self.is_singular = bool(singular.any())
-        self._log_slots = None if singular.all() else singular  # None: every slot
-
-    @classmethod
-    def on(cls, grid, pf, pg):
-        """pf at the interior slots of grid and pg on its boundary cycle."""
-        on_cycle = np.zeros(grid.num_nodes, dtype=bool)
-        on_cycle[grid.boundary_cycle] = True
-        names = ("alpha", "smooth_c", "eps_guard")
-        return cls(*(np.where(on_cycle, getattr(pg, name), getattr(pf, name)) for name in names))
+    def newton_terms(self, y):
+        """f' and f'' at one guarded argument, which share 1 - y, and its clamp count."""
+        y, clamped = self._guard(y)
+        one_minus_y = 1.0 - y
+        return self._term("d1", y, one_minus_y), self._term("d2", y, one_minus_y), clamped
 
     def _guard(self, y):
         """The checked argument, clamped slot by slot, and the clamp count.
@@ -130,25 +125,20 @@ class SlotPotential(_Evaluators):
         singular = y if self._log_slots is None else y[..., self._log_slots]
         if singular.min(initial=np.inf) < 0.0 or singular.max(initial=-np.inf) > 1.0:
             raise DomainError("argument of a singular potential outside [0, 1]")
-        outside = int(np.count_nonzero((y < self.lo) | (y > self.hi)))
-        return np.clip(y, self.lo, self.hi), outside
+        outside = int(np.count_nonzero((y < self._lo) | (y > self._hi)))
+        return np.clip(y, self._lo, self._hi), outside
 
     def _term(self, name, y, one_minus_y):
         smooth, log_part = _TERMS[name]
-        out = smooth(self.c, y, one_minus_y)
+        out = smooth(self._c, y, one_minus_y)
         s = self._log_slots
         if s is None:
-            return log_part(self.alpha, y, one_minus_y) + out
+            return log_part(self._alpha, y, one_minus_y) + out
         out = np.broadcast_to(out, y.shape).copy()
-        out[..., s] = log_part(self.alpha[s], y[..., s], one_minus_y[..., s]) + out[..., s]
+        out[..., s] = log_part(self._alpha[s], y[..., s], one_minus_y[..., s]) + out[..., s]
         return out
 
     def _evaluate(self, name, y):
         y, _ = self._guard(y)
-        return self._term(name, y, 1.0 - y)
-
-    def newton_terms(self, y):
-        """f' and f'' at one guarded argument, which share 1 - y, and its clamp count."""
-        y, clamped = self._guard(y)
-        one_minus_y = 1.0 - y
-        return self._term("d1", y, one_minus_y), self._term("d2", y, one_minus_y), clamped
+        out = self._term(name, y, 1.0 - y)
+        return float(out) if np.ndim(out) == 0 else out

@@ -10,7 +10,7 @@ import pytest
 from acopt import (
     ControlPair,
     OptimizerConfig,
-    SlotPotential,
+    Potential,
     SteppedOperator,
     TimeAxis,
     Trajectory,
@@ -122,6 +122,7 @@ def test_criterion_03_gradient_fd(duality_setup):
     eps_list = np.array([3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4])
     worst_plateau = 0.0
     worst_slope = np.inf
+    fewest = len(eps_list)
     for _ in range(3):
         h = random_control(prob.grid, prob.time, rng)
         exact = hinner(prob, grad, h)
@@ -136,13 +137,17 @@ def test_criterion_03_gradient_fd(duality_setup):
             errors.append(abs(fd - exact) / abs(exact))
         errors = np.asarray(errors)
         worst_plateau = max(worst_plateau, errors.min())
-        branch = errors > 50.0 * errors.min()
+        # Only the leading run above the plateau: past its first roundoff point, a lucky
+        # cancellation at a smaller eps would pull roundoff-dominated points into the fit.
+        branch = np.cumprod(errors > 50.0 * errors.min()).astype(bool)
+        fewest = min(fewest, int(branch.sum()))
         if branch.sum() >= 2:
             slope = np.polyfit(np.log(eps_list[branch]), np.log(errors[branch]), 1)[0]
             worst_slope = min(worst_slope, slope)
-    ok = worst_plateau <= 1e-8 and worst_slope >= 1.9
+    ok = worst_plateau <= 1e-8 and worst_slope >= 1.9 and fewest >= 2
     _line(3, "gradient finite-difference check", ok,
-          f"plateau {worst_plateau:.3e} <= 1e-8, order {worst_slope:.2f} >= 1.9")
+          f"plateau {worst_plateau:.3e} <= 1e-8, order {worst_slope:.2f} >= 1.9, "
+          f"fewest fitted points {fewest} >= 2")
 
 
 def test_criterion_04_curvature(duality_setup):
@@ -192,7 +197,7 @@ def test_criterion_05_maximum_principle():
     for trial in range(3):
         u = random_control(grid, time, rng, scale=1.0)
         init = rng.uniform(0.2, 0.8, size=grid.num_nodes)
-        traj = solve_state(grid, ops, time, SlotPotential.on(grid, pf, pg), u, init)
+        traj = solve_state(grid, ops, time, Potential.on(grid, pf, pg), u, init)
         inside = traj.values.min() >= r_lo and traj.values.max() <= r_hi
         clean = traj.info["clamp_events"] == 0
         ok = ok and inside and clean
@@ -208,7 +213,7 @@ def test_criterion_06_energy_dissipation():
     pf, pg = default_potentials()
     x, y = grid.bulk_nodes[:, 0], grid.bulk_nodes[:, 1]
     init = 0.5 + 0.25 * np.sin(2 * np.pi * x) * np.cos(np.pi * y)
-    potential = SlotPotential.on(grid, pf, pg)
+    potential = Potential.on(grid, pf, pg)
     traj = solve_state(grid, ops, time, potential, ControlPair.zeros(grid, time), init)
     E = np.array([energy(grid, ops, potential, traj.values[k]) for k in range(time.m + 1)])
     worst = float(np.diff(E).max())

@@ -8,7 +8,6 @@ from acopt import (
     ControlPair,
     DimensionMismatchError,
     Potential,
-    SlotPotential,
     SolverFailureError,
     SteppedOperator,
     TimeAxis,
@@ -276,14 +275,14 @@ def test_sparse_linear_and_adjoint_marches_pair(wide):
 
 def _solved_state(grid, ops, time, pf, pg, control, init_value=0.45):
     init = np.full(grid.num_nodes, init_value)
-    return solve_state(grid, ops, time, SlotPotential.on(grid, pf, pg), control, init)
+    return solve_state(grid, ops, time, Potential.on(grid, pf, pg), control, init)
 
 
 def test_linearized_zero_direction(grid4, ops4):
     pf, pg = default_potentials()
     time = TimeAxis(0.3, 5)
     state = _solved_state(grid4, ops4, time, pf, pg, ControlPair.zeros(grid4, time), 0.5)
-    op = linearized_operator(state, SlotPotential.on(grid4, pf, pg), ops4)
+    op = linearized_operator(state, Potential.on(grid4, pf, pg), ops4)
     xi = solve_linearized(op, ControlPair.zeros(grid4, time))
     assert np.abs(xi.values).max() == 0.0
 
@@ -298,7 +297,7 @@ def test_linearized_constant_state_scalar_recursion(grid4, ops4):
         np.full((time.m + 1, grid4.num_nodes), h_val),
         np.full((time.m + 1, grid4.num_boundary), h_val),
     )
-    xi = solve_linearized(linearized_operator(state, SlotPotential.on(grid4, pf, pg), ops4), direction)
+    xi = solve_linearized(linearized_operator(state, Potential.on(grid4, pf, pg), ops4), direction)
     c_lin = 4.0 * pf.alpha - 2.0 * pf.smooth_c
     assert c_lin == pytest.approx(float(pf.d2(0.5)))
     w = 0.0
@@ -314,7 +313,7 @@ def test_taylor_remainder_second_order(grid8, ops8, rng):
     u = ControlPair.zeros(grid8, time)
     state = _solved_state(grid8, ops8, time, pf, pg, u)
     h = random_control(grid8, time, rng, scale=1.0)
-    xi = solve_linearized(linearized_operator(state, SlotPotential.on(state.grid, pf, pg), ops8), h)
+    xi = solve_linearized(linearized_operator(state, Potential.on(state.grid, pf, pg), ops8), h)
     eps_list = np.array([1e-1, 3e-2, 1e-2, 3e-3, 1e-3])
     remainders = []
     for eps in eps_list:
@@ -501,7 +500,7 @@ def test_second_derivative_zero_for_zero_phi(grid4, ops4, rng):
     pf, pg = default_potentials()
     time = TimeAxis(0.3, 5)
     state = _solved_state(grid4, ops4, time, pf, pg, ControlPair.zeros(grid4, time), 0.5)
-    potential = SlotPotential.on(state.grid, pf, pg)
+    potential = Potential.on(state.grid, pf, pg)
     op = linearized_operator(state, potential, ops4)
     zero = solve_linearized(op, ControlPair.zeros(grid4, time))
     psi = solve_linearized(op, random_control(grid4, time, rng))
@@ -515,7 +514,7 @@ def test_second_derivative_mixed_difference_oracle(grid8, ops8, rng):
     time = TimeAxis(0.4, 10)
     u = ControlPair.zeros(grid8, time)
     state = _solved_state(grid8, ops8, time, pf, pg, u)
-    potential = SlotPotential.on(state.grid, pf, pg)
+    potential = Potential.on(state.grid, pf, pg)
     op = linearized_operator(state, potential, ops8)
     h = random_control(grid8, time, rng, scale=1.0)
     k = random_control(grid8, time, rng, scale=1.0)
@@ -550,7 +549,7 @@ def _mixed_difference_errors(grid, ops, rng, eps_list):
     time = TimeAxis(0.4, 10)
     u = ControlPair.zeros(grid, time)
     state = _solved_state(grid, ops, time, pf, pg, u)
-    potential = SlotPotential.on(grid, pf, pg)
+    potential = Potential.on(grid, pf, pg)
     op = linearized_operator(state, potential, ops)
     h = random_control(grid, time, rng, scale=1.0)
     k = random_control(grid, time, rng, scale=1.0)
@@ -604,7 +603,7 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
     the potentials evaluated on the whole state bit for bit. The curvature's
     third-derivative term reads the same slots, once per report whatever
     its number of directions, and the energy evaluates each slot once. Each
-    is one `SlotPotential` evaluation over all slots.
+    is one evaluation of the per-slot `Potential.on` over all slots.
     """
     pf, pg = default_potentials()
     time = TimeAxis(0.3, 5)
@@ -615,11 +614,11 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
     def log_sizes(*names):
         sizes = {name: [] for name in names}
         for name, evaluated in sizes.items():
-            def logged(self, y, _original=getattr(SlotPotential, name), _sizes=evaluated):
+            def logged(self, y, _original=getattr(Potential, name), _sizes=evaluated):
                 _sizes.append(np.size(y))
                 return _original(self, y)
 
-            monkeypatch.setattr(SlotPotential, name, logged)
+            monkeypatch.setattr(Potential, name, logged)
         return sizes
 
     sizes = log_sizes("d2", "d3")
@@ -631,7 +630,7 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
         return factor(self, c, dt, level=level, residual=residual)
 
     monkeypatch.setattr(StepMatrix, "factor", logged_factor)
-    potential = SlotPotential.on(state.grid, pf, pg)
+    potential = Potential.on(state.grid, pf, pg)
     op = linearized_operator(state, potential, ops4)
     phi, psi = solve_linearized(op, h), solve_linearized(op, k)
     eta = solve_second_derivative(state, potential, phi, psi, op)

@@ -1,9 +1,15 @@
 import itertools
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import acopt
 from acopt import (
     ControlPair,
     DomainError,
@@ -118,8 +124,8 @@ def test_cost_and_hinner_bit_identical_to_written_out_terms(grid4, ops4, rng):
             terms = [
                 prob.beta1 * np.einsum("k,kj,kj->", theta, dq * w, dq),
                 prob.beta2 * np.einsum("k,kj,kj->", theta, ds * gam, ds),
-                prob.beta3 * np.dot(dt * w, dt),
-                prob.beta3 * np.dot(dg * gam, dg),
+                prob.beta3 * np.sum(dt * w * dt),
+                prob.beta3 * np.sum(dg * gam * dg),
                 prob.beta5 * np.einsum("k,kj,kj->", theta, u.bulk * w, u.bulk),
                 prob.beta6 * np.einsum("k,kj,kj->", theta, u.surface * gam, u.surface),
             ]
@@ -136,6 +142,57 @@ def test_cost_and_hinner_bit_identical_to_written_out_terms(grid4, ops4, rng):
     for order in itertools.permutations(range(6)):
         if order[2:] != (2, 3, 4, 5):
             assert any(sum(t[i] for i in order) != sum(t) for t in draws), order
+
+
+# Prints the cost on seeded draws at n = 4, 8 and 16, and the energy of each level, as hex.
+_KERNEL_PROBE = """
+import numpy as np
+from acopt import ControlPair, Trajectory, energy, evaluate_cost
+from acopt.cli_io import RunConfig, build_problem
+
+for n in (4, 8, 16):
+    problem = build_problem(RunConfig(grid_n=n))
+    grid, time = problem.grid, problem.time
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        values = rng.uniform(0.05, 0.95, (time.m + 1, grid.num_nodes))
+        control = ControlPair(
+            rng.uniform(-1.0, 1.0, (time.m + 1, grid.num_nodes)),
+            rng.uniform(-1.0, 1.0, (time.m + 1, grid.num_boundary)),
+        )
+        cost = evaluate_cost(problem, Trajectory(values, grid, time), control)
+        print(cost.hex(), *(energy(grid, problem.ops, problem.potential, v).hex() for v in values))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86-64 OpenBLAS kernel names")
+def test_cost_and_energy_bit_identical_across_blas_kernels():
+    """evaluate_cost and energy give the same bits under the Haswell and Prescott kernels.
+
+    OpenBLAS picks its kernel when it loads, so each kernel runs in its own
+    process. A BLAS dot in either sum differs between these two kernels on
+    some of the 60 draws; numpy's own sums do not.
+    """
+    src = str(Path(acopt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _KERNEL_PROBE],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1"),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for core in ("Haswell", "Prescott")
+    ]
+    try:
+        haswell, prescott = (run.communicate(timeout=120)[0].splitlines() for run in runs)
+    finally:
+        for run in runs:
+            run.kill()  # a no-op on a process that has exited
+    assert [run.returncode for run in runs] == [0, 0]
+    assert len(haswell) == len(prescott) == 60
+    differ = [k for k, (a, b) in enumerate(zip(haswell, prescott)) if a != b]
+    assert not differ, f"draws {differ} differ between the kernels"
 
 
 def test_tracking_seeds_are_the_state_gradient_of_the_cost(grid4, ops4, rng):

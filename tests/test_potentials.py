@@ -13,7 +13,6 @@ from acopt import (
     InvalidArgumentError,
     InvalidParameterError,
     Potential,
-    SlotPotential,
 )
 from acopt.cli_io import RunConfig, build_problem
 
@@ -122,7 +121,7 @@ def test_clamping_counts_and_bounds(grid4):
     p = Potential(1.0, 0.0, eps_guard=1e-6)
     val = p.d1(1e-9)  # inside [0,1], below the guard
     assert val == p.d1(1e-6)
-    slots = SlotPotential.on(grid4, p, p)
+    slots = Potential.on(grid4, p, p)
     y = np.full(grid4.num_nodes, 0.5)
     y[:4] = [1e-9, 0.5, 1.0 - 1e-9, 1e-6]  # two below/above the guard, one on it
     values, _, clamped = slots.newton_terms(y)
@@ -161,7 +160,7 @@ def test_domain_errors():
 def test_newton_terms_match_separate_evaluations(p, y, grid4):
     """One guarded evaluation gives f' and f'' bit for bit and counts the clamped entries."""
     y = np.repeat(y[:, None], grid4.num_nodes, axis=1)  # one row per value, on every slot
-    d1, d2, clamped = SlotPotential.on(grid4, p, p).newton_terms(y)
+    d1, d2, clamped = Potential.on(grid4, p, p).newton_terms(y)
     assert np.array_equal(d1, p.d1(y)) and np.array_equal(d2, p.d2(y))
     assert d1.shape == d2.shape == y.shape
     outside = (y < p.eps_guard) | (y > 1.0 - p.eps_guard)
@@ -191,7 +190,7 @@ def test_quadratic_variant_unguarded(grid4):
     assert p.d1(1.7) == pytest.approx(-0.5 * (1 - 2 * 1.7))
     assert p.d2(-3.0) == pytest.approx(1.0)
     assert p.d3(0.4) == 0.0
-    assert SlotPotential.on(grid4, p, p).newton_terms(np.resize([-3.0, 0.0, 1.7], grid4.num_nodes))[2] == 0
+    assert Potential.on(grid4, p, p).newton_terms(np.resize([-3.0, 0.0, 1.7], grid4.num_nodes))[2] == 0
 
 
 SLOT_PAIRS = {
@@ -211,9 +210,9 @@ def _same_bits(a, b):
 def _written_out(p, order, y):
     """One potential's derivative of the given order, clamped and written out term by term.
 
-    The reference for the slot evaluator, which `Potential` itself goes
-    through: the same operations in the same order, with no log term at
-    alpha = 0.
+    The reference for the per-slot evaluator, which scalar coefficients
+    go through too: the same operations in the same order, with no log
+    term at alpha = 0.
     """
     a, c = p.alpha, p.smooth_c
     if a:
@@ -246,7 +245,7 @@ def test_slot_potential_is_each_slots_potential_bit_for_bit(grid4, pair):
     y[2] = 0.5
     y[2, inner[::2]] = -0.5 if not pf.is_singular else 0.5
     y[2, cycle[::2]] = 1.5 if not pg.is_singular else 0.5
-    slots = SlotPotential.on(grid4, pf, pg)
+    slots = Potential.on(grid4, pf, pg)
     for order in range(4):
         out = _derivative(slots, order, y)
         for p, nodes in ((pf, inner), (pg, cycle)):
@@ -275,7 +274,7 @@ def test_slot_potential_argument_guard(grid4, pair, side):
     """NaN on any slot raises InvalidArgumentError; outside [0, 1] raises DomainError on singular slots only."""
     p = pair[0] if side == "interior" else pair[1]
     node = (grid4.interior_nodes if side == "interior" else grid4.boundary_cycle)[1]
-    slots = SlotPotential.on(grid4, *pair)
+    slots = Potential.on(grid4, *pair)
     evaluators = [slots.value, slots.d1, slots.d2, slots.d3, slots.newton_terms]
     for bad in (np.nan, -0.25, 1.25):
         y = np.full((2, grid4.num_nodes), 0.5)
@@ -301,6 +300,24 @@ def test_invalid_construction():
             Potential(value, 3.0)
         with pytest.raises(InvalidParameterError, match="^c must be finite"):
             Potential(1.0, value)
+
+
+@pytest.mark.parametrize(
+    "coefficients, name",
+    [
+        ((np.array([1.0, np.nan]), 3.0), "alpha"),
+        ((np.array([1.0, -2.0]), 3.0), "alpha"),
+        ((1.0, np.array([3.0, np.inf])), "c"),
+        ((1.0, np.array([np.nan, 3.0])), "c"),
+        ((1.0, 3.0, np.array([1e-9, 0.7])), "eps_guard"),
+        ((1.0, 3.0, np.array([0.0, 1e-9])), "eps_guard"),
+    ],
+    ids=["alpha-nan", "alpha-negative", "c-inf", "c-nan", "eps-above", "eps-zero"],
+)
+def test_per_slot_construction_rejects_each_bad_entry(coefficients, name):
+    """One bad entry among per-slot coefficients fails the rule its scalar would, by name."""
+    with pytest.raises(InvalidParameterError, match=f"^{name} must"):
+        Potential(*coefficients)
 
 
 def test_potentials_are_immutable_and_problems_picklable():

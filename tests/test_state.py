@@ -8,7 +8,6 @@ from acopt import (
     DimensionMismatchError,
     DomainError,
     Potential,
-    SlotPotential,
     SolverFailureError,
     TimeAxis,
     Trajectory,
@@ -40,7 +39,7 @@ def test_half_is_fixed_point(grid4, ops4):
     time = TimeAxis(0.5, 10)
     init = np.full(grid4.num_nodes, 0.5)
     traj = solve_state(
-        grid4, ops4, time, SlotPotential.on(grid4, pf, pg), ControlPair.zeros(grid4, time), init
+        grid4, ops4, time, Potential.on(grid4, pf, pg), ControlPair.zeros(grid4, time), init
     )
     assert np.abs(traj.values - 0.5).max() == 0.0
     assert traj.info["clamp_events"] == 0
@@ -52,7 +51,7 @@ def test_stationary_solution_any_constant(grid4, ops4):
     y_star = 0.37
     u = constant_control(grid4, time, pf.d1(y_star), pg.d1(y_star))
     init = np.full(grid4.num_nodes, y_star)
-    traj = solve_state(grid4, ops4, time, SlotPotential.on(grid4, pf, pg), u, init)
+    traj = solve_state(grid4, ops4, time, Potential.on(grid4, pf, pg), u, init)
     assert np.abs(traj.values - y_star).max() < 1e-11
 
 
@@ -67,7 +66,7 @@ def test_constant_field_matches_scalar_ode():
     u_val = 0.25
     u = constant_control(grid, time, u_val, u_val)
     init = np.full(grid.num_nodes, 0.3)
-    traj = solve_state(grid, ops, time, SlotPotential.on(grid, pf, pg), u, init)
+    traj = solve_state(grid, ops, time, Potential.on(grid, pf, pg), u, init)
     assert np.ptp(traj.values, axis=1).max() < 1e-12  # stays spatially constant
 
     sol = solve_ivp(
@@ -84,7 +83,7 @@ def test_constant_field_matches_scalar_ode():
     # and the error really is O(dt): halving dt roughly halves it
     time2 = TimeAxis(0.5, 800)
     u2 = constant_control(grid, time2, u_val, u_val)
-    traj2 = solve_state(grid, ops, time2, SlotPotential.on(grid, pf, pg), u2, init)
+    traj2 = solve_state(grid, ops, time2, Potential.on(grid, pf, pg), u2, init)
     err2 = np.abs(traj2.values[:, 0] - sol.sol(time2.levels)[0]).max()
     assert err2 < 0.7 * err
 
@@ -96,7 +95,7 @@ def test_energy_constant_minimizer(grid8, ops8):
     expected = (
         float(pf.value(y_star)) * (1.0 - grid8.h) ** 2 + float(pg.value(y_star)) * 4.0
     )
-    potential = SlotPotential.on(grid8, pf, pg)
+    potential = Potential.on(grid8, pf, pg)
     assert energy(grid8, ops8, potential, state) == pytest.approx(expected, rel=1e-13)
 
 
@@ -106,7 +105,7 @@ def test_energy_constant_half_closed_form(grid8, ops8):
     state = np.full(grid8.num_nodes, 0.5)
     f_half = np.log(0.5) + 0.75
     expected = f_half * ((1.0 - grid8.h) ** 2 + 4.0)
-    potential = SlotPotential.on(grid8, pf, pg)
+    potential = Potential.on(grid8, pf, pg)
     assert energy(grid8, ops8, potential, state) == pytest.approx(expected, rel=1e-13)
 
 
@@ -119,7 +118,7 @@ def test_energy_dirichlet_part_is_an_exact_edge_sum(n):
     """
     grid = build_grid(n)
     ops = build_operators(grid)
-    zero = SlotPotential.on(grid, Potential(0.0, 0.0), Potential(0.0, 0.0))
+    zero = Potential.on(grid, Potential(0.0, 0.0), Potential(0.0, 0.0))
     assert energy(grid, ops, zero, np.full(grid.num_nodes, 3.7)) == 0.0
     assert energy(grid, ops, zero, grid.bulk_nodes[:, 0]) == 1.5
 
@@ -151,7 +150,7 @@ def test_energy_matches_independent_quadrature(grid4, ops4, rng):
         h * h * float(pf.value(z[gid(i, j)])) for i in range(1, n) for j in range(1, n)
     )
     pot += sum(h * float(pg.value(v)) for v in tr)
-    assert energy(grid4, ops4, SlotPotential.on(grid4, pf, pg), z) == pytest.approx(
+    assert energy(grid4, ops4, Potential.on(grid4, pf, pg), z) == pytest.approx(
         grad + pot, rel=1e-12
     )
 
@@ -182,7 +181,7 @@ def test_energy_domain_error_at_endpoint(grid4, ops4):
     z = np.full(grid4.num_nodes, 0.5)
     z[3] = 1.0
     with pytest.raises(DomainError):
-        energy(grid4, ops4, SlotPotential.on(grid4, pf, pg), z)
+        energy(grid4, ops4, Potential.on(grid4, pf, pg), z)
 
 
 def test_energy_dissipation_zero_control():
@@ -194,7 +193,7 @@ def test_energy_dissipation_zero_control():
     pf, pg = default_potentials()
     x, y = grid.bulk_nodes[:, 0], grid.bulk_nodes[:, 1]
     init = 0.5 + 0.25 * np.sin(2 * np.pi * x) * np.cos(np.pi * y)
-    potential = SlotPotential.on(grid, pf, pg)
+    potential = Potential.on(grid, pf, pg)
     traj = solve_state(grid, ops, time, potential, ControlPair.zeros(grid, time), init)
     E = [energy(grid, ops, potential, traj.values[k]) for k in range(time.m + 1)]
     increments = np.diff(E)
@@ -211,7 +210,7 @@ def test_maximum_principle_interval_and_confinement(grid8, ops8, rng):
     time = TimeAxis(0.5, 25)
     u = random_control(grid8, time, rng, scale=1.0)
     init = rng.uniform(0.2, 0.8, size=grid8.num_nodes)
-    traj = solve_state(grid8, ops8, time, SlotPotential.on(grid8, pf, pg), u, init)
+    traj = solve_state(grid8, ops8, time, Potential.on(grid8, pf, pg), u, init)
     assert traj.values.min() >= r_lo
     assert traj.values.max() <= r_hi
     assert traj.info["clamp_events"] == 0
@@ -244,7 +243,7 @@ def test_newton_failure_is_reported(grid4, ops4):
     init = np.full(grid4.num_nodes, 0.5)
     u = constant_control(grid4, time, 0.9, 0.9)
     with pytest.raises(SolverFailureError, match="after 1 iterations") as info:
-        solve_state(grid4, ops4, time, SlotPotential.on(grid4, pf, pg), u, init, max_newton=1)
+        solve_state(grid4, ops4, time, Potential.on(grid4, pf, pg), u, init, max_newton=1)
     assert info.value.step == 1
     assert info.value.residual is not None
 
@@ -262,7 +261,7 @@ def test_singular_newton_jacobian_raises(grid4):
     init = np.full(N, 0.3)
     with pytest.raises(SolverFailureError) as info:
         solve_state(
-            grid4, NoCoupling(), time, SlotPotential.on(grid4, pf, pg), ControlPair.zeros(grid4, time), init
+            grid4, NoCoupling(), time, Potential.on(grid4, pf, pg), ControlPair.zeros(grid4, time), init
         )
     assert info.value.step == 1
     assert info.value.residual == pytest.approx(0.2)
@@ -276,9 +275,9 @@ def test_state_solve_unaffected_by_scipy_reads_of_coupled():
     time = TimeAxis(0.2, 5)
     u = random_control(grid, time, np.random.default_rng(3))
     init = np.full(grid.num_nodes, 0.4)
-    before = solve_state(grid, ops, time, SlotPotential.on(grid, pf, pg), u, init)
+    before = solve_state(grid, ops, time, Potential.on(grid, pf, pg), u, init)
     abs(ops.coupled)
-    after = solve_state(grid, ops, time, SlotPotential.on(grid, pf, pg), u, init)
+    after = solve_state(grid, ops, time, Potential.on(grid, pf, pg), u, init)
     assert np.array_equal(before.values, after.values)
     assert before.info == after.info
 
@@ -298,7 +297,7 @@ def test_clamp_warning_for_near_endpoint_data(grid4, ops4):
     for pg in (Potential(1.0, 3.0, eps_guard=1e-6), pf):
         with pytest.warns(BoundsViolationWarning, match="clamped 2 potential evaluations"):
             traj = solve_state(
-                grid4, ops4, time, SlotPotential.on(grid4, pf, pg), ControlPair.zeros(grid4, time), init
+                grid4, ops4, time, Potential.on(grid4, pf, pg), ControlPair.zeros(grid4, time), init
             )
         assert traj.info["clamp_events"] == 2
 
@@ -306,7 +305,7 @@ def test_clamp_warning_for_near_endpoint_data(grid4, ops4):
 def test_newton_jacobian_reuses_residual_evaluation(grid16, ops16, rng, monkeypatch):
     """Each residual makes one guarded evaluation over all slots; the Jacobian makes none.
 
-    Logs "T" per `SlotPotential.newton_terms` call and "F" per step
+    Logs "T" per `Potential.newton_terms` call and "F" per step
     factorization. A level logs the residual at its start, then one
     residual per iteration, the candidate's; an iteration that factors logs
     its "F" before it. Followed by hand: every iteration accepts its first
@@ -316,7 +315,7 @@ def test_newton_jacobian_reuses_residual_evaluation(grid16, ops16, rng, monkeypa
     to 1/200 throughout): "T" + "FT" + "T" * 6, then "T" + "T" * 7 per level.
     """
     log = []
-    terms, factor = SlotPotential.newton_terms, StepMatrix.factor
+    terms, factor = Potential.newton_terms, StepMatrix.factor
 
     def counted_terms(self, y):
         log.append("T")
@@ -326,13 +325,13 @@ def test_newton_jacobian_reuses_residual_evaluation(grid16, ops16, rng, monkeypa
         log.append("F")
         return factor(self, *args, **kwargs)
 
-    monkeypatch.setattr(SlotPotential, "newton_terms", counted_terms)
+    monkeypatch.setattr(Potential, "newton_terms", counted_terms)
     monkeypatch.setattr(StepMatrix, "factor", counted_factor)
     pf, pg = default_potentials()
     time = TimeAxis(0.2, 4)
     init = rng.uniform(0.3, 0.7, grid16.num_nodes)
     traj = solve_state(
-        grid16, ops16, time, SlotPotential.on(grid16, pf, pg), random_control(grid16, time, rng), init
+        grid16, ops16, time, Potential.on(grid16, pf, pg), random_control(grid16, time, rng), init
     )
     iters = traj.info["newton_iters"]
     assert min(iters) >= 2
@@ -370,7 +369,7 @@ def test_chord_counts_hand_checked(grid16, ops16):
     to 1.0e-12 on every level, so every step residual lies below 1e-12.
     """
     pf, pg, time, u, init = _guess_setup(grid16)
-    traj = solve_state(grid16, ops16, time, SlotPotential.on(grid16, pf, pg), u, init)
+    traj = solve_state(grid16, ops16, time, Potential.on(grid16, pf, pg), u, init)
     assert traj.info["newton_iters"] == [6, 7, 6, 6, 6, 6]
     assert traj.info["factorizations"] == [1, 0, 0, 0, 0, 0]
     assert traj.info["clamp_events"] == 0
@@ -388,7 +387,7 @@ def test_dropped_chord_candidate_refactors_at_the_iterate(grid16, ops16, monkeyp
     there does not lower it, and the Newton step at 2.6 reaches 0.33.
     """
     events = []
-    terms, factor = SlotPotential.newton_terms, StepMatrix.factor
+    terms, factor = Potential.newton_terms, StepMatrix.factor
 
     def logged_terms(self, y):
         out = terms(self, y)
@@ -399,13 +398,13 @@ def test_dropped_chord_candidate_refactors_at_the_iterate(grid16, ops16, monkeyp
         events.append(("F", c))
         return factor(self, c, *args, **kwargs)
 
-    monkeypatch.setattr(SlotPotential, "newton_terms", logged_terms)
+    monkeypatch.setattr(Potential, "newton_terms", logged_terms)
     monkeypatch.setattr(StepMatrix, "factor", logged_factor)
     pf, pg = default_potentials()
     time = TimeAxis(0.2, 1)
     u = random_control(grid16, time, np.random.default_rng(8), scale=5.0)
     traj = solve_state(
-        grid16, ops16, time, SlotPotential.on(grid16, pf, pg), u, np.full(grid16.num_nodes, 0.9)
+        grid16, ops16, time, Potential.on(grid16, pf, pg), u, np.full(grid16.num_nodes, 0.9)
     )
 
     # start, factor, Newton candidate (accepted), chord candidate (dropped), refactor
@@ -445,7 +444,7 @@ def test_refactor_rule_prices_the_factor(grid16, ops16):
     time = TimeAxis(0.2, 1)
     u = random_control(grid16, time, np.random.default_rng(8), scale=5.0)
     traj = solve_state(
-        grid16, ops16, time, SlotPotential.on(grid16, pf, pg), u, np.full(grid16.num_nodes, 0.9)
+        grid16, ops16, time, Potential.on(grid16, pf, pg), u, np.full(grid16.num_nodes, 0.9)
     )
     assert traj.info["newton_iters"] == [8]
     assert traj.info["factorizations"] == [4]
@@ -461,7 +460,7 @@ def test_newton_regime_refactors_every_iteration(grid4, ops4):
     is 8.6e-14 to 9.4e-14 here.
     """
     pf, pg, time, u, init = _guess_setup(grid4)
-    traj = solve_state(grid4, ops4, time, SlotPotential.on(grid4, pf, pg), u, init)
+    traj = solve_state(grid4, ops4, time, Potential.on(grid4, pf, pg), u, init)
     assert ops4.step.factor_cost <= 1.0
     assert traj.info["newton_iters"] == [3] * time.m
     assert traj.info["factorizations"] == traj.info["newton_iters"]
@@ -479,7 +478,7 @@ def test_newton_regime_far_start_takes_newton_iterations(grid4, ops4):
     time = TimeAxis(0.2, 1)
     u = random_control(grid4, time, np.random.default_rng(0), scale=2.0)
     traj = solve_state(
-        grid4, ops4, time, SlotPotential.on(grid4, pf, pg), u, np.full(grid4.num_nodes, 0.9)
+        grid4, ops4, time, Potential.on(grid4, pf, pg), u, np.full(grid4.num_nodes, 0.9)
     )
     assert traj.info["newton_iters"][0] <= 6
     assert traj.info["factorizations"] == traj.info["newton_iters"]
@@ -492,7 +491,7 @@ def test_carried_factor_leaves_levels_without_factorization(grid16, ops16, rng):
     time = TimeAxis(0.25, 10)
     u = random_control(grid16, time, rng)
     traj = solve_state(
-        grid16, ops16, time, SlotPotential.on(grid16, pf, pg), u, np.full(grid16.num_nodes, 0.45)
+        grid16, ops16, time, Potential.on(grid16, pf, pg), u, np.full(grid16.num_nodes, 0.45)
     )
     factorizations = traj.info["factorizations"]
     assert ops16.step.factor_cost > 1.0
@@ -510,7 +509,7 @@ def test_back_to_back_solves_each_start_by_factoring(grid16, ops16, monkeypatch)
     level 1, whatever the first solve left behind.
     """
     events = []
-    terms, factor = SlotPotential.newton_terms, StepMatrix.factor
+    terms, factor = Potential.newton_terms, StepMatrix.factor
 
     def logged_terms(self, y):
         events.append("E")
@@ -520,12 +519,12 @@ def test_back_to_back_solves_each_start_by_factoring(grid16, ops16, monkeypatch)
         events.append(level)
         return factor(self, c, dt, level=level, residual=residual)
 
-    monkeypatch.setattr(SlotPotential, "newton_terms", logged_terms)
+    monkeypatch.setattr(Potential, "newton_terms", logged_terms)
     monkeypatch.setattr(StepMatrix, "factor", logged_factor)
     pf, pg, time, u, init = _guess_setup(grid16)
-    first = solve_state(grid16, ops16, time, SlotPotential.on(grid16, pf, pg), u, init)
+    first = solve_state(grid16, ops16, time, Potential.on(grid16, pf, pg), u, init)
     split = len(events)
-    second = solve_state(grid16, ops16, time, SlotPotential.on(grid16, pf, pg), u, init)
+    second = solve_state(grid16, ops16, time, Potential.on(grid16, pf, pg), u, init)
     assert np.array_equal(first.values, second.values)
     assert first.info == second.info
     assert events[:2] == ["E", 1] and events[split : split + 2] == ["E", 1]
@@ -538,13 +537,13 @@ def test_initial_data_validation(grid4, ops4):
     bad = np.full(grid4.num_nodes, 1.0)
     with pytest.raises(DomainError):
         solve_state(
-            grid4, ops4, time, SlotPotential.on(grid4, pf, pg), ControlPair.zeros(grid4, time), bad
+            grid4, ops4, time, Potential.on(grid4, pf, pg), ControlPair.zeros(grid4, time), bad
         )
     u = ControlPair.zeros(grid4, time)
     u.bulk[0, 0] = np.inf
     with pytest.raises(DomainError):
         solve_state(
-            grid4, ops4, time, SlotPotential.on(grid4, pf, pg), u, np.full(grid4.num_nodes, 0.5)
+            grid4, ops4, time, Potential.on(grid4, pf, pg), u, np.full(grid4.num_nodes, 0.5)
         )
 
 
@@ -558,9 +557,9 @@ def _guess_setup(grid):
 
 def test_guess_of_converged_trajectory_costs_no_iterations(grid4, ops4):
     pf, pg, time, u, init = _guess_setup(grid4)
-    cold = solve_state(grid4, ops4, time, SlotPotential.on(grid4, pf, pg), u, init)
+    cold = solve_state(grid4, ops4, time, Potential.on(grid4, pf, pg), u, init)
     seeded = solve_state(
-        grid4, ops4, time, SlotPotential.on(grid4, pf, pg), u, init, guess=cold.values
+        grid4, ops4, time, Potential.on(grid4, pf, pg), u, init, guess=cold.values
     )
     assert seeded.info["newton_iters"] == [0] * time.m
     assert np.array_equal(seeded.values, cold.values)
@@ -569,11 +568,11 @@ def test_guess_of_converged_trajectory_costs_no_iterations(grid4, ops4):
 def test_cold_start_extrapolates_in_time(grid4, ops4):
     """Without a guess, step k+1 starts from 2 y_k - y_{k-1} (from y_0 at the first step)."""
     pf, pg, time, u, init = _guess_setup(grid4)
-    cold = solve_state(grid4, ops4, time, SlotPotential.on(grid4, pf, pg), u, init)
+    cold = solve_state(grid4, ops4, time, Potential.on(grid4, pf, pg), u, init)
     starts = np.empty_like(cold.values)
     starts[1] = cold.values[0]
     starts[2:] = 2.0 * cold.values[1:-1] - cold.values[:-2]
-    again = solve_state(grid4, ops4, time, SlotPotential.on(grid4, pf, pg), u, init, guess=starts)
+    again = solve_state(grid4, ops4, time, Potential.on(grid4, pf, pg), u, init, guess=starts)
     assert np.array_equal(again.values, cold.values)
     assert again.info == cold.info
 
@@ -582,13 +581,13 @@ def test_cold_start_extrapolates_in_time(grid4, ops4):
 def test_inadmissible_guess_level_starts_from_previous_level(grid4, ops4, bad):
     """A guess level that is non-finite or leaves (0, 1) is replaced by values[k], bit for bit."""
     pf, pg, time, u, init = _guess_setup(grid4)
-    cold = solve_state(grid4, ops4, time, SlotPotential.on(grid4, pf, pg), u, init)
+    cold = solve_state(grid4, ops4, time, Potential.on(grid4, pf, pg), u, init)
     guess = cold.values.copy()
     guess[2, 3] = bad
     reference = cold.values.copy()
     reference[2] = cold.values[1]
-    got = solve_state(grid4, ops4, time, SlotPotential.on(grid4, pf, pg), u, init, guess=guess)
-    want = solve_state(grid4, ops4, time, SlotPotential.on(grid4, pf, pg), u, init, guess=reference)
+    got = solve_state(grid4, ops4, time, Potential.on(grid4, pf, pg), u, init, guess=guess)
+    want = solve_state(grid4, ops4, time, Potential.on(grid4, pf, pg), u, init, guess=reference)
     assert np.array_equal(got.values, want.values)
     assert got.info == want.info
     assert got.info["newton_iters"][1] > 0
@@ -599,7 +598,7 @@ def test_guess_shape_checked(grid4, ops4):
     for shape in ((time.m, grid4.num_nodes), (time.m + 1, grid4.num_nodes + 1)):
         with pytest.raises(DimensionMismatchError):
             solve_state(
-                grid4, ops4, time, SlotPotential.on(grid4, pf, pg), u, init, guess=np.full(shape, 0.5)
+                grid4, ops4, time, Potential.on(grid4, pf, pg), u, init, guess=np.full(shape, 0.5)
             )
 
 
@@ -617,13 +616,13 @@ def test_control_shape_checked(grid4, ops4, extra_levels, extra_nodes, extra_cyc
         np.zeros((levels, grid4.num_boundary + extra_cycle)),
     )
     with pytest.raises(DimensionMismatchError, match="^control needs shapes"):
-        solve_state(grid4, ops4, time, SlotPotential.on(grid4, pf, pg), control, init)
+        solve_state(grid4, ops4, time, Potential.on(grid4, pf, pg), control, init)
 
 
 def test_tangent_guess_saves_newton_iterations(grid4, ops4):
     """y(u) + y'(u) d starts Newton closer to y(u + d) than the cold start does."""
     pf, pg, time, u, init = _guess_setup(grid4)
-    potential = SlotPotential.on(grid4, pf, pg)
+    potential = Potential.on(grid4, pf, pg)
     state = solve_state(grid4, ops4, time, potential, u, init)
     d = random_control(grid4, time, np.random.default_rng(13), scale=1e-3)
     moved = ControlPair(u.bulk + d.bulk, u.surface + d.surface)
