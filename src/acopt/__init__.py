@@ -3,7 +3,7 @@
 Solvers for the nonlinear state system with a dynamic boundary condition,
 its linearization, the exact-transpose adjoint, and the second-derivative
 system; tracking cost with exact discrete gradients and curvature;
-projected gradient descent under box control constraints; and a small CLI
+projected quasi-Newton descent under box control constraints; and a small CLI
 for running and verifying experiments.
 """
 

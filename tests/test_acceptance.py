@@ -119,7 +119,9 @@ def test_criterion_03_gradient_fd(duality_setup):
     """(3) central differences match the adjoint gradient: order 2, plateau <= 1e-8."""
     prob, u, state, op, adj, rng = duality_setup
     grad = reduced_gradient(prob, adj, u)
-    eps_list = np.array([3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4])
+    # steps of 1.5 to 3.3: an order-2 error falls 2.3 to 11 times per step, so the leading
+    # run above the 50x plateau margin keeps at least 3 points in every direction
+    eps_list = np.array([3e-2, 2e-2, 1e-2, 6e-3, 3e-3, 2e-3, 1e-3, 3e-4, 1e-4])
     worst_plateau = 0.0
     worst_slope = np.inf
     fewest = len(eps_list)
@@ -144,10 +146,10 @@ def test_criterion_03_gradient_fd(duality_setup):
         if branch.sum() >= 2:
             slope = np.polyfit(np.log(eps_list[branch]), np.log(errors[branch]), 1)[0]
             worst_slope = min(worst_slope, slope)
-    ok = worst_plateau <= 1e-8 and worst_slope >= 1.9 and fewest >= 2
+    ok = worst_plateau <= 1e-8 and worst_slope >= 1.9 and fewest >= 3
     _line(3, "gradient finite-difference check", ok,
           f"plateau {worst_plateau:.3e} <= 1e-8, order {worst_slope:.2f} >= 1.9, "
-          f"fewest fitted points {fewest} >= 2")
+          f"fewest fitted points {fewest} >= 3")
 
 
 def test_criterion_04_curvature(duality_setup):

@@ -209,14 +209,85 @@ def test_first_trial_step_is_the_bb2_quotient(grid4, ops4):
         assert history[k].step == pytest.approx(sy / hinner(prob, y, y), rel=1e-8)
 
 
-def test_a_nonpositive_pairing_falls_back_to_the_doubled_step(quadratic_run, monkeypatch):
-    """Where <s, y> <= 0 the first trial is min(2 used, 10 initial_step).
+def test_a_nonpositive_pairing_is_skipped(quadratic_run, monkeypatch):
+    """A pair with <s, y> <= eps <y, y> is not stored, and gamma stays that of the newest stored pair.
 
-    On the quadratic the steps 1, 2 and 4 are accepted, 8 overshoots and
-    backtracks to 4, and the doubled step stays 8. No tier-1 problem has
-    <s, y> <= 0, so the pairing is patched to make it so.
+    With every pairing negated the memory stays empty, so every Cauchy step
+    is initial_step: on the quadratic each unit step is accepted. No tier-1
+    problem has <s, y> <= 0, so the pairs are patched to make it so.
     """
     import acopt.optimizer
 
-    monkeypatch.setattr(acopt.optimizer, "hinner", lambda problem, a, b: -1.0)
-    assert [r.step for r in quadratic_run(6).history] == [1.0, 2.0, 4.0, 8.0, 8.0, 8.0]
+    memory = acopt.optimizer._Memory(4)
+    s = np.array([1.0, 2.0, 0.0, -1.0])
+    memory.push(s, 2.0 * s)
+    memory.push(s, -s)
+    assert (memory.k, memory.gamma) == (1, 0.5)
+
+    push = acopt.optimizer._Memory.push
+    monkeypatch.setattr(acopt.optimizer._Memory, "push", lambda self, s, y: push(self, s, -y))
+    assert [r.step for r in quadratic_run(6).history] == [1.0] * 6
+
+
+@pytest.fixture
+def filled_memory(control_prob):
+    """A memory past MEMORY pairs s, H s of a fixed SPD H, in the dimension of the n = 4 control."""
+    import acopt.optimizer
+
+    n = control_prob.u_lo.size + control_prob.u_lo_surf.size
+    rng = np.random.default_rng(8)
+    basis = rng.standard_normal((n, 3))
+    hessian = np.diag(rng.uniform(0.5, 4.0, n)) + basis @ basis.T
+    memory = acopt.optimizer._Memory(n)
+    for _ in range(acopt.optimizer.MEMORY + 3):
+        s = rng.standard_normal(n)
+        memory.push(s, hessian @ s)
+    assert memory.k == acopt.optimizer.MEMORY
+    return memory, s, hessian @ s, rng
+
+
+def test_compact_matrix_meets_the_secant_equation(filled_memory):
+    memory, s, y, _ = filled_memory
+    np.testing.assert_allclose(memory.times(s), y, rtol=0, atol=1e-11 * np.abs(y).max())
+
+
+def test_woodbury_free_solve_equals_the_dense_reduced_solve(filled_memory):
+    """(Z^T B Z)^-1 Z^T r from the 2k x 2k solve against Z^T B Z built one column at a time."""
+    memory, _, _, rng = filled_memory
+    n = memory.pairs.shape[-1]
+    free = rng.uniform(size=n) < 0.6
+    index = np.flatnonzero(free)
+    reduced = np.empty((index.size, index.size))
+    for col, i in enumerate(index):
+        unit = np.zeros(n)
+        unit[i] = 1.0
+        reduced[:, col] = memory.times(unit)[free]
+    r = rng.standard_normal(n)
+    got = memory.free_solve(r, free)
+    want = np.linalg.solve(reduced, r[free])
+    np.testing.assert_allclose(got[free], want, rtol=0, atol=1e-10 * np.abs(want).max())
+    assert (got[~free] == 0.0).all()
+
+
+def test_an_ascent_direction_resets_the_memory(grid4, ops4, monkeypatch):
+    """Where the subspace direction d has <g, d> >= 0 the memory is dropped and d is the Cauchy step.
+
+    The direction is patched to the gradient itself, an ascent direction:
+    each iteration then meets one stored pair, the one made since the reset.
+    """
+    import acopt.optimizer
+
+    pf, pg = default_potentials()
+    prob = make_problem(grid4, ops4, TimeAxis(0.25, 5), pf, pg, targets="tanh", seed=3)
+    start = random_control(grid4, prob.time, np.random.default_rng(9), scale=0.8)
+    held = []
+
+    def ascent(memory, x, g, cauchy, lo, hi):
+        held.append(memory.k)
+        return g
+
+    monkeypatch.setattr(acopt.optimizer._Memory, "direction", ascent)
+    history = minimize(prob, OptimizerConfig(max_iters=10, stop_tol=1e-12), start).history
+    assert held == [1] * (len(history) - 1)
+    costs = [r.cost for r in history]
+    assert len(costs) == 10 and all(c2 < c1 for c1, c2 in zip(costs, costs[1:]))
