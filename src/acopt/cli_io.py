@@ -308,13 +308,162 @@ def _fmt(value):
     return _FLOAT_FMT % value
 
 
+# Every float of the CSV and VTK tables is C's "%.17g", byte for byte Python's
+# "%.17g" % v, which costs about 1 µs per value; _format_block forms the same bytes
+# for a whole block in numpy. %g prints a value in fixed notation when its 17-digit
+# rounding lies in [1e-4, 1e17), with trailing fraction zeros (and a bare '.') cut.
+# For ±0 and 1e-4 <= |x| < 2**52 the digits are D = round-half-even(|x| * 10**(16-X)),
+# D in [1e16, 1e17) and X the decimal exponent, computed exactly in float64: 10**k is
+# exact for k <= 22, and Dekker's product (Numer. Math. 18, 1971), one numpy ufunc per
+# operation, splits |x| * 10**k into p + err without rounding. There p >= 1e16 > 2**53
+# is an even integer, so D = p + rint(err), ties included. D never rounds up to 1e17:
+# that needs |x| within 5e-18 (relative) below a power of ten, and the doubles nearest
+# below 1e-4 .. 1e16 lie at least 8e-17 under them. Every other value (exponent
+# notation, nan, ±inf, |x| >= 2**52) takes "%.17g" % v itself.
+#
+# Each value is assembled in a 28-byte slot (seven uint32 words), of which the bytes
+# start..end-1 are kept. With z = "0000" + the 17 digits of D, the slot copy a holds
+# z[i] at byte i + 3 and the copy b at byte i + 4; the value reads '-' if negative,
+# z[first:dot] from a, '.', z[dot:last + 1] from b, then ',' or '\n', where
+# dot = 5 + X, first = min(dot - 1, 4) skips the padding zeros and last indexes z's
+# last nonzero digit. The tables below hold those byte masks and marks by (dot, end).
+_BLOCK_VALUES = 4096  # values per block: its temporaries stay in cache, about 1 MB
+_SLOT = 28
+_DOTS = 21  # dot = 5 + X for X = -4 .. 15
+_POW10 = np.array([float(10**k) for k in range(23)])
+_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's split into two 26-bit halves
+
+
+def _split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _chunk_tables():
+    """The 4-digit chunks "0000" .. "9999", each as one uint32 of 4 ASCII bytes, and their
+    trailing zeros (4 for "0000")."""
+    i = np.arange(10_000, dtype=np.int16)
+    digits = np.empty((10_000, 4), dtype=np.uint8)
+    zeros = np.zeros(10_000, dtype=np.int8)
+    for j, scale in enumerate((1000, 100, 10, 1)):
+        digits[:, j] = 48 + i // scale % 10
+        zeros += i % (10 * scale) == 0
+    return digits.view(np.uint32).ravel(), zeros
+
+
+def _slot_tables():
+    """Integer and fraction byte masks and '.'/'-'/separator marks by (dot, end), and the kept
+    bytes by (start, end), each as a flat array of slot-sized items for np.take."""
+    pos = np.arange(_SLOT)
+    dot = np.arange(_DOTS)[:, None, None]
+    end = np.arange(_SLOT)[:, None]
+    first = np.minimum(dot - 1, 4) + 3  # slot byte of the first digit
+    before_sep = pos < end - 1
+    integer = (pos >= first) & (pos <= dot + 2) & before_sep
+    fraction = (pos >= dot + 4) & (pos <= 24) & before_sep
+    negative = np.arange(2)[:, None, None, None, None]
+    sep = np.frombuffer(b",\n", dtype=np.uint8)[:, None, None, None]
+    none = np.uint8(0)
+    marks = (  # uint8 by (negative, separator, dot, end), so no temporary exceeds 70 kB
+        np.where((pos == dot + 3) & before_sep, np.uint8(ord(".")), none)
+        + np.where((pos == first - 1) & (negative == 1), np.uint8(ord("-")), none)
+        + np.where(pos == end - 1, sep, none)
+    )
+    keep = (pos >= np.arange(_SLOT)[:, None, None]) & (pos < end)
+    return [
+        np.ascontiguousarray(t, dtype=np.uint8).reshape(-1, _SLOT).view(f"V{_SLOT}").ravel()
+        for t in (integer * np.uint8(255), fraction * np.uint8(255), marks, keep)
+    ]
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+_CHUNK, _CHUNK_ZEROS = _chunk_tables()
+_INTEGER, _FRACTION, _MARKS, _KEEP = _slot_tables()
+
+
+def _slot_words(table, index):
+    return np.take(table, index).view(np.uint32).reshape(len(index), _SLOT // 4)
+
+
+def _scaled(a, exponent):
+    """a * 10**(16 - exponent) as the exact sum p + err."""
+    k = 16 - exponent
+    a_hi, a_lo = _split(a)
+    b, b_hi, b_lo = _POW10[k], _POW10_HI[k], _POW10_LO[k]
+    p = a * b
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _format_block(block):
+    """The `%.17g` bytes of a 2-D float block, ',' between columns and '\n' after each row."""
+    v = block.ravel()
+    n = v.size
+    a = np.abs(v)
+    fast = ((a >= 1e-4) & (a < 2.0**52)) | (a == 0)
+    nonzero = fast & (a != 0)
+    a = np.where(nonzero, a, 1.0)
+    exponent = np.floor(np.log10(a)).astype(np.intp)  # X, estimated; corrected exactly below
+    p, err = _scaled(a, exponent)
+    while True:
+        below = (p < 1e16) | ((p == 1e16) & (err < 0))
+        above = (p > 1e17) | ((p == 1e17) & (err >= 0))
+        off = np.flatnonzero(below | above)
+        if not off.size:
+            break
+        exponent[off] += above[off].astype(np.intp) - below[off]
+        p[off], err[off] = _scaled(a[off], exponent[off])
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    d[~nonzero] = 0
+    exponent[~nonzero] = 0
+    upper = d // 10**8
+    lower = d - upper * 10**8
+    lead, mid, low = upper // 10**8, upper // 10**4, lower // 10**4
+    chunks = [lead, mid - lead * 10**4, upper - mid * 10**4, low, lower - low * 10**4]
+    slot_a = np.empty((n, _SLOT // 4), dtype=np.uint32)
+    slot_a[:, 0] = _CHUNK[0]
+    for i, chunk in enumerate(chunks):
+        slot_a[:, i + 1] = np.take(_CHUNK, chunk)
+    slot_b = np.empty_like(slot_a)
+    slot_b.view(np.uint8).ravel()[1:] = slot_a.view(np.uint8).ravel()[:-1]
+    # trailing zeros of D's last 16 digits, so the index into z of its last nonzero digit
+    # (4, the leading digit, where all 16 are zero)
+    z1, z2, z3, z4 = (np.take(_CHUNK_ZEROS, chunk) for chunk in chunks[1:])
+    last = 20 - (z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)))
+    dot = 5 + exponent
+    negative = np.signbit(v)
+    start = np.minimum(dot - 1, 4) + 3 - negative
+    # one past the separator, which follows the last nonzero fraction digit or else replaces '.'
+    end = np.where(last >= dot, last + 6, dot + 4)
+    newline = np.zeros(block.shape, dtype=np.intp)
+    newline[:, -1] = 1
+    newline = newline.ravel()
+    by_dot = dot * _SLOT + end
+    words = slot_a & _slot_words(_INTEGER, by_dot)
+    words |= slot_b & _slot_words(_FRACTION, by_dot)
+    words |= _slot_words(_MARKS, ((2 * negative + newline) * _DOTS) * _SLOT + by_dot)
+    out = words.view(np.uint8)
+    for i in np.flatnonzero(~fast):
+        text = (_FLOAT_FMT % v[i] + ",\n"[newline[i]]).encode()
+        out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+        start[i], end[i] = 0, len(text)
+    return out[np.take(_KEEP, start * _SLOT + end).view(bool).reshape(n, _SLOT)].tobytes()
+
+
+def _write_table(path, header, table):
+    """The header line(s), then one line per row of the 2-D float table, `%.17g` values
+    separated by ','; the bytes np.savetxt(fmt="%.17g", delimiter=",") writes."""
+    rows = max(1, _BLOCK_VALUES // table.shape[1])
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        for r in range(0, table.shape[0], rows):
+            fh.write(_format_block(table[r : r + rows]))
+
+
 def _write_node_table(path, nodes, data):
     """One row per node (with coordinates), one column per time level of data."""
     header = ",".join(["x", "y"] + [f"t{k}" for k in range(data.shape[0])])
-    table = np.column_stack([nodes, data.T])
-    np.savetxt(
-        path, table, fmt=_FLOAT_FMT, delimiter=",", header=header, comments="", encoding="utf-8"
-    )
+    _write_table(path, header, np.column_stack([nodes, data.T]))
 
 
 def write_trajectory_csv(path, traj, surface=False):
@@ -360,8 +509,7 @@ def write_vtk_snapshots(outdir, traj):
             "SCALARS state double 1",
             "LOOKUP_TABLE default",
         ]
-        lines += [_fmt(v) for v in traj.values[k]]
-        Path(outdir, f"state_{k:04d}.vtk").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_table(Path(outdir, f"state_{k:04d}.vtk"), "\n".join(lines), traj.values[k][:, None])
 
 
 def write_state(outdir, traj, formats):

@@ -90,6 +90,12 @@ def test_solve_mode_writes_outputs(tmp_path):
     assert (out / "state_0000.vtk").is_file()
     header = (out / "state_bulk.csv").read_text().splitlines()[0]
     assert header.startswith("x,y,t0")
+    # the VTK value lines (after 10 header lines) are one `%.17g` per state value
+    problem, _, control, _ = build_run(cfg)
+    traj = problem.solve(control)
+    for k in (0, traj.time.m):
+        lines = (out / f"state_{k:04d}.vtk").read_text().splitlines()
+        assert lines[10:] == ["%.17g" % v for v in traj.values[k]]
 
 
 def test_stationary_preset_constant_trajectory(tmp_path):
@@ -639,10 +645,48 @@ def _per_value_table(nodes, data):
     return "".join(line + "\n" for line in lines).encode()
 
 
-@pytest.mark.parametrize("case", ["random", "no-levels", "surface"])
+def _formatter_values(case, rng):
+    """Values that probe the `%.17g` formatter: exact ties, powers of ten and their
+    neighbours, the edges of its fixed-notation range, non-finite values."""
+    if case == "ties":
+        # (integer + 0.5) * 2**-k: many of these have 18 significant digits ending in 5, an
+        # exact tie at the 17th that rounds half to even
+        ties = rng.integers(10**15, 2**52, size=400) + 0.5
+        return np.concatenate([ties * 2.0**-k for k in range(12)])
+    if case == "powers-of-ten":
+        powers = np.array([float(f"1e{k}") for k in range(-12, 18)])
+        return np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    if case == "specials":
+        return np.array(
+            [np.nextafter(1e-4, 0.0), np.nextafter(1.0, 0.0), 0.0, -0.0, 1.0, -1.0, np.nan, np.inf]
+            + [-np.inf, 5e-324, 2.0**52, 2.0**52 - 1.0, 1e-4, -1e-4]
+        )
+    if case == "grid-coordinates":
+        return np.arange(129) / 128
+    # random magnitudes from 1e-13 to 1e18, both signs
+    return rng.choice([-1.0, 1.0], size=100_002) * 10.0 ** rng.uniform(-13, 18, size=100_002)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "random",
+        "no-levels",
+        "surface",
+        "ties",
+        "powers-of-ten",
+        "specials",
+        "grid-coordinates",
+        "random-magnitudes",
+        "no-rows",
+        "one-row",
+        "block-minus-one",
+        "block-plus-one",
+    ],
+)
 def test_node_tables_match_per_value_format(tmp_path, case):
     from acopt import TimeAxis, build_grid
-    from acopt.cli_io import _write_node_table, write_trajectory_csv
+    from acopt.cli_io import _BLOCK_VALUES, _write_node_table, write_trajectory_csv
     from acopt.pde_state import Trajectory
 
     rng = np.random.default_rng(5)
@@ -653,13 +697,45 @@ def test_node_tables_match_per_value_format(tmp_path, case):
         write_trajectory_csv(path, traj, surface=True)
         nodes, data = grid.bulk_nodes[grid.boundary_cycle], traj.surface
     else:
-        levels = 5 if case == "random" else 0
-        nodes = rng.uniform(-1.0, 1.0, size=(9, 2))
-        data = rng.normal(size=(levels, 9)) * 10.0 ** rng.integers(-30, 30, size=(levels, 9))
-        if levels:
-            data[0, :3] = [0.0, -0.0, 1.0]
+        if case in ("random", "no-levels"):
+            levels = 5 if case == "random" else 0
+            nodes = rng.uniform(-1.0, 1.0, size=(9, 2))
+            data = rng.normal(size=(levels, 9)) * 10.0 ** rng.integers(-30, 30, size=(levels, 9))
+            if levels:
+                data[0, :3] = [0.0, -0.0, 1.0]
+        elif case in ("no-rows", "one-row", "block-minus-one", "block-plus-one"):
+            # rows around one block of the writer (its block holds _BLOCK_VALUES // 7 rows)
+            block = _BLOCK_VALUES // 7
+            rows = {"no-rows": 0, "one-row": 1, "block-minus-one": block - 1, "block-plus-one": block + 1}
+            table = rng.uniform(-1.0, 1.0, size=(rows[case], 7))
+            nodes, data = table[:, :2], table[:, 2:].T
+        else:
+            values = _formatter_values(case, rng)
+            table = np.resize(values, (-(-values.size // 7), 7))  # 7 columns a row, wrapping
+            nodes, data = table[:, :2], table[:, 2:].T
         _write_node_table(path, nodes, data)
     assert path.read_bytes() == _per_value_table(nodes, data)
+
+
+def test_node_table_writer_memory_is_bounded(tmp_path):
+    """Writing solve-n128's state table (16641 nodes, 21 levels) traces under 4x the table.
+
+    The writer formats in blocks (1.4x); formatting the whole table at once traced about 38x.
+    """
+    import tracemalloc
+
+    from acopt.cli_io import _write_node_table
+
+    rng = np.random.default_rng(0)
+    nodes = rng.uniform(size=(16641, 2))
+    data = rng.uniform(-1.0, 1.0, size=(21, 16641))
+    tracemalloc.start()
+    try:
+        _write_node_table(tmp_path / "table.csv", nodes, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (nodes.nbytes + data.nbytes), f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_optimize_prints_why_it_stopped(tmp_path, capsys):
