@@ -504,7 +504,7 @@ def write_vtk_snapshots(outdir, traj):
             "DATASET STRUCTURED_POINTS",
             f"DIMENSIONS {side} {side} 1",
             "ORIGIN 0 0 0",
-            f"SPACING {grid.h} {grid.h} 1",
+            f"SPACING {_fmt(grid.h)} {_fmt(grid.h)} 1",
             f"POINT_DATA {grid.num_nodes}",
             "SCALARS state double 1",
             "LOOKUP_TABLE default",

@@ -337,9 +337,13 @@ def _into_cone(h, at_lo, at_hi, zero):
 
 
 def _cone_directions(problem, control, grad, tau, n_dir, rng):
-    """n_dir random directions in the tau-critical cone; none when the cone is {0}.
+    """Yield n_dir random directions in the tau-critical cone; none when the cone is {0}.
 
-    A draw is nonzero on every free entry, so no direction has zero norm."""
+    Each direction is drawn only when the caller asks for it, so a caller
+    that keeps none holds one at a time. The draws come direction by
+    direction, bulk slot then surface slot; a trivial cone draws nothing.
+    A draw is nonzero on every free entry, so no direction has zero norm.
+    """
     slots = []
     for u, g, lo, hi in (
         (control.bulk, grad.bulk, problem.u_lo, problem.u_hi),
@@ -348,12 +352,11 @@ def _cone_directions(problem, control, grad, tau, n_dir, rng):
         at_lo, at_hi = u <= lo, u >= hi
         slots.append((u.shape, at_lo, at_hi, (np.abs(g) > tau) | (at_lo & at_hi)))
     if all(zero.all() for *_, zero in slots):
-        return []
-    dirs = []
+        return
     for _ in range(n_dir):
-        hb, hs = (_into_cone(rng.uniform(-1.0, 1.0, size=shape), *masks) for shape, *masks in slots)
-        dirs.append(ControlPair(hb, hs))
-    return dirs
+        yield ControlPair(
+            *(_into_cone(rng.uniform(-1.0, 1.0, size=shape), *masks) for shape, *masks in slots)
+        )
 
 
 def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
@@ -366,6 +369,11 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
     tau-critical cone. The curvature part is a report, never a proof: a
     small ratio is flagged by the caller, not failed here. n_dir must be a
     nonnegative integer and tau, when given, finite and nonnegative.
+
+    Directions are drawn one at a time, each when its curvature is
+    computed, and none is kept, so one direction is alive at a time. The
+    report's memory is the state, the adjoint, the m step factors, and one
+    direction with its linearized march, whatever n_dir is.
     """
     if not isinstance(n_dir, (int, np.integer)) or n_dir < 0:
         raise InvalidParameterError(f"n_dir must be a nonnegative integer, got {n_dir!r}")

@@ -98,6 +98,24 @@ def test_solve_mode_writes_outputs(tmp_path):
         assert lines[10:] == ["%.17g" % v for v in traj.values[k]]
 
 
+@pytest.mark.parametrize(
+    "n, spacing",
+    [(3, "0.33333333333333331"), (10, "0.10000000000000001"), (8, "0.125")],
+    ids=["n3", "n10", "n8"],
+)
+def test_vtk_spacing_is_17_significant_digits(tmp_path, n, spacing):
+    """The snapshot header's mesh width is `%.17g`, like every other float the CLI writes.
+
+    Python's shortest repr would write 0.3333333333333333 and 0.1; at a
+    power of two (the shipped n = 8, 32, 128) both spell the same.
+    """
+    text = BASE.replace("grid.n = 4", f"grid.n = {n}")
+    text += f"output.dir = {tmp_path/'out'}\noutput.formats = vtk\n"
+    assert run(load_config(write(tmp_path, text))) == 0
+    lines = (tmp_path / "out" / "state_0000.vtk").read_text().splitlines()
+    assert lines[6] == f"SPACING {spacing} {spacing} 1"
+
+
 def test_stationary_preset_constant_trajectory(tmp_path):
     text = BASE + (
         f"output.dir = {tmp_path/'out'}\n"

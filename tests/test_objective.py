@@ -488,9 +488,9 @@ def test_cone_directions_count(grid4, ops4):
     ones = ControlPair(np.ones_like(u.bulk), np.ones_like(u.surface))
     rng = np.random.default_rng(3)
     untouched = rng.bit_generator.state
-    assert _cone_directions(prob, u, ones, 0.5, 8, rng) == []  # every entry strongly active
+    assert list(_cone_directions(prob, u, ones, 0.5, 8, rng)) == []  # every entry strongly active
     assert rng.bit_generator.state == untouched
-    dirs = _cone_directions(prob, u, ones, 2.0, 8, rng)  # none active
+    dirs = list(_cone_directions(prob, u, ones, 2.0, 8, rng))  # none active
     assert len(dirs) == 8
     assert all(hnorm(prob, d) > 0 for d in dirs)
 
@@ -511,7 +511,7 @@ def test_cone_directions_stay_in_the_box(box):
     prob = build_problem(RunConfig(**box))
     rng = np.random.default_rng(5)
     u = clip_to_box(prob, random_control(prob.grid, prob.time, rng, scale=2.0))
-    dirs = _cone_directions(prob, u, ControlPair.zeros(prob.grid, prob.time), 0.0, 8, rng)
+    dirs = list(_cone_directions(prob, u, ControlPair.zeros(prob.grid, prob.time), 0.0, 8, rng))
     assert len(dirs) == 8
     slots = (
         (u.bulk, prob.u_lo, prob.u_hi, "bulk"),
@@ -526,6 +526,68 @@ def test_cone_directions_stay_in_the_box(box):
             assert np.all(h[pinned] == 0.0)
             assert np.all(h[only_lo] >= 0.0) and np.all(h[only_hi] <= 0.0)
             assert np.all(h[~(pinned | only_lo | only_hi)] != 0.0)
+
+
+def test_report_draws_the_cone_stream_in_order(grid4, ops4):
+    """The report's curvatures are, bit for bit, those along the directions drawn from its seed.
+
+    The draws come direction by direction, bulk slot then surface slot: the
+    k-th direction maps the stream's (2k)-th and (2k+1)-th uniform arrays into
+    the cone, and `curvature` draws nothing. perfbench's reference
+    curvatures rest on this order; drawing every bulk slot first, say, fails
+    here. The control has entries at both bounds, and tau leaves about half
+    the bulk entries strongly active, so each cone rule shows.
+    """
+    pf, pg = default_potentials()
+    time = TimeAxis(0.3, 5)
+    prob = make_problem(grid4, ops4, time, pf, pg, seed=2)
+    u = clip_to_box(prob, random_control(grid4, time, np.random.default_rng(4), scale=1.5))
+    assert (u.bulk <= prob.u_lo).any() and (u.bulk >= prob.u_hi).any()
+    state = prob.solve(u)
+    op = linearized_operator(state, prob.potential, ops4)
+    adj = solve_adjoint(op, tracking_seeds(prob, state))
+    grad = reduced_gradient(prob, adj, u)
+    tau, n_dir, seed = float(np.median(np.abs(grad.bulk))), 5, 9
+    report = optimality_report(prob, u, tau=tau, n_dir=n_dir, seed=seed, state=state)
+    dirs = list(_cone_directions(prob, u, grad, tau, n_dir, np.random.default_rng(seed)))
+    assert len(dirs) == n_dir
+    third = third_order(prob, state, adj)
+    assert [s[1] for s in report.curvature_samples] == [curvature(prob, op, third, d) for d in dirs]
+    assert [s[2] for s in report.curvature_samples] == [hinner(prob, d, d) for d in dirs]
+    stream = np.random.default_rng(seed)
+    for d in dirs:
+        for h in (d.bulk, d.surface):
+            raw = stream.uniform(-1.0, 1.0, size=h.shape)
+            assert np.array_equal(np.abs(h), np.where(h == 0.0, 0.0, np.abs(raw)))
+        assert (d.bulk == 0.0).any() and (d.bulk != 0.0).any()
+
+
+def test_report_memory_does_not_grow_with_n_dir(grid16, ops16):
+    """The report holds one cone direction at a time, whatever n_dir is.
+
+    At n = 16, m = 20 a direction is 59 kB. The traced peak of a 64-direction
+    report stays within two directions of a 4-direction one; drawing every
+    direction before the first curvature traced 60 directions more.
+    """
+    import tracemalloc
+
+    pf, pg = default_potentials()
+    time = TimeAxis(0.4, 20)
+    prob = make_problem(grid16, ops16, time, pf, pg, seed=3)
+    u = clip_to_box(prob, random_control(grid16, time, np.random.default_rng(0), scale=1.5))
+    state = prob.solve(u)
+    peaks = {}
+    for n_dir in (4, 64):
+        tracemalloc.start()
+        try:
+            report = optimality_report(prob, u, n_dir=n_dir, state=state)
+            peaks[n_dir] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.curvature_samples) == n_dir
+    direction_bytes = (time.m + 1) * (grid16.num_nodes + grid16.num_boundary) * 8
+    growth = peaks[64] - peaks[4]
+    assert growth < 2 * direction_bytes, f"{growth / direction_bytes:.1f} directions more"
 
 
 def test_report_linear_quadratic_ratio_bound(grid4, ops4, rng):
