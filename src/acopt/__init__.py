@@ -2,9 +2,10 @@
 
 Solvers for the nonlinear state system with a dynamic boundary condition,
 its linearization, the exact-transpose adjoint, and the second-derivative
-system; tracking cost with exact discrete gradients and curvature;
-projected quasi-Newton descent under box control constraints; and a small CLI
-for running and verifying experiments.
+system; tracking cost with exact discrete gradients, curvature and
+reduced-Hessian products; projected Newton-CG (semismooth Newton) descent
+under box control constraints; and a small CLI for running and verifying
+experiments.
 """
 
 from .errors import (
@@ -32,12 +33,14 @@ from .objective import (
     clip_to_box,
     curvature,
     evaluate_cost,
+    hessian_apply,
     hinner,
     hnorm,
     optimality_report,
     projection_residual,
     reduced_gradient,
     stationarity_norm,
+    third_weights,
     tracking_seeds,
 )
 from .optimizer import (

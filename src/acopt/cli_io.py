@@ -46,6 +46,7 @@ from .objective import (
     hnorm,
     optimality_report,
     reduced_gradient,
+    third_weights,
     tracking_seeds,
 )
 from .optimizer import OptimizerConfig, minimize
@@ -655,7 +656,7 @@ def verify_curvature(problem, seed=0):
     """Second-difference check of the curvature form."""
     rng, u, state, operator = _base_point(problem, seed)
     adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
-    third = adjoint.values[1:] * problem.potential.d3(state.values[1:])
+    third = third_weights(problem, state, adjoint)
     j0 = evaluate_cost(problem, state, u)
     rows = []
     for d in range(VERIFY_DIRECTIONS):

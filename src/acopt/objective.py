@@ -11,7 +11,8 @@ adjoint contribution to the gradient is therefore zero exactly there,
 and only there; everywhere else the gradient is representer plus
 weighted control, which is the discrete form of the classical
 identification. The curvature pairs the multipliers themselves with the
-third derivatives. All first- and second-order identities below hold to
+third derivatives, and the Hessian product is the gradient's formula on a
+second adjoint march. All first- and second-order identities below hold to
 direct-solver roundoff because the adjoint is the exact transpose of the
 forward stepping.
 """
@@ -194,22 +195,30 @@ def evaluate_cost(problem, state, control):
     return 0.5 * _cost_form(problem, residual, residual)
 
 
-def tracking_seeds(problem, state):
-    """The state gradient of the tracking cost: the adjoint seeds, in equation-slot layout.
+def _seed_form(problem, r_q, r_sigma, r_t, r_gamma_t):
+    """The state part of `_cost_form` paired with residuals, in equation-slot layout.
 
-    Level k holds the weighted tracking residuals that multiply the level-k
-    unknown of the forward stepping; the final level additionally carries
-    the terminal mismatch terms. `pde_linear.solve_adjoint` marches them.
+    Level k holds the weighted residuals over Q and Sigma that multiply the
+    level-k unknown of the forward stepping; the final level additionally
+    carries the terminal terms.
     """
     grid = problem.grid
     theta = problem.time.weights()[:, None]
     w, gamma, cycle = grid.bulk_weights, grid.surface_weights, grid.boundary_cycle
-    r_q, r_sigma, r_t, r_gamma_t = _tracking_residuals(problem, state)
     seeds = problem.beta1 * theta * w * r_q
     seeds[:, cycle] += problem.beta2 * theta * gamma * r_sigma
     seeds[-1] += problem.beta3 * w * r_t
     seeds[-1, cycle] += problem.beta3 * gamma * r_gamma_t
     return seeds
+
+
+def tracking_seeds(problem, state):
+    """The state gradient of the tracking cost: the adjoint seeds, in equation-slot layout.
+
+    The seed form on the tracking residuals; `pde_linear.solve_adjoint`
+    marches them.
+    """
+    return _seed_form(problem, *_tracking_residuals(problem, state))
 
 
 def adjoint_as_control(adjoint):
@@ -238,6 +247,34 @@ def reduced_gradient(problem, adjoint, control):
     )
 
 
+def third_weights(problem, state, adjoint):
+    """The (m, N) array lambda[1:] * d3(y[1:]) that `curvature` and `hessian_apply` read.
+
+    The adjoint multipliers lambda times `problem.potential`'s third
+    derivative along the state y (f''' at interior slots, g''' on the
+    cycle), on levels 1..m.
+    """
+    return adjoint.values[1:] * problem.potential.d3(state.values[1:])
+
+
+def hessian_apply(problem, operator, third, direction):
+    """The reduced Hessian applied to a direction, as its `hinner` representer.
+
+    Two marches on the factors of operator, the `linearized_operator` around
+    the state: the linearized response phi = y' direction, then the adjoint
+    march of the seed form on phi less third * phi on levels 1..m. Its
+    multipliers enter `reduced_gradient` with the direction in place of the
+    control, which adds beta5 and beta6 times the direction. third is
+    `third_weights` at the state. With the exact-transpose adjoint,
+    hinner(hessian_apply(v), v) equals `curvature` along v and the operator
+    is symmetric in `hinner`, both to solver roundoff.
+    """
+    phi = solve_linearized(operator, direction)
+    seeds = _seed_form(problem, *_cost_parts(phi, direction)[:4])
+    seeds[1:] -= third * phi.values[1:]
+    return reduced_gradient(problem, solve_adjoint(operator, seeds), direction)
+
+
 def curvature(problem, operator, third, direction):
     """Second derivative of the reduced cost along one direction.
 
@@ -246,10 +283,8 @@ def curvature(problem, operator, third, direction):
     adjoint-weighted third-derivative terms along the state. With the
     exact-transpose adjoint this equals the true second difference of the
     discrete cost up to solver roundoff. operator is the
-    `linearized_operator` around the state y, and third is the (m, N) array
-    lambda[1:] * d3(y[1:]) of the adjoint multipliers lambda and
-    `problem.potential`'s third derivative (f''' at interior slots, g'''
-    on the cycle), which a caller forms once for all its directions.
+    `linearized_operator` around the state, and third is `third_weights`
+    there, which a caller forms once for all its directions.
     """
     phi = solve_linearized(operator, direction)
     parts = _cost_parts(phi, direction)
@@ -402,7 +437,7 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
         proj_res, supported = float("nan"), False
 
     rng = np.random.default_rng(seed)
-    third = adjoint.values[1:] * problem.potential.d3(state.values[1:])
+    third = third_weights(problem, state, adjoint)
     samples = []
     for idx, direction in enumerate(_cone_directions(problem, control, grad, tau, n_dir, rng)):
         value = curvature(problem, operator, third, direction)

@@ -587,8 +587,10 @@ def test_optimize_solves_each_trial_once(tmp_path, monkeypatch):
     """One state solve for the start and one per line-search trial, none after.
 
     Every trial starts from the tangent prediction, one linearized march
-    each. The run stops by stationarity, so the last solve is the accepted
-    state, and that is the state written.
+    each, made by the line search in `acopt.optimizer`; the marches of the
+    Newton step's Hessian products run inside `objective.hessian_apply`
+    and are not predictions. The run stops by stationarity, so the last
+    solve is the accepted state, and that is the state written.
     """
     import acopt.objective as objective
     import acopt.optimizer as optimizer

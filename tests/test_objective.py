@@ -20,6 +20,7 @@ from acopt import (
     UnsupportedConfigurationError,
     curvature,
     evaluate_cost,
+    hessian_apply,
     hinner,
     hnorm,
     linearized_operator,
@@ -29,9 +30,10 @@ from acopt import (
     solve_adjoint,
     solve_linearized,
     stationarity_norm,
+    third_weights,
     tracking_seeds,
 )
-from acopt.cli_io import RunConfig, build_problem
+from acopt.cli_io import RunConfig, build_problem, load_config
 from acopt.objective import _cone_directions, _cost_form, _cost_parts, adjoint_as_control, clip_to_box
 from acopt.pde_state import slot_fields
 
@@ -425,6 +427,34 @@ def test_curvature_equals_the_written_out_form(grid8, ops8, rng):
     lam_d3 = adj.values[1:] * prob.potential.d3(state.values[1:])
     pairing = float(np.einsum("kj,kj->", lam_d3, phi.values[1:] * phi.values[1:]))
     assert curvature(prob, op, third_order(prob, state, adj), h) == _cost_form(prob, parts, parts) - pairing
+
+
+@pytest.mark.parametrize("name", ["tracking", "boundary-control", "distributed-control"])
+def test_hessian_apply_identities(name):
+    """hessian_apply against curvature: <Hv, v> = D2J[v], polarization, and symmetry.
+
+    On the experiment of each config (n = 8, m = 20) at a seeded control in
+    the box: <Hv, v> = curvature(v); 4 <Hv, w> = curvature(v + w) -
+    curvature(v - w); <Hv, w> = <v, Hw>, all in hinner. Over 20 draws per
+    setup the worst relative errors were 1.9e-15, 1.6e-15 (relative to the
+    larger curvature) and 3.1e-16 (relative to |Hv| |w|); the tolerances
+    keep a margin of about ten.
+    """
+    prob = build_problem(load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"))
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        u = clip_to_box(prob, random_control(prob.grid, prob.time, rng, scale=1.0))
+        state = prob.solve(u)
+        op = linearized_operator(state, prob.potential, prob.ops)
+        third = third_weights(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
+        v = random_control(prob.grid, prob.time, rng, scale=1.0)
+        w = random_control(prob.grid, prob.time, rng, scale=1.0)
+        hv, hw = hessian_apply(prob, op, third, v), hessian_apply(prob, op, third, w)
+        assert hinner(prob, hv, v) == pytest.approx(curvature(prob, op, third, v), rel=2e-14)
+        plus = curvature(prob, op, third, ControlPair(v.bulk + w.bulk, v.surface + w.surface))
+        minus = curvature(prob, op, third, ControlPair(v.bulk - w.bulk, v.surface - w.surface))
+        assert abs(4.0 * hinner(prob, hv, w) - (plus - minus)) <= 2e-14 * max(abs(plus), abs(minus))
+        assert abs(hinner(prob, hv, w) - hinner(prob, v, hw)) <= 5e-15 * hnorm(prob, hv) * hnorm(prob, w)
 
 
 # -- optimality report --------------------------------------------------------

@@ -167,127 +167,159 @@ def test_config_validation():
         OptimizerConfig(stop_tol=-1.0)
 
 
-@pytest.fixture
-def quadratic_run(grid4, ops4):
-    """minimize on the decoupled quadratic 0.5 beta |u|^2 at beta = 0.3, from a start inside the box."""
+def test_one_newton_step_lands_on_the_projected_minimizer(grid4, ops4, monkeypatch):
+    """On the decoupled quadratic 0.5 beta |u|^2 the Hessian is beta I.
+
+    The box [0.2, 1] excludes the unconstrained minimizer 0, so the
+    projected minimizer is 0.2 everywhere. CG solves beta d = -g on the
+    free set with one product, the epsilon-active entries move by -g, and
+    the projection of the full step puts every entry on the bound.
+    """
+    import acopt.optimizer
+
     pf, pg = default_potentials()
-    prob = make_problem(grid4, ops4, TimeAxis(0.3, 6), pf, pg, betas=(0.0, 0.0, 0.0, 0.3, 0.3))
+    prob = make_problem(
+        grid4, ops4, TimeAxis(0.3, 6), pf, pg, betas=(0.0, 0.0, 0.0, 0.3, 0.3), box=(0.2, 1.0)
+    )
     start = random_control(grid4, prob.time, np.random.default_rng(5), scale=0.9)
-    return lambda max_iters: minimize(prob, OptimizerConfig(max_iters=max_iters, stop_tol=1e-10), start)
+    products = []
+    hessian_apply = acopt.optimizer.hessian_apply
 
+    def counted(*args):
+        products.append(1)
+        return hessian_apply(*args)
 
-def test_bb_step_is_one_over_beta_on_the_decoupled_quadratic(quadratic_run):
-    """The gradient is beta u, so <s, y> / <y, y> = 1/beta: the second trial lands on the minimizer."""
-    result = quadratic_run(200)
+    monkeypatch.setattr(acopt.optimizer, "hessian_apply", counted)
+    result = minimize(prob, OptimizerConfig(stop_tol=1e-12), start)
     assert result.reason == "stationarity"
-    assert len(result.history) <= 3
-    assert result.history[1].step == pytest.approx(1.0 / 0.3, rel=1e-12)
+    assert [r.step for r in result.history] == [1.0, 1.0]
+    assert len(products) == 1
+    # x + (P(x + d) - x) rounds to within one ulp of x, and |x| < 1
+    for slot in (result.control.bulk, result.control.surface):
+        np.testing.assert_allclose(slot, 0.2, rtol=0, atol=np.finfo(float).eps)
 
 
-def test_first_trial_step_is_the_bb2_quotient(grid4, ops4):
-    """history[k].step = <s, y> / <y, y> for the moves of control and gradient into iterate k."""
-    pf, pg = default_potentials()
-    prob = make_problem(grid4, ops4, TimeAxis(0.25, 5), pf, pg, targets="tanh", seed=3)
-    start = random_control(grid4, prob.time, np.random.default_rng(9), scale=0.8)
-    seen = []
-    cfg = OptimizerConfig(max_iters=10, stop_tol=1e-12)
-    history = minimize(prob, cfg, start, callback=lambda rec, u: seen.append(u)).history
-    grads = []
-    for u in seen:
-        state = prob.solve(u)
-        adjoint = solve_adjoint(
-            linearized_operator(state, prob.potential, prob.ops), tracking_seeds(prob, state)
-        )
-        grads.append(reduced_gradient(prob, adjoint, u))
-    assert history[0].step == cfg.initial_step
-    for k in range(1, len(history)):
-        s = ControlPair(seen[k].bulk - seen[k - 1].bulk, seen[k].surface - seen[k - 1].surface)
-        y = ControlPair(grads[k].bulk - grads[k - 1].bulk, grads[k].surface - grads[k - 1].surface)
-        sy = hinner(prob, s, y)
-        assert sy > 0.0
-        # the cold-started states here differ from the tangent-started ones within newton.tol
-        assert history[k].step == pytest.approx(sy / hinner(prob, y, y), rel=1e-8)
+def _textbook_cg(matrix, rhs):
+    """Residual norms of plain CG on matrix d = rhs from d = 0, one per product."""
+    d, r = np.zeros_like(rhs), rhs.copy()
+    p, norms = r.copy(), []
+    for _ in range(rhs.size):
+        hp = matrix @ p
+        alpha = (r @ r) / (p @ hp)
+        d, r_new = d + alpha * p, r - alpha * hp
+        norms.append(np.linalg.norm(r_new))
+        p, r = r_new + (r_new @ r_new) / (r @ r) * p, r_new
+    return norms
 
 
-def test_a_nonpositive_pairing_is_skipped(quadratic_run, monkeypatch):
-    """A pair with <s, y> <= eps <y, y> is not stored, and gamma stays that of the newest stored pair.
+@pytest.mark.parametrize("scale", [1e-2, 4.0])
+def test_cg_stops_at_the_forcing_tolerance(scale):
+    """CG stops at the first iterate with residual at most min(0.5, sqrt|r0|) |r0|.
 
-    With every pairing negated the memory stays empty, so every Cauchy step
-    is initial_step: on the quadratic each unit step is accepted. No tier-1
-    problem has <s, y> <= 0, so the pairs are patched to make it so.
+    Below |r0| = 0.25 the forcing term is sqrt|r0| (relative 0.1 at 1e-2),
+    above it 0.5. The reference is plain CG on the same SPD system.
     """
-    import acopt.optimizer
+    from acopt.optimizer import _truncated_cg
 
-    memory = acopt.optimizer._Memory(4)
-    s = np.array([1.0, 2.0, 0.0, -1.0])
-    memory.push(s, 2.0 * s)
-    memory.push(s, -s)
-    assert (memory.k, memory.gamma) == (1, 0.5)
+    rng = np.random.default_rng(3)
+    basis = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+    matrix = basis @ np.diag(np.geomspace(1.0, 1e3, 40)) @ basis.T
+    rhs = rng.standard_normal(40)
+    rhs *= scale / np.linalg.norm(rhs)
+    forcing = min(0.5, np.sqrt(scale)) * scale
+    products = []
 
-    push = acopt.optimizer._Memory.push
-    monkeypatch.setattr(acopt.optimizer._Memory, "push", lambda self, s, y: push(self, s, -y))
-    assert [r.step for r in quadratic_run(6).history] == [1.0] * 6
+    def apply(p):
+        products.append(1)
+        return matrix @ p
+
+    d = _truncated_cg(apply, rhs, np.dot)
+    norms = _textbook_cg(matrix, rhs)
+    stop = next(k for k, norm in enumerate(norms) if norm <= forcing)
+    assert 0 < stop < 39 and len(products) == stop + 1
+    residual = np.linalg.norm(rhs - matrix @ d)
+    assert residual <= forcing and residual == pytest.approx(norms[stop], rel=1e-6)
+
+
+def test_cg_stops_at_nonpositive_curvature():
+    """A direction with p.Hp <= 0 stops CG with the iterate so far, or with rhs before any step."""
+    from acopt.optimizer import _truncated_cg
+
+    matrix = np.diag([2.0, -1.0])
+    rhs = np.array([1.0, 1.0])
+    first = 2.0 * rhs  # the first CG step (r.r) / (r.Hr) = 2 / 1; the next p has p.Hp = -72
+    np.testing.assert_array_equal(_truncated_cg(lambda p: matrix @ p, rhs, np.dot), first)
+    assert _truncated_cg(lambda p: -p, rhs, np.dot) is rhs
 
 
 @pytest.fixture
-def filled_memory(control_prob):
-    """A memory past MEMORY pairs s, H s of a fixed SPD H, in the dimension of the n = 4 control."""
-    import acopt.optimizer
+def unit_weight_run(grid4, ops4):
+    """minimize on the tanh tracking problem with unit control weights, and its first iterate.
 
-    n = control_prob.u_lo.size + control_prob.u_lo_surf.size
-    rng = np.random.default_rng(8)
-    basis = rng.standard_normal((n, 3))
-    hessian = np.diag(rng.uniform(0.5, 4.0, n)) + basis @ basis.T
-    memory = acopt.optimizer._Memory(n)
-    for _ in range(acopt.optimizer.MEMORY + 3):
-        s = rng.standard_normal(n)
-        memory.push(s, hessian @ s)
-    assert memory.k == acopt.optimizer.MEMORY
-    return memory, s, hessian @ s, rng
+    Returns (result, first, want): want is the projected gradient point
+    P(u0 - g) at the clipped start u0, which the first iterate matches
+    when the step is the unit projected gradient step. Only x + (P(x - g) - x)
+    separates the two, by at most one ulp of |x| < 1.
+    """
+    pf, pg = default_potentials()
+    prob = make_problem(
+        grid4, ops4, TimeAxis(0.25, 5), pf, pg, betas=(1.0, 1.0, 1.0, 1.0, 1.0), targets="tanh", seed=3
+    )
+    start = random_control(grid4, prob.time, np.random.default_rng(9), scale=0.8)
+    u0 = clip_to_box(prob, start)
+    state = prob.solve(u0)
+    adjoint = solve_adjoint(linearized_operator(state, prob.potential, prob.ops), tracking_seeds(prob, state))
+    grad = reduced_gradient(prob, adjoint, u0)
+    want = clip_to_box(prob, ControlPair(u0.bulk - grad.bulk, u0.surface - grad.surface))
 
+    def run():
+        seen = []
+        result = minimize(prob, OptimizerConfig(max_iters=100), start, callback=lambda rec, u: seen.append(u))
+        return result, seen[1], want
 
-def test_compact_matrix_meets_the_secant_equation(filled_memory):
-    memory, s, y, _ = filled_memory
-    np.testing.assert_allclose(memory.times(s), y, rtol=0, atol=1e-11 * np.abs(y).max())
-
-
-def test_woodbury_free_solve_equals_the_dense_reduced_solve(filled_memory):
-    """(Z^T B Z)^-1 Z^T r from the 2k x 2k solve against Z^T B Z built one column at a time."""
-    memory, _, _, rng = filled_memory
-    n = memory.pairs.shape[-1]
-    free = rng.uniform(size=n) < 0.6
-    index = np.flatnonzero(free)
-    reduced = np.empty((index.size, index.size))
-    for col, i in enumerate(index):
-        unit = np.zeros(n)
-        unit[i] = 1.0
-        reduced[:, col] = memory.times(unit)[free]
-    r = rng.standard_normal(n)
-    got = memory.free_solve(r, free)
-    want = np.linalg.solve(reduced, r[free])
-    np.testing.assert_allclose(got[free], want, rtol=0, atol=1e-10 * np.abs(want).max())
-    assert (got[~free] == 0.0).all()
+    return run
 
 
-def test_an_ascent_direction_resets_the_memory(grid4, ops4, monkeypatch):
-    """Where the subspace direction d has <g, d> >= 0 the memory is dropped and d is the Cauchy step.
+def _assert_descent_from_the_projected_gradient_point(result, first, want):
+    assert result.reason == "stationarity"
+    costs = [r.cost for r in result.history]
+    assert all(c2 < c1 for c1, c2 in zip(costs, costs[1:]))
+    assert result.history[1].step == 1.0
+    for got, point in ((first.bulk, want.bulk), (first.surface, want.surface)):
+        np.testing.assert_allclose(got, point, rtol=0, atol=np.finfo(float).eps)
 
-    The direction is patched to the gradient itself, an ascent direction:
-    each iteration then meets one stored pair, the one made since the reset.
+
+def test_negative_curvature_takes_the_free_set_steepest_descent(unit_weight_run, monkeypatch):
+    """With hessian_apply patched to -v, every CG run stops before its first step.
+
+    The step is then -g on every entry (the free set's negative gradient,
+    and -g on the active set as always), so the first trial is the
+    projected gradient point P(u - g). The run stays a descent method and
+    still stops by stationarity.
     """
     import acopt.optimizer
 
-    pf, pg = default_potentials()
-    prob = make_problem(grid4, ops4, TimeAxis(0.25, 5), pf, pg, targets="tanh", seed=3)
-    start = random_control(grid4, prob.time, np.random.default_rng(9), scale=0.8)
-    held = []
+    truncated_cg, runs = acopt.optimizer._truncated_cg, []
 
-    def ascent(memory, x, g, cauchy, lo, hi):
-        held.append(memory.k)
-        return g
+    def recorded(apply, rhs, dot):
+        runs.append((rhs, truncated_cg(apply, rhs, dot)))
+        return runs[-1][1]
 
-    monkeypatch.setattr(acopt.optimizer._Memory, "direction", ascent)
-    history = minimize(prob, OptimizerConfig(max_iters=10, stop_tol=1e-12), start).history
-    assert held == [1] * (len(history) - 1)
-    costs = [r.cost for r in history]
-    assert len(costs) == 10 and all(c2 < c1 for c1, c2 in zip(costs, costs[1:]))
+    monkeypatch.setattr(acopt.optimizer, "hessian_apply", lambda problem, op, third, v: ControlPair(-v.bulk, -v.surface))
+    monkeypatch.setattr(acopt.optimizer, "_truncated_cg", recorded)
+    result, first, want = unit_weight_run()
+    assert len(runs) == len(result.history) - 1 and all(got is rhs for rhs, got in runs)
+    _assert_descent_from_the_projected_gradient_point(result, first, want)
+
+
+def test_an_ascent_step_falls_back_to_the_projected_gradient(unit_weight_run, monkeypatch):
+    """Where the projected step has <g, d> >= 0, d is the projected gradient step P(x - g) - x.
+
+    CG is patched to return -rhs, the gradient on the free set: an ascent
+    step. Every move is then the projected gradient step, so the first
+    iterate is P(u - g) at t = 1, and the costs still decrease.
+    """
+    import acopt.optimizer
+
+    monkeypatch.setattr(acopt.optimizer, "_truncated_cg", lambda apply, rhs, dot: -rhs)
+    _assert_descent_from_the_projected_gradient_point(*unit_weight_run())
