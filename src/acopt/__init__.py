@@ -32,6 +32,7 @@ from .objective import (
     adjoint_as_control,
     clip_to_box,
     curvature,
+    curvature_weights,
     evaluate_cost,
     hessian_apply,
     hinner,
@@ -40,7 +41,6 @@ from .objective import (
     projection_residual,
     reduced_gradient,
     stationarity_norm,
-    third_weights,
     tracking_seeds,
 )
 from .optimizer import (

@@ -41,12 +41,12 @@ from .objective import (
     ControlProblem,
     clip_to_box,
     curvature,
+    curvature_weights,
     evaluate_cost,
     hinner,
     hnorm,
     optimality_report,
     reduced_gradient,
-    third_weights,
     tracking_seeds,
 )
 from .optimizer import OptimizerConfig, minimize
@@ -656,12 +656,12 @@ def verify_curvature(problem, seed=0):
     """Second-difference check of the curvature form."""
     rng, u, state, operator = _base_point(problem, seed)
     adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
-    third = third_weights(problem, state, adjoint)
+    weights = curvature_weights(problem, state, adjoint)
     j0 = evaluate_cost(problem, state, u)
     rows = []
     for d in range(VERIFY_DIRECTIONS):
         h = _random_direction(problem, rng)
-        exact = curvature(problem, operator, third, h)
+        exact = curvature(problem, operator, weights, h)
         best = np.inf
         for eps in (1e-2, 3e-3, 1e-3):
             j_up, j_dn = _shifted_cost(problem, u, eps, h), _shifted_cost(problem, u, -eps, h)

@@ -10,14 +10,18 @@ distributed control (boundary rows carry the surface equation). The
 adjoint contribution to the gradient is therefore zero exactly there,
 and only there; everywhere else the gradient is representer plus
 weighted control, which is the discrete form of the classical
-identification. The curvature pairs the multipliers themselves with the
-third derivatives, and the Hessian product is the gradient's formula on a
-second adjoint march. All first- and second-order identities below hold to
-direct-solver roundoff because the adjoint is the exact transpose of the
-forward stepping.
+identification. The second variation's state weights are written out
+once (`curvature_weights`): the cost's tracking weights less the
+multipliers themselves times the third derivatives, one array Q. The
+curvature sums Q phi^2 and the weighted control squares, and the Hessian
+product is the gradient's formula on a second adjoint march seeded with
+Q phi. All first- and second-order identities below hold to direct-solver
+roundoff because the adjoint is the exact transpose of the forward
+stepping.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,23 +149,13 @@ def hnorm(problem, a):
     return float(np.sqrt(max(hinner(problem, a, a), 0.0)))
 
 
-def _cost_parts(trajectory, control):
-    """The six arguments of `_cost_form` taken from a trajectory and a control pair."""
-    surface = trajectory.surface
-    return (
-        trajectory.values, surface, trajectory.values[-1], surface[-1], control.bulk, control.surface
-    )
-
-
 def _cost_form(problem, a, b):
     """The symmetric bilinear form behind the six-term tracking cost.
 
-    a and b are `_cost_parts` tuples: bulk and surface trajectories,
-    terminal bulk and surface fields, bulk and surface controls. The cost
-    is half the form on its residuals; the curvature pairs the linearized
-    responses and the directions with it. The terminal terms are numpy
-    sums, not BLAS dots, so the form's bits do not depend on the CPU's
-    BLAS kernel.
+    a and b are six-tuples: bulk and surface trajectories, terminal bulk
+    and surface fields, bulk and surface controls. The cost is half the
+    form on its residuals. The terminal terms are numpy sums, not BLAS
+    dots, so the form's bits do not depend on the CPU's BLAS kernel.
     """
     theta = problem.time.weights()
     w, gamma = problem.grid.bulk_weights, problem.grid.surface_weights
@@ -247,49 +241,70 @@ def reduced_gradient(problem, adjoint, control):
     )
 
 
-def third_weights(problem, state, adjoint):
-    """The (m, N) array lambda[1:] * d3(y[1:]) that `curvature` and `hessian_apply` read.
+class CurvatureWeights(NamedTuple):
+    """`curvature_weights`: Q on levels 1..m, (m, N); theta w, (m+1, N); theta gamma, (m+1, 4n)."""
 
-    The adjoint multipliers lambda times `problem.potential`'s third
-    derivative along the state y (f''' at interior slots, g''' on the
-    cycle), on levels 1..m.
+    state: np.ndarray
+    bulk: np.ndarray
+    surface: np.ndarray
+
+
+def curvature_weights(problem, state, adjoint):
+    """The weights of the reduced cost's second variation at a state.
+
+    Q on levels 1..m is the seed form of unit residuals (the tracking
+    weights beta1 theta w, plus beta2 theta gamma on the cycle and
+    beta3 (w, gamma) on level m) less the adjoint multipliers lambda times
+    `problem.potential`'s third derivative along the state y (f''' at
+    interior slots, g''' on the cycle). The control weights theta w and
+    theta gamma sit beside it. `curvature` reads all three and
+    `hessian_apply` reads Q; a caller forms them once for all its directions.
     """
-    return adjoint.values[1:] * problem.potential.d3(state.values[1:])
+    theta = problem.time.weights()[:, None]
+    tracking = _seed_form(problem, 1.0, 1.0, 1.0, 1.0)[1:]
+    return CurvatureWeights(
+        tracking - adjoint.values[1:] * problem.potential.d3(state.values[1:]),
+        theta * problem.grid.bulk_weights,
+        theta * problem.grid.surface_weights,
+    )
 
 
-def hessian_apply(problem, operator, third, direction):
+def hessian_apply(problem, operator, weights, direction):
     """The reduced Hessian applied to a direction, as its `hinner` representer.
 
     Two marches on the factors of operator, the `linearized_operator` around
     the state: the linearized response phi = y' direction, then the adjoint
-    march of the seed form on phi less third * phi on levels 1..m. Its
-    multipliers enter `reduced_gradient` with the direction in place of the
-    control, which adds beta5 and beta6 times the direction. third is
-    `third_weights` at the state. With the exact-transpose adjoint,
+    march of the seeds Q phi on levels 1..m. Its multipliers enter
+    `reduced_gradient` with the direction in place of the control, which
+    adds beta5 and beta6 times the direction. weights is `curvature_weights`
+    at the state. With the exact-transpose adjoint,
     hinner(hessian_apply(v), v) equals `curvature` along v and the operator
     is symmetric in `hinner`, both to solver roundoff.
     """
-    phi = solve_linearized(operator, direction)
-    seeds = _seed_form(problem, *_cost_parts(phi, direction)[:4])
-    seeds[1:] -= third * phi.values[1:]
+    seeds = solve_linearized(operator, direction).values
+    seeds[1:] *= weights.state  # the adjoint march never reads level 0
     return reduced_gradient(problem, solve_adjoint(operator, seeds), direction)
 
 
-def curvature(problem, operator, third, direction):
+def curvature(problem, operator, weights, direction):
     """Second derivative of the reduced cost along one direction.
 
-    Evaluates the representation with the linearized response: tracking
-    terms in the response, terminal terms, control weights, minus the
-    adjoint-weighted third-derivative terms along the state. With the
+    With the linearized response phi = y' h, the second variation
+    sum Q phi^2 + beta5 sum theta w h_b^2 + beta6 sum theta gamma h_s^2
+    over the bulk and surface slots h_b, h_s of h, as three numpy sums, so
+    its bits do not depend on the CPU's BLAS kernel. With the
     exact-transpose adjoint this equals the true second difference of the
     discrete cost up to solver roundoff. operator is the
-    `linearized_operator` around the state, and third is `third_weights`
-    there, which a caller forms once for all its directions.
+    `linearized_operator` around the state, and weights is
+    `curvature_weights` there.
     """
-    phi = solve_linearized(operator, direction)
-    parts = _cost_parts(phi, direction)
-    squared = phi.values[1:] * phi.values[1:]
-    return _cost_form(problem, parts, parts) - float(np.einsum("kj,kj->", third, squared))
+    phi = solve_linearized(operator, direction).values[1:]
+    bulk, surface = direction.bulk, direction.surface
+    return (
+        float(np.einsum("kj,kj->", weights.state, phi * phi))
+        + problem.beta5 * float(np.einsum("kj,kj->", weights.bulk, bulk * bulk))
+        + problem.beta6 * float(np.einsum("kj,kj->", weights.surface, surface * surface))
+    )
 
 
 # -- first-order diagnostics -------------------------------------------------
@@ -359,42 +374,47 @@ class OptimalityReport:
         return min(ratios) if ratios else float("nan")
 
 
-def _into_cone(h, at_lo, at_hi, zero):
-    """A draw h for one control slot mapped into the critical cone.
-
-    |h| at the lower bound, -|h| at the upper bound, 0 where zero is set:
-    strongly active entries and pinned ones (lower bound = upper bound),
-    where the cone is {0}.
-    """
-    h = np.where(at_lo, np.abs(h), np.where(at_hi, -np.abs(h), h))
-    h[zero] = 0.0
-    return h
-
-
 def _cone_directions(problem, control, grad, tau, n_dir, rng):
     """Yield n_dir random directions in the tau-critical cone; none when the cone is {0}.
 
     Each direction is drawn only when the caller asks for it, so a caller
     that keeps none holds one at a time. The draws come direction by
     direction, bulk slot then surface slot; a trivial cone draws nothing.
-    A draw is nonzero on every free entry, so no direction has zero norm.
+    Each slot's cone rule is two float masks, formed once: a draw h maps to
+    |h| sign + h keep. sign is 1 at the lower bound and -1 at the upper
+    bound, keep is 1 on the free entries, and both are 0 where the cone is
+    {0}: on strongly active entries and pinned ones (lower bound = upper
+    bound), which get +0.0. A draw is nonzero on every free entry, so no
+    direction has zero norm.
     """
     slots = []
+    trivial = True
     for u, g, lo, hi in (
         (control.bulk, grad.bulk, problem.u_lo, problem.u_hi),
         (control.surface, grad.surface, problem.u_lo_surf, problem.u_hi_surf),
     ):
         at_lo, at_hi = u <= lo, u >= hi
-        slots.append((u.shape, at_lo, at_hi, (np.abs(g) > tau) | (at_lo & at_hi)))
-    if all(zero.all() for *_, zero in slots):
+        zero = (np.abs(g) > tau) | (at_lo & at_hi)
+        sign = np.select([zero, at_lo, at_hi], [0.0, 1.0, -1.0], 0.0)
+        slots.append((u.shape, sign, (~(zero | at_lo | at_hi)).astype(float)))
+        trivial &= bool(zero.all())
+    if trivial:
         return
     for _ in range(n_dir):
-        yield ControlPair(
-            *(_into_cone(rng.uniform(-1.0, 1.0, size=shape), *masks) for shape, *masks in slots)
-        )
+        pair = []
+        for shape, sign, keep in slots:
+            h = rng.uniform(-1.0, 1.0, size=shape)
+            bound = np.abs(h)
+            bound *= sign
+            h *= keep
+            h += bound
+            pair.append(h)
+        yield ControlPair(*pair)
 
 
-def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
+def optimality_report(
+    problem, control, tau=None, n_dir=32, seed=0, state=None, operator=None, adjoint=None
+):
     """Assemble the optimality diagnostics for a control.
 
     Solves state and adjoint, evaluates gradient norm, projected
@@ -409,6 +429,12 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
     computed, and none is kept, so one direction is alive at a time. The
     report's memory is the state, the adjoint, the m step factors, and one
     direction with its linearized march, whatever n_dir is.
+
+    state, operator and adjoint, when given, are the state at the control,
+    the `linearized_operator` around it and the adjoint march of its
+    `tracking_seeds` on that operator; the report computes each one it is
+    not given. `optimizer.minimize` passes the ones it holds at its final
+    control, so the report factors nothing again.
     """
     if not isinstance(n_dir, (int, np.integer)) or n_dir < 0:
         raise InvalidParameterError(f"n_dir must be a nonnegative integer, got {n_dir!r}")
@@ -416,8 +442,10 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
         raise InvalidParameterError(f"tau must be finite and nonnegative, got {tau!r}")
     if state is None:
         state = problem.solve(control)
-    operator = linearized_operator(state, problem.potential, problem.ops)
-    adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
+    if operator is None:
+        operator = linearized_operator(state, problem.potential, problem.ops)
+    if adjoint is None:
+        adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
     grad = reduced_gradient(problem, adjoint, control)
     cost = evaluate_cost(problem, state, control)
     grad_norm = hnorm(problem, grad)
@@ -437,10 +465,10 @@ def optimality_report(problem, control, tau=None, n_dir=32, seed=0, state=None):
         proj_res, supported = float("nan"), False
 
     rng = np.random.default_rng(seed)
-    third = third_weights(problem, state, adjoint)
+    weights = curvature_weights(problem, state, adjoint)
     samples = []
     for idx, direction in enumerate(_cone_directions(problem, control, grad, tau, n_dir, rng)):
-        value = curvature(problem, operator, third, direction)
+        value = curvature(problem, operator, weights, direction)
         norm_sq = hinner(problem, direction, direction)
         samples.append((idx, value, norm_sq, value / norm_sq))
 

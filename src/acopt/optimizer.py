@@ -46,7 +46,8 @@ benchmark input, 14 % of the trial levels need no Newton step, 30 % one,
 51 % two and 5 % three. The trial's state still meets the full Newton
 tolerance. The final optimality report reuses the accepted state, and
 `MinimizeResult.state` hands it to the caller, so the final control costs
-no extra solve.
+no extra solve. At a stationarity or roundoff stop the report also reuses
+the last iteration's operator and adjoint, so it factors nothing again.
 """
 
 import math
@@ -57,12 +58,12 @@ import numpy as np
 from .errors import InvalidParameterError, OptimizerStalledError
 from .objective import (
     clip_to_box,
+    curvature_weights,
     evaluate_cost,
     hessian_apply,
     optimality_report,
     reduced_gradient,
     stationarity_norm,
-    third_weights,
     tracking_seeds,
 )
 from .pde_linear import linearized_operator, solve_adjoint, solve_linearized
@@ -212,10 +213,11 @@ def minimize(problem, config, start, callback=None):
         x, g = _flat(u), _flat(grad)
         eps = min(1e-3, stat)
         free = ~(((x <= lo + eps) & (g > 0.0)) | ((x >= hi - eps) & (g < 0.0)))
-        third = third_weights(problem, state, adjoint)
+        curv_weights = curvature_weights(problem, state, adjoint)
 
         def hess(v):
-            return np.where(free, _flat(hessian_apply(problem, operator, third, _pair(problem, v))), 0.0)
+            product = hessian_apply(problem, operator, curv_weights, _pair(problem, v))
+            return np.where(free, _flat(product), 0.0)
 
         newton = np.where(free, _truncated_cg(hess, np.where(free, -g, 0.0), dot), -g)
         d = np.clip(x + newton, lo, hi) - x
@@ -254,7 +256,8 @@ def minimize(problem, config, start, callback=None):
                 history=history,
             )
         u, cost, state = accepted
+        operator = adjoint = None  # both belong to the previous iterate
         step = trial
 
-    report = optimality_report(problem, u, state=state)
+    report = optimality_report(problem, u, state=state, operator=operator, adjoint=adjoint)
     return MinimizeResult(control=u, state=state, history=history, report=report, reason=reason)

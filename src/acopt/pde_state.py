@@ -154,8 +154,7 @@ def slot_fields(grid, bulk_values, surface_values):
     bulk_values (..., N) and surface_values (..., 4n) may carry leading
     axes, such as one row per time level; the result is (..., N).
     """
-    out = np.zeros(bulk_values.shape)
-    out[..., grid.interior_nodes] = bulk_values[..., grid.interior_nodes]
+    out = np.array(bulk_values, dtype=float)  # interior slots; the cycle's are overwritten
     out[..., grid.boundary_cycle] = surface_values
     return out
 

@@ -108,11 +108,6 @@ def random_control(grid, time, rng, scale=0.5):
     )
 
 
-def third_order(problem, state, adjoint):
-    """`curvature`'s third argument: the adjoint multipliers times d3 along the state, levels 1..m."""
-    return adjoint.values[1:] * problem.potential.d3(state.values[1:])
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -17,6 +17,7 @@ from acopt import (
     build_grid,
     build_operators,
     curvature,
+    curvature_weights,
     energy,
     evaluate_cost,
     hinner,
@@ -41,7 +42,6 @@ from conftest import (
     make_problem,
     quadratic_potentials,
     random_control,
-    third_order,
 )
 
 
@@ -155,12 +155,12 @@ def test_criterion_03_gradient_fd(duality_setup):
 def test_criterion_04_curvature(duality_setup):
     """(4) second differences match curvature to 1e-4; the parallelogram law to 1e-9."""
     prob, u, state, op, adj, rng = duality_setup
-    third = third_order(prob, state, adj)
+    weights = curvature_weights(prob, state, adj)
     j0 = evaluate_cost(prob, state, u)
     worst = 0.0
     for _ in range(5):
         h = random_control(prob.grid, prob.time, rng)
-        exact = curvature(prob, op, third, h)
+        exact = curvature(prob, op, weights, h)
         best = np.inf
         for eps in (1e-2, 3e-3, 1e-3):
             up = ControlPair(u.bulk + eps * h.bulk, u.surface + eps * h.surface)
@@ -177,9 +177,9 @@ def test_criterion_04_curvature(duality_setup):
     k = random_control(prob.grid, prob.time, rng)
     hp = ControlPair(h.bulk + k.bulk, h.surface + k.surface)
     hm = ControlPair(h.bulk - k.bulk, h.surface - k.surface)
-    plus = curvature(prob, op, third, hp)
-    minus = curvature(prob, op, third, hm)
-    sides = 2.0 * curvature(prob, op, third, h) + 2.0 * curvature(prob, op, third, k)
+    plus = curvature(prob, op, weights, hp)
+    minus = curvature(prob, op, weights, hm)
+    sides = 2.0 * curvature(prob, op, weights, h) + 2.0 * curvature(prob, op, weights, k)
     parallelogram = abs(plus + minus - sides)
     ok = worst <= 1e-4 and parallelogram <= 1e-9
     _line(4, "curvature representation", ok,

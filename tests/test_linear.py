@@ -270,6 +270,26 @@ def test_sparse_linear_and_adjoint_marches_pair(wide):
     assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
 
+@pytest.mark.parametrize("path", ["band", "sparse"])
+def test_solves_leave_the_callers_arrays_unchanged(request, grid4, ops4, path):
+    """A step solve or march overwrites only temporaries of its own: never rhs, source or seeds."""
+    grid, ops = (grid4, ops4) if path == "band" else request.getfixturevalue("wide")
+    assert ops.step.sparse == (path == "sparse")
+    rng = np.random.default_rng(3)
+    time = TimeAxis(0.025, 2)
+    N = grid.num_nodes
+    op = SteppedOperator(grid, ops, time, rng.uniform(-3.0, 5.0, size=(time.m + 1, N)))
+    source, seeds = rng.normal(size=(2, time.m + 1, N))
+    rhs = rng.normal(size=N)
+    kept = source.copy(), seeds.copy(), rhs.copy()
+    solve_linear(op, source, np.zeros(N))
+    solve_adjoint(op, seeds)
+    op.solve(1, rhs)
+    op.solve_transposed(2, rhs)
+    for array, copy in zip((source, seeds, rhs), kept):
+        assert np.array_equal(array, copy)
+
+
 # -- linearized system --------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from acopt import (
     Trajectory,
     UnsupportedConfigurationError,
     curvature,
+    curvature_weights,
     evaluate_cost,
     hessian_apply,
     hinner,
@@ -30,11 +31,10 @@ from acopt import (
     solve_adjoint,
     solve_linearized,
     stationarity_norm,
-    third_weights,
     tracking_seeds,
 )
 from acopt.cli_io import RunConfig, build_problem, load_config
-from acopt.objective import _cone_directions, _cost_form, _cost_parts, adjoint_as_control, clip_to_box
+from acopt.objective import _cone_directions, _cost_form, _seed_form, adjoint_as_control, clip_to_box
 from acopt.pde_state import slot_fields
 
 from conftest import (
@@ -42,7 +42,6 @@ from conftest import (
     make_problem,
     quadratic_potentials,
     random_control,
-    third_order,
 )
 
 
@@ -339,9 +338,9 @@ def test_curvature_pure_control_quadratic(grid4, ops4, rng):
     u = ControlPair.zeros(grid4, time)
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, ops4)
-    third = third_order(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
+    weights = curvature_weights(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
     h = random_control(grid4, time, rng)
-    value = curvature(prob, op, third, h)
+    value = curvature(prob, op, weights, h)
     theta = time.weights()
     expected = float(
         np.einsum("k,kj,kj->", theta, h.bulk * grid4.bulk_weights, h.bulk)
@@ -356,8 +355,8 @@ def test_curvature_zero_direction(grid4, ops4):
     u = ControlPair.zeros(grid4, time)
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, ops4)
-    third = third_order(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
-    assert curvature(prob, op, third, ControlPair.zeros(grid4, time)) == 0.0
+    weights = curvature_weights(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
+    assert curvature(prob, op, weights, ControlPair.zeros(grid4, time)) == 0.0
 
 
 def test_curvature_second_difference_oracle(grid8, ops8, rng):
@@ -367,10 +366,10 @@ def test_curvature_second_difference_oracle(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, ops8)
-    third = third_order(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
+    weights = curvature_weights(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
     j0 = evaluate_cost(prob, state, u)
     h = random_control(grid8, time, rng)
-    exact = curvature(prob, op, third, h)
+    exact = curvature(prob, op, weights, h)
     best = np.inf
     for eps in (1e-2, 3e-3, 1e-3):
         up = ControlPair(u.bulk + eps * h.bulk, u.surface + eps * h.surface)
@@ -392,26 +391,28 @@ def test_curvature_parallelogram_law(grid8, ops8, rng):
     u = random_control(grid8, time, rng, scale=0.3)
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, ops8)
-    third = third_order(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
+    weights = curvature_weights(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
     h = random_control(grid8, time, rng)
     k = random_control(grid8, time, rng)
     hp = ControlPair(h.bulk + k.bulk, h.surface + k.surface)
     hm = ControlPair(h.bulk - k.bulk, h.surface - k.surface)
-    plus = curvature(prob, op, third, hp)
-    minus = curvature(prob, op, third, hm)
-    sides = 2.0 * curvature(prob, op, third, h) + 2.0 * curvature(prob, op, third, k)
+    plus = curvature(prob, op, weights, hp)
+    minus = curvature(prob, op, weights, hm)
+    sides = 2.0 * curvature(prob, op, weights, h) + 2.0 * curvature(prob, op, weights, k)
     assert abs(plus + minus - sides) <= 1e-9 * max(abs(plus), abs(minus), 1.0)
 
 
 def test_curvature_equals_the_written_out_form(grid8, ops8, rng):
-    """The third-order array changes no bit of the curvature.
+    """The curvature is, bit for bit, the second variation written out here.
 
-    Reference: the cost form on (phi, h) minus the third-derivative pairing
-    written out in multiplier space, sum of (lambda d3) (phi phi) over levels
-    1..m, on a cone direction. Started at 0.1, near the singular end, the
-    third-derivative term is half the cost form, so the check reads its
-    last bits: summing the four factors in another order, in one
-    four-operand einsum or by np.sum, moves them.
+    Reference: Q = the tracking weights (beta1 theta w, plus beta2 theta
+    gamma on the cycle and beta3 (w, gamma) on level m) less lambda d3,
+    paired with phi phi over levels 1..m, plus beta5 and beta6 times the
+    theta-weighted squares of the bulk and surface slots, on a cone
+    direction. Started at 0.1, near the singular end, the lambda d3 pairing
+    (3.7e-3) exceeds the curvature (3.4e-3) and is seven times the tracking
+    part, so the check reads the sums' last bits: a three-operand einsum,
+    np.sum, or the tracking and lambda d3 parts summed apart each move them.
     """
     pf, pg = default_potentials()
     time = TimeAxis(0.4, 8)
@@ -422,11 +423,23 @@ def test_curvature_equals_the_written_out_form(grid8, ops8, rng):
     adj = solve_adjoint(op, tracking_seeds(prob, state))
     grad = reduced_gradient(prob, adj, u)
     (h,) = _cone_directions(prob, u, grad, 1e9, 1, rng)  # none strongly active, signs at the bounds
-    phi = solve_linearized(op, h)
-    parts = _cost_parts(phi, h)
+    phi = solve_linearized(op, h).values[1:]
+    theta = time.weights()[:, None]
+    w, gamma, cycle = grid8.bulk_weights, grid8.surface_weights, grid8.boundary_cycle
+    track = prob.beta1 * theta * w
+    track[:, cycle] += prob.beta2 * theta * gamma
+    track[-1] += prob.beta3 * w
+    track[-1, cycle] += prob.beta3 * gamma
     lam_d3 = adj.values[1:] * prob.potential.d3(state.values[1:])
-    pairing = float(np.einsum("kj,kj->", lam_d3, phi.values[1:] * phi.values[1:]))
-    assert curvature(prob, op, third_order(prob, state, adj), h) == _cost_form(prob, parts, parts) - pairing
+    q = track[1:] - lam_d3
+    expected = (
+        float(np.einsum("kj,kj->", q, phi * phi))
+        + prob.beta5 * float(np.einsum("kj,kj->", theta * w, h.bulk * h.bulk))
+        + prob.beta6 * float(np.einsum("kj,kj->", theta * gamma, h.surface * h.surface))
+    )
+    value = curvature(prob, op, curvature_weights(prob, state, adj), h)
+    assert value == expected
+    assert float(np.einsum("kj,kj->", lam_d3, phi * phi)) > value > 0.0
 
 
 @pytest.mark.parametrize("name", ["tracking", "boundary-control", "distributed-control"])
@@ -436,8 +449,8 @@ def test_hessian_apply_identities(name):
     On the experiment of each config (n = 8, m = 20) at a seeded control in
     the box: <Hv, v> = curvature(v); 4 <Hv, w> = curvature(v + w) -
     curvature(v - w); <Hv, w> = <v, Hw>, all in hinner. Over 20 draws per
-    setup the worst relative errors were 1.9e-15, 1.6e-15 (relative to the
-    larger curvature) and 3.1e-16 (relative to |Hv| |w|); the tolerances
+    setup the worst relative errors were 1.7e-15, 9.5e-16 (relative to the
+    larger curvature) and 2.2e-16 (relative to |Hv| |w|); the tolerances
     keep a margin of about ten.
     """
     prob = build_problem(load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"))
@@ -446,15 +459,44 @@ def test_hessian_apply_identities(name):
         u = clip_to_box(prob, random_control(prob.grid, prob.time, rng, scale=1.0))
         state = prob.solve(u)
         op = linearized_operator(state, prob.potential, prob.ops)
-        third = third_weights(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
+        weights = curvature_weights(prob, state, solve_adjoint(op, tracking_seeds(prob, state)))
         v = random_control(prob.grid, prob.time, rng, scale=1.0)
         w = random_control(prob.grid, prob.time, rng, scale=1.0)
-        hv, hw = hessian_apply(prob, op, third, v), hessian_apply(prob, op, third, w)
-        assert hinner(prob, hv, v) == pytest.approx(curvature(prob, op, third, v), rel=2e-14)
-        plus = curvature(prob, op, third, ControlPair(v.bulk + w.bulk, v.surface + w.surface))
-        minus = curvature(prob, op, third, ControlPair(v.bulk - w.bulk, v.surface - w.surface))
+        hv, hw = hessian_apply(prob, op, weights, v), hessian_apply(prob, op, weights, w)
+        assert hinner(prob, hv, v) == pytest.approx(curvature(prob, op, weights, v), rel=2e-14)
+        plus = curvature(prob, op, weights, ControlPair(v.bulk + w.bulk, v.surface + w.surface))
+        minus = curvature(prob, op, weights, ControlPair(v.bulk - w.bulk, v.surface - w.surface))
         assert abs(4.0 * hinner(prob, hv, w) - (plus - minus)) <= 2e-14 * max(abs(plus), abs(minus))
         assert abs(hinner(prob, hv, w) - hinner(prob, v, hw)) <= 5e-15 * hnorm(prob, hv) * hnorm(prob, w)
+
+
+@pytest.mark.parametrize("name", ["tracking", "boundary-control", "distributed-control"])
+def test_curvature_weights_track_the_cost_form(name):
+    """Q's tracking part is the seed form and the cost form's state part, to roundoff.
+
+    <Hv, v> = curvature(v) reads one Q on both sides, so it cannot catch a
+    wrong beta, theta or terminal weight in Q; this test can. With a zero
+    adjoint Q is its tracking part alone. On a linearized response phi
+    (zero at level 0), Q phi is `_seed_form` on phi's residual tuple and
+    sum Q phi^2 is `_cost_form`'s four state terms. The three betas are
+    made distinct, so swapping two of them fails here.
+    """
+    prob = build_problem(load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"))
+    prob = replace(prob, beta1=0.7, beta2=1.3, beta3=2.1)
+    rng = np.random.default_rng(7)
+    u = clip_to_box(prob, random_control(prob.grid, prob.time, rng, scale=1.0))
+    state = prob.solve(u)
+    op = linearized_operator(state, prob.potential, prob.ops)
+    zero = Trajectory(np.zeros_like(state.values), prob.grid, prob.time)
+    track = curvature_weights(prob, state, zero).state
+    phi = solve_linearized(op, random_control(prob.grid, prob.time, rng, scale=1.0))
+    surface = phi.surface
+    residual = (phi.values, surface, phi.values[-1], surface[-1])
+    np.testing.assert_allclose(track * phi.values[1:], _seed_form(prob, *residual)[1:], rtol=1e-15, atol=0.0)
+    no_control = (np.zeros_like(u.bulk), np.zeros_like(u.surface))
+    form = _cost_form(prob, (*residual, *no_control), (*residual, *no_control))
+    squares = float(np.einsum("kj,kj->", track, phi.values[1:] * phi.values[1:]))
+    assert squares == pytest.approx(form, rel=1e-14)
 
 
 # -- optimality report --------------------------------------------------------
@@ -558,6 +600,55 @@ def test_cone_directions_stay_in_the_box(box):
             assert np.all(h[~(pinned | only_lo | only_hi)] != 0.0)
 
 
+def test_cone_masks_draw_the_rule_written_out(grid4, ops4):
+    """The masked cone draws are, bit for bit, the cone rule written out case by case.
+
+    Reference: |h| at the lower bound, -|h| at the upper bound, h on free
+    entries, then +0.0 on strongly active and pinned (lower = upper bound)
+    entries. The control has entries at both bounds and pinned entries,
+    and tau leaves about half of them strongly active. No zeroed entry is
+    -0.0.
+    """
+    pf, pg = default_potentials()
+    time = TimeAxis(0.3, 5)
+    prob = make_problem(grid4, ops4, time, pf, pg, seed=2)
+    pins = {}
+    for lo, hi in (("u_lo", "u_hi"), ("u_lo_surf", "u_hi_surf")):
+        lower, upper = getattr(prob, lo).copy(), getattr(prob, hi).copy()
+        lower[:, ::4] = upper[:, ::4] = 0.25
+        pins[lo], pins[hi] = lower, upper
+    prob = replace(prob, **pins)
+    rng = np.random.default_rng(11)
+    u = clip_to_box(prob, random_control(grid4, time, rng, scale=1.5))
+    grad = random_control(grid4, time, rng, scale=1.0)
+    tau = float(np.median(np.abs(grad.bulk)))
+
+    def old_rule(h, u, g, lo, hi):
+        at_lo, at_hi = u <= lo, u >= hi
+        h = np.where(at_lo, np.abs(h), np.where(at_hi, -np.abs(h), h))
+        h[(np.abs(g) > tau) | (at_lo & at_hi)] = 0.0
+        return h
+
+    slots = (
+        (u.bulk, grad.bulk, prob.u_lo, prob.u_hi, "bulk"),
+        (u.surface, grad.surface, prob.u_lo_surf, prob.u_hi_surf, "surface"),
+    )
+    for control, g, lo, hi, _ in slots:  # each rule shows, strongly active and not
+        pinned, active = lo == hi, np.abs(g) > tau
+        only_lo, only_hi = (control <= lo) & ~pinned, (control >= hi) & ~pinned
+        for case in (only_lo, only_hi, pinned, ~(pinned | only_lo | only_hi)):
+            assert (case & active).any() and (case & ~active).any()
+    seed = 13
+    dirs = list(_cone_directions(prob, u, grad, tau, 6, np.random.default_rng(seed)))
+    stream = np.random.default_rng(seed)
+    for d in dirs:
+        for control, g, lo, hi, name in slots:
+            h = getattr(d, name)
+            reference = old_rule(stream.uniform(-1.0, 1.0, size=h.shape), control, g, lo, hi)
+            assert np.array_equal(h.view(np.uint64), reference.view(np.uint64))
+            assert not np.signbit(h[h == 0.0]).any()
+
+
 def test_report_draws_the_cone_stream_in_order(grid4, ops4):
     """The report's curvatures are, bit for bit, those along the directions drawn from its seed.
 
@@ -581,8 +672,8 @@ def test_report_draws_the_cone_stream_in_order(grid4, ops4):
     report = optimality_report(prob, u, tau=tau, n_dir=n_dir, seed=seed, state=state)
     dirs = list(_cone_directions(prob, u, grad, tau, n_dir, np.random.default_rng(seed)))
     assert len(dirs) == n_dir
-    third = third_order(prob, state, adj)
-    assert [s[1] for s in report.curvature_samples] == [curvature(prob, op, third, d) for d in dirs]
+    weights = curvature_weights(prob, state, adj)
+    assert [s[1] for s in report.curvature_samples] == [curvature(prob, op, weights, d) for d in dirs]
     assert [s[2] for s in report.curvature_samples] == [hinner(prob, d, d) for d in dirs]
     stream = np.random.default_rng(seed)
     for d in dirs:

@@ -13,6 +13,7 @@ from acopt import (
     hinner,
     linearized_operator,
     minimize,
+    optimality_report,
     reduced_gradient,
     solve_adjoint,
     stationarity_norm,
@@ -305,7 +306,7 @@ def test_negative_curvature_takes_the_free_set_steepest_descent(unit_weight_run,
         runs.append((rhs, truncated_cg(apply, rhs, dot)))
         return runs[-1][1]
 
-    monkeypatch.setattr(acopt.optimizer, "hessian_apply", lambda problem, op, third, v: ControlPair(-v.bulk, -v.surface))
+    monkeypatch.setattr(acopt.optimizer, "hessian_apply", lambda problem, op, weights, v: ControlPair(-v.bulk, -v.surface))
     monkeypatch.setattr(acopt.optimizer, "_truncated_cg", recorded)
     result, first, want = unit_weight_run()
     assert len(runs) == len(result.history) - 1 and all(got is rhs for rhs, got in runs)
@@ -323,3 +324,31 @@ def test_an_ascent_step_falls_back_to_the_projected_gradient(unit_weight_run, mo
 
     monkeypatch.setattr(acopt.optimizer, "_truncated_cg", lambda apply, rhs, dot: -rhs)
     _assert_descent_from_the_projected_gradient_point(*unit_weight_run())
+
+
+@pytest.mark.parametrize("max_iters, reason, builds", [(50, "stationarity", 0), (1, "max_iters", 1)])
+def test_final_report_reuses_the_last_operator(grid4, ops4, monkeypatch, max_iters, reason, builds):
+    """At a stationarity stop the final report factors nothing again; it is the fresh report, bit for bit.
+
+    The last iteration's operator and adjoint belong to the final control
+    only when the loop stopped before moving it (stationarity or roundoff).
+    After a max_iters stop they belong to the previous iterate, and the
+    report builds its own.
+    """
+    import acopt.objective
+
+    pf, pg = default_potentials()
+    time = TimeAxis(0.25, 5)
+    prob = make_problem(grid4, ops4, time, pf, pg, targets="tanh", seed=3)
+    start = random_control(grid4, time, np.random.default_rng(2), scale=0.5)
+    original, built = acopt.objective.linearized_operator, []
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(acopt.objective, "linearized_operator", counted)
+    result = minimize(prob, OptimizerConfig(max_iters=max_iters, stop_tol=1e-8), start)
+    monkeypatch.undo()
+    assert result.reason == reason and len(built) == builds
+    assert result.report == optimality_report(prob, result.control, state=result.state)
