@@ -8,8 +8,8 @@ Laplacian acts as a periodic second difference in arclength.
 Quadrature is node based: tensor-product trapezoid in the bulk, composite
 trapezoid on the boundary cycle, trapezoid along the time axis. All mass
 matrices are therefore diagonal, which keeps discrete adjoints plain
-(weighted) matrix transposes. `space_time_inner` is the one space-time
-pairing built from these weights.
+(weighted) matrix transposes. `space_time_inner` pairs trajectories with
+these weights; `objective.ControlProblem.metric` holds the controls'.
 
 The discrete model is one edge list (a, b, k): the bulk grid's edges and
 the boundary cycle's, whose graph energy 0.5 sum k (z_a - z_b)^2 is the

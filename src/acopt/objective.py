@@ -1,27 +1,27 @@
 """Tracking cost, reduced gradient, curvature form, optimality diagnostics.
 
-The space-time inner product `hinner` (time weights theta, slot weights
-W) is defined here, and so is its Riesz map: `adjoint_as_control` turns
-the multipliers of `pde_linear.solve_adjoint` into the control-space
-representer p = multiplier / (theta W), the one place that division is
-made. Two slots of the control never influence the dynamics: level 0
-(the first step reads level 1) and the boundary-trace entries of the
-distributed control (boundary rows carry the surface equation). The
-adjoint contribution to the gradient is therefore zero exactly there,
-and only there; everywhere else the gradient is representer plus
-weighted control, which is the discrete form of the classical
-identification. The second variation's state weights are written out
-once (`curvature_weights`): the cost's tracking weights less the
-multipliers themselves times the third derivatives, one array Q. The
-curvature sums Q phi^2 and the weighted control squares, and the Hessian
-product is the gradient's formula on a second adjoint march seeded with
-Q phi. All first- and second-order identities below hold to direct-solver
-roundoff because the adjoint is the exact transpose of the forward
-stepping.
+The controls live in L2(Q) x L2(Sigma), whose one metric is
+`ControlProblem.metric`: theta w over Q and theta gamma over Sigma, formed
+once per problem. `hinner`, the cost's space-time terms, the seeds'
+tracking weights, the curvature and the Newton-CG pairing all read it, and
+its Riesz map `adjoint_as_control` divides the multipliers of
+`pde_linear.solve_adjoint` by it: p = multiplier / metric, the one place
+that division is made. Two slots of the control never influence the
+dynamics: level 0 (the first step reads level 1) and the boundary-trace
+entries of the distributed control (boundary rows carry the surface
+equation). The adjoint contribution to the gradient is therefore zero
+exactly there, and only there; everywhere else the gradient is
+representer plus weighted control, which is the discrete form of the
+classical identification. The second variation's state weights are
+written out once (`curvature_weights`): the cost's tracking weights less
+the multipliers times the third derivatives, one array Q. The curvature
+sums Q phi^2 and the metric-weighted control squares, and the Hessian
+product is the gradient's formula on an adjoint march seeded with Q phi.
+The identities below hold to roundoff: the adjoint is the exact transpose.
 """
 
+import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
     InvalidParameterError,
     UnsupportedConfigurationError,
 )
-from .geometry import space_time_inner
 from .pde_linear import linearized_operator, solve_adjoint, solve_linearized
 from .pde_state import (
     MAX_NEWTON,
@@ -123,6 +122,14 @@ class ControlProblem:
             guess=guess,
         )
 
+    @functools.cached_property
+    def metric(self):
+        """The L2(Q) x L2(Sigma) weights theta w and theta gamma: read-only, formed on first use."""
+        theta = self.time.weights()[:, None]
+        bulk, surface = theta * self.grid.bulk_weights, theta * self.grid.surface_weights
+        bulk.flags.writeable = surface.flags.writeable = False
+        return ControlPair(bulk, surface)
+
 
 def _as_levels(arr, shape, name):
     """A finite arr broadcast to shape, as a new array."""
@@ -139,10 +146,10 @@ def _as_levels(arr, shape, name):
 
 
 def hinner(problem, a, b):
-    """Space-time inner product of two control pairs (bulk over Q, surface over Sigma)."""
-    theta = problem.time.weights()
-    bulk = space_time_inner(theta, problem.grid.bulk_weights, a.bulk, b.bulk)
-    return bulk + space_time_inner(theta, problem.grid.surface_weights, a.surface, b.surface)
+    """Space-time inner product of two control pairs (bulk over Q, surface over Sigma) in the metric."""
+    metric = problem.metric
+    bulk = float(np.einsum("kj,kj,kj->", metric.bulk, a.bulk, b.bulk))
+    return bulk + float(np.einsum("kj,kj,kj->", metric.surface, a.surface, b.surface))
 
 
 def hnorm(problem, a):
@@ -154,18 +161,19 @@ def _cost_form(problem, a, b):
 
     a and b are six-tuples: bulk and surface trajectories, terminal bulk
     and surface fields, bulk and surface controls. The cost is half the
-    form on its residuals. The terminal terms are numpy sums, not BLAS
-    dots, so the form's bits do not depend on the CPU's BLAS kernel.
+    form on its residuals. The space-time terms pair in the metric; the
+    terminal terms are numpy sums. No term is a BLAS dot, so the form's
+    bits do not depend on the CPU's BLAS kernel.
     """
-    theta = problem.time.weights()
+    metric = problem.metric
     w, gamma = problem.grid.bulk_weights, problem.grid.surface_weights
     return (
-        problem.beta1 * space_time_inner(theta, w, a[0], b[0])
-        + problem.beta2 * space_time_inner(theta, gamma, a[1], b[1])
+        problem.beta1 * float(np.einsum("kj,kj,kj->", metric.bulk, a[0], b[0]))
+        + problem.beta2 * float(np.einsum("kj,kj,kj->", metric.surface, a[1], b[1]))
         + problem.beta3 * float(np.sum(a[2] * w * b[2]))
         + problem.beta3 * float(np.sum(a[3] * gamma * b[3]))
-        + problem.beta5 * space_time_inner(theta, w, a[4], b[4])
-        + problem.beta6 * space_time_inner(theta, gamma, a[5], b[5])
+        + problem.beta5 * float(np.einsum("kj,kj,kj->", metric.bulk, a[4], b[4]))
+        + problem.beta6 * float(np.einsum("kj,kj,kj->", metric.surface, a[5], b[5]))
     )
 
 
@@ -196,13 +204,12 @@ def _seed_form(problem, r_q, r_sigma, r_t, r_gamma_t):
     level-k unknown of the forward stepping; the final level additionally
     carries the terminal terms.
     """
-    grid = problem.grid
-    theta = problem.time.weights()[:, None]
-    w, gamma, cycle = grid.bulk_weights, grid.surface_weights, grid.boundary_cycle
-    seeds = problem.beta1 * theta * w * r_q
-    seeds[:, cycle] += problem.beta2 * theta * gamma * r_sigma
-    seeds[-1] += problem.beta3 * w * r_t
-    seeds[-1, cycle] += problem.beta3 * gamma * r_gamma_t
+    grid, metric = problem.grid, problem.metric
+    cycle = grid.boundary_cycle
+    seeds = problem.beta1 * metric.bulk * r_q
+    seeds[:, cycle] += problem.beta2 * metric.surface * r_sigma
+    seeds[-1] += problem.beta3 * grid.bulk_weights * r_t
+    seeds[-1, cycle] += problem.beta3 * grid.surface_weights * r_gamma_t
     return seeds
 
 
@@ -215,58 +222,44 @@ def tracking_seeds(problem, state):
     return _seed_form(problem, *_tracking_residuals(problem, state))
 
 
-def adjoint_as_control(adjoint):
+def adjoint_as_control(problem, adjoint):
     """The Riesz map of `hinner`: adjoint multipliers to their control-space representer.
 
-    The representer p = multiplier / (theta W) satisfies
-    hinner(p, h) = sum over levels 1..m of multiplier . slot_fields(h):
-    the multipliers' slot pairing with a control direction. It is zero at
-    the slots the dynamics never read: level 0, where
+    The representer p = multiplier / metric, exactly what `hinner` weighs
+    by, satisfies hinner(p, h) = sum over levels 1..m of multiplier .
+    slot_fields(h): the multipliers' slot pairing with a control direction.
+    It is zero at the slots the dynamics never read: level 0, where
     `pde_linear.solve_adjoint` leaves zeros, and the boundary trace of the
-    distributed slot. The surface slot is the trace of p.
+    distributed slot. The surface slot divides the multipliers' trace.
     """
-    grid = adjoint.grid
-    bulk = adjoint.values / (adjoint.time.weights()[:, None] * grid.slot_weights)
-    surface = bulk[:, grid.boundary_cycle]
-    bulk[:, grid.boundary_cycle] = 0.0
+    metric, cycle = problem.metric, problem.grid.boundary_cycle
+    bulk = adjoint.values / metric.bulk
+    surface = adjoint.values[:, cycle] / metric.surface
+    bulk[:, cycle] = 0.0
     return ControlPair(bulk, surface)
 
 
 def reduced_gradient(problem, adjoint, control):
     """Exact gradient of the discrete reduced cost: adjoint representer plus weighted control."""
-    rep = adjoint_as_control(adjoint)
+    rep = adjoint_as_control(problem, adjoint)
     return ControlPair(
         problem.beta5 * control.bulk + rep.bulk,
         problem.beta6 * control.surface + rep.surface,
     )
 
 
-class CurvatureWeights(NamedTuple):
-    """`curvature_weights`: Q on levels 1..m, (m, N); theta w, (m+1, N); theta gamma, (m+1, 4n)."""
-
-    state: np.ndarray
-    bulk: np.ndarray
-    surface: np.ndarray
-
-
 def curvature_weights(problem, state, adjoint):
-    """The weights of the reduced cost's second variation at a state.
+    """The state weights Q of the reduced cost's second variation at a state, (m, N).
 
     Q on levels 1..m is the seed form of unit residuals (the tracking
     weights beta1 theta w, plus beta2 theta gamma on the cycle and
     beta3 (w, gamma) on level m) less the adjoint multipliers lambda times
     `problem.potential`'s third derivative along the state y (f''' at
-    interior slots, g''' on the cycle). The control weights theta w and
-    theta gamma sit beside it. `curvature` reads all three and
-    `hessian_apply` reads Q; a caller forms them once for all its directions.
+    interior slots, g''' on the cycle). `curvature` and `hessian_apply`
+    read Q beside the metric; a caller forms it once for all its directions.
     """
-    theta = problem.time.weights()[:, None]
     tracking = _seed_form(problem, 1.0, 1.0, 1.0, 1.0)[1:]
-    return CurvatureWeights(
-        tracking - adjoint.values[1:] * problem.potential.d3(state.values[1:]),
-        theta * problem.grid.bulk_weights,
-        theta * problem.grid.surface_weights,
-    )
+    return tracking - adjoint.values[1:] * problem.potential.d3(state.values[1:])
 
 
 def hessian_apply(problem, operator, weights, direction):
@@ -282,7 +275,7 @@ def hessian_apply(problem, operator, weights, direction):
     is symmetric in `hinner`, both to solver roundoff.
     """
     seeds = solve_linearized(operator, direction).values
-    seeds[1:] *= weights.state  # the adjoint march never reads level 0
+    seeds[1:] *= weights  # the adjoint march never reads level 0
     return reduced_gradient(problem, solve_adjoint(operator, seeds), direction)
 
 
@@ -291,19 +284,19 @@ def curvature(problem, operator, weights, direction):
 
     With the linearized response phi = y' h, the second variation
     sum Q phi^2 + beta5 sum theta w h_b^2 + beta6 sum theta gamma h_s^2
-    over the bulk and surface slots h_b, h_s of h, as three numpy sums, so
-    its bits do not depend on the CPU's BLAS kernel. With the
-    exact-transpose adjoint this equals the true second difference of the
-    discrete cost up to solver roundoff. operator is the
-    `linearized_operator` around the state, and weights is
-    `curvature_weights` there.
+    over the bulk and surface slots h_b, h_s of h (theta w and theta gamma
+    are the metric), as three numpy sums, so its bits do not depend on the
+    CPU's BLAS kernel. With the exact-transpose adjoint this equals the
+    true second difference of the discrete cost up to solver roundoff.
+    operator is the `linearized_operator` around the state, and weights is
+    Q, `curvature_weights` there.
     """
     phi = solve_linearized(operator, direction).values[1:]
-    bulk, surface = direction.bulk, direction.surface
+    bulk, surface, metric = direction.bulk, direction.surface, problem.metric
     return (
-        float(np.einsum("kj,kj->", weights.state, phi * phi))
-        + problem.beta5 * float(np.einsum("kj,kj->", weights.bulk, bulk * bulk))
-        + problem.beta6 * float(np.einsum("kj,kj->", weights.surface, surface * surface))
+        float(np.einsum("kj,kj->", weights, phi * phi))
+        + problem.beta5 * float(np.einsum("kj,kj->", metric.bulk, bulk * bulk))
+        + problem.beta6 * float(np.einsum("kj,kj->", metric.surface, surface * surface))
     )
 
 
@@ -454,12 +447,12 @@ def optimality_report(
         tau = 1e-3 * grad_norm
 
     # the strongly active set's space-time measure is its indicator's squared norm,
-    # over |Q| + |Sigma| = T * (1 + 4)
+    # over the measure of Q and Sigma, the metric's total
     active = ControlPair(np.abs(grad.bulk) > tau, np.abs(grad.surface) > tau)
-    fraction = hinner(problem, active, active) / (problem.time.T * 5.0)
+    fraction = hinner(problem, active, active) / (problem.metric.bulk.sum() + problem.metric.surface.sum())
 
     try:
-        proj_res = projection_residual(problem, control, adjoint_as_control(adjoint))
+        proj_res = projection_residual(problem, control, adjoint_as_control(problem, adjoint))
         supported = True
     except UnsupportedConfigurationError:
         proj_res, supported = float("nan"), False

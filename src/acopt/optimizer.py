@@ -6,9 +6,9 @@ with a truncated CG inner solve; the primal-dual active-set methods of
 Hintermueller, Ito & Kunisch (SIAM J. Optim. 13, 2002) are of the same
 class, whose iteration counts do not grow with the mesh (Hintermueller &
 Ulbrich, Math. Program. 101, 2004). The loop works on flat vectors
-(bulk levels, then surface levels) with the `hinner` pairing, in which
-`reduced_gradient` g is the gradient and `objective.hessian_apply` the
-Hessian. Each iteration:
+(bulk levels, then surface levels) with the `hinner` pairing, the
+problem's `metric` flattened, in which `reduced_gradient` g is the
+gradient and `objective.hessian_apply` the Hessian. Each iteration:
 
 1. Active set: an entry within eps = min(1e-3, stationarity) of a bound
    that the gradient points out of is active; the rest is the free set.
@@ -180,8 +180,7 @@ def minimize(problem, config, start, callback=None):
             the error carries the current control and history.
     """
     u = clip_to_box(problem, start)
-    levels = problem.time.weights()[:, None]
-    weights = _flat(ControlPair(levels * problem.grid.bulk_weights, levels * problem.grid.surface_weights))
+    weights = _flat(problem.metric)
     lo = _flat(ControlPair(problem.u_lo, problem.u_lo_surf))
     hi = _flat(ControlPair(problem.u_hi, problem.u_hi_surf))
 

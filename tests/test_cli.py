@@ -277,7 +277,7 @@ def test_verify_gradient_fails_a_wrong_gradient(monkeypatch):
     from acopt.objective import adjoint_as_control
 
     def without_beta5(problem, adjoint, control):
-        rep = adjoint_as_control(adjoint)
+        rep = adjoint_as_control(problem, adjoint)
         return ControlPair(rep.bulk, problem.beta6 * control.surface + rep.surface)
 
     problem = build_problem(RunConfig(grid_n=4, time_T=0.2, time_m=5))

@@ -411,7 +411,7 @@ def test_adjoint_terminal_cost_geometric_decay(grid4, ops4):
     )
     state = prob.solve(ControlPair.zeros(grid4, time))
     adj = solve_adjoint(linearized_operator(state, prob.potential, ops4), tracking_seeds(prob, state))
-    rep = adjoint_as_control(adj)
+    rep = adjoint_as_control(prob, adj)
     p = slot_fields(grid4, rep.bulk, rep.surface)
     # spatially constant up to the O(h) boundary quadrature correction
     assert np.ptp(p, axis=1).max() <= 0.5 * grid4.h
@@ -429,7 +429,7 @@ def test_adjoint_duality_identity(grid8, ops8, rng):
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, ops8)
     adj = solve_adjoint(op, tracking_seeds(prob, state))
-    rep = adjoint_as_control(adj)
+    rep = adjoint_as_control(prob, adj)
 
     theta = time.weights()
     w, gam = grid8.bulk_weights, grid8.surface_weights

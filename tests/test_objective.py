@@ -18,6 +18,8 @@ from acopt import (
     TimeAxis,
     Trajectory,
     UnsupportedConfigurationError,
+    build_grid,
+    build_operators,
     curvature,
     curvature_weights,
     evaluate_cost,
@@ -103,39 +105,51 @@ def test_cost_matches_independent_quadrature(grid4, ops4, rng):
     assert evaluate_cost(prob, state, u) == pytest.approx(total, rel=1e-12)
 
 
-def test_cost_and_hinner_bit_identical_to_written_out_terms(grid4, ops4, rng):
+def test_cost_and_hinner_bit_identical_to_written_out_terms(rng):
     """evaluate_cost is half the six terms summed in order, and hinner the two pairings, bit for bit.
 
-    The optimizer's Armijo tail is decided at the 1e-15 level, so neither
-    may move by so much as a reordered sum. One problem has all five
-    weights positive, one has beta2 = beta5 = 0.
+    Each space-time term is the three-operand sum of the metric theta w
+    (theta gamma over Sigma) with its two arrays; the terminal terms are
+    numpy sums. The optimizer's Armijo tail is decided at the 1e-15 level,
+    so neither may move by so much as a reordered sum or product. At n = 4
+    the area weights are powers of two, so the pairing theta (a w) b gives
+    the same bits as the metric's (theta w) a b and a reordered product
+    cannot show; at n = 6 (h = 1/6) it differs on some draw. One problem
+    has all five weights positive, one has beta2 = beta5 = 0.
     """
     pf, pg = default_potentials()
     time = TimeAxis(0.5, 7)
     theta = time.weights()
-    w, gam = grid4.bulk_weights, grid4.surface_weights
     draws = []
-    for betas in [(1.0, 0.8, 0.6, 0.4, 0.2), (1.0, 0.0, 0.6, 0.0, 0.2)]:
-        prob = make_problem(grid4, ops4, time, pf, pg, betas=betas, seed=9)
-        for _ in range(30):
-            state = Trajectory(rng.uniform(0.2, 0.8, size=(time.m + 1, grid4.num_nodes)), grid4, time)
-            u, v = random_control(grid4, time, rng), random_control(grid4, time, rng)
-            dq, ds = state.values - prob.z_q, state.surface - prob.z_sigma
-            dt, dg = state.values[-1] - prob.z_t, state.surface[-1] - prob.z_gamma_t
-            terms = [
-                prob.beta1 * np.einsum("k,kj,kj->", theta, dq * w, dq),
-                prob.beta2 * np.einsum("k,kj,kj->", theta, ds * gam, ds),
-                prob.beta3 * np.sum(dt * w * dt),
-                prob.beta3 * np.sum(dg * gam * dg),
-                prob.beta5 * np.einsum("k,kj,kj->", theta, u.bulk * w, u.bulk),
-                prob.beta6 * np.einsum("k,kj,kj->", theta, u.surface * gam, u.surface),
-            ]
-            assert evaluate_cost(prob, state, u) == 0.5 * sum(terms)
+    for n in (4, 6):
+        grid = build_grid(n)
+        ops = build_operators(grid)
+        w, gam = grid.bulk_weights, grid.surface_weights
+        tw, tgam = theta[:, None] * w, theta[:, None] * gam
+        reordered = []
+        for betas in [(1.0, 0.8, 0.6, 0.4, 0.2), (1.0, 0.0, 0.6, 0.0, 0.2)]:
+            prob = make_problem(grid, ops, time, pf, pg, betas=betas, seed=9)
+            for _ in range(30):
+                state = Trajectory(rng.uniform(0.2, 0.8, size=(time.m + 1, grid.num_nodes)), grid, time)
+                u, v = random_control(grid, time, rng), random_control(grid, time, rng)
+                dq, ds = state.values - prob.z_q, state.surface - prob.z_sigma
+                dt, dg = state.values[-1] - prob.z_t, state.surface[-1] - prob.z_gamma_t
+                terms = [
+                    prob.beta1 * np.einsum("kj,kj,kj->", tw, dq, dq),
+                    prob.beta2 * np.einsum("kj,kj,kj->", tgam, ds, ds),
+                    prob.beta3 * np.sum(dt * w * dt),
+                    prob.beta3 * np.sum(dg * gam * dg),
+                    prob.beta5 * np.einsum("kj,kj,kj->", tw, u.bulk, u.bulk),
+                    prob.beta6 * np.einsum("kj,kj,kj->", tgam, u.surface, u.surface),
+                ]
+                assert evaluate_cost(prob, state, u) == 0.5 * sum(terms)
 
-            inner = np.einsum("k,kj,kj->", theta, u.bulk * w, v.bulk)
-            inner += np.einsum("k,kj,kj->", theta, u.surface * gam, v.surface)
-            assert hinner(prob, u, v) == inner
-            draws.append(terms)
+                bulk = np.einsum("kj,kj,kj->", tw, u.bulk, v.bulk)
+                assert hinner(prob, u, v) == bulk + np.einsum("kj,kj,kj->", tgam, u.surface, v.surface)
+                draws.append(terms)
+                # theta applied to a w: the same pairing, its product reordered
+                reordered.append(np.einsum("k,kj,kj->", theta, u.bulk * w, v.bulk) != bulk)
+        assert any(reordered) == (n == 6)
 
     # Every other order of the six terms changes the sum on some draw, so a
     # reordered cost form fails the checks above. Swapping the first two
@@ -226,7 +240,7 @@ def test_adjoint_as_control_is_the_riesz_map_of_hinner(grid8, ops8, rng):
     lam[0] = 0.0
     h = random_control(grid8, time, rng)
     slot_pairing = np.sum(lam[1:] * slot_fields(grid8, h.bulk, h.surface)[1:])
-    rep = adjoint_as_control(Trajectory(lam, grid8, time))
+    rep = adjoint_as_control(prob, Trajectory(lam, grid8, time))
     assert hinner(prob, rep, h) == pytest.approx(slot_pairing, rel=1e-13)
 
 
@@ -402,44 +416,56 @@ def test_curvature_parallelogram_law(grid8, ops8, rng):
     assert abs(plus + minus - sides) <= 1e-9 * max(abs(plus), abs(minus), 1.0)
 
 
-def test_curvature_equals_the_written_out_form(grid8, ops8, rng):
+def test_curvature_equals_the_written_out_form(rng):
     """The curvature is, bit for bit, the second variation written out here.
 
-    Reference: Q = the tracking weights (beta1 theta w, plus beta2 theta
-    gamma on the cycle and beta3 (w, gamma) on level m) less lambda d3,
-    paired with phi phi over levels 1..m, plus beta5 and beta6 times the
-    theta-weighted squares of the bulk and surface slots, on a cone
-    direction. Started at 0.1, near the singular end, the lambda d3 pairing
-    (3.7e-3) exceeds the curvature (3.4e-3) and is seven times the tracking
-    part, so the check reads the sums' last bits: a three-operand einsum,
-    np.sum, or the tracking and lambda d3 parts summed apart each move them.
+    Reference: Q = the tracking weights (beta1 and beta2 times the metric
+    theta w and theta gamma, the latter on the cycle, and beta3 (w, gamma)
+    on level m) less lambda d3, paired with phi phi over levels 1..m, plus
+    beta5 and beta6 times the metric-weighted squares of the bulk and
+    surface slots, on eight cone directions. Started at 0.1, near the
+    singular end, the lambda d3 pairing exceeds the first direction's
+    curvature (at n = 8, 3.7e-3 against 3.4e-3, seven times the tracking
+    part; later draws reach negative curvature), so the check reads the
+    sums' last bits: a three-operand einsum, np.sum, or the tracking and
+    lambda d3 parts summed apart each move them. At n = 8 the area weights
+    are powers of two, so a product taken in another order, such as
+    theta (w h^2) for the metric's (theta w) h^2, gives the same bits; at
+    n = 6 (h = 1/6) it need not.
     """
     pf, pg = default_potentials()
     time = TimeAxis(0.4, 8)
-    prob = make_problem(grid8, ops8, time, pf, pg, init_value=0.1, seed=3)
-    u = clip_to_box(prob, random_control(grid8, time, rng, scale=1.5))
-    state = prob.solve(u)
-    op = linearized_operator(state, prob.potential, ops8)
-    adj = solve_adjoint(op, tracking_seeds(prob, state))
-    grad = reduced_gradient(prob, adj, u)
-    (h,) = _cone_directions(prob, u, grad, 1e9, 1, rng)  # none strongly active, signs at the bounds
-    phi = solve_linearized(op, h).values[1:]
     theta = time.weights()[:, None]
-    w, gamma, cycle = grid8.bulk_weights, grid8.surface_weights, grid8.boundary_cycle
-    track = prob.beta1 * theta * w
-    track[:, cycle] += prob.beta2 * theta * gamma
-    track[-1] += prob.beta3 * w
-    track[-1, cycle] += prob.beta3 * gamma
-    lam_d3 = adj.values[1:] * prob.potential.d3(state.values[1:])
-    q = track[1:] - lam_d3
-    expected = (
-        float(np.einsum("kj,kj->", q, phi * phi))
-        + prob.beta5 * float(np.einsum("kj,kj->", theta * w, h.bulk * h.bulk))
-        + prob.beta6 * float(np.einsum("kj,kj->", theta * gamma, h.surface * h.surface))
-    )
-    value = curvature(prob, op, curvature_weights(prob, state, adj), h)
-    assert value == expected
-    assert float(np.einsum("kj,kj->", lam_d3, phi * phi)) > value > 0.0
+    for n in (8, 6):
+        grid = build_grid(n)
+        ops = build_operators(grid)
+        prob = make_problem(grid, ops, time, pf, pg, init_value=0.1, seed=3)
+        u = clip_to_box(prob, random_control(grid, time, rng, scale=1.5))
+        state = prob.solve(u)
+        op = linearized_operator(state, prob.potential, ops)
+        adj = solve_adjoint(op, tracking_seeds(prob, state))
+        grad = reduced_gradient(prob, adj, u)
+        w, gamma, cycle = grid.bulk_weights, grid.surface_weights, grid.boundary_cycle
+        tw, tgam = theta * w, theta * gamma
+        track = prob.beta1 * tw
+        track[:, cycle] += prob.beta2 * tgam
+        track[-1] += prob.beta3 * w
+        track[-1, cycle] += prob.beta3 * gamma
+        lam_d3 = adj.values[1:] * prob.potential.d3(state.values[1:])
+        q = track[1:] - lam_d3
+        weights = curvature_weights(prob, state, adj)
+        # none strongly active, signs at the bounds
+        for i, h in enumerate(_cone_directions(prob, u, grad, 1e9, 8, rng)):
+            phi = solve_linearized(op, h).values[1:]
+            expected = (
+                float(np.einsum("kj,kj->", q, phi * phi))
+                + prob.beta5 * float(np.einsum("kj,kj->", tw, h.bulk * h.bulk))
+                + prob.beta6 * float(np.einsum("kj,kj->", tgam, h.surface * h.surface))
+            )
+            value = curvature(prob, op, weights, h)
+            assert value == expected
+            if i == 0:
+                assert float(np.einsum("kj,kj->", lam_d3, phi * phi)) > value > 0.0
 
 
 @pytest.mark.parametrize("name", ["tracking", "boundary-control", "distributed-control"])
@@ -488,7 +514,7 @@ def test_curvature_weights_track_the_cost_form(name):
     state = prob.solve(u)
     op = linearized_operator(state, prob.potential, prob.ops)
     zero = Trajectory(np.zeros_like(state.values), prob.grid, prob.time)
-    track = curvature_weights(prob, state, zero).state
+    track = curvature_weights(prob, state, zero)
     phi = solve_linearized(op, random_control(prob.grid, prob.time, rng, scale=1.0))
     surface = phi.surface
     residual = (phi.values, surface, phi.values[-1], surface[-1])
@@ -538,8 +564,11 @@ def test_report_accepts_zero_n_dir_and_zero_tau(grid4, ops4, rng):
     u = random_control(grid4, time, rng, scale=0.5)
     report = optimality_report(prob, u, n_dir=0)
     assert report.curvature_samples == [] and report.grad_norm > 0
-    report = optimality_report(prob, u, tau=0.0, n_dir=2)  # every nonzero gradient entry is active
-    assert report.tau == 0.0 and report.active_set_fraction == pytest.approx(1.0)
+    # every gradient entry is nonzero, so strongly active: the active set's measure is the
+    # metric's whole total, and the cone is {0}
+    report = optimality_report(prob, u, tau=0.0, n_dir=2)
+    assert report.tau == 0.0 and report.active_set_fraction == pytest.approx(1.0, rel=0.0, abs=1e-14)
+    assert report.curvature_samples == []
 
 
 def test_report_large_tau_empties_active_set(grid4, ops4, rng):
@@ -733,7 +762,7 @@ def test_report_unsupported_without_control_weights(grid4, ops4):
     with pytest.raises(UnsupportedConfigurationError):
         state = prob.solve(u)
         adj = solve_adjoint(linearized_operator(state, prob.potential, ops4), tracking_seeds(prob, state))
-        projection_residual(prob, u, adjoint_as_control(adj))
+        projection_residual(prob, u, adjoint_as_control(prob, adj))
     report = optimality_report(prob, u, n_dir=2)
     assert not report.projection_supported
     assert np.isnan(report.projection_residual)
@@ -748,7 +777,7 @@ def test_stationarity_projection_equivalence(grid4, ops4, rng):
     u0 = ControlPair.zeros(grid4, time)
     state = prob.solve(u0)
     adj = solve_adjoint(linearized_operator(state, prob.potential, ops4), tracking_seeds(prob, state))
-    rep = adjoint_as_control(adj)
+    rep = adjoint_as_control(prob, adj)
     grad = reduced_gradient(prob, adj, u0)
     assert stationarity_norm(prob, u0, grad) == 0.0
     assert projection_residual(prob, u0, rep) == 0.0
@@ -758,7 +787,7 @@ def test_stationarity_projection_equivalence(grid4, ops4, rng):
     adj1 = solve_adjoint(linearized_operator(state1, prob.potential, ops4), tracking_seeds(prob, state1))
     grad1 = reduced_gradient(prob, adj1, u1)
     assert stationarity_norm(prob, u1, grad1) > 0.0
-    assert projection_residual(prob, u1, adjoint_as_control(adj1)) > 0.0
+    assert projection_residual(prob, u1, adjoint_as_control(prob, adj1)) > 0.0
 
 
 def test_problem_validation(grid4, ops4):
@@ -811,6 +840,27 @@ def test_problem_enforces_the_step_rule(grid4, ops4, side):
         build(3.0)  # 0.5 (2 * 3 - 4) = 1
     prob = build(2.99)  # 0.5 (2 * 2.99 - 4) = 0.99
     assert prob.solve(ControlPair.zeros(grid4, time)).info["factorizations"][0] >= 1
+
+
+def test_metric_is_theta_w_and_theta_gamma_read_only_and_lazy(grid4, ops4):
+    """problem.metric is theta (x) w and theta (x) gamma entry for entry, read-only, formed on first use.
+
+    A state solve alone never forms it, so a solve-only run never
+    allocates it.
+    """
+    pf, pg = default_potentials()
+    time = TimeAxis(0.4, 6)
+    prob = make_problem(grid4, ops4, time, pf, pg)
+    prob.solve(ControlPair.zeros(grid4, time))
+    assert "metric" not in vars(prob)
+    metric = prob.metric
+    assert prob.metric is metric
+    theta = time.weights()
+    np.testing.assert_array_equal(metric.bulk, np.outer(theta, grid4.bulk_weights), strict=True)
+    np.testing.assert_array_equal(metric.surface, np.outer(theta, grid4.surface_weights), strict=True)
+    for part in (metric.bulk, metric.surface):
+        with pytest.raises(ValueError, match="read-only"):
+            part[1, 1] = 1.0
 
 
 def test_hnorm_consistency(grid4, ops4, rng):
