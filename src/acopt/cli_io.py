@@ -150,6 +150,7 @@ def load_config(path):
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     cfg = RunConfig()
+    seen = {}  # key -> the line that set it
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -164,6 +165,9 @@ def load_config(path):
             )
         if key not in _KEYS:
             raise ConfigError(f"unknown key '{key}'")
+        if key in seen:
+            raise ConfigError(f"key '{key}' is set twice, on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
         f = _KEYS[key]
         setattr(cfg, f.name, _parse_value(key, value, f.type))
     return cfg
@@ -224,8 +228,7 @@ def build_control(cfg, problem):
         raise ConfigError(f"control.value must be finite, got {cfg.control_value!r}")
     u = ControlPair.zeros(problem.grid, problem.time)
     if cfg.control_preset == "constant":
-        u.bulk[:] = cfg.control_value
-        u.surface[:] = cfg.control_value
+        u.data[:] = cfg.control_value
     elif cfg.control_preset == "stationary":
         if cfg.init_preset != "constant":
             raise ConfigError("control.preset = stationary requires init.preset = constant")
@@ -581,7 +584,7 @@ def _base_point(problem, seed):
 
 def _shifted(u, eps, h):
     """The control u + eps h."""
-    return ControlPair(u.bulk + eps * h.bulk, u.surface + eps * h.surface)
+    return ControlPair.wrap(u.data + eps * h.data, u)
 
 
 def _shifted_cost(problem, u, eps, h):

@@ -47,6 +47,8 @@ from .potentials import Potential
 class ControlProblem:
     """Weights, targets, box bounds and problem data for the tracking cost.
 
+    The box is stored once, as the control pairs lower and upper; u_lo,
+    u_hi, u_lo_surf and u_hi_surf are views of their bulk and surface slots.
     Under (A6) the terminal surface weight is beta3 and the terminal
     surface target `z_gamma_t` is the trace of z_t; neither is an input.
     Every input rule is checked here, in a message that starts with its
@@ -77,6 +79,8 @@ class ControlProblem:
     newton_tol: float = NEWTON_TOL
     max_newton: int = MAX_NEWTON
     potential: Potential = field(init=False, repr=False)
+    lower: ControlPair = field(init=False, repr=False)
+    upper: ControlPair = field(init=False, repr=False)
 
     @property
     def z_gamma_t(self):
@@ -96,13 +100,17 @@ class ControlProblem:
             if product >= 1.0:
                 raise InvalidParameterError(f"{name} step rule: dt (2 c - 4 alpha) = {product:g} >= 1")
         m1, N, nb = self.time.m + 1, self.grid.num_nodes, self.grid.num_boundary
-        self.z_q = _as_levels(self.z_q, (m1, N), "z_q")
-        self.z_sigma = _as_levels(self.z_sigma, (m1, nb), "z_sigma")
-        self.z_t = _as_levels(self.z_t, (N,), "z_t")
-        self.u_lo = _as_levels(self.u_lo, (m1, N), "u_lo")
-        self.u_hi = _as_levels(self.u_hi, (m1, N), "u_hi")
-        self.u_lo_surf = _as_levels(self.u_lo_surf, (m1, nb), "u_lo_surf")
-        self.u_hi_surf = _as_levels(self.u_hi_surf, (m1, nb), "u_hi_surf")
+        self.z_q = _as_levels(self.z_q, (m1, N), "z_q").copy()
+        self.z_sigma = _as_levels(self.z_sigma, (m1, nb), "z_sigma").copy()
+        self.z_t = _as_levels(self.z_t, (N,), "z_t").copy()
+        self.lower = ControlPair(
+            _as_levels(self.u_lo, (m1, N), "u_lo"), _as_levels(self.u_lo_surf, (m1, nb), "u_lo_surf")
+        )
+        self.upper = ControlPair(
+            _as_levels(self.u_hi, (m1, N), "u_hi"), _as_levels(self.u_hi_surf, (m1, nb), "u_hi_surf")
+        )
+        self.u_lo, self.u_lo_surf = self.lower.bulk, self.lower.surface
+        self.u_hi, self.u_hi_surf = self.upper.bulk, self.upper.surface
         for lo, hi in (("u_lo", "u_hi"), ("u_lo_surf", "u_hi_surf")):
             if (getattr(self, lo) > getattr(self, hi)).any():
                 raise InvalidParameterError(f"{lo} must not exceed {hi} (A1)")
@@ -126,18 +134,18 @@ class ControlProblem:
     def metric(self):
         """The L2(Q) x L2(Sigma) weights theta w and theta gamma: read-only, formed on first use."""
         theta = self.time.weights()[:, None]
-        bulk, surface = theta * self.grid.bulk_weights, theta * self.grid.surface_weights
-        bulk.flags.writeable = surface.flags.writeable = False
-        return ControlPair(bulk, surface)
+        metric = ControlPair(theta * self.grid.bulk_weights, theta * self.grid.surface_weights)
+        metric.data.flags.writeable = False
+        return ControlPair.wrap(metric.data, metric)  # views of read-only data are read-only
 
 
 def _as_levels(arr, shape, name):
-    """A finite arr broadcast to shape, as a new array."""
+    """A finite arr broadcast to shape, as a read-only view."""
     arr = np.asarray(arr, dtype=float)
     if not np.isfinite(arr).all():
         raise InvalidParameterError(f"{name} must be finite")
     try:
-        return np.broadcast_to(arr, shape).copy()
+        return np.broadcast_to(arr, shape)
     except ValueError as exc:
         raise DimensionMismatchError(f"{name} cannot broadcast to {shape}: {arr.shape}") from exc
 
@@ -146,10 +154,12 @@ def _as_levels(arr, shape, name):
 
 
 def hinner(problem, a, b):
-    """Space-time inner product of two control pairs (bulk over Q, surface over Sigma) in the metric."""
-    metric = problem.metric
-    bulk = float(np.einsum("kj,kj,kj->", metric.bulk, a.bulk, b.bulk))
-    return bulk + float(np.einsum("kj,kj,kj->", metric.surface, a.surface, b.surface))
+    """Space-time inner product of two control pairs (bulk over Q, surface over Sigma) in the metric.
+
+    One three-operand sum over the pairs' buffers, not a BLAS dot, so its
+    bits do not depend on the CPU's BLAS kernel.
+    """
+    return float(np.einsum("i,i,i->", problem.metric.data, a.data, b.data))
 
 
 def hnorm(problem, a):
@@ -232,20 +242,18 @@ def adjoint_as_control(problem, adjoint):
     `pde_linear.solve_adjoint` leaves zeros, and the boundary trace of the
     distributed slot. The surface slot divides the multipliers' trace.
     """
-    metric, cycle = problem.metric, problem.grid.boundary_cycle
-    bulk = adjoint.values / metric.bulk
-    surface = adjoint.values[:, cycle] / metric.surface
-    bulk[:, cycle] = 0.0
-    return ControlPair(bulk, surface)
+    cycle = problem.grid.boundary_cycle
+    rep = ControlPair(adjoint.values, adjoint.values[:, cycle])
+    rep.data /= problem.metric.data
+    rep.bulk[:, cycle] = 0.0
+    return rep
 
 
 def reduced_gradient(problem, adjoint, control):
     """Exact gradient of the discrete reduced cost: adjoint representer plus weighted control."""
-    rep = adjoint_as_control(problem, adjoint)
-    return ControlPair(
-        problem.beta5 * control.bulk + rep.bulk,
-        problem.beta6 * control.surface + rep.surface,
-    )
+    grad = ControlPair(problem.beta5 * control.bulk, problem.beta6 * control.surface)
+    grad.data += adjoint_as_control(problem, adjoint).data
+    return grad
 
 
 def curvature_weights(problem, state, adjoint):
@@ -305,20 +313,13 @@ def curvature(problem, operator, weights, direction):
 
 def clip_to_box(problem, control):
     """Nodewise clip of both control slots into their boxes (idempotent)."""
-    return ControlPair(
-        np.clip(control.bulk, problem.u_lo, problem.u_hi),
-        np.clip(control.surface, problem.u_lo_surf, problem.u_hi_surf),
-    )
+    return ControlPair.wrap(np.clip(control.data, problem.lower.data, problem.upper.data), control)
 
 
 def stationarity_norm(problem, control, grad):
     """Norm of the projected-gradient fixed-point residual at unit step."""
-    proj = clip_to_box(
-        problem, ControlPair(control.bulk - grad.bulk, control.surface - grad.surface)
-    )
-    return hnorm(
-        problem, ControlPair(control.bulk - proj.bulk, control.surface - proj.surface)
-    )
+    proj = np.clip(control.data - grad.data, problem.lower.data, problem.upper.data)
+    return hnorm(problem, ControlPair.wrap(control.data - proj, control))
 
 
 def projection_residual(problem, control, adjoint_rep):
@@ -331,16 +332,9 @@ def projection_residual(problem, control, adjoint_rep):
         raise UnsupportedConfigurationError(
             "projection identity needs positive control weights"
         )
-    target_bulk = np.clip(-adjoint_rep.bulk / problem.beta5, problem.u_lo, problem.u_hi)
-    target_surf = np.clip(
-        -adjoint_rep.surface / problem.beta6, problem.u_lo_surf, problem.u_hi_surf
-    )
-    return float(
-        max(
-            np.max(np.abs(control.bulk - target_bulk)),
-            np.max(np.abs(control.surface - target_surf)),
-        )
-    )
+    target = ControlPair(-adjoint_rep.bulk / problem.beta5, -adjoint_rep.surface / problem.beta6)
+    target = np.clip(target.data, problem.lower.data, problem.upper.data)
+    return float(np.max(np.abs(control.data - target)))
 
 
 @dataclass
@@ -371,38 +365,31 @@ def _cone_directions(problem, control, grad, tau, n_dir, rng):
     """Yield n_dir random directions in the tau-critical cone; none when the cone is {0}.
 
     Each direction is drawn only when the caller asks for it, so a caller
-    that keeps none holds one at a time. The draws come direction by
-    direction, bulk slot then surface slot; a trivial cone draws nothing.
-    Each slot's cone rule is two float masks, formed once: a draw h maps to
-    |h| sign + h keep. sign is 1 at the lower bound and -1 at the upper
-    bound, keep is 1 on the free entries, and both are 0 where the cone is
-    {0}: on strongly active entries and pinned ones (lower bound = upper
-    bound), which get +0.0. A draw is nonzero on every free entry, so no
-    direction has zero norm.
+    that keeps none holds one at a time. Each direction is one draw over
+    the control's buffer, so the stream fills its bulk levels, then its
+    surface levels, as two draws in that order would; a trivial cone draws
+    nothing.
+    The cone rule is two float masks over the control's buffer, formed
+    once: a draw h maps to |h| sign + h keep. sign is 1 at the lower bound
+    and -1 at the upper bound, keep is 1 on the free entries, and both are
+    0 where the cone is {0}: on strongly active entries and pinned ones
+    (lower bound = upper bound), which get +0.0. A draw is nonzero on every
+    free entry, so no direction has zero norm.
     """
-    slots = []
-    trivial = True
-    for u, g, lo, hi in (
-        (control.bulk, grad.bulk, problem.u_lo, problem.u_hi),
-        (control.surface, grad.surface, problem.u_lo_surf, problem.u_hi_surf),
-    ):
-        at_lo, at_hi = u <= lo, u >= hi
-        zero = (np.abs(g) > tau) | (at_lo & at_hi)
-        sign = np.select([zero, at_lo, at_hi], [0.0, 1.0, -1.0], 0.0)
-        slots.append((u.shape, sign, (~(zero | at_lo | at_hi)).astype(float)))
-        trivial &= bool(zero.all())
-    if trivial:
+    u, lo, hi = control.data, problem.lower.data, problem.upper.data
+    at_lo, at_hi = u <= lo, u >= hi
+    zero = (np.abs(grad.data) > tau) | (at_lo & at_hi)
+    if zero.all():
         return
+    sign = np.select([zero, at_lo, at_hi], [0.0, 1.0, -1.0], 0.0)
+    keep = (~(zero | at_lo | at_hi)).astype(float)
     for _ in range(n_dir):
-        pair = []
-        for shape, sign, keep in slots:
-            h = rng.uniform(-1.0, 1.0, size=shape)
-            bound = np.abs(h)
-            bound *= sign
-            h *= keep
-            h += bound
-            pair.append(h)
-        yield ControlPair(*pair)
+        h = ControlPair.wrap(rng.uniform(-1.0, 1.0, size=u.size), control)
+        bound = np.abs(h.data)
+        bound *= sign
+        h.data *= keep
+        h.data += bound
+        yield h
 
 
 def optimality_report(
@@ -446,10 +433,9 @@ def optimality_report(
     if tau is None:
         tau = 1e-3 * grad_norm
 
-    # the strongly active set's space-time measure is its indicator's squared norm,
-    # over the measure of Q and Sigma, the metric's total
-    active = ControlPair(np.abs(grad.bulk) > tau, np.abs(grad.surface) > tau)
-    fraction = hinner(problem, active, active) / (problem.metric.bulk.sum() + problem.metric.surface.sum())
+    # the strongly active set's space-time measure over the measure of Q and Sigma
+    metric = problem.metric.data
+    fraction = float(metric[np.abs(grad.data) > tau].sum() / metric.sum())
 
     try:
         proj_res = projection_residual(problem, control, adjoint_as_control(problem, adjoint))

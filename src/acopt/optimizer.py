@@ -5,10 +5,11 @@ the projected Newton form of Bertsekas (SIAM J. Control Optim. 20, 1982)
 with a truncated CG inner solve; the primal-dual active-set methods of
 Hintermueller, Ito & Kunisch (SIAM J. Optim. 13, 2002) are of the same
 class, whose iteration counts do not grow with the mesh (Hintermueller &
-Ulbrich, Math. Program. 101, 2004). The loop works on flat vectors
-(bulk levels, then surface levels) with the `hinner` pairing, the
-problem's `metric` flattened, in which `reduced_gradient` g is the
-gradient and `objective.hessian_apply` the Hessian. Each iteration:
+Ulbrich, Math. Program. 101, 2004). The loop works on the controls'
+buffers (`ControlPair.data`: bulk levels, then surface levels, no copy)
+and pairs them in `hinner`, the problem's `metric`, in which
+`reduced_gradient` g is the gradient and `objective.hessian_apply` the
+Hessian. Each iteration:
 
 1. Active set: an entry within eps = min(1e-3, stationarity) of a bound
    that the gradient points out of is active; the rest is the free set.
@@ -61,6 +62,7 @@ from .objective import (
     curvature_weights,
     evaluate_cost,
     hessian_apply,
+    hinner,
     optimality_report,
     reduced_gradient,
     stationarity_norm,
@@ -116,17 +118,6 @@ class MinimizeResult:
     reason: str = "max_iters"
 
 
-def _flat(pair):
-    """A control pair as one vector: the bulk levels, then the surface levels."""
-    return np.concatenate((pair.bulk.ravel(), pair.surface.ravel()))
-
-
-def _pair(problem, v):
-    """The control pair of a `_flat` vector (views into v)."""
-    size = problem.u_lo.size
-    return ControlPair(v[:size].reshape(problem.u_lo.shape), v[size:].reshape(problem.u_lo_surf.shape))
-
-
 def _cost_at(problem, control, guess=None):
     state = problem.solve(control, guess=guess)
     return evaluate_cost(problem, state, control), state
@@ -180,12 +171,10 @@ def minimize(problem, config, start, callback=None):
             the error carries the current control and history.
     """
     u = clip_to_box(problem, start)
-    weights = _flat(problem.metric)
-    lo = _flat(ControlPair(problem.u_lo, problem.u_lo_surf))
-    hi = _flat(ControlPair(problem.u_hi, problem.u_hi_surf))
+    lo, hi = problem.lower.data, problem.upper.data
 
-    def dot(a, b):  # hinner on flat vectors
-        return float(weights * a @ b)
+    def pairing(a, b):  # hinner's own sum, on two buffers of the controls' layout
+        return hinner(problem, ControlPair.wrap(a, u), ControlPair.wrap(b, u))
 
     history = []
     clamp_tally = 0
@@ -209,20 +198,21 @@ def minimize(problem, config, start, callback=None):
             break
 
         # epsilon-active set: entries within eps of a bound that the gradient pushes against
-        x, g = _flat(u), _flat(grad)
+        x, g = u.data, grad.data
         eps = min(1e-3, stat)
         free = ~(((x <= lo + eps) & (g > 0.0)) | ((x >= hi - eps) & (g < 0.0)))
         curv_weights = curvature_weights(problem, state, adjoint)
 
         def hess(v):
-            product = hessian_apply(problem, operator, curv_weights, _pair(problem, v))
-            return np.where(free, _flat(product), 0.0)
+            product = hessian_apply(problem, operator, curv_weights, ControlPair.wrap(v, u)).data
+            product[~free] = 0.0
+            return product
 
-        newton = np.where(free, _truncated_cg(hess, np.where(free, -g, 0.0), dot), -g)
+        newton = np.where(free, _truncated_cg(hess, np.where(free, -g, 0.0), pairing), -g)
         d = np.clip(x + newton, lo, hi) - x
-        if not dot(g, d) < 0.0:  # the projection undid the descent: take the projected gradient step
+        if not pairing(g, d) < 0.0:  # the projection undid the descent: take the projected gradient step
             d = np.clip(x - g, lo, hi) - x
-        slope = dot(g, d)
+        slope = pairing(g, d)
 
         accepted = None
         at_float_floor = False
@@ -233,8 +223,8 @@ def minimize(problem, config, start, callback=None):
                 at_float_floor = True
                 break
             # tangent prediction y(u) + y'(u) move on the factors the adjoint built
-            prediction = state.values + solve_linearized(operator, _pair(problem, cand - x)).values
-            cand = _pair(problem, cand)
+            prediction = state.values + solve_linearized(operator, ControlPair.wrap(cand - x, u)).values
+            cand = ControlPair.wrap(cand, u)
             cand_cost, cand_state = _cost_at(problem, cand, guess=prediction)
             if cand_cost <= cost + config.armijo_c * trial * slope:
                 if cand_cost < cost:

@@ -95,31 +95,41 @@ class FieldPair:
     bulk: np.ndarray
 
 
-@dataclass
 class ControlPair:
-    """Distributed and boundary controls, stored independently.
+    """Distributed and boundary controls in one buffer.
 
-    The surface control is not a trace of the bulk control. Shapes are
-    (m+1, N) and (m+1, 4n): one row per time level.
+    data is one flat array: the bulk levels, then the surface levels.
+    bulk (m+1, N) and surface (m+1, 4n), one row per time level, are
+    contiguous views of it, so a write through either reaches data. The
+    surface control is not a trace of the bulk control. The constructor
+    copies its arrays in; `wrap` puts a pair on an existing buffer.
     """
 
-    bulk: np.ndarray
-    surface: np.ndarray
-
-    def __post_init__(self):
-        self.bulk = np.asarray(self.bulk, dtype=float)
-        self.surface = np.asarray(self.surface, dtype=float)
-        if self.bulk.ndim != 2 or self.surface.ndim != 2 or self.bulk.shape[0] != self.surface.shape[0]:
+    def __init__(self, bulk, surface):
+        bulk, surface = np.asarray(bulk, dtype=float), np.asarray(surface, dtype=float)
+        if bulk.ndim != 2 or surface.ndim != 2 or bulk.shape[0] != surface.shape[0]:
             raise DimensionMismatchError(
-                f"control pair needs matching (levels, nodes) arrays, got {self.bulk.shape} and {self.surface.shape}"
+                f"control pair needs matching (levels, nodes) arrays, got {bulk.shape} and {surface.shape}"
             )
+        self._views(np.empty(bulk.size + surface.size), bulk.shape, surface.shape)
+        self.bulk[...], self.surface[...] = bulk, surface
+
+    def _views(self, data, bulk_shape, surface_shape):
+        split = bulk_shape[0] * bulk_shape[1]
+        self.data = data  # reshape raises where its size does not fit the shapes
+        self.bulk, self.surface = data[:split].reshape(bulk_shape), data[split:].reshape(surface_shape)
+        return self
+
+    @classmethod
+    def wrap(cls, data, like):
+        """The pair of like's shapes on the flat buffer data, sharing its memory (no copy)."""
+        return cls.__new__(cls)._views(data, like.bulk.shape, like.surface.shape)
 
     @classmethod
     def zeros(cls, grid, time):
-        return cls(
-            np.zeros((time.m + 1, grid.num_nodes)),
-            np.zeros((time.m + 1, grid.num_boundary)),
-        )
+        levels = time.m + 1
+        data = np.zeros(levels * (grid.num_nodes + grid.num_boundary))
+        return cls.__new__(cls)._views(data, (levels, grid.num_nodes), (levels, grid.num_boundary))
 
 
 @dataclass
@@ -239,7 +249,7 @@ def solve_state(
             f"control needs shapes {levels} and {(time.m + 1, grid.num_boundary)}, "
             f"got {control.bulk.shape} and {control.surface.shape}"
         )
-    if not (np.isfinite(control.bulk).all() and np.isfinite(control.surface).all()):
+    if not np.isfinite(control.data).all():
         raise DomainError("controls must be finite")
     if guess is not None:
         guess = np.asarray(guess, dtype=float)

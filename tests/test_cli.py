@@ -37,6 +37,13 @@ def write(tmp_path, text, name="run.cfg"):
     return path
 
 
+def override(text, *lines):
+    """Config text with each 'key = value' of lines in place of that key's line (a key is set once)."""
+    keys = {line.partition("=")[0].strip() for line in lines}
+    kept = [row for row in text.splitlines() if row.partition("=")[0].strip() not in keys]
+    return "\n".join(kept + list(lines)) + "\n"
+
+
 def test_minimal_config_defaults_and_roundtrip(tmp_path):
     cfg = load_config(write(tmp_path, BASE))
     assert cfg.grid_n == 4
@@ -64,6 +71,18 @@ def test_unknown_key_named(tmp_path):
     path = write(tmp_path, BASE + "grid.nn = 8\n")
     with pytest.raises(ConfigError, match="grid.nn"):
         load_config(path)
+
+
+def test_repeated_key_is_config_error(tmp_path, capsys):
+    """A key set twice names itself and both lines: exit 2, the reason on stderr, no output directory."""
+    out = tmp_path / "out"
+    path = write(tmp_path, BASE + f"output.dir = {out}\ngrid.n = 8\n")  # BASE sets grid.n on line 4
+    with pytest.raises(ConfigError, match=r"^key 'grid\.n' is set twice, on lines 4 and 10$"):
+        load_config(path)
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'grid.n' is set twice, on lines 4 and 10" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_malformed_line(tmp_path):
@@ -117,11 +136,7 @@ def test_vtk_spacing_is_17_significant_digits(tmp_path, n, spacing):
 
 
 def test_stationary_preset_constant_trajectory(tmp_path):
-    text = BASE + (
-        f"output.dir = {tmp_path/'out'}\n"
-        "control.preset = stationary\n"
-        "init.value = 0.37\n"
-    )
+    text = override(BASE, f"output.dir = {tmp_path/'out'}", "control.preset = stationary", "init.value = 0.37")
     cfg = load_config(write(tmp_path, text))
     assert run(cfg) == 0
     lines = (tmp_path / "out" / "state_bulk.csv").read_text().splitlines()[1:]
@@ -135,11 +150,7 @@ def test_stationary_preset_constant_trajectory(tmp_path):
 
 def test_determinism_bit_identical(tmp_path):
     for tag in ("a", "b"):
-        text = BASE + (
-            f"output.dir = {tmp_path/tag}\n"
-            "init.preset = random-seeded\n"
-            "seed = 7\n"
-        )
+        text = override(BASE, f"output.dir = {tmp_path/tag}", "init.preset = random-seeded", "seed = 7")
         cfg = load_config(write(tmp_path, text, name=f"{tag}.cfg"))
         assert run(cfg) == 0
     fa = (tmp_path / "a" / "state_bulk.csv").read_bytes()
@@ -387,7 +398,7 @@ def test_verify_gradient_passes_where_the_rounding_floor_guard_matters():
 def test_rejected_value_exits_2_at_load(tmp_path, capsys, lines, named):
     """Every rejected value is a ConfigError naming its key or section: exit 2, no output."""
     out = tmp_path / "out"
-    path = write(tmp_path, BASE + lines.replace("; ", "\n") + f"\noutput.dir = {out}\n")
+    path = write(tmp_path, override(BASE, *lines.split("; "), f"output.dir = {out}"))
     with pytest.raises(ConfigError) as info:
         build_run(load_config(path))
     assert str(info.value).startswith(named)
@@ -442,7 +453,7 @@ def test_each_mode_builds_one_problem(tmp_path, monkeypatch, mode):
         return build_problem(cfg)
 
     monkeypatch.setattr(cli, "build_problem", counted_build)
-    text = BASE + f"init.preset = random-seeded\noptimizer.max_iters = 5\noutput.dir = {tmp_path/'out'}\n"
+    text = override(BASE, "init.preset = random-seeded", "optimizer.max_iters = 5", f"output.dir = {tmp_path/'out'}")
     assert main([str(write(tmp_path, text)), "--mode", mode, "--seed", "3"]) == 0
     assert seeds == [3]
 
@@ -760,7 +771,7 @@ def test_node_table_writer_memory_is_bounded(tmp_path):
 
 def test_optimize_prints_why_it_stopped(tmp_path, capsys):
     """A run cut by optimizer.max_iters says so on stdout and still exits 0."""
-    path = write(tmp_path, (ROOT / "configs" / "tracking.cfg").read_text() + "optimizer.max_iters = 3\n")
+    path = write(tmp_path, override((ROOT / "configs" / "tracking.cfg").read_text(), "optimizer.max_iters = 3"))
     assert main([str(path), "--mode", "optimize", "--output-dir", str(tmp_path / "out")]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1

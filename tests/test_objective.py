@@ -106,16 +106,19 @@ def test_cost_matches_independent_quadrature(grid4, ops4, rng):
 
 
 def test_cost_and_hinner_bit_identical_to_written_out_terms(rng):
-    """evaluate_cost is half the six terms summed in order, and hinner the two pairings, bit for bit.
+    """evaluate_cost is half the six terms summed in order, and hinner one pairing, bit for bit.
 
-    Each space-time term is the three-operand sum of the metric theta w
-    (theta gamma over Sigma) with its two arrays; the terminal terms are
-    numpy sums. The optimizer's Armijo tail is decided at the 1e-15 level,
-    so neither may move by so much as a reordered sum or product. At n = 4
-    the area weights are powers of two, so the pairing theta (a w) b gives
-    the same bits as the metric's (theta w) a b and a reordered product
-    cannot show; at n = 6 (h = 1/6) it differs on some draw. One problem
-    has all five weights positive, one has beta2 = beta5 = 0.
+    Each space-time term of the cost is the three-operand sum of the metric
+    theta w (theta gamma over Sigma) with its two arrays; the terminal terms
+    are numpy sums. hinner is one three-operand sum over the bulk levels,
+    then the surface levels, of the metric and both controls. The
+    optimizer's Armijo tail is decided at the 1e-15 level, so neither may
+    move by so much as a reordered sum or product. At n = 4 the area weights
+    are powers of two, so the pairing theta (a w) b gives the same bits as
+    the metric's (theta w) a b and a reordered product cannot show; at
+    n = 6 (h = 1/6) it differs on some draw. The two-sum pairing, bulk plus
+    surface, differs from hinner on some draw at either n. One problem has
+    all five weights positive, one has beta2 = beta5 = 0.
     """
     pf, pg = default_potentials()
     time = TimeAxis(0.5, 7)
@@ -126,7 +129,8 @@ def test_cost_and_hinner_bit_identical_to_written_out_terms(rng):
         ops = build_operators(grid)
         w, gam = grid.bulk_weights, grid.surface_weights
         tw, tgam = theta[:, None] * w, theta[:, None] * gam
-        reordered = []
+        metric = np.concatenate((tw.ravel(), tgam.ravel()))
+        reordered, two_sums = [], []
         for betas in [(1.0, 0.8, 0.6, 0.4, 0.2), (1.0, 0.0, 0.6, 0.0, 0.2)]:
             prob = make_problem(grid, ops, time, pf, pg, betas=betas, seed=9)
             for _ in range(30):
@@ -144,12 +148,17 @@ def test_cost_and_hinner_bit_identical_to_written_out_terms(rng):
                 ]
                 assert evaluate_cost(prob, state, u) == 0.5 * sum(terms)
 
-                bulk = np.einsum("kj,kj,kj->", tw, u.bulk, v.bulk)
-                assert hinner(prob, u, v) == bulk + np.einsum("kj,kj,kj->", tgam, u.surface, v.surface)
+                a = np.concatenate((u.bulk.ravel(), u.surface.ravel()))
+                b = np.concatenate((v.bulk.ravel(), v.surface.ravel()))
+                one_sum = np.einsum("i,i,i->", metric, a, b)
+                assert hinner(prob, u, v) == one_sum
                 draws.append(terms)
+                bulk = np.einsum("kj,kj,kj->", tw, u.bulk, v.bulk)
+                two_sums.append(bulk + np.einsum("kj,kj,kj->", tgam, u.surface, v.surface) != one_sum)
                 # theta applied to a w: the same pairing, its product reordered
                 reordered.append(np.einsum("k,kj,kj->", theta, u.bulk * w, v.bulk) != bulk)
         assert any(reordered) == (n == 6)
+        assert any(two_sums)
 
     # Every other order of the six terms changes the sum on some draw, so a
     # reordered cost form fails the checks above. Swapping the first two
@@ -769,6 +778,40 @@ def test_report_unsupported_without_control_weights(grid4, ops4):
     assert report.grad_norm > 0  # other diagnostics still computed
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_clip_and_stationarity_equal_their_per_slot_forms(n, rng):
+    """clip_to_box and stationarity_norm, one pass over the buffers, match the per-slot forms bit for bit.
+
+    The box is stored once, as the pairs lower and upper, and u_lo, u_hi,
+    u_lo_surf and u_hi_surf are their views. The bulk bounds vary entry by
+    entry and differ from the surface bounds, so a slot read against the
+    other slot's bounds shows.
+    """
+    pf, pg = default_potentials()
+    grid, time = build_grid(n), TimeAxis(0.4, 5)
+    shape = (time.m + 1, grid.num_nodes)
+    prob = replace(
+        make_problem(grid, build_operators(grid), time, pf, pg),
+        u_lo=rng.uniform(-0.6, -0.1, size=shape), u_hi=rng.uniform(0.1, 0.6, size=shape),
+        u_lo_surf=-0.2, u_hi_surf=0.3,
+    )
+    for pair, lo, hi in ((prob.lower, prob.u_lo, prob.u_lo_surf), (prob.upper, prob.u_hi, prob.u_hi_surf)):
+        assert np.shares_memory(lo, pair.data) and np.shares_memory(hi, pair.data)
+        np.testing.assert_array_equal(pair.bulk, lo, strict=True)
+        np.testing.assert_array_equal(pair.surface, hi, strict=True)
+    theta = time.weights()
+    metric = np.concatenate((np.outer(theta, grid.bulk_weights).ravel(), np.outer(theta, grid.surface_weights).ravel()))
+    for _ in range(10):
+        u, grad = random_control(grid, time, rng, scale=0.8), random_control(grid, time, rng, scale=0.8)
+        clipped = clip_to_box(prob, u)
+        np.testing.assert_array_equal(clipped.bulk, np.clip(u.bulk, prob.u_lo, prob.u_hi), strict=True)
+        np.testing.assert_array_equal(clipped.surface, np.clip(u.surface, prob.u_lo_surf, prob.u_hi_surf), strict=True)
+        res_bulk = u.bulk - np.clip(u.bulk - grad.bulk, prob.u_lo, prob.u_hi)
+        res_surf = u.surface - np.clip(u.surface - grad.surface, prob.u_lo_surf, prob.u_hi_surf)
+        res = np.concatenate((res_bulk.ravel(), res_surf.ravel()))
+        assert stationarity_norm(prob, u, grad) == float(np.sqrt(np.einsum("i,i,i->", metric, res, res)))
+
+
 def test_stationarity_projection_equivalence(grid4, ops4, rng):
     """Both residuals vanish together; both positive off the fixed point."""
     pf, pg = default_potentials()
@@ -845,8 +888,9 @@ def test_problem_enforces_the_step_rule(grid4, ops4, side):
 def test_metric_is_theta_w_and_theta_gamma_read_only_and_lazy(grid4, ops4):
     """problem.metric is theta (x) w and theta (x) gamma entry for entry, read-only, formed on first use.
 
-    A state solve alone never forms it, so a solve-only run never
-    allocates it.
+    Its buffer holds the bulk levels, then the surface levels, and neither
+    it nor either view can be written. A state solve alone never forms it,
+    so a solve-only run never allocates it.
     """
     pf, pg = default_potentials()
     time = TimeAxis(0.4, 6)
@@ -858,9 +902,14 @@ def test_metric_is_theta_w_and_theta_gamma_read_only_and_lazy(grid4, ops4):
     theta = time.weights()
     np.testing.assert_array_equal(metric.bulk, np.outer(theta, grid4.bulk_weights), strict=True)
     np.testing.assert_array_equal(metric.surface, np.outer(theta, grid4.surface_weights), strict=True)
+    flat = np.concatenate((np.outer(theta, grid4.bulk_weights).ravel(), np.outer(theta, grid4.surface_weights).ravel()))
+    np.testing.assert_array_equal(metric.data, flat, strict=True)
     for part in (metric.bulk, metric.surface):
+        assert np.shares_memory(part, metric.data)
         with pytest.raises(ValueError, match="read-only"):
             part[1, 1] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        metric.data[3] = 1.0
 
 
 def test_hnorm_consistency(grid4, ops4, rng):

@@ -21,6 +21,7 @@ from acopt import (
     trajectory_space_time_norm,
     trajectory_sup_norm,
 )
+from acopt.cli_io import RunConfig, build_control, build_problem
 from acopt.geometry import StepMatrix
 from acopt.objective import hnorm
 
@@ -617,6 +618,42 @@ def test_control_shape_checked(grid4, ops4, extra_levels, extra_nodes, extra_cyc
     )
     with pytest.raises(DimensionMismatchError, match="^control needs shapes"):
         solve_state(grid4, ops4, time, Potential.on(grid4, pf, pg), control, init)
+
+
+def test_control_pair_owns_one_buffer(grid4, ops4, rng):
+    """data is the bulk levels, then the surface levels; bulk and surface are views of it.
+
+    The constructor copies its arrays in, writes through either view (as
+    `build_control`'s u.bulk[:] = value) reach data, and `ControlPair.wrap`
+    shares the buffer it is given.
+    """
+    time = TimeAxis(0.4, 3)
+    bulk = rng.uniform(size=(time.m + 1, grid4.num_nodes))
+    surface = rng.uniform(size=(time.m + 1, grid4.num_boundary))
+    u = ControlPair(bulk, surface)
+    np.testing.assert_array_equal(u.data, np.concatenate((bulk.ravel(), surface.ravel())), strict=True)
+    for part in (u.bulk, u.surface):
+        assert np.shares_memory(part, u.data) and part.flags.c_contiguous
+    assert not np.shares_memory(u.data, bulk) and not np.shares_memory(u.data, surface)
+    bulk[:] = surface[:] = 7.0
+    assert not (u.data == 7.0).any()
+
+    u.bulk[:] = 2.0
+    u.surface[1] = -3.0
+    split = u.bulk.size
+    np.testing.assert_array_equal(u.data[:split], 2.0)
+    np.testing.assert_array_equal(u.data[split + grid4.num_boundary : split + 2 * grid4.num_boundary], -3.0)
+    cfg = RunConfig(grid_n=4, time_m=3, control_preset="constant", control_value=0.3)
+    built = build_control(cfg, build_problem(cfg))
+    np.testing.assert_array_equal(built.data, 0.3)
+
+    buffer = rng.uniform(size=u.data.size)
+    v = ControlPair.wrap(buffer, u)
+    assert v.data is buffer and v.bulk.shape == u.bulk.shape and v.surface.shape == u.surface.shape
+    buffer[0] = buffer[-1] = 5.0
+    assert v.bulk[0, 0] == v.surface[-1, -1] == 5.0
+    with pytest.raises(ValueError, match="reshape"):
+        ControlPair.wrap(buffer[:-1], u)
 
 
 def test_tangent_guess_saves_newton_iterations(grid4, ops4):
