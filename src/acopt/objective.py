@@ -43,7 +43,7 @@ from .pde_state import (
 from .potentials import Potential
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlProblem:
     """Weights, targets, box bounds and problem data for the tracking cost.
 
@@ -56,6 +56,8 @@ class ControlProblem:
     for every `solve` on this problem. The step rule dt (2 c - 4 alpha) < 1,
     for pf and for pg, makes every step matrix of its solves positive
     definite (see `geometry.StepMatrix`), so each implicit step has one root.
+    A built problem is frozen: an attribute is not reassigned after its
+    check (`dataclasses.replace` builds and checks a new problem).
     """
 
     grid: object
@@ -88,6 +90,7 @@ class ControlProblem:
         return self.z_t[self.grid.boundary_cycle]
 
     def __post_init__(self):
+        checked = functools.partial(object.__setattr__, self)  # the one way past frozen
         betas = {name: getattr(self, name) for name in ("beta1", "beta2", "beta3", "beta5", "beta6")}
         for name, b in betas.items():
             if not (0 <= b < np.inf):
@@ -100,22 +103,21 @@ class ControlProblem:
             if product >= 1.0:
                 raise InvalidParameterError(f"{name} step rule: dt (2 c - 4 alpha) = {product:g} >= 1")
         m1, N, nb = self.time.m + 1, self.grid.num_nodes, self.grid.num_boundary
-        self.z_q = _as_levels(self.z_q, (m1, N), "z_q").copy()
-        self.z_sigma = _as_levels(self.z_sigma, (m1, nb), "z_sigma").copy()
-        self.z_t = _as_levels(self.z_t, (N,), "z_t").copy()
-        self.lower = ControlPair(
-            _as_levels(self.u_lo, (m1, N), "u_lo"), _as_levels(self.u_lo_surf, (m1, nb), "u_lo_surf")
-        )
-        self.upper = ControlPair(
-            _as_levels(self.u_hi, (m1, N), "u_hi"), _as_levels(self.u_hi_surf, (m1, nb), "u_hi_surf")
-        )
-        self.u_lo, self.u_lo_surf = self.lower.bulk, self.lower.surface
-        self.u_hi, self.u_hi_surf = self.upper.bulk, self.upper.surface
+        for name, shape in (("z_q", (m1, N)), ("z_sigma", (m1, nb)), ("z_t", (N,))):
+            checked(name, _as_levels(getattr(self, name), shape, name).copy())
+        for side, bulk, surface in (("lower", "u_lo", "u_lo_surf"), ("upper", "u_hi", "u_hi_surf")):
+            pair = ControlPair(
+                _as_levels(getattr(self, bulk), (m1, N), bulk),
+                _as_levels(getattr(self, surface), (m1, nb), surface),
+            )
+            checked(side, pair)
+            checked(bulk, pair.bulk)
+            checked(surface, pair.surface)
         for lo, hi in (("u_lo", "u_hi"), ("u_lo_surf", "u_hi_surf")):
             if (getattr(self, lo) > getattr(self, hi)).any():
                 raise InvalidParameterError(f"{lo} must not exceed {hi} (A1)")
-        self.potential = Potential.on(self.grid, self.pf, self.pg)
-        self.init.bulk = check_initial(self.grid, self.potential, self.init.bulk)
+        checked("potential", Potential.on(self.grid, self.pf, self.pg))
+        checked("init", FieldPair(check_initial(self.grid, self.potential, self.init.bulk)))
 
     def solve(self, control, newton_tol=None, max_newton=None, guess=None):
         """State solve at a control.

@@ -15,40 +15,54 @@ from 0 and 1, so the damped iteration stays inside the guarded interval
 without projections.
 
 Each Newton candidate costs one guarded evaluation of f and g over all
-slots (`potentials.Potential.newton_terms`): it yields f', g' for the
-candidate's residual and f'', g'' for the Jacobian at that point, so the
-accepted candidate carries the coefficients of the next Newton step.
+slots (`potentials.Potential.newton_terms`). Below the factorization
+break-even it yields f', g' for the candidate's residual and f'', g'' for
+the Jacobian at that point, so the accepted candidate carries the
+coefficients of the next Newton step. In the chord regime it yields f',
+g' alone, and f'', g'' are formed only at the iterate where a factor is
+built.
 
 Factorizations priced by the grid: one costs kappa = `ops.step.factor_cost`
 chord iterations (see `geometry.StepMatrix`). Where kappa <= 1 every
-iteration is a damped Newton step. Where kappa > 1 the solve keeps the
-factor of its last Newton step, across levels too, for undamped chord
-steps z - J^-1 res (Kelley, Iterative Methods for Linear and Nonlinear
-Equations, SIAM 1995, 5.4; Jacobian reuse as in Hairer & Wanner, Solving
-ODEs II, IV.8): f'' and g'' are Lipschitz in the guarded interval, so J
-moves little between iterates and levels. A chord step is accepted when
-it stays in the interval and lowers the residual's max-norm; it keeps the
-factor while finishing the level at its contraction theta costs at most
-kappa more steps than a fresh factor would, at FRESH_CONTRACTION per
-step: with D = log(newton_tol / new residual) < 0,
+iteration is a damped Newton step. Where kappa > 1, the chord regime, the
+solve keeps the factor of its last Newton step, across levels too, for
+undamped chord steps z - J^-1 res (Kelley, Iterative Methods for Linear
+and Nonlinear Equations, SIAM 1995, 5.4; Jacobian reuse as in Hairer &
+Wanner, Solving ODEs II, IV.8): f'' and g'' are Lipschitz in the guarded
+interval, so J moves little between iterates and levels. From a level's
+second chord step on one factor, the first candidate is the depth-1
+Anderson mix of the last two chord steps (Walker & Ni, SIAM J. Numer.
+Anal. 49, 2011); where it leaves the interval or does not lower the
+residual, the plain chord candidate is tried. The history starts afresh
+at every level and after every factorization. A chord step is accepted
+when its candidate stays in the interval and lowers the residual's
+max-norm; it keeps the factor while finishing the level at its
+contraction theta costs at most kappa more steps than a fresh factor
+would, at FRESH_CONTRACTION per step: with D = log(tol / new residual) < 0,
 D / log(theta) <= kappa + D / log(FRESH_CONTRACTION). Otherwise the next
 iteration refactors at the new iterate; a dropped candidate makes it a
 damped Newton step at z. No factor outlives a solve, so a solve's first
-iteration factors while later levels may factor 0 times. A level whose
-last step was a chord step that contracted by CHORD_CONTRACTION keeps
-stepping until a step stops contracting that much or the residual is
-within 1/CHORD_CONTRACTION of its rounding floor (eps times the largest
-row sum of the residual's absolute terms): a chord step stops just under
-the tolerance where a Newton step lands far below it, and difference
-quotients of the state (the second-derivative oracle, the verify modes)
-need that accuracy.
+iteration factors while later levels may factor 0 times.
+
+The stop. Below break-even a level stops at newton_tol. In the chord
+regime it stops at tol = max(newton_tol, floor), where floor is
+1/CHORD_CONTRACTION times the rounding floor at the level's start (eps
+times the largest row sum of the residual's absolute terms, formed once
+per level): operator entries grow like 4/h^2, so on fine grids an
+absolute newton_tol lies below roundoff and would only stall. A level
+whose last step was a chord step that contracted by CHORD_CONTRACTION
+keeps stepping until a step stops contracting that much or the residual
+is below floor: a chord step stops just under the tolerance where a
+Newton step lands far below it, and difference quotients of the state
+(the second-derivative oracle, the verify modes) need that accuracy.
 
 Newton starts. The step to level k+1 starts from a given guess level,
 else from the time extrapolation 2 y_k - y_{k-1} (y_0 for the first
 step); a start with a non-finite entry or one outside the guarded
-interval is replaced by y_k. The stop test does not depend on the start,
-so every converged level meets the same tolerance, and a start that
-already meets it costs no iteration. Callers that know a nearby solved
+interval is replaced by y_k. The stop test depends on the start only
+through the chord regime's floor, which the start's magnitudes set, so
+every converged level meets its tolerance, and a start that already
+meets it costs no iteration. Callers that know a nearby solved
 state pass its tangent prediction as the guess (`optimizer.minimize`);
 the optimality report has no such state, and the verify modes keep
 unguessed starts on purpose (see `cli_io`).
@@ -84,7 +98,7 @@ CHORD_CONTRACTION = 0.25
 FRESH_CONTRACTION = 1e-2  # a chord step on a factor built near the root, as seen at n = 4..128
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldPair:
     """A `ControlProblem`'s initial data; the problem checks it with `check_initial`.
 
@@ -170,7 +184,8 @@ def slot_fields(grid, bulk_values, surface_values):
 
 
 class _Iterate(NamedTuple):
-    """A Newton iterate z, its residual and max-norm, and the guarded evaluation behind them."""
+    """A Newton iterate z, its residual and max-norm, and the guarded evaluation behind them
+    (d2 is None in the chord regime, which forms f'' only where it factors)."""
 
     z: np.ndarray
     res: np.ndarray
@@ -199,6 +214,22 @@ def check_newton(newton_tol, max_newton):
         raise InvalidParameterError(f"newton_tol must be positive and finite, got {newton_tol!r}")
     if not isinstance(max_newton, (int, np.integer)) or max_newton < 1:
         raise InvalidParameterError(f"max_newton must be a positive integer, got {max_newton!r}")
+
+
+def _anderson(last, z, step):
+    """The depth-1 Anderson mix of the chord steps last = (z_prev, step_prev) and step at z,
+    as an update of z (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
+
+    Its two inner products are numpy sums, not BLAS dots, so its bits do
+    not depend on the CPU's BLAS kernel. Equal steps mix to step itself.
+    """
+    z_prev, step_prev = last
+    d_step = step - step_prev
+    norm2 = np.sum(d_step * d_step)
+    if norm2 == 0.0:
+        return step
+    gamma = np.sum(d_step * step) / norm2
+    return step - gamma * ((z - z_prev) + d_step)
 
 
 def _keeps_factor(new, old, tol, kappa):
@@ -259,6 +290,7 @@ def solve_state(
     dt = time.dt
     lo, hi = potential.interval
     kappa = ops.step.factor_cost
+    chord = kappa > 1.0  # the chord regime: one factor kept across iterations and levels
 
     values = np.empty(levels)
     values[0] = y0
@@ -281,8 +313,14 @@ def solve_state(
         z = (start if admissible else prev).copy()
 
         def evaluate(v):
+            """The iterate at v; f'' is formed with f' below break-even, where every iterate
+            is factored at, and left for the factorization in the chord regime."""
             nonlocal clamp_events
-            d1, d2, clamped = potential.newton_terms(v)
+            if chord:
+                d1, clamped = potential.newton_terms(v, ("d1",))
+                d2 = None
+            else:
+                d1, d2, clamped = potential.newton_terms(v)
             clamp_events += clamped
             res = (v - prev) / dt + ops.coupled @ v + d1 - rhs
             return _Iterate(v, res, np.abs(res).max(), d1, d2, clamped)
@@ -309,44 +347,55 @@ def solve_state(
             return None, fallback
 
         it = evaluate(z)
+        # the level's stop: newton_tol, or in the chord regime floor = 1/CHORD_CONTRACTION
+        # times the rounding floor at the start where that is larger
+        floor = rounding_floor(it) / CHORD_CONTRACTION if chord else 0.0
+        tol = max(newton_tol, floor)
         iters = factors = 0
         polish = False  # the last step was a chord step that contracted by CHORD_CONTRACTION
+        last = None  # the iterate and chord step of the last chord step on the current factor
         while iters < max_newton:
             # A chord step stops just under the tolerance where a Newton step lands far
-            # below it, so contracting chord steps go on down to the rounding floor.
-            if it.norm <= newton_tol and not (
-                polish and it.norm >= rounding_floor(it) / CHORD_CONTRACTION
-            ):
+            # below it, so contracting chord steps go on down to the floor.
+            if it.norm <= tol and not (polish and it.norm >= floor):
                 break
             iters += 1
             if factor is not None:
-                # undamped chord step on the kept factor
-                trial, _ = search(it, ops.step.solve(factor, -it.res), 1)
+                # undamped chord step on the kept factor: the mix of the last two steps, then
+                # the plain step
+                step = ops.step.solve(factor, -it.res)
+                trial = None
+                if last is not None:
+                    trial, _ = search(it, _anderson(last, it.z, step), 1)
+                if trial is None:
+                    trial, _ = search(it, step, 1)
+                last = (it.z, step)
                 if trial is not None:
                     polish = trial.norm <= CHORD_CONTRACTION * it.norm
-                    if not _keeps_factor(trial.norm, it.norm, newton_tol, kappa):
+                    if not _keeps_factor(trial.norm, it.norm, tol, kappa):
                         factor = None
                     it = trial
                     continue
                 # the candidate is dropped: a converged level stops, any other refactors at z
-                if it.norm <= newton_tol:
+                if it.norm <= tol:
                     break
-            # damped Newton step; the Jacobian at z reuses the f'' of z's residual, and its
-            # clamps count again
+            # damped Newton step; the Jacobian at z takes the f'' of z's evaluation, formed
+            # here in the chord regime, and z's clamps count again
             clamp_events += it.clamps
+            d2 = it.d2 if it.d2 is not None else potential.newton_terms(it.z, ("d2",))[0]
             factor = None  # at most one factor is alive
-            factor = ops.step.factor(it.d2, dt, level=k + 1, residual=it.norm)
+            factor = ops.step.factor(d2, dt, level=k + 1, residual=it.norm)
             factors += 1
-            polish = False
+            polish, last = False, None
             accepted, fallback = search(it, ops.step.solve(factor, -it.res), MAX_DAMPING)
             if accepted is None and fallback is None:
                 raise SolverFailureError(
                     f"no admissible Newton update at step {k + 1}", step=k + 1, residual=it.norm
                 )
             it = fallback if accepted is None else accepted
-            if kappa <= 1.0:
+            if not chord:
                 factor = None  # below break-even every iteration refactors: damped Newton
-        if not it.norm <= newton_tol:
+        if not it.norm <= tol:
             raise SolverFailureError(
                 f"Newton stalled at step {k + 1}: residual {it.norm:.3e} after {iters} iterations",
                 step=k + 1,

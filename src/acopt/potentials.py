@@ -102,11 +102,12 @@ class Potential:
     def d3(self, y):
         return self._evaluate("d3", y)
 
-    def newton_terms(self, y):
-        """f' and f'' at one guarded argument, which share 1 - y, and its clamp count."""
+    def newton_terms(self, y, names=("d1", "d2")):
+        """The named derivatives (f' and f'' by default) at one guarded argument, which share
+        1 - y, then its clamp count."""
         y, clamped = self._guard(y)
         one_minus_y = 1.0 - y
-        return self._term("d1", y, one_minus_y), self._term("d2", y, one_minus_y), clamped
+        return *(self._term(name, y, one_minus_y) for name in names), clamped
 
     def _guard(self, y):
         """The checked argument, clamped slot by slot, and the clamp count.

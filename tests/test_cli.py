@@ -356,8 +356,9 @@ def test_shipped_config_loads_without_warnings(path):
 def test_verify_gradient_passes_where_the_rounding_floor_guard_matters():
     """tracking.cfg at grid.n = 16, --seed 3: every row passes.
 
-    dir2's order reads 2.001 with the state solve's rounding-floor guard
-    and 1.899, below the 1.9 gate, when Newton stops at newton.tol alone.
+    dir2's order reads 2.012 with the state solve's rounding-floor guard
+    (2.001 with plain chord steps), and it read 1.899, below the 1.9 gate,
+    with plain chord steps stopped at newton.tol alone.
     """
     problem = build_problem(replace(load_config(ROOT / "configs" / "tracking.cfg"), grid_n=16))
     rows = verify_gradient(problem, seed=3)

@@ -53,8 +53,7 @@ def test_cost_zero_when_state_matches_targets(grid4, ops4):
     prob = make_problem(grid4, ops4, time, pf, pg, betas=(1.0, 1.0, 1.0, 1.0, 1.0))
     state = Trajectory(prob.z_q.copy(), grid4, time)
     # make the surface targets the trace so every term vanishes
-    prob.z_sigma = prob.z_q[:, grid4.boundary_cycle]
-    prob.z_t = prob.z_q[-1]
+    prob = replace(prob, z_sigma=prob.z_q[:, grid4.boundary_cycle], z_t=prob.z_q[-1])
     assert evaluate_cost(prob, state, ControlPair.zeros(grid4, time)) == 0.0
 
 
@@ -339,12 +338,9 @@ def test_gradient_depends_on_residuals_only(grid4, ops4, rng):
     grads = []
     for shift in (0.0, 0.9):
         state = Trajectory(values + shift, grid4, time)
-        shifted = make_problem(
-            grid4, ops4, time, pf, pg, betas=(1.0, 1.0, 1.0, 0.5, 0.5), seed=1
+        shifted = replace(
+            prob, z_q=prob.z_q + shift, z_sigma=prob.z_sigma + shift, z_t=prob.z_t + shift
         )
-        shifted.z_q = prob.z_q + shift
-        shifted.z_sigma = prob.z_sigma + shift
-        shifted.z_t = prob.z_t + shift
         adj = solve_adjoint(linearized_operator(state, prob.potential, ops4), tracking_seeds(shifted, state))
         grads.append(reduced_gradient(shifted, adj, u))
     np.testing.assert_allclose(grads[0].bulk, grads[1].bulk, atol=1e-11)
@@ -866,8 +862,37 @@ def test_problem_validation(grid4, ops4):
             replace(prob, max_newton=bad)
     # the terminal surface target is the bulk trace, and follows z_t
     new = prob.z_t + 0.1
-    prob.z_t = new
+    prob = replace(prob, z_t=new)
     np.testing.assert_array_equal(prob.z_gamma_t, new[grid4.boundary_cycle])
+
+
+def test_built_problem_inputs_are_not_reassigned(grid4, ops4, rng):
+    """A built problem's checked inputs cannot be reassigned past their checks.
+
+    The box that `clip_to_box` reads (lower, upper) is the one u_lo, u_hi,
+    u_lo_surf and u_hi_surf were checked into: reassigning any of them, or
+    any other input, raises and leaves the clip as it was. A new problem
+    is built, and checked, by `dataclasses.replace`.
+    """
+    from dataclasses import FrozenInstanceError
+
+    pf, pg = default_potentials()
+    time = TimeAxis(0.3, 5)
+    prob = make_problem(grid4, ops4, time, pf, pg)
+    u = random_control(grid4, time, rng, scale=3.0)
+    clipped = clip_to_box(prob, u)
+    for name in ("u_lo", "u_hi", "u_lo_surf", "u_hi_surf"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(prob, name, np.zeros_like(getattr(prob, name)))
+    for name in ("lower", "upper", "z_q", "z_t", "init", "potential", "newton_tol"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(prob, name, getattr(prob, name))
+    with pytest.raises(FrozenInstanceError):
+        prob.init.bulk = np.zeros(grid4.num_nodes)
+    np.testing.assert_array_equal(clip_to_box(prob, u).data, clipped.data, strict=True)
+    assert clipped.data.min() < 0.0
+    zero_floor = replace(prob, u_lo=np.zeros_like(prob.u_lo))
+    assert clip_to_box(zero_floor, u).bulk.min() == 0.0
 
 
 @pytest.mark.parametrize("side", ["pf", "pg"])

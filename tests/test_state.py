@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,11 +24,14 @@ from acopt import (
     trajectory_space_time_norm,
     trajectory_sup_norm,
 )
-from acopt.cli_io import RunConfig, build_control, build_problem
+from acopt.cli_io import RunConfig, build_control, build_problem, load_config
 from acopt.geometry import StepMatrix
 from acopt.objective import hnorm
+from acopt.pde_state import slot_fields
 
 from conftest import default_potentials, make_problem, random_control
+
+ROOT = Path(__file__).parents[1]
 
 
 def constant_control(grid, time, bulk_value, surf_value):
@@ -303,24 +309,30 @@ def test_clamp_warning_for_near_endpoint_data(grid4, ops4):
         assert traj.info["clamp_events"] == 2
 
 
-def test_newton_jacobian_reuses_residual_evaluation(grid16, ops16, rng, monkeypatch):
-    """Each residual makes one guarded evaluation over all slots; the Jacobian makes none.
+def test_newton_jacobian_reuses_residual_evaluation(grid4, ops4, grid16, ops16, rng, monkeypatch):
+    """Each residual makes one guarded evaluation over all slots; f'' is formed once per factor.
 
-    Logs "T" per `Potential.newton_terms` call and "F" per step
-    factorization. A level logs the residual at its start, then one
-    residual per iteration, the candidate's; an iteration that factors logs
-    its "F" before it. Followed by hand: every iteration accepts its first
-    candidate. Level 1 takes one damped Newton step (residual 317 to 0.12)
-    and six chord steps on its factor, and levels 2 to 4 finish on that
-    same factor with seven chord steps each (contractions of about 1/100
-    to 1/200 throughout): "T" + "FT" + "T" * 6, then "T" + "T" * 7 per level.
+    Logs the derivatives of each `Potential.newton_terms` call ("1" for f',
+    "2" for f'', "12" for both) and "F" per step factorization. A level
+    logs the evaluation at its start, then one per iteration, the
+    candidate's. Below break-even (n = 4) every iteration factors at the
+    iterate it starts from, so each evaluation forms f' and f'' and the
+    Jacobian reuses that f'': each level of `_guess_setup` goes "12" +
+    ("F" + "12") * 3. In the chord regime (n = 16) a candidate forms f'
+    alone, and f'' is formed at the one iterate where the factor is built,
+    just before its "F". Followed by hand: every iteration accepts its
+    first candidate. Level 1 takes one damped Newton step (residual 317 to
+    0.12), a plain chord step to 5.4e-4 and four mixed chord steps (2.3e-6,
+    1.6e-8, 1.2e-10, 9.8e-13); levels 2 to 4 finish on that same factor
+    with six chord steps each (3.3e-13, 1.9e-13, 1.4e-13 last):
+    "1" + "2F1" + "1" * 5, then "1" + "1" * 6 per level.
     """
     log = []
     terms, factor = Potential.newton_terms, StepMatrix.factor
 
-    def counted_terms(self, y):
-        log.append("T")
-        return terms(self, y)
+    def counted_terms(self, y, names=("d1", "d2")):
+        log.append("".join(name[1] for name in names))
+        return terms(self, y, names)
 
     def counted_factor(self, *args, **kwargs):
         log.append("F")
@@ -328,19 +340,22 @@ def test_newton_jacobian_reuses_residual_evaluation(grid16, ops16, rng, monkeypa
 
     monkeypatch.setattr(Potential, "newton_terms", counted_terms)
     monkeypatch.setattr(StepMatrix, "factor", counted_factor)
-    pf, pg = default_potentials()
+    pf, pg, time, u, init = _guess_setup(grid4)
+    traj = solve_state(grid4, ops4, time, Potential.on(grid4, pf, pg), u, init)
+    assert traj.info["newton_iters"] == traj.info["factorizations"] == [3] * time.m
+    assert log == ["12", "F", "12", "F", "12", "F", "12"] * time.m
+
+    log.clear()
     time = TimeAxis(0.2, 4)
     init = rng.uniform(0.3, 0.7, grid16.num_nodes)
     traj = solve_state(
         grid16, ops16, time, Potential.on(grid16, pf, pg), random_control(grid16, time, rng), init
     )
     iters = traj.info["newton_iters"]
-    assert min(iters) >= 2
-    assert iters == [7, 7, 7, 7]
+    assert iters == [6, 6, 6, 6]
     assert traj.info["factorizations"] == [1, 0, 0, 0]
-    assert "".join(log) == "T" + "FT" + "T" * (iters[0] - 1) + "".join(
-        "T" + "T" * n for n in iters[1:]
-    )
+    chord_levels = "".join("1" + "1" * n for n in iters[1:])
+    assert "".join(log) == "1" + "2F1" + "1" * (iters[0] - 1) + chord_levels
 
 
 def _step_residual(grid, ops, time, pf, pg, control, traj):
@@ -356,25 +371,51 @@ def _step_residual(grid, ops, time, pf, pg, control, traj):
 def test_chord_counts_hand_checked(grid16, ops16):
     """Pinned counters of a run on a carried factor whose iterates were followed by hand.
 
-    Level 1: the damped Newton step takes the residual from 333 to 0.104 on
-    the solve's one factorization; chord steps on that factor then contract
-    by about 1/100 each: 2.3e-4, 1.5e-6, 1.1e-8, 9.2e-11, 7.7e-13. The last
-    one meets newton_tol = 1e-11 by a chord step and already lies below the
-    rounding floor / CHORD_CONTRACTION (1.0e-12): 6 iterations. Level 2
-    starts at 328 and stays on the same factor: 0.106, 4.2e-4, 2.8e-6,
-    2.2e-8, 1.8e-10, then 1.6e-12, which meets newton_tol but not the floor
-    / CHORD_CONTRACTION (9.8e-13), so the level takes one more chord step,
-    to 1.2e-13: 7 iterations, no factorization. Levels 3 to 6 start from
-    the time extrapolation (residuals 6.4, 1.9, 1.7, 1.6) and take 6 chord
-    steps each on the same factor. The floor / CHORD_CONTRACTION is 9.7e-13
-    to 1.0e-12 on every level, so every step residual lies below 1e-12.
+    Each level stops at newton_tol = 1e-11 here, since its floor, the
+    rounding floor at its start / CHORD_CONTRACTION, is 9.7e-13 to 1.2e-12.
+    A level's first chord step is plain, and each later one mixes the last
+    two. Level 1: the damped Newton step takes the residual from 333 to
+    0.104 on the solve's one factorization; chord steps on that factor go
+    to 2.3e-4 (plain), 7.5e-7, 2.8e-9, 1.2e-11, then 1.5e-13: 6 iterations.
+    Level 2 starts at 328 and stays on the same factor: 0.106 (plain),
+    3.8e-4, 8.0e-7, 3.0e-9, 1.4e-11, 1.2e-13: 6 iterations, no
+    factorization. Levels 3 to 6 start from the time extrapolation
+    (residuals 6.4, 1.9, 1.7, 1.6). Their fifth chord steps reach 4.3e-12,
+    1.6e-12, 3.0e-12 and 2.6e-12: each meets newton_tol, but after a
+    contraction by more than CHORD_CONTRACTION it still lies above the
+    floor, so each level takes a sixth chord step, to about 1e-13: 6
+    iterations each. Every step residual lies below 1e-12.
     """
     pf, pg, time, u, init = _guess_setup(grid16)
     traj = solve_state(grid16, ops16, time, Potential.on(grid16, pf, pg), u, init)
-    assert traj.info["newton_iters"] == [6, 7, 6, 6, 6, 6]
+    assert traj.info["newton_iters"] == [6, 6, 6, 6, 6, 6]
     assert traj.info["factorizations"] == [1, 0, 0, 0, 0, 0]
     assert traj.info["clamp_events"] == 0
     assert _step_residual(grid16, ops16, time, pf, pg, u, traj) <= 1e-12
+
+
+def _log_evaluations(monkeypatch, events):
+    """Append ("E", y, derivatives) per guarded evaluation (the derivatives named "1" for f',
+    "2" for f''), ("F", c) per factorization and ("S", x) per step solve to events."""
+    terms, factor, solve = Potential.newton_terms, StepMatrix.factor, StepMatrix.solve
+
+    def logged_terms(self, y, names=("d1", "d2")):
+        out = terms(self, y, names)
+        events.append(("E", y, "".join(name[1] for name in names), out))
+        return out
+
+    def logged_factor(self, c, *args, **kwargs):
+        events.append(("F", c))
+        return factor(self, c, *args, **kwargs)
+
+    def logged_solve(self, *args):
+        x = solve(self, *args)
+        events.append(("S", x))
+        return x
+
+    monkeypatch.setattr(Potential, "newton_terms", logged_terms)
+    monkeypatch.setattr(StepMatrix, "factor", logged_factor)
+    monkeypatch.setattr(StepMatrix, "solve", logged_solve)
 
 
 def test_dropped_chord_candidate_refactors_at_the_iterate(grid16, ops16, monkeypatch):
@@ -382,25 +423,14 @@ def test_dropped_chord_candidate_refactors_at_the_iterate(grid16, ops16, monkeyp
 
     The iteration then refactors at the iterate the chord step started from,
     not at the dropped candidate, takes a damped Newton step there, and the
-    level still converges to newton_tol. Logs ("E", f'') per guarded
-    evaluation and ("F", c) per factorization. Followed by hand: the damped
-    Newton step takes the residual from 5.1 to 2.6, the chord step from
-    there does not lower it, and the Newton step at 2.6 reaches 0.33.
+    level still converges to newton_tol. A candidate's evaluation forms f'
+    alone, and the factorization forms f'' at its iterate. Followed by
+    hand: the damped Newton step takes the residual from 5.1 to 2.6, the
+    (plain) chord step from there does not lower it, and the Newton step
+    at 2.6 reaches 0.33.
     """
     events = []
-    terms, factor = Potential.newton_terms, StepMatrix.factor
-
-    def logged_terms(self, y):
-        out = terms(self, y)
-        events.append(("E", out[1]))
-        return out
-
-    def logged_factor(self, c, *args, **kwargs):
-        events.append(("F", c))
-        return factor(self, c, *args, **kwargs)
-
-    monkeypatch.setattr(Potential, "newton_terms", logged_terms)
-    monkeypatch.setattr(StepMatrix, "factor", logged_factor)
+    _log_evaluations(monkeypatch, events)
     pf, pg = default_potentials()
     time = TimeAxis(0.2, 1)
     u = random_control(grid16, time, np.random.default_rng(8), scale=5.0)
@@ -408,13 +438,80 @@ def test_dropped_chord_candidate_refactors_at_the_iterate(grid16, ops16, monkeyp
         grid16, ops16, time, Potential.on(grid16, pf, pg), u, np.full(grid16.num_nodes, 0.9)
     )
 
-    # start, factor, Newton candidate (accepted), chord candidate (dropped), refactor
-    assert "".join(kind for kind, _ in events).startswith("EFEEF")
-    newton_candidate, chord_candidate, refactored = events[2][1], events[3][1], events[4][1]
-    assert np.array_equal(refactored, newton_candidate)
-    assert not np.array_equal(refactored, chord_candidate)
+    # start, f'' at the start, factor, Newton step, its candidate (accepted), chord step,
+    # its candidate (dropped), f'' at the Newton candidate, refactor
+    kinds = [event[0] + (event[2] if event[0] == "E" else "") for event in events]
+    assert kinds[:9] == ["E1", "E2", "F", "S", "E1", "S", "E1", "E2", "F"]
+    newton_candidate, chord_candidate, refactored_at = events[4][1], events[6][1], events[7][1]
+    assert np.array_equal(refactored_at, newton_candidate)
+    assert not np.array_equal(refactored_at, chord_candidate)
+    assert np.array_equal(events[8][1], events[7][3][0])  # the factor's f'' is the one formed there
     assert traj.info["factorizations"][0] >= 2
     assert _step_residual(grid16, ops16, time, pf, pg, u, traj) <= 1e-11
+
+
+def test_rejected_mixed_candidate_falls_back_to_the_chord_candidate(grid16, ops16, monkeypatch):
+    """A mixed chord candidate that does not lower the residual gives way to the plain one.
+
+    The mixed candidate is z1 + d1 - gamma ((z1 - z0) + (d1 - d0)) from the
+    last two chord steps d0 at z0 and d1 at z1 on one factor, with gamma =
+    <d1 - d0, d1> / |d1 - d0|^2 in numpy sums. Followed by hand (n = 16,
+    one level from 0.1 under a control of scale 20; 19 iterations, 14
+    factorizations): the last Newton step reaches 3.0e-8 and the plain
+    chord step from there 7.5e-12. That meets newton_tol, but it
+    contracted by more than CHORD_CONTRACTION and lies above the floor
+    (about 1e-12), so the level steps again: the mixed candidate reads
+    1.2e-11 and is rejected, the plain chord candidate z1 + d1 reads 1.0e-13
+    and is accepted, and the level ends there without refactoring.
+    """
+    events = []
+    _log_evaluations(monkeypatch, events)
+    pf, pg = default_potentials()
+    time = TimeAxis(0.2, 1)
+    u = random_control(grid16, time, np.random.default_rng(1), scale=20.0)
+    traj = solve_state(
+        grid16, ops16, time, Potential.on(grid16, pf, pg), u, np.full(grid16.num_nodes, 0.1)
+    )
+    assert traj.info["newton_iters"] == [19]
+    assert traj.info["factorizations"] == [14]
+
+    # after the last factorization: the Newton step and its candidate, the first chord step
+    # and its (plain) candidate, then the second chord step's mixed and plain candidates
+    kinds = "".join(event[0] for event in events[-8:])
+    assert kinds == "FSESESEE"
+    (_, d0), (_, z1, *_), (_, d1), (_, mixed, *_), (_, plain, *_) = events[-5:]
+    z0 = events[-6][1]
+    assert np.array_equal(z1, z0 + d0)
+    d_step = d1 - d0
+    gamma = np.sum(d_step * d1) / np.sum(d_step * d_step)
+    assert np.array_equal(mixed, z1 + (d1 - gamma * ((z1 - z0) + d_step)))
+    assert np.array_equal(plain, z1 + d1)
+    assert np.array_equal(traj.values[1], plain)
+    assert _step_residual(grid16, ops16, time, pf, pg, u, traj) <= 1e-12
+
+
+def test_chord_regime_stops_at_the_rounding_floor():
+    """tracking.cfg at grid.n = 16 with newton.tol = 1e-14, far below roundoff, solves.
+
+    Each level stops at its rounding floor / CHORD_CONTRACTION where that
+    lies above newton_tol, so every step residual is within 4 times the
+    rounding floor at its solution (0.26 to 3.0 times here, the floor
+    3.8e-13 to 4.0e-13). Stopping on newton_tol alone, level 1 stalled at
+    1.1e-13 after 50 iterations.
+    """
+    cfg = replace(load_config(ROOT / "configs" / "tracking.cfg"), grid_n=16, newton_tol=1e-14)
+    problem = build_problem(cfg)
+    grid, ops, time = problem.grid, problem.ops, problem.time
+    assert ops.step.factor_cost > 1.0
+    control = build_control(cfg, problem)
+    traj = problem.solve(control)
+    new, old = traj.values[1:], traj.values[:-1]
+    source = slot_fields(grid, control.bulk, control.surface)[1:]
+    d1 = problem.potential.d1(new)
+    residual = np.abs((new - old) / time.dt + (ops.coupled @ new.T).T + d1 - source).max(axis=1)
+    terms = (np.abs(new) + np.abs(old)) / time.dt + (abs(ops.coupled) @ np.abs(new).T).T
+    floor = np.finfo(float).eps * (terms + np.abs(d1) + np.abs(source)).max(axis=1)
+    assert (residual <= 4.0 * floor).all(), residual / floor
 
 
 def test_refactor_rule_prices_the_factor(grid16, ops16):
@@ -429,8 +526,8 @@ def test_refactor_rule_prices_the_factor(grid16, ops16):
     dropped candidate and the Newton step to 0.33: a chord step to 0.19
     (contraction 0.59) and, after the next Newton step, one from 8.2e-3 to
     6.4e-4 (0.079, 7.1 steps left against kappa + 3.9) both refactor; the
-    Newton step to 7.2e-8 is followed by chord steps to 1.5e-11 and 1.3e-13
-    on its factor: 8 iterations, 4 factorizations.
+    Newton step to 7.2e-8 is followed by chord steps to 1.5e-11 and, mixing
+    the two, 1.3e-13 on its factor: 8 iterations, 4 factorizations.
     """
     from acopt.pde_state import _keeps_factor
 
@@ -505,16 +602,17 @@ def test_carried_factor_leaves_levels_without_factorization(grid16, ops16, rng):
 def test_back_to_back_solves_each_start_by_factoring(grid16, ops16, monkeypatch):
     """No factor outlives a solve: two solves in a row agree bit for bit, and each factors first.
 
-    Logs "E" per guarded evaluation and the level of each factorization:
-    both solves begin with the start's evaluation, then a factorization at
+    Logs "E" and the derivatives formed ("1" for f', "2" for f'') per
+    guarded evaluation, and the level of each factorization: both solves
+    begin with the start's evaluation, then f'' and a factorization at
     level 1, whatever the first solve left behind.
     """
     events = []
     terms, factor = Potential.newton_terms, StepMatrix.factor
 
-    def logged_terms(self, y):
-        events.append("E")
-        return terms(self, y)
+    def logged_terms(self, y, names=("d1", "d2")):
+        events.append("E" + "".join(name[1] for name in names))
+        return terms(self, y, names)
 
     def logged_factor(self, c, dt, level=None, residual=None):
         events.append(level)
@@ -528,7 +626,7 @@ def test_back_to_back_solves_each_start_by_factoring(grid16, ops16, monkeypatch)
     second = solve_state(grid16, ops16, time, Potential.on(grid16, pf, pg), u, init)
     assert np.array_equal(first.values, second.values)
     assert first.info == second.info
-    assert events[:2] == ["E", 1] and events[split : split + 2] == ["E", 1]
+    assert events[:3] == ["E1", "E2", 1] and events[split : split + 3] == ["E1", "E2", 1]
     assert events[split:] == events[:split]
 
 
