@@ -15,7 +15,8 @@ the output directory, and loading that copy reproduces it exactly.
 Modes: solve, optimize, verify-gradient, verify-taylor, verify-curvature,
 report. CSV is the canonical output format (headers, '.' decimal
 separator, 17 significant digits); VTK legacy structured-points output is
-display only.
+display only. Every warning a run raises is printed to stderr and written
+to warnings.jsonl in the output directory (no warning, no file).
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 verification
 failure.
@@ -24,6 +25,7 @@ failure.
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -191,19 +193,30 @@ def _tanh_profile(x, center, width=0.15):
     return 0.2 + 0.6 * 0.5 * (1.0 + np.tanh((x - center) / width))
 
 
+def _tanh_at_nodes(grid, center):
+    """`_tanh_profile` at every node: evaluated once per grid column, then tiled over the rows.
+
+    The columns' x values are the nodes' (nodes run x fastest), so the
+    result equals _tanh_profile(grid.bulk_nodes[:, 0], center) bit for bit;
+    centers of shape (levels, 1) give one row per level.
+    """
+    side = grid.n + 1
+    return np.tile(_tanh_profile(grid.bulk_nodes[:side, 0], center), side)
+
+
 def build_targets(cfg, grid, time):
-    """Analytic target presets for the tracking terms.
+    """Analytic target presets for the tracking terms: (z_q, z_sigma, z_t).
 
     tanh-moving: an interface profile in x whose center moves linearly in
-    time; the terminal targets are the final frame.
+    time; the terminal targets are the final frame. constant: the scalar
+    target.value for all three, which `ControlProblem` broadcasts.
     """
     if cfg.target_preset not in TARGET_PRESETS:
         raise ConfigError(f"target.preset must be one of {TARGET_PRESETS}")
     if cfg.target_preset == "constant":
-        z_q = np.full((time.m + 1, grid.num_nodes), cfg.target_value)
-    else:
-        centers = 0.3 + 0.1 * time.levels / time.T
-        z_q = np.stack([_tanh_profile(grid.bulk_nodes[:, 0], c) for c in centers])
+        return (cfg.target_value,) * 3
+    centers = 0.3 + 0.1 * time.levels / time.T
+    z_q = _tanh_at_nodes(grid, centers[:, None])
     return z_q, z_q[:, grid.boundary_cycle], z_q[-1]
 
 
@@ -213,7 +226,7 @@ def build_initial(cfg, grid):
     if cfg.init_preset == "constant":
         values = np.full(grid.num_nodes, cfg.init_value)
     elif cfg.init_preset == "tanh-interface":
-        values = _tanh_profile(grid.bulk_nodes[:, 0], 0.3)
+        values = _tanh_at_nodes(grid, 0.3)
     else:  # random-seeded
         rng = np.random.default_rng(cfg.seed)
         values = rng.uniform(0.3, 0.7, size=grid.num_nodes)
@@ -678,15 +691,36 @@ def verify_curvature(problem, seed=0):
 
 
 def run(cfg):
-    """Execute one experiment from a parsed config; returns the exit status."""
-    problem, opt_cfg, control, formats = build_run(cfg)
+    """Execute one experiment from a parsed config; returns the exit status.
+
+    Every warning the build and the mode raise is printed to stderr as
+    usual and, once the output directory exists, written to its
+    warnings.jsonl, one JSON line (category, message) each; a run that
+    raises none writes no such file.
+    """
+    outdir = None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            problem, opt_cfg, control, formats = build_run(cfg)
+            outdir = _output_dir(cfg)
+            return _run_mode(cfg, problem, opt_cfg, control, formats, outdir)
+    finally:
+        _log_warnings(outdir, caught)
+
+
+def _output_dir(cfg):
+    """Create output.dir and echo the resolved configuration into it."""
     outdir = Path(cfg.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output.dir: cannot create directory '{outdir}': {exc.strerror}") from exc
     write_resolved_config(cfg, outdir / "resolved_config.txt")
+    return outdir
 
+
+def _run_mode(cfg, problem, opt_cfg, control, formats, outdir):
+    """The configured mode on the built problem, writing into outdir; returns the exit status."""
     try:
         if cfg.mode == "solve":
             traj = problem.solve(control)
@@ -741,6 +775,15 @@ def run(cfg):
     except (SolverFailureError, OptimizerStalledError) as exc:
         _log_error(outdir, exc)
         return 3
+
+
+def _log_warnings(outdir, caught):
+    """Show each recorded warning on stderr, and write them to outdir/warnings.jsonl (if any)."""
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, line=w.line)
+    if caught and outdir is not None:
+        lines = (_json({"category": w.category.__name__, "message": str(w.message)}) for w in caught)
+        Path(outdir, "warnings.jsonl").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def _log_error(outdir, exc):

@@ -163,7 +163,9 @@ def build_grid(n):
         ]
     )
 
-    interior = np.setdiff1d(np.arange(num), cycle)
+    on_cycle = np.zeros(num, dtype=bool)
+    on_cycle[cycle] = True
+    interior = np.flatnonzero(~on_cycle)
 
     # tensor trapezoid: 1-D weight h, halved at the two ends
     w1 = np.full(side, h)

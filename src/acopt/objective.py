@@ -47,8 +47,12 @@ from .potentials import Potential
 class ControlProblem:
     """Weights, targets, box bounds and problem data for the tracking cost.
 
-    The box is stored once, as the control pairs lower and upper; u_lo,
-    u_hi, u_lo_surf and u_hi_surf are views of their bulk and surface slots.
+    The targets and the box bounds are held as given: each is copied once,
+    in its own shape, and read through a read-only broadcast to its full
+    shape, so a scalar costs nothing and no caller's array is aliased.
+    The box pairs lower and upper, like the metric, are formed from u_lo,
+    u_hi, u_lo_surf and u_hi_surf on first use; a run that never clips
+    forms no box.
     Under (A6) the terminal surface weight is beta3 and the terminal
     surface target `z_gamma_t` is the trace of z_t; neither is an input.
     Every input rule is checked here, in a message that starts with its
@@ -81,8 +85,6 @@ class ControlProblem:
     newton_tol: float = NEWTON_TOL
     max_newton: int = MAX_NEWTON
     potential: Potential = field(init=False, repr=False)
-    lower: ControlPair = field(init=False, repr=False)
-    upper: ControlPair = field(init=False, repr=False)
 
     @property
     def z_gamma_t(self):
@@ -103,16 +105,10 @@ class ControlProblem:
             if product >= 1.0:
                 raise InvalidParameterError(f"{name} step rule: dt (2 c - 4 alpha) = {product:g} >= 1")
         m1, N, nb = self.time.m + 1, self.grid.num_nodes, self.grid.num_boundary
-        for name, shape in (("z_q", (m1, N)), ("z_sigma", (m1, nb)), ("z_t", (N,))):
-            checked(name, _as_levels(getattr(self, name), shape, name).copy())
-        for side, bulk, surface in (("lower", "u_lo", "u_lo_surf"), ("upper", "u_hi", "u_hi_surf")):
-            pair = ControlPair(
-                _as_levels(getattr(self, bulk), (m1, N), bulk),
-                _as_levels(getattr(self, surface), (m1, nb), surface),
-            )
-            checked(side, pair)
-            checked(bulk, pair.bulk)
-            checked(surface, pair.surface)
+        shapes = {"z_q": (m1, N), "z_sigma": (m1, nb), "z_t": (N,),
+                  "u_lo": (m1, N), "u_lo_surf": (m1, nb), "u_hi": (m1, N), "u_hi_surf": (m1, nb)}
+        for name, shape in shapes.items():
+            checked(name, _as_levels(getattr(self, name), shape, name))
         for lo, hi in (("u_lo", "u_hi"), ("u_lo_surf", "u_hi_surf")):
             if (getattr(self, lo) > getattr(self, hi)).any():
                 raise InvalidParameterError(f"{lo} must not exceed {hi} (A1)")
@@ -136,16 +132,34 @@ class ControlProblem:
     def metric(self):
         """The L2(Q) x L2(Sigma) weights theta w and theta gamma: read-only, formed on first use."""
         theta = self.time.weights()[:, None]
-        metric = ControlPair(theta * self.grid.bulk_weights, theta * self.grid.surface_weights)
-        metric.data.flags.writeable = False
-        return ControlPair.wrap(metric.data, metric)  # views of read-only data are read-only
+        return _read_only(ControlPair(theta * self.grid.bulk_weights, theta * self.grid.surface_weights))
+
+    @functools.cached_property
+    def lower(self):
+        """The box's lower bounds (u_lo, u_lo_surf) as one read-only pair, formed on first use."""
+        return _read_only(ControlPair(self.u_lo, self.u_lo_surf))
+
+    @functools.cached_property
+    def upper(self):
+        """The box's upper bounds (u_hi, u_hi_surf) as one read-only pair, formed on first use."""
+        return _read_only(ControlPair(self.u_hi, self.u_hi_surf))
+
+
+def _read_only(pair):
+    """pair on its own buffer, made read-only (views of read-only data are read-only)."""
+    pair.data.flags.writeable = False
+    return ControlPair.wrap(pair.data, pair)
 
 
 def _as_levels(arr, shape, name):
-    """A finite arr broadcast to shape, as a read-only view."""
-    arr = np.asarray(arr, dtype=float)
+    """A private copy of a finite arr, as a read-only view broadcast to shape.
+
+    The copy keeps arr's own shape, so a scalar stays one value.
+    """
+    arr = np.array(arr, dtype=float)
     if not np.isfinite(arr).all():
         raise InvalidParameterError(f"{name} must be finite")
+    arr.flags.writeable = False
     try:
         return np.broadcast_to(arr, shape)
     except ValueError as exc:
@@ -193,11 +207,16 @@ def _cost_form(problem, a, b):
 
 
 def _tracking_residuals(problem, state):
-    """The state residuals of the cost: over Q and Sigma, then terminal bulk and surface."""
+    """The state residuals of the cost: over Q and Sigma, then terminal bulk and surface.
+
+    The residual over Sigma is laid out in C order whatever the layouts of
+    the column-indexed surface and of z_sigma (a broadcast scalar, say), so
+    the cost's sums meet its entries in one order.
+    """
     surface = state.surface
     return (
         state.values - problem.z_q,
-        surface - problem.z_sigma,
+        np.subtract(surface, problem.z_sigma, order="C"),
         state.values[-1] - problem.z_t,
         surface[-1] - problem.z_gamma_t,
     )

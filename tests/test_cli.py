@@ -6,13 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acopt import ConfigError, ControlPair, InvalidParameterError
+from acopt import ConfigError, ControlPair, InvalidParameterError, TimeAxis, build_grid
 from acopt.cli_io import (
     MODES,
     RunConfig,
     _fit_order,
+    _tanh_profile,
+    build_initial,
     build_problem,
     build_run,
+    build_targets,
     load_config,
     main,
     run,
@@ -498,6 +501,48 @@ def test_build_problem_target_consistency():
     prob = build_problem(cfg)
     np.testing.assert_array_equal(prob.z_gamma_t, prob.z_t[prob.grid.boundary_cycle])
     np.testing.assert_array_equal(prob.z_sigma, prob.z_q[:, prob.grid.boundary_cycle])
+
+
+@pytest.mark.parametrize("n", [4, 12, 128])
+def test_tanh_presets_equal_their_per_node_profiles(n):
+    """The tanh targets and initial data, formed per grid column, are the per-node profiles bit for bit."""
+    cfg = RunConfig(grid_n=n)
+    grid, time = build_grid(n), TimeAxis(cfg.time_T, cfg.time_m)
+    x = grid.bulk_nodes[:, 0]
+    z_q = np.stack([_tanh_profile(x, c) for c in 0.3 + 0.1 * time.levels / time.T])
+    got = build_targets(cfg, grid, time)
+    for value, want in zip(got, (z_q, z_q[:, grid.boundary_cycle], z_q[-1])):
+        np.testing.assert_array_equal(value.view(np.uint64), want.view(np.uint64), strict=True)
+    init = build_initial(cfg, grid).bulk
+    np.testing.assert_array_equal(init.view(np.uint64), _tanh_profile(x, 0.3).view(np.uint64), strict=True)
+
+
+def test_constant_target_preset_broadcasts_its_value():
+    prob = build_problem(RunConfig(grid_n=4, time_m=3, target_preset="constant", target_value=0.25))
+    for name, shape in (("z_q", (4, 25)), ("z_sigma", (4, 16)), ("z_t", (25,))):
+        np.testing.assert_array_equal(getattr(prob, name), np.full(shape, 0.25), strict=True)
+
+
+def test_warnings_reach_the_run_directory(tmp_path):
+    """A solve that clamps potential evaluations warns once, on stderr and in warnings.jsonl.
+
+    Initial data 1e-8 lies inside (0, 1) but within eps_guard of 0, so the
+    state solve clamps. A run that raises no warning writes no such file.
+    """
+    from acopt import BoundsViolationWarning
+
+    text = override(
+        BASE, "init.value = 1e-8", "potential_f.eps_guard = 1e-6", "potential_g.eps_guard = 1e-6",
+        f"output.dir = {tmp_path / 'clamped'}",
+    )
+    with pytest.warns(BoundsViolationWarning, match="^state solve clamped"):
+        assert main([str(write(tmp_path, text))]) == 0
+    lines = (tmp_path / "clamped" / "warnings.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["category"] for line in lines] == ["BoundsViolationWarning"]
+    assert json.loads(lines[0])["message"].startswith("state solve clamped")
+    assert main([str(write(tmp_path, BASE)), "--output-dir", str(tmp_path / "plain")]) == 0
+    assert (tmp_path / "plain" / "state_bulk.csv").is_file()
+    assert not (tmp_path / "plain" / "warnings.jsonl").exists()
 
 
 def test_comments_and_blank_lines(tmp_path):

@@ -72,6 +72,14 @@ def test_node_classification_partition():
     assert len(interior) + len(boundary) == g.num_nodes
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_interior_nodes_are_the_sorted_complement_of_the_cycle(n):
+    """The masked interior is np.setdiff1d's, in values and dtype."""
+    g = build_grid(n)
+    want = np.setdiff1d(np.arange(g.num_nodes), g.boundary_cycle)
+    np.testing.assert_array_equal(g.interior_nodes, want, strict=True)
+
+
 def _surface_laplacian(grid):
     """Negative surface Laplacian on the cycle: the periodic second difference over h^2."""
     nb = grid.num_boundary

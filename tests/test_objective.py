@@ -778,10 +778,10 @@ def test_report_unsupported_without_control_weights(grid4, ops4):
 def test_clip_and_stationarity_equal_their_per_slot_forms(n, rng):
     """clip_to_box and stationarity_norm, one pass over the buffers, match the per-slot forms bit for bit.
 
-    The box is stored once, as the pairs lower and upper, and u_lo, u_hi,
-    u_lo_surf and u_hi_surf are their views. The bulk bounds vary entry by
-    entry and differ from the surface bounds, so a slot read against the
-    other slot's bounds shows.
+    The pairs lower and upper hold, bit for bit, the bounds u_lo, u_lo_surf
+    and u_hi, u_hi_surf. The bulk bounds vary entry by entry and differ
+    from the surface bounds, so a slot read against the other slot's bounds
+    shows.
     """
     pf, pg = default_potentials()
     grid, time = build_grid(n), TimeAxis(0.4, 5)
@@ -791,10 +791,9 @@ def test_clip_and_stationarity_equal_their_per_slot_forms(n, rng):
         u_lo=rng.uniform(-0.6, -0.1, size=shape), u_hi=rng.uniform(0.1, 0.6, size=shape),
         u_lo_surf=-0.2, u_hi_surf=0.3,
     )
-    for pair, lo, hi in ((prob.lower, prob.u_lo, prob.u_lo_surf), (prob.upper, prob.u_hi, prob.u_hi_surf)):
-        assert np.shares_memory(lo, pair.data) and np.shares_memory(hi, pair.data)
-        np.testing.assert_array_equal(pair.bulk, lo, strict=True)
-        np.testing.assert_array_equal(pair.surface, hi, strict=True)
+    for pair, bulk, surface in ((prob.lower, prob.u_lo, prob.u_lo_surf), (prob.upper, prob.u_hi, prob.u_hi_surf)):
+        np.testing.assert_array_equal(pair.bulk.view(np.uint64), bulk.view(np.uint64), strict=True)
+        np.testing.assert_array_equal(pair.surface.view(np.uint64), surface.view(np.uint64), strict=True)
     theta = time.weights()
     metric = np.concatenate((np.outer(theta, grid.bulk_weights).ravel(), np.outer(theta, grid.surface_weights).ravel()))
     for _ in range(10):
@@ -893,6 +892,72 @@ def test_built_problem_inputs_are_not_reassigned(grid4, ops4, rng):
     assert clipped.data.min() < 0.0
     zero_floor = replace(prob, u_lo=np.zeros_like(prob.u_lo))
     assert clip_to_box(zero_floor, u).bulk.min() == 0.0
+
+
+def test_problem_forms_the_box_and_metric_on_first_use(grid4, ops4, rng):
+    """A solve forms neither the box pairs nor the metric; a clip forms the box, a cost the metric."""
+    pf, pg = default_potentials()
+    time = TimeAxis(0.3, 5)
+    prob = make_problem(grid4, ops4, time, pf, pg)
+    u = random_control(grid4, time, rng)
+    state = prob.solve(u)
+    assert not {"lower", "upper", "metric"} & set(vars(prob))
+    clip_to_box(prob, u)
+    assert {"lower", "upper"} <= set(vars(prob)) and "metric" not in vars(prob)
+    evaluate_cost(prob, state, u)
+    assert "metric" in vars(prob)
+    for pair in (prob.lower, prob.upper, prob.metric):
+        for view in (pair.data, pair.bulk, pair.surface):
+            assert not view.flags.writeable
+
+
+def test_cost_bits_do_not_depend_on_the_targets_layout(grid4, ops4, rng):
+    """A constant target given as a scalar, a C-ordered or an F-ordered array gives one cost, bit for bit.
+
+    The state's surface is column-indexed, so its layout differs from a
+    C-ordered target's; the cost's sums read the residual in one order
+    whatever the layouts.
+    """
+    pf, pg = default_potentials()
+    time = TimeAxis(0.3, 5)
+    base = make_problem(grid4, ops4, time, pf, pg)
+    u = random_control(grid4, time, rng)
+    state = base.solve(u)
+    sigma = np.full((time.m + 1, grid4.num_boundary), 0.4)
+    costs = {
+        evaluate_cost(replace(base, z_q=0.4, z_sigma=z_sigma, z_t=0.4), state, u).hex()
+        for z_sigma in (0.4, sigma, np.asfortranarray(sigma))
+    }
+    assert len(costs) == 1
+
+
+def test_problem_owns_its_targets_and_box(grid4, ops4, rng):
+    """Writing into the arrays a problem was built from changes neither its clip nor its cost.
+
+    The problem keeps private copies and hands out read-only views of them.
+    The writes come before the box and the metric are first formed, and
+    again after; each clip and cost is that of a problem built from copies.
+    """
+    pf, pg = default_potentials()
+    time = TimeAxis(0.3, 5)
+    base = make_problem(grid4, ops4, time, pf, pg)
+    shape = (time.m + 1, grid4.num_nodes)
+    given = {"z_q": base.z_q.copy(), "u_lo": np.full(shape, -0.5), "u_hi": np.full(shape, 0.5)}
+    twin = replace(base, **{name: array.copy() for name, array in given.items()})
+    prob = replace(base, **given)
+    u = random_control(grid4, time, rng, scale=1.0)
+    state = prob.solve(ControlPair.zeros(grid4, time))
+    clipped, cost = clip_to_box(twin, u), evaluate_cost(twin, state, u)
+    for fill in (0.0, 2.0):
+        for array in given.values():
+            array[...] = fill
+        np.testing.assert_array_equal(clip_to_box(prob, u).data, clipped.data, strict=True)
+        assert evaluate_cost(prob, state, u) == cost
+    for name in ("z_q", "z_sigma", "z_t", "u_lo", "u_hi", "u_lo_surf", "u_hi_surf"):
+        view = getattr(prob, name)
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[...] = 0.0
 
 
 @pytest.mark.parametrize("side", ["pf", "pg"])
