@@ -8,8 +8,8 @@ Laplacian acts as a periodic second difference in arclength.
 Quadrature is node based: tensor-product trapezoid in the bulk, composite
 trapezoid on the boundary cycle, trapezoid along the time axis. All mass
 matrices are therefore diagonal, which keeps discrete adjoints plain
-(weighted) matrix transposes. `space_time_inner` pairs trajectories with
-these weights; `objective.ControlProblem.metric` holds the controls'.
+(weighted) matrix transposes. `objective.ControlProblem.metric` holds
+these weights for the controls.
 
 The discrete model is one edge list (a, b, k): the bulk grid's edges and
 the boundary cycle's, whose graph energy 0.5 sum k (z_a - z_b)^2 is the
@@ -448,8 +448,3 @@ def build_operators(grid):
     coupled_abs.data = np.abs(coupled_abs.data)
 
     return OperatorSet(edges=edges, coupled=coupled, coupled_abs=coupled_abs, step=StepMatrix(grid, K))
-
-
-def space_time_inner(theta, weights, a, b):
-    """Space-time pairing of two (levels, nodes) arrays: time weights theta, node weights."""
-    return float(np.einsum("k,kj,kj->", theta, a * weights[None, :], b))

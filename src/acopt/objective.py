@@ -47,9 +47,10 @@ from .potentials import Potential
 class ControlProblem:
     """Weights, targets, box bounds and problem data for the tracking cost.
 
-    The targets and the box bounds are held as given: each is copied once,
-    in its own shape, and read through a read-only broadcast to its full
-    shape, so a scalar costs nothing and no caller's array is aliased.
+    The targets, the box bounds and the initial data are held as given:
+    each is copied once, in its own shape, and read through a read-only
+    broadcast to its full shape, so a scalar costs nothing and no
+    caller's array is aliased.
     The box pairs lower and upper, like the metric, are formed from u_lo,
     u_hi, u_lo_surf and u_hi_surf on first use; a run that never clips
     forms no box.
@@ -113,7 +114,8 @@ class ControlProblem:
             if (getattr(self, lo) > getattr(self, hi)).any():
                 raise InvalidParameterError(f"{lo} must not exceed {hi} (A1)")
         checked("potential", Potential.on(self.grid, self.pf, self.pg))
-        checked("init", FieldPair(check_initial(self.grid, self.potential, self.init.bulk)))
+        init = check_initial(self.grid, self.potential, self.init.bulk)
+        checked("init", FieldPair(_as_levels(init, (N,), "init")))
 
     def solve(self, control, newton_tol=None, max_newton=None, guess=None):
         """State solve at a control.
@@ -154,9 +156,11 @@ def _read_only(pair):
 def _as_levels(arr, shape, name):
     """A private copy of a finite arr, as a read-only view broadcast to shape.
 
-    The copy keeps arr's own shape, so a scalar stays one value.
+    The copy keeps arr's own shape, so a scalar stays one value, and one
+    slice of each stride-0 axis, so the views `dataclasses.replace` passes back stay compact.
     """
-    arr = np.array(arr, dtype=float)
+    arr = np.asarray(arr, dtype=float)
+    arr = np.array(arr[tuple(slice(None) if s else slice(0, 1) for s in arr.strides)])
     if not np.isfinite(arr).all():
         raise InvalidParameterError(f"{name} must be finite")
     arr.flags.writeable = False

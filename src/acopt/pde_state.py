@@ -12,7 +12,10 @@ boundary trace is the restriction of that vector, so the trace identity
 holds by construction). Newton with interval-preserving
 damping solves each step; the logarithmic derivative pushes iterates away
 from 0 and 1, so the damped iteration stays inside the guarded interval
-without projections.
+without projections. Every accepted iterate, Newton or chord, stays in
+the interval and lowers the residual's max-norm, so a level fails in one
+of three named ways: a step matrix that is not positive definite, no
+admissible descent update, or max_newton iterations spent.
 
 Each Newton candidate costs one guarded evaluation of f and g over all
 slots (`potentials.Potential.newton_terms`). Below the factorization
@@ -89,7 +92,6 @@ from .errors import (
     InvalidParameterError,
     SolverFailureError,
 )
-from .geometry import space_time_inner
 
 NEWTON_TOL = 1e-11
 MAX_NEWTON = 50
@@ -267,10 +269,11 @@ def solve_state(
     Raises:
         InvalidParameterError: newton_tol or max_newton breaks `check_newton`.
         DimensionMismatchError: control or guess has the wrong shape.
-        SolverFailureError: Newton did not converge within max_newton
-            iterations at some step, a Newton step matrix was not positive
-            definite (see `geometry.StepMatrix`), or no damped update stayed
-            inside the guarded interval.
+        SolverFailureError: carrying the step and its residual, where a Newton
+            step matrix is not positive definite (see `geometry.StepMatrix`),
+            where none of MAX_DAMPING damped Newton updates stays inside the
+            guarded interval and lowers the residual ("no admissible Newton
+            update"), or where max_newton iterations do not converge.
     """
     check_newton(newton_tol, max_newton)
     y0 = check_initial(grid, potential, init)
@@ -333,18 +336,16 @@ def solve_state(
 
         def search(it, delta, tries):
             """Of z + delta, z + delta/2, ... (tries of them) from the iterate it: the first
-            in the interval that lowers the residual, and the first evaluated one that did not."""
-            step, fallback = 1.0, None
+            in the interval that lowers the residual, or None."""
+            step = 1.0
             for _ in range(tries):
                 cand = it.z + step * delta
                 if cand.min() >= lo and cand.max() <= hi:
                     trial = evaluate(cand)
                     if trial.norm < it.norm:
-                        return trial, fallback
-                    if fallback is None:
-                        fallback = trial
+                        return trial
                 step *= 0.5
-            return None, fallback
+            return None
 
         it = evaluate(z)
         # the level's stop: newton_tol, or in the chord regime floor = 1/CHORD_CONTRACTION
@@ -366,9 +367,9 @@ def solve_state(
                 step = ops.step.solve(factor, -it.res)
                 trial = None
                 if last is not None:
-                    trial, _ = search(it, _anderson(last, it.z, step), 1)
+                    trial = search(it, _anderson(last, it.z, step), 1)
                 if trial is None:
-                    trial, _ = search(it, step, 1)
+                    trial = search(it, step, 1)
                 last = (it.z, step)
                 if trial is not None:
                     polish = trial.norm <= CHORD_CONTRACTION * it.norm
@@ -387,12 +388,11 @@ def solve_state(
             factor = ops.step.factor(d2, dt, level=k + 1, residual=it.norm)
             factors += 1
             polish, last = False, None
-            accepted, fallback = search(it, ops.step.solve(factor, -it.res), MAX_DAMPING)
-            if accepted is None and fallback is None:
-                raise SolverFailureError(
-                    f"no admissible Newton update at step {k + 1}", step=k + 1, residual=it.norm
-                )
-            it = fallback if accepted is None else accepted
+            accepted = search(it, ops.step.solve(factor, -it.res), MAX_DAMPING)
+            if accepted is None:
+                message = f"no admissible Newton update at step {k + 1}: residual {it.norm:.3e}"
+                raise SolverFailureError(message, step=k + 1, residual=it.norm)
+            it = accepted
             if not chord:
                 factor = None  # below break-even every iteration refactors: damped Newton
         if not it.norm <= tol:
@@ -489,6 +489,6 @@ def trajectory_space_time_norm(traj):
     """Space-time norm over bulk and surface parts with trapezoid weights."""
     values, grid, theta = traj.values, traj.grid, traj.time.weights()
     trace = values[:, grid.boundary_cycle]
-    total = space_time_inner(theta, grid.bulk_weights, values, values)
-    total += space_time_inner(theta, grid.surface_weights, trace, trace)
-    return float(np.sqrt(total))
+    bulk = np.einsum("k,kj,kj->", theta, values * grid.bulk_weights[None, :], values)
+    surface = np.einsum("k,kj,kj->", theta, trace * grid.surface_weights[None, :], trace)
+    return float(np.sqrt(bulk + surface))

@@ -13,6 +13,7 @@ import acopt
 from acopt import (
     ControlPair,
     DomainError,
+    FieldPair,
     InvalidParameterError,
     Potential,
     TimeAxis,
@@ -958,6 +959,41 @@ def test_problem_owns_its_targets_and_box(grid4, ops4, rng):
         assert not view.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             view[...] = 0.0
+
+
+def test_problem_owns_its_initial_data(grid4, ops4, rng):
+    """Writing into the array given as the initial data changes neither the held data nor a later solve."""
+    pf, pg = default_potentials()
+    time = TimeAxis(0.3, 5)
+    given = rng.uniform(0.3, 0.7, grid4.num_nodes)
+    prob = replace(make_problem(grid4, ops4, time, pf, pg), init=FieldPair(given))
+    held, u = given.copy(), random_control(grid4, time, rng)
+    state = prob.solve(u)
+    given[...] = 0.9
+    np.testing.assert_array_equal(prob.init.bulk, held, strict=True)
+    np.testing.assert_array_equal(prob.solve(u).values, state.values, strict=True)
+    assert not np.shares_memory(prob.init.bulk, given)
+    with pytest.raises(ValueError, match="read-only"):
+        prob.init.bulk[0] = 0.5
+
+
+def test_replace_keeps_broadcast_inputs_compact(grid4, ops4):
+    """dataclasses.replace passes the held broadcasts back; the new problem holds what was given.
+
+    A scalar bound holds one value before and after, a row target one
+    row, a column target one column, with the same values.
+    """
+    pf, pg = default_potentials()
+    time = TimeAxis(0.3, 5)
+    m1, N = time.m + 1, grid4.num_nodes
+    column = np.linspace(0.3, 0.5, m1)[:, None]
+    prob = replace(make_problem(grid4, ops4, time, pf, pg), z_q=np.full(N, 0.4), z_sigma=column)
+    again = replace(prob, beta1=2.0)
+    held = {"u_lo": 1, "u_hi": 1, "u_lo_surf": 1, "u_hi_surf": 1, "z_q": N, "z_sigma": m1, "z_t": N}
+    for problem in (prob, again):
+        assert {name: getattr(problem, name).base.size for name in held} == held
+    for name in held:
+        np.testing.assert_array_equal(getattr(again, name), getattr(prob, name), strict=True)
 
 
 @pytest.mark.parametrize("side", ["pf", "pg"])

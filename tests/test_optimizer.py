@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +22,11 @@ from acopt import (
     stationarity_norm,
     tracking_seeds,
 )
+from acopt.cli_io import build_run, load_config
 
 from conftest import default_potentials, make_problem, random_control
+
+ROOT = Path(__file__).parents[1]
 
 
 @pytest.fixture
@@ -326,21 +332,31 @@ def test_an_ascent_step_falls_back_to_the_projected_gradient(unit_weight_run, mo
     _assert_descent_from_the_projected_gradient_point(*unit_weight_run())
 
 
-@pytest.mark.parametrize("max_iters, reason, builds", [(50, "stationarity", 0), (1, "max_iters", 1)])
+@pytest.mark.parametrize(
+    "max_iters, reason, builds", [(50, "stationarity", 0), (1, "max_iters", 1), (500, "roundoff", 0)]
+)
 def test_final_report_reuses_the_last_operator(grid4, ops4, monkeypatch, max_iters, reason, builds):
-    """At a stationarity stop the final report factors nothing again; it is the fresh report, bit for bit.
+    """At a stationarity or roundoff stop the final report factors nothing again; it is the fresh report, bit for bit.
 
     The last iteration's operator and adjoint belong to the final control
     only when the loop stopped before moving it (stationarity or roundoff).
     After a max_iters stop they belong to the previous iterate, and the
-    report builds its own.
+    report builds its own. The roundoff stop is `configs/tracking.cfg` at
+    grid.n = 4, time.m = 5 with a stop_tol of 1e-300, which no
+    stationarity reaches: after 9 records no step lowers the cost.
     """
     import acopt.objective
 
-    pf, pg = default_potentials()
-    time = TimeAxis(0.25, 5)
-    prob = make_problem(grid4, ops4, time, pf, pg, targets="tanh", seed=3)
-    start = random_control(grid4, time, np.random.default_rng(2), scale=0.5)
+    if reason == "roundoff":
+        cfg = load_config(ROOT / "configs" / "tracking.cfg")
+        prob, config, start, _ = build_run(replace(cfg, grid_n=4, time_m=5, opt_stop_tol=1e-300))
+        assert config.max_iters == max_iters
+    else:
+        pf, pg = default_potentials()
+        time = TimeAxis(0.25, 5)
+        prob = make_problem(grid4, ops4, time, pf, pg, targets="tanh", seed=3)
+        start = random_control(grid4, time, np.random.default_rng(2), scale=0.5)
+        config = OptimizerConfig(max_iters=max_iters, stop_tol=1e-8)
     original, built = acopt.objective.linearized_operator, []
 
     def counted(*args):
@@ -348,7 +364,7 @@ def test_final_report_reuses_the_last_operator(grid4, ops4, monkeypatch, max_ite
         return original(*args)
 
     monkeypatch.setattr(acopt.objective, "linearized_operator", counted)
-    result = minimize(prob, OptimizerConfig(max_iters=max_iters, stop_tol=1e-8), start)
+    result = minimize(prob, config, start)
     monkeypatch.undo()
     assert result.reason == reason and len(built) == builds
     assert result.report == optimality_report(prob, result.control, state=result.state)

@@ -255,6 +255,32 @@ def test_newton_failure_is_reported(grid4, ops4):
     assert info.value.residual is not None
 
 
+def test_newton_without_a_descent_update_fails_at_once(monkeypatch):
+    """tracking.cfg at grid.n = 4 with c = 20 on both potentials: no damped update lowers the residual.
+
+    The step rule passes (dt (2c - 4 alpha) = 0.45). At step 2 the largest
+    residual sits at a node about 5.5e-9 below 1, where one unit of
+    roundoff in the state moves the residual by about 2e-8; all 30 damped
+    candidates stay in the guarded interval and none lowers the residual
+    5.1e-9. The solve raises there, after 18 factorizations at that
+    level, instead of re-accepting a candidate that does not lower the
+    residual until max_newton (50) runs out.
+    """
+    cfg = replace(load_config(ROOT / "configs" / "tracking.cfg"), grid_n=4, pf_c=20.0, pg_c=20.0)
+    problem = build_problem(cfg)
+    levels, factor = [], StepMatrix.factor
+
+    def counted_factor(self, *args, level, **kwargs):
+        levels.append(level)
+        return factor(self, *args, level=level, **kwargs)
+
+    monkeypatch.setattr(StepMatrix, "factor", counted_factor)
+    with pytest.raises(SolverFailureError, match="no admissible Newton update at step 2: residual") as info:
+        problem.solve(build_control(cfg, problem))
+    assert info.value.step == 2 and 0.0 < info.value.residual < 1e-8
+    assert levels.count(2) < problem.max_newton
+
+
 def test_singular_newton_jacobian_raises(grid4):
     """dt = 1 and f'' = g'' = -1 with no coupling: every Jacobian row vanishes."""
     N = grid4.num_nodes
