@@ -25,7 +25,7 @@ the arclength weights.
 What every implicit step reads from the grid is built once per grid: the
 slot weights W (`Grid.slot_weights`), |coupled| and the `StepMatrix`, whose
 choice of factorization (banded Cholesky, or SuperLU on wide bands) and
-map of K every step factorization of every solve shares.
+stored K every step factorization of every solve shares.
 """
 
 import ctypes
@@ -258,20 +258,23 @@ class StepMatrix:
     whose half-bandwidth b (n+1 on a grid with n cells per side) is read
     off the sparsity pattern of K, which must be canonical (sorted,
     duplicate-free) CSR, as `build_operators` makes it. The grid picks the
-    factorization once, from b alone:
+    factorization once, from b alone, and stores K once, in the layout
+    that path's kernel factors, with the index of its diagonal. Every
+    `factor` forms S one way: a copy of the stored K, plus W/dt, then
+    plus W c at the diagonal.
 
-    - b < SPARSE_BANDWIDTH: banded Cholesky. Only the upper entries of K
-      are stored, one per band position. `factor` assigns them into a
-      fresh zero band in LAPACK layout, adds W/dt, then W c, and factors
-      it in place (dpbtrf) on one OpenBLAS thread, restoring the caller's
-      thread count afterwards. A factor holds (b+1) N doubles.
+    - b < SPARSE_BANDWIDTH: banded Cholesky. K is the (b+1, N)
+      Fortran-ordered LAPACK upper band, its diagonal row b; the grid holds
+      it for good, (b+1) N doubles (0.30 MB at n = 32, 2.2 MB at n = 64,
+      9.1 MB at n = 103). S is factored in place (dpbtrf) on one OpenBLAS
+      thread, the caller's thread count restored afterwards. A factor
+      holds (b+1) N doubles too.
     - b >= SPARSE_BANDWIDTH: SuperLU (`splu`) on S in CSC form with a
       minimum-degree ordering of S + S^T, diagonal pivots and symmetric
       mode, an LDL^T-shaped factor. K symmetric and canonical, its CSR
-      arrays are those of S's CSC form; `factor` adds W/dt, then W c, at
-      the diagonal positions recorded at build, in the band path's order.
-      At n = 128 the factor has 0.69 M nonzeros (L and U) against the
-      band's 2.16 M entries (17.3 MB).
+      arrays are those of S's CSC form, so K is its CSR data, with the
+      positions of its diagonal. At n = 128 the factor has 0.69 M
+      nonzeros (L and U) against the band's 2.16 M entries (17.3 MB).
 
     S is positive definite whenever 1/dt + c > 0 on every slot, as K is
     positive semidefinite. On the guarded interval f'' and g''
@@ -318,7 +321,8 @@ class StepMatrix:
         64    65   6.81      9.9-13.7                12.3-16.3
 
     Break-even, kappa = 1, lies between b = 9 and 17 in every run, at 14.8
-    in the model. Band factorizations run on one OpenBLAS thread, the
+    in the model, so the chord regime starts at n = 14 (kappa(15) = 1.023,
+    kappa(14) = 0.925). Band factorizations run on one OpenBLAS thread, the
     regime kappa was fitted to; the last column is why: at these band
     sizes a second thread makes dpbtrf up to 4-7 times slower (n = 32:
     0.68 ms on one thread, 2.6 ms on two). The band solves and SuperLU
@@ -360,49 +364,42 @@ class StepMatrix:
             self.factor_cost = 6.0 * float(np.log(b)) - 7.0
             # K is symmetric and canonical, so its CSR arrays are its CSC arrays
             self._csc = stiffness.indices, stiffness.indptr
-            self._vals = stiffness.data
-            self._diag = np.flatnonzero(cols == rows)
+            self._k, self._diag = stiffness.data, np.flatnonzero(cols == rows)
             return
         self.factor_cost = b * b / (8 * b + 100)
         upper = cols >= rows
         rows, cols = rows[upper], cols[upper]
-        # position of S[i, j], i <= j, in the flattened Fortran-ordered band (distinct: canonical)
-        self._pos = b + rows - cols + cols * (b + 1)
-        self._vals = stiffness.data[upper]
+        # LAPACK's upper band holds S[i, j], i <= j, at [b + i - j, j], its diagonal in row b;
+        # assigned through the flat Fortran-order positions, the cheaper scatter
+        band = np.zeros((b + 1) * self._w.size)
+        band[b + rows - cols + cols * (b + 1)] = stiffness.data[upper]
+        self._k, self._diag = band.reshape((b + 1, self._w.size), order="F"), b
 
     def factor(self, c, dt, level=None, residual=None):
         """A factor of S = W M(c) for the slot coefficients c and the time step dt.
 
+        S is a copy of the stored K, plus W/dt, then plus W c, at the diagonal.
         Raises SolverFailureError (carrying level and residual) when S is
         not positive definite.
         """
-        if self.sparse:
-            return self._sparse_factor(c, dt, level, residual)
-        b, num = self.bandwidth, self._w.size
-        flat = np.zeros((b + 1) * num)
-        flat[self._pos] = self._vals
-        band = flat.reshape((b + 1, num), order="F")
-        band[b] += self._w / dt
-        band[b] += self._w * c
-        chol, info = _dpbtrf(band)
-        if info > 0:
-            raise _not_definite(level, residual)
-        return chol
-
-    def _sparse_factor(self, c, dt, level, residual):
+        S = self._k.copy(order="K")
+        S[self._diag] += self._w / dt
+        S[self._diag] += self._w * c
+        if not self.sparse:
+            chol, info = _dpbtrf(S)
+            if info > 0:
+                raise _not_definite(level, residual)
+            return chol
         num = self._w.size
-        data = self._vals.copy()
-        data[self._diag] += self._w / dt
-        data[self._diag] += self._w * c
-        S = sp.csc_matrix((data, *self._csc), shape=(num, num))
         try:
-            lu = self._splu(S)
+            lu = self._splu(sp.csc_matrix((S, *self._csc), shape=(num, num)))
         except RuntimeError as err:  # "Factor is exactly singular"
             raise _not_definite(level, residual) from err
         # K plus a positive diagonal is positive definite as it stands; only other shifts read
         # the pivots, since reading U caches L and U in the factor and doubles its size
-        floor = num * np.finfo(float).eps * data[self._diag].max()
-        definite = np.all(data[self._diag] > self._vals[self._diag]) or lu.U.diagonal().min() > floor
+        diag = S[self._diag]
+        floor = num * np.finfo(float).eps * diag.max()
+        definite = np.all(diag > self._k[self._diag]) or lu.U.diagonal().min() > floor
         if not (definite and np.array_equal(lu.perm_r, lu.perm_c)):
             raise _not_definite(level, residual)
         return lu

@@ -34,7 +34,7 @@ def ops8(grid8):
 
 @pytest.fixture(scope="session")
 def grid16():
-    return build_grid(16)  # half-bandwidth 17: the first grid whose solves carry a factor
+    return build_grid(16)  # half-bandwidth 17: a chord-regime grid (n >= 14), whose solves carry a factor
 
 
 @pytest.fixture(scope="session")

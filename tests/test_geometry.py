@@ -174,8 +174,7 @@ def test_bulk_stiffness_matches_per_edge_assembly(n, monkeypatch):
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(ops.coupled, part), getattr(reference.coupled, part)), part
     assert ops.step.bandwidth == reference.step.bandwidth
-    assert np.array_equal(ops.step._pos, reference.step._pos)
-    assert np.array_equal(ops.step._vals, reference.step._vals)
+    assert np.array_equal(ops.step._k, reference.step._k)
 
 
 def _exact_gradient_pairing(fy, fv):
@@ -248,6 +247,24 @@ def test_time_axis_rejects_a_non_integer_step_count():
 def test_grid_arrays_immutable(grid4):
     with pytest.raises(ValueError):
         grid4.bulk_weights[0] = 2.0
+
+
+@pytest.mark.parametrize("n", [8, 104], ids=["band", "superlu"])
+def test_factor_never_writes_the_stored_stiffness(n):
+    """Each factorization forms S from a copy of the stored K: a factorization that raises on
+    c = -2/dt (S = K - W/dt, indefinite) leaves K as it was, and two factors of one c solve one
+    right-hand side to the same bits."""
+    grid = build_grid(n)
+    step = build_operators(grid).step
+    assert step.sparse == (n == 104)
+    rng = np.random.default_rng(n)
+    dt, c, rhs = 0.0125, rng.uniform(-1.0, 5.0, grid.num_nodes), rng.normal(size=grid.num_nodes)
+    stored = step._k.copy()
+    first = step.solve(step.factor(c, dt), rhs)
+    with pytest.raises(SolverFailureError, match="^step matrix is not positive definite at step 2$"):
+        step.factor(np.full(grid.num_nodes, -2.0 / dt), dt, level=2)
+    assert np.array_equal(step._k, stored)
+    assert np.array_equal(step.solve(step.factor(c, dt), rhs), first)
 
 
 # -- the band factorization's OpenBLAS thread scope ----------------------------

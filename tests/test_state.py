@@ -544,7 +544,8 @@ def test_refactor_rule_prices_the_factor(grid16, ops16):
     """A chord step keeps its factor while finishing the level on it costs at most kappa more steps.
 
     kappa(17) = 1.22 at n = 16 (band) and 22.2 at n = 128 (SuperLU, whose
-    in-solve ratio measured 19.0-20.7 there). A step that halves the
+    in-solve ratio measured 19.0-20.7 there). The chord regime starts at
+    n = 14: kappa(14) = 0.925 at n = 13 and kappa(15) = 1.023 at n = 14. A step that halves the
     residual from 1e-9 leaves about 5.6 chord steps at that rate against
     kappa + 0.85 on a fresh factor: it refactors at n = 16 and keeps the
     factor at n = 128. Followed by hand on the run of
@@ -559,6 +560,8 @@ def test_refactor_rule_prices_the_factor(grid16, ops16):
 
     kappa16, kappa128 = ops16.step.factor_cost, build_operators(build_grid(128)).step.factor_cost
     assert 1.0 < kappa16 < 1.3 and 19.0 < kappa128 < 23.0
+    kappa13, kappa14 = (build_operators(build_grid(n)).step.factor_cost for n in (13, 14))
+    assert kappa13 <= 1.0 < kappa14
     assert not _keeps_factor(5e-10, 1e-9, 1e-11, kappa16)
     assert _keeps_factor(5e-10, 1e-9, 1e-11, kappa128)
     assert _keeps_factor(1e-5, 1e-3, 1e-11, kappa16)  # contraction 1/100, as a fresh factor
