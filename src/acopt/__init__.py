@@ -17,7 +17,6 @@ from .errors import (
     InvalidParameterError,
     OptimizerStalledError,
     SolverFailureError,
-    UnsupportedConfigurationError,
 )
 from .geometry import (
     Grid,
@@ -34,6 +33,7 @@ from .objective import (
     curvature,
     curvature_weights,
     evaluate_cost,
+    first_order,
     hessian_apply,
     hinner,
     hnorm,

@@ -45,14 +45,13 @@ from .objective import (
     curvature,
     curvature_weights,
     evaluate_cost,
+    first_order,
     hinner,
     hnorm,
     optimality_report,
-    reduced_gradient,
-    tracking_seeds,
 )
 from .optimizer import OptimizerConfig, minimize
-from .pde_linear import linearized_operator, solve_adjoint, solve_linearized
+from .pde_linear import solve_linearized
 from .pde_state import ControlPair, FieldPair, Trajectory, energy, trajectory_space_time_norm
 from .potentials import Potential
 
@@ -588,11 +587,10 @@ def _random_direction(problem, rng, scale=1.0):
 
 
 def _base_point(problem, seed):
-    """The seeded rng, a nonzero base control drawn from it, its state and linearized operator."""
+    """The seeded rng, a nonzero base control drawn from it, and its `first_order` system."""
     rng = np.random.default_rng(seed)
     u = _random_direction(problem, rng, scale=0.3)
-    state = problem.solve(u)
-    return rng, u, state, linearized_operator(state, problem.potential, problem.ops)
+    return rng, u, first_order(problem, u, problem.solve(u))
 
 
 def _shifted(u, eps, h):
@@ -614,9 +612,7 @@ def verify_gradient(problem, seed=0):
     degenerate. Errors are in units of |grad| |h|, which bounds the exact
     value but, unlike it, does not vanish when h is nearly orthogonal to grad.
     """
-    rng, u, state, operator = _base_point(problem, seed)
-    adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
-    grad = reduced_gradient(problem, adjoint, u)
+    rng, u, (_, _, _, grad) = _base_point(problem, seed)
     rows = []
     eps_list = np.array([1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4])
     for d in range(VERIFY_DIRECTIONS):
@@ -655,7 +651,7 @@ def _fit_order(eps_list, errors):
 
 def verify_taylor(problem, seed=0):
     """First-order Taylor remainder decay of the control-to-state map."""
-    rng, u, state, operator = _base_point(problem, seed)
+    rng, u, (state, operator, _, _) = _base_point(problem, seed)
     h = _random_direction(problem, rng)
     xi = solve_linearized(operator, h)
     eps_list = np.array([1e-1, 3e-2, 1e-2, 3e-3, 1e-3])
@@ -670,8 +666,7 @@ def verify_taylor(problem, seed=0):
 
 def verify_curvature(problem, seed=0):
     """Second-difference check of the curvature form."""
-    rng, u, state, operator = _base_point(problem, seed)
-    adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
+    rng, u, (state, operator, adjoint, _) = _base_point(problem, seed)
     weights = curvature_weights(problem, state, adjoint)
     j0 = evaluate_cost(problem, state, u)
     rows = []
@@ -749,8 +744,8 @@ def _run_mode(cfg, problem, opt_cfg, control, formats, outdir):
                         )
 
                 result = minimize(problem, opt_cfg, control, callback=stream)
-            # each record but the last of a run that stopped early was followed by an accepted step
-            steps = len(result.history) - (result.reason != "max_iters")
+            # each record but the last was followed by an accepted step
+            steps = len(result.history) - 1
             print(f"optimize: stopped by {result.reason} after {steps} accepted steps: "
                   f"stationarity={result.report.stationarity:.3e} threshold <= {opt_cfg.stop_tol:.3e}")
             write_control_csv(str(outdir / "control_final"), result.control, problem.grid, problem.time)

@@ -43,10 +43,6 @@ class OptimizerStalledError(RuntimeError):
         self.history = history
 
 
-class UnsupportedConfigurationError(ValueError):
-    """A diagnostic was requested under weights that do not define it."""
-
-
 class ConfigError(ValueError):
     """A run configuration file is malformed or violates an assumption."""
 

@@ -25,11 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidParameterError,
-    UnsupportedConfigurationError,
-)
+from .errors import DimensionMismatchError, InvalidParameterError
 from .pde_linear import linearized_operator, solve_adjoint, solve_linearized
 from .pde_state import (
     MAX_NEWTON,
@@ -281,6 +277,18 @@ def reduced_gradient(problem, adjoint, control):
     return grad
 
 
+def first_order(problem, control, state):
+    """The first-order system at a control whose state is solved: (state, operator, adjoint, grad).
+
+    operator is the `linearized_operator` around the state, adjoint the
+    march of its `tracking_seeds` on that operator's factors, and grad the
+    reduced gradient. The curvature and the Hessian products reuse the factors.
+    """
+    operator = linearized_operator(state, problem.potential, problem.ops)
+    adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
+    return state, operator, adjoint, reduced_gradient(problem, adjoint, control)
+
+
 def curvature_weights(problem, state, adjoint):
     """The state weights Q of the reduced cost's second variation at a state, (m, N).
 
@@ -351,12 +359,11 @@ def projection_residual(problem, control, adjoint_rep):
     """Largest nodewise violation of the pointwise projection identity.
 
     The identity expresses the optimal control as the box clip of the
-    negatively scaled adjoint; it requires positive control weights.
+    negatively scaled adjoint; it requires positive control weights
+    (InvalidParameterError otherwise).
     """
     if problem.beta5 <= 0 or problem.beta6 <= 0:
-        raise UnsupportedConfigurationError(
-            "projection identity needs positive control weights"
-        )
+        raise InvalidParameterError("projection identity needs positive control weights")
     target = ControlPair(-adjoint_rep.bulk / problem.beta5, -adjoint_rep.surface / problem.beta6)
     target = np.clip(target.data, problem.lower.data, problem.upper.data)
     return float(np.max(np.abs(control.data - target)))
@@ -417,41 +424,35 @@ def _cone_directions(problem, control, grad, tau, n_dir, rng):
         yield h
 
 
-def optimality_report(
-    problem, control, tau=None, n_dir=32, seed=0, state=None, operator=None, adjoint=None
-):
+def optimality_report(problem, control, tau=None, n_dir=32, seed=0, system=None):
     """Assemble the optimality diagnostics for a control.
 
-    Solves state and adjoint, evaluates gradient norm, projected
-    stationarity, the strongly active set at threshold tau (default one
-    thousandth of the gradient norm), the pointwise projection residual,
-    and curvature/norm ratios along directions sampled from the
-    tau-critical cone. The curvature part is a report, never a proof: a
-    small ratio is flagged by the caller, not failed here. n_dir must be a
-    nonnegative integer and tau, when given, finite and nonnegative.
+    Evaluates gradient norm, projected stationarity, the strongly active
+    set at threshold tau (default one thousandth of the gradient norm),
+    the pointwise projection residual (NaN, and projection_supported
+    false, unless beta5 and beta6 are positive), and curvature/norm
+    ratios along directions sampled from the tau-critical cone. The
+    curvature part is a report, never a proof: a small ratio is flagged
+    by the caller, not failed here. n_dir must be a nonnegative integer
+    and tau, when given, finite and nonnegative.
 
     Directions are drawn one at a time, each when its curvature is
     computed, and none is kept, so one direction is alive at a time. The
     report's memory is the state, the adjoint, the m step factors, and one
     direction with its linearized march, whatever n_dir is.
 
-    state, operator and adjoint, when given, are the state at the control,
-    the `linearized_operator` around it and the adjoint march of its
-    `tracking_seeds` on that operator; the report computes each one it is
-    not given. `optimizer.minimize` passes the ones it holds at its final
-    control, so the report factors nothing again.
+    system is the `first_order` system at the control; without it the
+    report solves the state and forms the system. `optimizer.minimize`
+    passes the one it formed at its final control, so the report builds no
+    operator and runs no adjoint march again.
     """
     if not isinstance(n_dir, (int, np.integer)) or n_dir < 0:
         raise InvalidParameterError(f"n_dir must be a nonnegative integer, got {n_dir!r}")
     if tau is not None and not 0 <= tau < np.inf:
         raise InvalidParameterError(f"tau must be finite and nonnegative, got {tau!r}")
-    if state is None:
-        state = problem.solve(control)
-    if operator is None:
-        operator = linearized_operator(state, problem.potential, problem.ops)
-    if adjoint is None:
-        adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
-    grad = reduced_gradient(problem, adjoint, control)
+    if system is None:
+        system = first_order(problem, control, problem.solve(control))
+    state, operator, adjoint, grad = system
     cost = evaluate_cost(problem, state, control)
     grad_norm = hnorm(problem, grad)
     stationarity = stationarity_norm(problem, control, grad)
@@ -462,11 +463,10 @@ def optimality_report(
     metric = problem.metric.data
     fraction = float(metric[np.abs(grad.data) > tau].sum() / metric.sum())
 
-    try:
+    supported = bool(problem.beta5 > 0 and problem.beta6 > 0)
+    proj_res = float("nan")
+    if supported:
         proj_res = projection_residual(problem, control, adjoint_as_control(problem, adjoint))
-        supported = True
-    except UnsupportedConfigurationError:
-        proj_res, supported = float("nan"), False
 
     rng = np.random.default_rng(seed)
     weights = curvature_weights(problem, state, adjoint)

@@ -45,10 +45,11 @@ no new factorization. The control-to-state map is twice differentiable,
 so the prediction is off by O(|move|^2): on the seed-1 optimize-n8
 benchmark input, 14 % of the trial levels need no Newton step, 30 % one,
 51 % two and 5 % three. The trial's state still meets the full Newton
-tolerance. The final optimality report reuses the accepted state, and
-`MinimizeResult.state` hands it to the caller, so the final control costs
-no extra solve. At a stationarity or roundoff stop the report also reuses
-the last iteration's operator and adjoint, so it factors nothing again.
+tolerance. Every iterate, the last one too, is evaluated in the loop: its
+`objective.first_order` system makes one history record, so a max_iters
+stop records max_iters + 1 iterates. Whatever stops the loop, the final
+report reads the last system and `MinimizeResult.state` hands its state
+on, so the final control costs no extra solve, factor or adjoint march.
 """
 
 import math
@@ -61,14 +62,13 @@ from .objective import (
     clip_to_box,
     curvature_weights,
     evaluate_cost,
+    first_order,
     hessian_apply,
     hinner,
     optimality_report,
-    reduced_gradient,
     stationarity_norm,
-    tracking_seeds,
 )
-from .pde_linear import linearized_operator, solve_adjoint, solve_linearized
+from .pde_linear import solve_linearized
 from .pde_state import ControlPair
 
 
@@ -151,17 +151,18 @@ def _truncated_cg(apply, rhs, dot):
 def minimize(problem, config, start, callback=None):
     """Run projected Newton-CG descent from a starting control.
 
-    Each iteration solves state and adjoint once, forms the exact
-    discrete gradient, takes a truncated Newton step on the free set with
-    exact Hessian products, and accepts the first backtracked trial along
-    the projected step with sufficient decrease (see the module
-    docstring). Terminates when the unit-step projected residual norm
-    drops below stop_tol or the iteration budget is reached. The result
-    carries the OptimalityReport of the final control.
+    Each iteration forms the first-order system at its iterate (state,
+    adjoint and exact discrete gradient), takes a truncated Newton step on
+    the free set with exact Hessian products, and accepts the first
+    backtracked trial along the projected step with sufficient decrease
+    (see the module docstring). Terminates when the unit-step projected
+    residual norm drops below stop_tol or after max_iters accepted steps,
+    with the iterate they reach evaluated and recorded. The result carries
+    the OptimalityReport of the final control.
 
     Args:
         callback: optional callable receiving (IterateRecord, control) as
-            each iterate is accepted (used for streaming history and
+            each iterate is evaluated (used for streaming history and
             checkpoints to disk). The record's step is the line-search step
             t that produced the iterate; iteration 0, reached by no search,
             records initial_step.
@@ -182,11 +183,10 @@ def minimize(problem, config, start, callback=None):
     step = config.initial_step
 
     cost, state = _cost_at(problem, u)
-    for it in range(config.max_iters):
+    for it in range(config.max_iters + 1):
         clamp_tally += state.info.get("clamp_events", 0)
-        operator = linearized_operator(state, problem.potential, problem.ops)
-        adjoint = solve_adjoint(operator, tracking_seeds(problem, state))
-        grad = reduced_gradient(problem, adjoint, u)
+        system = first_order(problem, u, state)
+        _, operator, adjoint, grad = system
         stat = stationarity_norm(problem, u, grad)
 
         record = IterateRecord(it, cost, stat, step, clamp_tally)
@@ -195,6 +195,8 @@ def minimize(problem, config, start, callback=None):
             callback(record, u)
         if stat <= config.stop_tol:
             reason = "stationarity"
+            break
+        if it == config.max_iters:
             break
 
         # epsilon-active set: entries within eps of a bound that the gradient pushes against
@@ -245,8 +247,8 @@ def minimize(problem, config, start, callback=None):
                 history=history,
             )
         u, cost, state = accepted
-        operator = adjoint = None  # both belong to the previous iterate
         step = trial
+        del system, operator, adjoint  # one iterate's factors alive at a time: free these before the next
 
-    report = optimality_report(problem, u, state=state, operator=operator, adjoint=adjoint)
+    report = optimality_report(problem, u, system=system)
     return MinimizeResult(control=u, state=state, history=history, report=report, reason=reason)

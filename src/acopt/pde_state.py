@@ -194,7 +194,6 @@ class _Iterate(NamedTuple):
     norm: float
     d1: np.ndarray
     d2: np.ndarray
-    clamps: int
 
 
 def check_initial(grid, potential, init):
@@ -264,7 +263,8 @@ def solve_state(
         ("newton_iters", Newton and chord steps alike) and the step
         factorizations ("factorizations"; 0 where a level finishes on
         the factor kept from an earlier one), and the number of potential
-        arguments clamped during the solve ("clamp_events").
+        arguments clamped, summed over the solve's guarded evaluations
+        ("clamp_events"; one evaluation counts a clamped argument once).
 
     Raises:
         InvalidParameterError: newton_tol or max_newton breaks `check_newton`.
@@ -326,7 +326,7 @@ def solve_state(
                 d1, d2, clamped = potential.newton_terms(v)
             clamp_events += clamped
             res = (v - prev) / dt + ops.coupled @ v + d1 - rhs
-            return _Iterate(v, res, np.abs(res).max(), d1, d2, clamped)
+            return _Iterate(v, res, np.abs(res).max(), d1, d2)
 
         def rounding_floor(it):
             """eps times the largest row sum of |terms| of the residual at it."""
@@ -381,9 +381,11 @@ def solve_state(
                 if it.norm <= tol:
                     break
             # damped Newton step; the Jacobian at z takes the f'' of z's evaluation, formed
-            # here in the chord regime, and z's clamps count again
-            clamp_events += it.clamps
-            d2 = it.d2 if it.d2 is not None else potential.newton_terms(it.z, ("d2",))[0]
+            # here in the chord regime, where this second guarded evaluation counts z's clamps
+            d2 = it.d2
+            if d2 is None:
+                d2, clamped = potential.newton_terms(it.z, ("d2",))
+                clamp_events += clamped
             factor = None  # at most one factor is alive
             factor = ops.step.factor(d2, dt, level=k + 1, residual=it.norm)
             factors += 1

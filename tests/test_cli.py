@@ -288,6 +288,7 @@ def test_fit_order_reads_a_slower_decay(eps, order):
 def test_verify_gradient_fails_a_wrong_gradient(monkeypatch):
     """A gradient without its beta5 term fails every order and plateau row."""
     import acopt.cli_io as cli
+    import acopt.objective
     from acopt.objective import adjoint_as_control
 
     def without_beta5(problem, adjoint, control):
@@ -296,7 +297,7 @@ def test_verify_gradient_fails_a_wrong_gradient(monkeypatch):
 
     problem = build_problem(RunConfig(grid_n=4, time_T=0.2, time_m=5))
     assert all(passed for *_, passed in cli.verify_gradient(problem))
-    monkeypatch.setattr(cli, "reduced_gradient", without_beta5)
+    monkeypatch.setattr(acopt.objective, "reduced_gradient", without_beta5)
     rows = cli.verify_gradient(problem)
     assert len(rows) == 2 * cli.VERIFY_DIRECTIONS
     assert not any(passed for *_, passed in rows)
@@ -816,7 +817,10 @@ def test_node_table_writer_memory_is_bounded(tmp_path):
 
 
 def test_optimize_prints_why_it_stopped(tmp_path, capsys):
-    """A run cut by optimizer.max_iters says so on stdout and still exits 0."""
+    """A run cut by optimizer.max_iters says so on stdout and still exits 0.
+
+    history.csv records the iterate each step reached, the one the run stopped at too.
+    """
     path = write(tmp_path, override((ROOT / "configs" / "tracking.cfg").read_text(), "optimizer.max_iters = 3"))
     assert main([str(path), "--mode", "optimize", "--output-dir", str(tmp_path / "out")]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -826,4 +830,4 @@ def test_optimize_prints_why_it_stopped(tmp_path, capsys):
     assert stat > 1e-8
     assert lines[0].endswith("threshold <= 1.000e-08")
     history = (tmp_path / "out" / "history.csv").read_text().splitlines()
-    assert len(history) == 1 + 3
+    assert len(history) == 1 + 4

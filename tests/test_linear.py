@@ -15,6 +15,7 @@ from acopt import (
     build_grid,
     build_operators,
     energy,
+    first_order,
     hinner,
     linearized_operator,
     optimality_report,
@@ -673,7 +674,7 @@ def test_linearized_fields_evaluated_on_levels_one_to_m_only(grid4, ops4, rng, m
     # g'' once for its one linearized operator; the energy reads each slot once
     prob = make_problem(grid4, ops4, time, pf, pg)
     sizes = log_sizes("value", "d2", "d3")
-    report = optimality_report(prob, control, tau=1e9, n_dir=5, state=state)
+    report = optimality_report(prob, control, tau=1e9, n_dir=5, system=first_order(prob, control, state))
     assert len(report.curvature_samples) == 5
     assert sizes == {"value": [], "d2": [m * N], "d3": [m * N]}
     energy(grid4, ops4, prob.potential, state.values[-1])

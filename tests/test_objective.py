@@ -18,12 +18,12 @@ from acopt import (
     Potential,
     TimeAxis,
     Trajectory,
-    UnsupportedConfigurationError,
     build_grid,
     build_operators,
     curvature,
     curvature_weights,
     evaluate_cost,
+    first_order,
     hessian_apply,
     hinner,
     hnorm,
@@ -704,7 +704,7 @@ def test_report_draws_the_cone_stream_in_order(grid4, ops4):
     adj = solve_adjoint(op, tracking_seeds(prob, state))
     grad = reduced_gradient(prob, adj, u)
     tau, n_dir, seed = float(np.median(np.abs(grad.bulk))), 5, 9
-    report = optimality_report(prob, u, tau=tau, n_dir=n_dir, seed=seed, state=state)
+    report = optimality_report(prob, u, tau=tau, n_dir=n_dir, seed=seed, system=first_order(prob, u, state))
     dirs = list(_cone_directions(prob, u, grad, tau, n_dir, np.random.default_rng(seed)))
     assert len(dirs) == n_dir
     weights = curvature_weights(prob, state, adj)
@@ -736,7 +736,7 @@ def test_report_memory_does_not_grow_with_n_dir(grid16, ops16):
     for n_dir in (4, 64):
         tracemalloc.start()
         try:
-            report = optimality_report(prob, u, n_dir=n_dir, state=state)
+            report = optimality_report(prob, u, n_dir=n_dir, system=first_order(prob, u, state))
             peaks[n_dir] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -765,9 +765,8 @@ def test_report_unsupported_without_control_weights(grid4, ops4):
     time = TimeAxis(0.3, 5)
     prob = make_problem(grid4, ops4, time, pf, pg, betas=(1.0, 1.0, 1.0, 0.0, 0.0))
     u = ControlPair.zeros(grid4, time)
-    with pytest.raises(UnsupportedConfigurationError):
-        state = prob.solve(u)
-        adj = solve_adjoint(linearized_operator(state, prob.potential, ops4), tracking_seeds(prob, state))
+    _, _, adj, _ = first_order(prob, u, prob.solve(u))
+    with pytest.raises(InvalidParameterError, match="^projection identity needs positive control weights$"):
         projection_residual(prob, u, adjoint_as_control(prob, adj))
     report = optimality_report(prob, u, n_dir=2)
     assert not report.projection_supported

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from acopt import (
     OptimizerStalledError,
     TimeAxis,
     clip_to_box,
+    first_order,
     hinner,
     linearized_operator,
     minimize,
@@ -332,18 +334,17 @@ def test_an_ascent_step_falls_back_to_the_projected_gradient(unit_weight_run, mo
     _assert_descent_from_the_projected_gradient_point(*unit_weight_run())
 
 
-@pytest.mark.parametrize(
-    "max_iters, reason, builds", [(50, "stationarity", 0), (1, "max_iters", 1), (500, "roundoff", 0)]
-)
-def test_final_report_reuses_the_last_operator(grid4, ops4, monkeypatch, max_iters, reason, builds):
-    """At a stationarity or roundoff stop the final report factors nothing again; it is the fresh report, bit for bit.
+@pytest.mark.parametrize("max_iters, reason", [(50, "stationarity"), (1, "max_iters"), (500, "roundoff")])
+def test_final_report_reuses_the_last_operator(grid4, ops4, monkeypatch, max_iters, reason):
+    """Every iterate is evaluated in the loop, and at every stop the final report builds nothing again.
 
-    The last iteration's operator and adjoint belong to the final control
-    only when the loop stopped before moving it (stationarity or roundoff).
-    After a max_iters stop they belong to the previous iterate, and the
-    report builds its own. The roundoff stop is `configs/tracking.cfg` at
-    grid.n = 4, time.m = 5 with a stop_tol of 1e-300, which no
-    stationarity reaches: after 9 records no step lowers the cost.
+    One operator is built per history record, the last iterate's too, each
+    after the one before it is freed, and none for the report, which is
+    bit for bit the report formed afresh from the run's final state; the
+    last record's stationarity is the report's. The roundoff stop is
+    `configs/tracking.cfg` at grid.n = 4, time.m = 5 with a stop_tol of
+    1e-300, which no stationarity reaches: after 9 records no step lowers
+    the cost.
     """
     import acopt.objective
 
@@ -360,11 +361,15 @@ def test_final_report_reuses_the_last_operator(grid4, ops4, monkeypatch, max_ite
     original, built = acopt.objective.linearized_operator, []
 
     def counted(*args):
-        built.append(args)
-        return original(*args)
+        assert all(ref() is None for ref in built), "an earlier iterate's operator is alive"
+        operator = original(*args)
+        built.append(weakref.ref(operator))
+        return operator
 
     monkeypatch.setattr(acopt.objective, "linearized_operator", counted)
     result = minimize(prob, config, start)
     monkeypatch.undo()
-    assert result.reason == reason and len(built) == builds
-    assert result.report == optimality_report(prob, result.control, state=result.state)
+    assert result.reason == reason and len(built) == len(result.history)
+    fresh = first_order(prob, result.control, result.state)
+    assert result.report == optimality_report(prob, result.control, system=fresh)
+    assert result.history[-1].stationarity == result.report.stationarity

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from acopt import (
+    BoundsViolationWarning,
     ControlPair,
     DimensionMismatchError,
     DomainError,
@@ -318,21 +319,42 @@ def test_state_solve_unaffected_by_scipy_reads_of_coupled():
 def test_clamp_warning_for_near_endpoint_data(grid4, ops4):
     """Initial data inside (0,1) but within the guard distance gets clamped.
 
-    The one clamped node is counted by the first residual and the first
-    Jacobian evaluation, whether or not pf and pg are one object.
+    The one clamped node is counted once, by the one guarded evaluation
+    behind the first residual and the first Jacobian (n = 4 is below
+    break-even), whether or not pf and pg are one object.
     """
-    from acopt import BoundsViolationWarning
-
     time = TimeAxis(0.01, 2)
     init = np.full(grid4.num_nodes, 0.5)
     init[0] = 1e-8  # legal initial datum, closer to 0 than the guard
     pf = Potential(1.0, 3.0, eps_guard=1e-6)
     for pg in (Potential(1.0, 3.0, eps_guard=1e-6), pf):
-        with pytest.warns(BoundsViolationWarning, match="clamped 2 potential evaluations"):
+        with pytest.warns(BoundsViolationWarning, match="clamped 1 potential evaluations"):
             traj = solve_state(
                 grid4, ops4, time, Potential.on(grid4, pf, pg), ControlPair.zeros(grid4, time), init
             )
-        assert traj.info["clamp_events"] == 2
+        assert traj.info["clamp_events"] == 1
+
+
+@pytest.mark.parametrize("n, clamps", [(4, 1), (16, 2)])
+def test_clamps_counted_once_per_guarded_evaluation(n, clamps):
+    """A clamped argument counts once per guarded evaluation that clamps it.
+
+    One interior node starts at 1e-12, below the guard. Below break-even
+    (n = 4) the first residual and the first Jacobian share one evaluation,
+    which clamps it once. In the chord regime (n = 16) the residual
+    evaluation forms f' alone, and the first factorization evaluates f''
+    at the same argument again: two evaluations, one clamp each.
+    """
+    grid = build_grid(n)
+    ops = build_operators(grid)
+    assert (ops.step.factor_cost > 1.0) == (n == 16)
+    time = TimeAxis(0.25, 5)
+    init = np.full(grid.num_nodes, 0.5)
+    init[grid.interior_nodes[0]] = 1e-12
+    pf, pg = default_potentials()
+    with pytest.warns(BoundsViolationWarning, match=f"clamped {clamps} potential evaluations"):
+        traj = solve_state(grid, ops, time, Potential.on(grid, pf, pg), ControlPair.zeros(grid, time), init)
+    assert traj.info["clamp_events"] == clamps
 
 
 def test_newton_jacobian_reuses_residual_evaluation(grid4, ops4, grid16, ops16, rng, monkeypatch):
