@@ -1,9 +1,10 @@
 """Configuration parsing, experiment drivers, and file output.
 
 Config files are flat dotted-key text: one `key = value` pair per line,
-UTF-8, `#` starts a comment. Unknown keys are rejected with the offending
-key named. `load_config` only parses; `main` then applies its command-line
-overrides, and `run` calls `build_run`, which checks only `mode`,
+UTF-8 (a leading byte-order mark is skipped), `#` starts a comment.
+Unknown keys are rejected with the offending key named. `load_config`
+only parses; `main` then applies its command-line overrides, and `run`
+calls `build_run`, which checks only `mode`, `output.dir`,
 `output.formats`, `seed` and `optimizer.checkpoint_every`, then builds
 the run's objects once; `run` then creates `output.dir`. Every other
 rule and default is stated by the object or builder that owns it; a
@@ -145,15 +146,24 @@ def _owned(prefix, make, *args, **kwargs):
         raise ConfigError(prefix + message) from exc
 
 
+def _uncommented(raw):
+    """A config line with its `#` comment cut and its ends stripped."""
+    return raw.split("#", 1)[0].strip()
+
+
 def load_config(path):
     """Parse a flat dotted-key configuration file; `build_run` checks the values it holds."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is not text
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     cfg = RunConfig()
     seen = {}  # key -> the line that set it
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _uncommented(raw)
         if not line:
             continue
         if "=" not in line:
@@ -287,13 +297,21 @@ def build_problem(cfg):
 
 
 def build_run(cfg):
-    """Check the CLI's own keys `mode`, `output.formats`, `seed` and
+    """Check the CLI's own keys `mode`, `output.dir`, `output.formats`, `seed` and
     `optimizer.checkpoint_every` (0: never), then build the run's objects once.
+
+    output.dir must load back as itself from its resolved_config.txt line:
+    no `#`, no line break and no surrounding spaces.
 
     Returns (problem, OptimizerConfig, start control, output formats).
     """
     if cfg.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got '{cfg.mode}'")
+    echoed = f"output.dir = {cfg.output_dir}".splitlines()
+    if len(echoed) != 1 or _uncommented(echoed[0]).partition("=")[2].strip() != cfg.output_dir:
+        raise ConfigError(
+            f"output.dir must hold no '#', line break or surrounding spaces, got {cfg.output_dir!r}"
+        )
     formats = [f.strip() for f in cfg.output_formats.split(",") if f.strip()]
     if not formats or any(f not in FORMATS for f in formats):
         raise ConfigError(f"output.formats must be a subset of {FORMATS}, got '{cfg.output_formats}'")

@@ -31,7 +31,8 @@ class SolverFailureError(RuntimeError):
 
 
 class OptimizerStalledError(RuntimeError):
-    """The line search exhausted its backtracking budget.
+    """The optimizer cannot descend: its start cost is not finite, or the line
+    search exhausted its backtracking budget.
 
     The current iterate and the history collected so far are attached so
     diagnostics can still be emitted.

@@ -168,8 +168,9 @@ def minimize(problem, config, start, callback=None):
             records initial_step.
 
     Raises:
-        OptimizerStalledError: the line search exhausted max_backtracks;
-            the error carries the current control and history.
+        OptimizerStalledError: the start cost is not finite, or the line
+            search exhausted max_backtracks; the error carries the current
+            control and history.
     """
     u = clip_to_box(problem, start)
     lo, hi = problem.lower.data, problem.upper.data
@@ -183,6 +184,8 @@ def minimize(problem, config, start, callback=None):
     step = config.initial_step
 
     cost, state = _cost_at(problem, u)
+    if not math.isfinite(cost):  # Armijo keeps every later cost below this one, so finite
+        raise OptimizerStalledError(f"start cost is not finite: {cost}", control=u, history=history)
     for it in range(config.max_iters + 1):
         clamp_tally += state.info.get("clamp_events", 0)
         system = first_order(problem, u, state)

@@ -32,20 +32,21 @@ solve keeps the factor of its last Newton step, across levels too, for
 undamped chord steps z - J^-1 res (Kelley, Iterative Methods for Linear
 and Nonlinear Equations, SIAM 1995, 5.4; Jacobian reuse as in Hairer &
 Wanner, Solving ODEs II, IV.8): f'' and g'' are Lipschitz in the guarded
-interval, so J moves little between iterates and levels. From a level's
-second chord step on one factor, the first candidate is the depth-1
-Anderson mix of the last two chord steps (Walker & Ni, SIAM J. Numer.
-Anal. 49, 2011); where it leaves the interval or does not lower the
-residual, the plain chord candidate is tried. The history starts afresh
-at every level and after every factorization. A chord step is accepted
-when its candidate stays in the interval and lowers the residual's
-max-norm; it keeps the factor while finishing the level at its
-contraction theta costs at most kappa more steps than a fresh factor
+interval, so J moves little between iterates and levels. Each chord step
+tries one candidate: the depth-1 Anderson mix of the last two chord steps
+(Walker & Ni, SIAM J. Numer. Anal. 49, 2011) where the factor already
+has a chord step at this level, else the plain chord step. The history
+starts afresh at every level and after every factorization. A chord step
+is accepted when its candidate stays in the interval and lowers the
+residual's max-norm; it keeps the factor while finishing the level at
+its contraction theta costs at most kappa more steps than a fresh factor
 would, at FRESH_CONTRACTION per step: with D = log(tol / new residual) < 0,
 D / log(theta) <= kappa + D / log(FRESH_CONTRACTION). Otherwise the next
-iteration refactors at the new iterate; a dropped candidate makes it a
-damped Newton step at z. No factor outlives a solve, so a solve's first
-iteration factors while later levels may factor 0 times.
+iteration refactors at the new iterate. A dropped candidate, mixed or
+plain, ends a level that already meets its tolerance; at any other level
+the iteration refactors at z and takes a damped Newton step there. No
+factor outlives a solve, so a solve's first iteration factors while later
+levels may factor 0 times.
 
 The stop. Below break-even a level stops at newton_tol. In the chord
 regime it stops at tol = max(newton_tol, floor), where floor is
@@ -221,8 +222,11 @@ def _anderson(last, z, step):
     """The depth-1 Anderson mix of the chord steps last = (z_prev, step_prev) and step at z,
     as an update of z (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
 
-    Its two inner products are numpy sums, not BLAS dots, so its bits do
-    not depend on the CPU's BLAS kernel. Equal steps mix to step itself.
+    It is the one candidate of a chord step that follows another on the same
+    factor at the same level; where it is dropped, no plain chord step is
+    tried in its place (see the module docstring). Its two inner products
+    are numpy sums, not BLAS dots, so its bits do not depend on the CPU's
+    BLAS kernel. Equal steps mix to step itself.
     """
     z_prev, step_prev = last
     d_step = step - step_prev
@@ -362,14 +366,10 @@ def solve_state(
                 break
             iters += 1
             if factor is not None:
-                # undamped chord step on the kept factor: the mix of the last two steps, then
-                # the plain step
+                # one undamped candidate on the kept factor: the mix of the last two chord
+                # steps where the factor has one at this level, else the plain chord step
                 step = ops.step.solve(factor, -it.res)
-                trial = None
-                if last is not None:
-                    trial = search(it, _anderson(last, it.z, step), 1)
-                if trial is None:
-                    trial = search(it, step, 1)
+                trial = search(it, step if last is None else _anderson(last, it.z, step), 1)
                 last = (it.z, step)
                 if trial is not None:
                     polish = trial.norm <= CHORD_CONTRACTION * it.norm

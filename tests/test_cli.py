@@ -415,6 +415,19 @@ def test_rejected_value_exits_2_at_load(tmp_path, capsys, lines, named):
     assert not out.exists()
 
 
+def test_optimize_from_a_non_finite_start_cost_exits_3(tmp_path, capsys):
+    """A constant target of 1e300 overflows the start cost to inf: the run stops with a named
+    OptimizerStalledError (exit 3, error.jsonl), not "stopped by roundoff" and exit 0."""
+    out = tmp_path / "out"
+    text = override(BASE, "mode = optimize", "target.preset = constant", "target.value = 1e300")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main([str(write(tmp_path, text)), "--output-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "stopped by" not in captured.out and "Traceback" not in captured.err
+    error = json.loads((out / "error.jsonl").read_text(encoding="utf-8"))
+    assert error == {"error": "OptimizerStalledError", "message": "start cost is not finite: inf"}
+
+
 def test_error_line_is_the_error_jsonl_line(tmp_path, capsys):
     """The stderr `error:` line is the JSON line that error.jsonl holds, free of numpy reprs."""
     path = write(tmp_path, failing_newton_config("solve", tmp_path / "fail"))
@@ -424,6 +437,47 @@ def test_error_line_is_the_error_jsonl_line(tmp_path, capsys):
     assert "np.float64" not in line
     assert isinstance(json.loads(line)["residual"], float)
     assert line + "\n" == (tmp_path / "fail" / "error.jsonl").read_text(encoding="utf-8")
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    """A latin-1 byte in a comment is a ConfigError naming the file: exit 2, no traceback."""
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(BASE.encode("utf-8") + "# café\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=f"config file {path} is not UTF-8"):
+        load_config(path)
+    assert main([str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {path} is not UTF-8") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_byte_order_mark_is_not_read_into_the_first_key(tmp_path):
+    """A config saved with a UTF-8 byte-order mark loads as the same text without one."""
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + b"grid.n = 5\n" + BASE.replace("grid.n = 4\n", "").encode("utf-8"))
+    cfg = load_config(path)
+    assert cfg.grid_n == 5
+    assert cfg == load_config(write(tmp_path, "grid.n = 5\n" + BASE.replace("grid.n = 4\n", "")))
+
+
+@pytest.mark.parametrize("name", ["o#x", "o\nx", "o\rx", " o", "o "])
+def test_output_dir_that_would_not_load_back_exits_2(tmp_path, capsys, name):
+    """resolved_config.txt echoes output.dir on one line that must reload as itself: a '#',
+    a line break or surrounding spaces do not, so the run exits 2 before it writes anything."""
+    path = write(tmp_path, BASE)
+    out = f" {tmp_path}/o" if name == " o" else f"{tmp_path}/{name}"
+    assert main([str(path), "--output-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output.dir must hold no '#'") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_output_dir_with_spaces_and_equals_signs_round_trips(tmp_path):
+    """Inner spaces and '=' load back as themselves: the check rejects only what does not."""
+    out = tmp_path / "a = b c"
+    path = write(tmp_path, BASE + f"output.dir = {out}\n")
+    assert main([str(path)]) == 0
+    assert load_config(out / "resolved_config.txt") == load_config(path)
 
 
 @pytest.mark.parametrize("target", ["file", "file/sub"])

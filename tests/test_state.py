@@ -498,19 +498,20 @@ def test_dropped_chord_candidate_refactors_at_the_iterate(grid16, ops16, monkeyp
     assert _step_residual(grid16, ops16, time, pf, pg, u, traj) <= 1e-11
 
 
-def test_rejected_mixed_candidate_falls_back_to_the_chord_candidate(grid16, ops16, monkeypatch):
-    """A mixed chord candidate that does not lower the residual gives way to the plain one.
+def test_rejected_mixed_candidate_ends_the_converged_level(grid16, ops16, monkeypatch):
+    """A mixed chord candidate that does not lower the residual is dropped like a plain one.
 
     The mixed candidate is z1 + d1 - gamma ((z1 - z0) + (d1 - d0)) from the
     last two chord steps d0 at z0 and d1 at z1 on one factor, with gamma =
     <d1 - d0, d1> / |d1 - d0|^2 in numpy sums. Followed by hand (n = 16,
     one level from 0.1 under a control of scale 20; 19 iterations, 14
     factorizations): the last Newton step reaches 3.0e-8 and the plain
-    chord step from there 7.5e-12. That meets newton_tol, but it
+    chord step from there 7.5e-12. That meets newton_tol = 1e-11, but it
     contracted by more than CHORD_CONTRACTION and lies above the floor
     (about 1e-12), so the level steps again: the mixed candidate reads
-    1.2e-11 and is rejected, the plain chord candidate z1 + d1 reads 1.0e-13
-    and is accepted, and the level ends there without refactoring.
+    1.2e-11 and is rejected. Each chord step tries one candidate, so no
+    plain chord step follows it; the level already meets its tolerance, so
+    it ends at z1 without refactoring.
     """
     events = []
     _log_evaluations(monkeypatch, events)
@@ -524,18 +525,17 @@ def test_rejected_mixed_candidate_falls_back_to_the_chord_candidate(grid16, ops1
     assert traj.info["factorizations"] == [14]
 
     # after the last factorization: the Newton step and its candidate, the first chord step
-    # and its (plain) candidate, then the second chord step's mixed and plain candidates
-    kinds = "".join(event[0] for event in events[-8:])
-    assert kinds == "FSESESEE"
-    (_, d0), (_, z1, *_), (_, d1), (_, mixed, *_), (_, plain, *_) = events[-5:]
-    z0 = events[-6][1]
+    # and its (plain) candidate, then the second chord step and its mixed candidate, last
+    kinds = "".join(event[0] for event in events[-7:])
+    assert kinds == "FSESESE"
+    (_, d0), (_, z1, *_), (_, d1), (_, mixed, *_) = events[-4:]
+    z0 = events[-5][1]
     assert np.array_equal(z1, z0 + d0)
     d_step = d1 - d0
     gamma = np.sum(d_step * d1) / np.sum(d_step * d_step)
     assert np.array_equal(mixed, z1 + (d1 - gamma * ((z1 - z0) + d_step)))
-    assert np.array_equal(plain, z1 + d1)
-    assert np.array_equal(traj.values[1], plain)
-    assert _step_residual(grid16, ops16, time, pf, pg, u, traj) <= 1e-12
+    assert np.array_equal(traj.values[1], z1)
+    assert _step_residual(grid16, ops16, time, pf, pg, u, traj) <= 1e-11
 
 
 def test_chord_regime_stops_at_the_rounding_floor():
@@ -560,6 +560,23 @@ def test_chord_regime_stops_at_the_rounding_floor():
     terms = (np.abs(new) + np.abs(old)) / time.dt + (abs(ops.coupled) @ np.abs(new).T).T
     floor = np.finfo(float).eps * (terms + np.abs(d1) + np.abs(source)).max(axis=1)
     assert (residual <= 4.0 * floor).all(), residual / floor
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_shipped_experiment_state_solve_factors_once(n):
+    """tracking.cfg under its zero start control, in the chord regime, factors once per solve.
+
+    The solve's first iteration factors and every later iteration is a
+    chord step on that factor that keeps it: no candidate, mixed or plain,
+    is dropped at a level that still has to converge. The one-candidate
+    chord step rests on this traffic.
+    """
+    cfg = replace(load_config(ROOT / "configs" / "tracking.cfg"), grid_n=n)
+    problem = build_problem(cfg)
+    assert problem.ops.step.factor_cost > 1.0
+    assert cfg.control_preset == "zero"
+    traj = problem.solve(build_control(cfg, problem))
+    assert sum(traj.info["factorizations"]) == 1
 
 
 def test_refactor_rule_prices_the_factor(grid16, ops16):
